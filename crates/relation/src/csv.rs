@@ -1,28 +1,42 @@
-//! Minimal CSV reader/writer with type inference.
+//! CSV reading and writing: one dialect, one tokenizer, one inference rule.
 //!
 //! We control both producer and consumer inside the suite, so the dialect is
-//! deliberately simple: comma-separated, no quoting or escaping, first line
-//! is an optional header. Type inference tries `Int`, then `Float`, then
-//! falls back to `Str` (dates are written as ISO strings and round-trip as
-//! strings, whose lexicographic order equals chronological order for ISO
-//! format — exactly the property the discovery algorithms need).
+//! deliberately simple. The record tokenizer (`Records`) owns its syntax
+//! and `infer` owns its typing; [`read_csv_opts`] and the streaming
+//! readers in [`crate::stream`] all go through both, so they cannot drift
+//! apart.
 //!
-//! # Nulls
+//! * **Records.** One per line. A line ends at `\n`, and a `\r\n` ending
+//!   loses both bytes (as with [`BufRead::lines`]); any other `\r` is data.
+//!   Input must be UTF-8; anything else is [`RelationError::Io`] with kind
+//!   `InvalidData`. Empty lines are skipped, but a whitespace-only line is a
+//!   record.
+//! * **Fields.** A record splits at every `,` (there is no quoting or
+//!   escaping) and each field is trimmed of whitespace. Every record must
+//!   have as many fields as the first, or the read fails naming the line.
+//! * **Header.** With `has_header`, the first line (even an empty one) names
+//!   the columns; otherwise they are named `c0, c1, ...`.
+//! * **Nulls.** A field that is empty after trimming is **null**. Dense-rank
+//!   encoding needs a total order, so reading a null-bearing file requires
+//!   an explicit [`NullPolicy`] via [`CsvOptions`]; without one the reader
+//!   fails with [`RelationError::NullPolicyRequired`] naming the column.
+//! * **`""`.** A field that is exactly `""` is the *empty string*, so null
+//!   and empty-string cells stay distinguishable.
+//! * **Types.** A column is `Int` if every non-null cell parses as `i64`,
+//!   else `Float` if every one parses as `f64`, else `Str`; an all-null
+//!   column is `Int`. Dates are written as ISO strings and read back as
+//!   strings, whose lexicographic order is chronological order — exactly the
+//!   property the discovery algorithms need.
 //!
-//! Empty and whitespace-only fields parse as **null** — uniformly, instead
-//! of the old behavior where they fell through type inference and silently
-//! demoted the column to `Str("")`. Because dense-rank encoding needs a
-//! total order, reading a null-bearing file requires an explicit
-//! [`NullPolicy`] via [`CsvOptions`]; without one the reader fails with
-//! [`RelationError::NullPolicyRequired`] naming the column. The one quoting
-//! special case: a field that is exactly `""` parses as the *empty string*,
-//! so null and empty-string cells stay distinguishable. [`write_csv`]
-//! renders nulls as empty fields and empty strings as `""`, so files
-//! round-trip.
+//! [`write_csv`] emits this dialect (nulls as empty fields, empty strings as
+//! `""`) and rejects any string cell that would not read back unchanged.
 
-use crate::{Column, ColumnData, NullPolicy, Relation, RelationBuilder, RelationError, Value};
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use crate::{
+    Column, ColumnData, DataType, NullPolicy, Relation, RelationBuilder, RelationError, Value,
+};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
+use std::str::FromStr;
 
 /// Options for [`read_csv_opts`] / [`read_csv_file_opts`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -52,6 +66,235 @@ impl CsvOptions {
     }
 }
 
+/// The record tokenizer every CSV reader drives: one reused line buffer, one
+/// UTF-8 check per line, no allocation per record or field.
+pub(crate) struct Records<R> {
+    reader: R,
+    /// The current line without its `\n`/`\r\n` ending.
+    line: String,
+    line_no: usize,
+    n_fields: Option<usize>,
+    header: Option<Vec<String>>,
+}
+
+impl<R: BufRead> Records<R> {
+    /// Starts tokenizing `reader`, consuming the header line when
+    /// `has_header`. `n_fields` fixes the field count every record must
+    /// have; `None` takes it from the first record.
+    pub(crate) fn new(
+        reader: R,
+        has_header: bool,
+        n_fields: Option<usize>,
+    ) -> Result<Records<R>, RelationError> {
+        let mut records = Records {
+            reader,
+            line: String::new(),
+            line_no: 0,
+            n_fields,
+            header: None,
+        };
+        if has_header {
+            if !records.read_line()? {
+                return Err(RelationError::Csv {
+                    line: 1,
+                    message: "expected a header line".into(),
+                });
+            }
+            records.header = Some(records.fields().map(str::to_string).collect());
+        }
+        Ok(records)
+    }
+
+    /// Reads the next line into `self.line`; `false` at end of input.
+    fn read_line(&mut self) -> Result<bool, RelationError> {
+        let mut buf = std::mem::take(&mut self.line).into_bytes();
+        buf.clear();
+        if self.reader.read_until(b'\n', &mut buf)? == 0 {
+            return Ok(false);
+        }
+        self.line_no += 1;
+        if buf.last() == Some(&b'\n') {
+            buf.pop();
+            if buf.last() == Some(&b'\r') {
+                buf.pop();
+            }
+        }
+        self.line = String::from_utf8(buf).map_err(|_| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                "stream did not contain valid UTF-8",
+            )
+        })?;
+        Ok(true)
+    }
+
+    /// Advances to the next record, skipping empty lines; `false` at end of
+    /// input. A record with the wrong field count is an error at its line.
+    pub(crate) fn advance(&mut self) -> Result<bool, RelationError> {
+        while self.read_line()? {
+            if self.line.is_empty() {
+                continue;
+            }
+            let found = self.line.bytes().filter(|&b| b == b',').count() + 1;
+            match self.n_fields {
+                None => self.n_fields = Some(found),
+                Some(expected) if found != expected => {
+                    return Err(RelationError::Csv {
+                        line: self.line_no,
+                        message: format!("expected {expected} fields, found {found}"),
+                    });
+                }
+                Some(_) => {}
+            }
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// The current record's trimmed fields.
+    pub(crate) fn fields(&self) -> impl Iterator<Item = &str> {
+        self.line.split(',').map(str::trim)
+    }
+
+    /// Appends the current record's fields to per-column text arenas,
+    /// creating the columns on the first record.
+    pub(crate) fn push_to(&self, cols: &mut Vec<TextColumn>) {
+        for (a, field) in self.fields().enumerate() {
+            if a == cols.len() {
+                cols.push(TextColumn::default());
+            }
+            cols[a].push(field);
+        }
+    }
+
+    /// The 1-based number of the last line read.
+    pub(crate) fn line_no(&self) -> usize {
+        self.line_no
+    }
+
+    /// The column names once every record is read: the header's, which
+    /// must match the records' field count, or `c0, c1, ...`. Without
+    /// records there are no columns, header or not.
+    pub(crate) fn into_names(self) -> Result<Vec<String>, RelationError> {
+        let n = self.n_fields.unwrap_or(0);
+        match self.header {
+            Some(h) if n > 0 && h.len() != n => Err(RelationError::Csv {
+                line: 1,
+                message: format!("header has {} fields but rows have {}", h.len(), n),
+            }),
+            Some(mut h) => {
+                h.truncate(n);
+                Ok(h)
+            }
+            None => Ok((0..n).map(|i| format!("c{i}")).collect()),
+        }
+    }
+}
+
+/// The dialect's reading of a trimmed field: `None` for null, the empty
+/// string for `""`.
+pub(crate) fn cell(field: &str) -> Option<&str> {
+    match field {
+        "" => None,
+        "\"\"" => Some(""),
+        s => Some(s),
+    }
+}
+
+/// A column's cells parsed at the type [`infer`] chose.
+pub(crate) enum Typed {
+    Int(Vec<i64>),
+    Float(Vec<f64>),
+    Str,
+}
+
+impl Typed {
+    pub(crate) fn data_type(&self) -> DataType {
+        match self {
+            Typed::Int(_) => DataType::Int,
+            Typed::Float(_) => DataType::Float,
+            Typed::Str => DataType::Str,
+        }
+    }
+}
+
+/// The dialect's type inference: the first of `Int`, `Float`, `Str`, no
+/// lower than `floor`, that every non-null cell (`None` is null) parses as
+/// with `str::parse`, with the cells parsed at it (nulls as zero). Each
+/// candidate type walks `cells` once and stops at its first failure.
+pub(crate) fn infer<'a, I>(floor: DataType, cells: I) -> Typed
+where
+    I: Iterator<Item = Option<&'a str>> + Clone,
+{
+    if floor == DataType::Int {
+        if let Some(v) = parse_all(cells.clone()) {
+            return Typed::Int(v);
+        }
+    }
+    if floor != DataType::Str {
+        if let Some(v) = parse_all(cells) {
+            return Typed::Float(v);
+        }
+    }
+    Typed::Str
+}
+
+fn parse_all<'a, T: FromStr + Default>(
+    cells: impl Iterator<Item = Option<&'a str>>,
+) -> Option<Vec<T>> {
+    let mut out = Vec::with_capacity(cells.size_hint().0);
+    for c in cells {
+        out.push(match c {
+            None => T::default(),
+            Some(s) => s.parse().ok()?,
+        });
+    }
+    Some(out)
+}
+
+/// One column's trimmed fields back to back in one `String`: field `i` is
+/// `text[ends[i - 1]..ends[i]]`.
+#[derive(Default)]
+pub(crate) struct TextColumn {
+    text: String,
+    ends: Vec<usize>,
+}
+
+impl TextColumn {
+    fn push(&mut self, field: &str) {
+        self.text.push_str(field);
+        self.ends.push(self.text.len());
+    }
+
+    pub(crate) fn clear(&mut self) {
+        self.text.clear();
+        self.ends.clear();
+    }
+
+    /// The column's cells in the dialect's reading (see [`cell`]).
+    pub(crate) fn cells(&self) -> impl Iterator<Item = Option<&str>> + Clone {
+        let starts = std::iter::once(0).chain(self.ends.iter().copied());
+        starts
+            .zip(&self.ends)
+            .map(|(start, &end)| cell(&self.text[start..end]))
+    }
+
+    /// The typed column, inferred no lower than `floor`, with its null mask.
+    /// Only a `Str` column builds a `String` per cell.
+    pub(crate) fn to_column(&self, floor: DataType) -> Column {
+        let data = match infer(floor, self.cells()) {
+            Typed::Int(v) => ColumnData::Int(v),
+            Typed::Float(v) => ColumnData::Float(v),
+            Typed::Str => ColumnData::Str(
+                self.cells()
+                    .map(|c| c.unwrap_or_default().to_string())
+                    .collect(),
+            ),
+        };
+        Column::with_nulls(data, self.cells().map(|c| c.is_none()).collect())
+    }
+}
+
 /// Reads a relation from CSV text with no null policy — fails on files with
 /// empty fields; see [`read_csv_opts`].
 ///
@@ -68,93 +311,27 @@ pub fn read_csv<R: Read>(reader: R, has_header: bool) -> Result<Relation, Relati
 
 /// Reads a relation from CSV text, resolving empty/whitespace-only fields
 /// as nulls under the configured [`NullPolicy`].
-pub fn read_csv_opts<R: Read>(
-    reader: R,
-    opts: CsvOptions,
-) -> Result<Relation, RelationError> {
-    let has_header = opts.has_header;
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines();
-    let mut header: Option<Vec<String>> = None;
-    let mut raw_columns: Vec<Vec<String>> = Vec::new();
-    let mut line_no = 0usize;
-
-    if has_header {
-        line_no += 1;
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                header = Some(line.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            None => {
-                return Err(RelationError::Csv {
-                    line: 1,
-                    message: "expected a header line".into(),
-                })
-            }
-        }
+pub fn read_csv_opts<R: Read>(reader: R, opts: CsvOptions) -> Result<Relation, RelationError> {
+    let mut records = Records::new(BufReader::new(reader), opts.has_header, None)?;
+    let mut text: Vec<TextColumn> = Vec::new();
+    while records.advance()? {
+        records.push_to(&mut text);
     }
-
-    for line in lines {
-        line_no += 1;
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').collect();
-        if raw_columns.is_empty() {
-            raw_columns = vec![Vec::new(); fields.len()];
-        }
-        if fields.len() != raw_columns.len() {
-            return Err(RelationError::Csv {
-                line: line_no,
-                message: format!(
-                    "expected {} fields, found {}",
-                    raw_columns.len(),
-                    fields.len()
-                ),
-            });
-        }
-        for (col, field) in raw_columns.iter_mut().zip(fields) {
-            col.push(field.trim().to_string());
-        }
-    }
-
-    let n_cols = raw_columns.len();
-    let names: Vec<String> = match header {
-        Some(h) => {
-            if !raw_columns.is_empty() && h.len() != n_cols {
-                return Err(RelationError::Csv {
-                    line: 1,
-                    message: format!(
-                        "header has {} fields but rows have {}",
-                        h.len(),
-                        n_cols
-                    ),
-                });
-            }
-            h
-        }
-        None => (0..n_cols).map(|i| format!("c{i}")).collect(),
-    };
+    let names = records.into_names()?;
 
     let mut builder = RelationBuilder::new();
     if let Some(policy) = opts.null_policy {
         builder = builder.null_policy(policy);
     }
-    for (name, raw) in names.iter().zip(raw_columns) {
-        let (data, mask) = infer_column(raw);
-        builder = builder.column_raw(name, Column::with_nulls(data, mask));
+    for (name, col) in names.iter().zip(text) {
+        builder = builder.column_raw(name, col.to_column(DataType::Int));
     }
     builder.build()
 }
 
 /// Reads a relation from a CSV file on disk (no null policy — see
 /// [`read_csv_file_opts`]).
-pub fn read_csv_file<P: AsRef<Path>>(
-    path: P,
-    has_header: bool,
-) -> Result<Relation, RelationError> {
+pub fn read_csv_file<P: AsRef<Path>>(path: P, has_header: bool) -> Result<Relation, RelationError> {
     let file = std::fs::File::open(path)?;
     read_csv(file, has_header)
 }
@@ -168,43 +345,10 @@ pub fn read_csv_file_opts<P: AsRef<Path>>(
     read_csv_opts(file, opts)
 }
 
-/// Infers the tightest type that parses every non-null cell (Int, then
-/// Float, then Str) and returns the payload plus the null mask. Fields are
-/// already trimmed, so nulls are exactly the empty strings; a quoted `""`
-/// field is the empty *string* value. All-null columns default to Int.
-fn infer_column(raw: Vec<String>) -> (ColumnData, Vec<bool>) {
-    let mask: Vec<bool> = raw.iter().map(|s| s.is_empty()).collect();
-    let cells: Vec<String> = raw
-        .into_iter()
-        .map(|s| if s == "\"\"" { String::new() } else { s })
-        .collect();
-    let live = |pred: &dyn Fn(&str) -> bool| {
-        cells
-            .iter()
-            .zip(&mask)
-            .all(|(s, &null)| null || pred(s))
-    };
-    if live(&|s| s.parse::<i64>().is_ok()) {
-        let data = cells
-            .iter()
-            .zip(&mask)
-            .map(|(s, &null)| if null { 0 } else { s.parse().unwrap() })
-            .collect();
-        return (ColumnData::Int(data), mask);
-    }
-    if live(&|s| s.parse::<f64>().is_ok()) {
-        let data = cells
-            .iter()
-            .zip(&mask)
-            .map(|(s, &null)| if null { 0.0 } else { s.parse().unwrap() })
-            .collect();
-        return (ColumnData::Float(data), mask);
-    }
-    (ColumnData::Str(cells), mask)
-}
-
-/// Writes a relation as CSV (header included). Cells containing commas or
-/// newlines are rejected since the dialect has no quoting.
+/// Writes a relation as CSV (header included). The dialect has no quoting,
+/// so a cell that would not read back unchanged is rejected: one containing
+/// a comma or newline, and a string with surrounding whitespace (which
+/// includes a trailing `\r`) or that is literally `""`.
 pub fn write_csv<W: Write>(rel: &Relation, writer: W) -> Result<(), RelationError> {
     let mut w = BufWriter::new(writer);
     let names = rel.schema().names();
@@ -223,6 +367,14 @@ pub fn write_csv<W: Write>(rel: &Relation, writer: W) -> Result<(), RelationErro
                 // so the two stay distinguishable on re-read.
                 Value::Null => {}
                 Value::Str(s) if s.is_empty() => cell.push_str("\"\""),
+                Value::Str(s) if s.trim().len() != s.len() || s == "\"\"" => {
+                    return Err(RelationError::Csv {
+                        line: row + 2,
+                        message: "string cell has surrounding whitespace or is a literal \"\"; \
+                                  it would not read back unchanged"
+                            .into(),
+                    });
+                }
                 _ => {
                     let _ = write!(cell, "{v}");
                 }
@@ -313,6 +465,29 @@ mod tests {
             .unwrap();
         let mut buf = Vec::new();
         assert!(write_csv(&rel, &mut buf).is_err());
+    }
+
+    #[test]
+    fn cells_that_would_not_read_back_rejected_on_write() {
+        for bad in [" x", "x ", "\"\"", "a\r"] {
+            let rel = RelationBuilder::new()
+                .column_str("s", vec![bad])
+                .build()
+                .unwrap();
+            let err = write_csv(&rel, &mut Vec::new()).unwrap_err();
+            assert!(
+                matches!(err, RelationError::Csv { line: 2, .. }),
+                "{bad:?}: {err}"
+            );
+        }
+        // An inner `\r` or space reads back unchanged, so it is written.
+        let rel = RelationBuilder::new()
+            .column_str("s", vec!["a\rb c"])
+            .build()
+            .unwrap();
+        let mut buf = Vec::new();
+        write_csv(&rel, &mut buf).unwrap();
+        assert_eq!(read_csv(&buf[..], true).unwrap(), rel);
     }
 
     #[test]

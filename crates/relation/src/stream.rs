@@ -1,14 +1,15 @@
 //! Chunked streaming CSV ingest for the 100M-row scale path.
 //!
-//! [`crate::csv::read_csv_opts`] materializes every raw cell before
-//! encoding, so a 100M-row file costs O(file) strings *plus* O(file) typed
+//! [`crate::csv::read_csv_opts`] holds the whole file's text before
+//! encoding, so a 100M-row file costs O(file) text *plus* O(file) typed
 //! values before the first code is produced. [`read_csv_stream`] replaces
-//! that with a **two-pass dictionary build** over the same dialect:
+//! that with a **two-pass dictionary build**. Both readers drive the same
+//! record tokenizer and type inference, which own the dialect (see
+//! [`crate::csv`]):
 //!
-//! 1. **Pass 1** streams the file in chunks, collecting per column the set
-//!    of distinct raw fields (O(distinct) memory, not O(rows)), the
-//!    `Int`/`Float` parseability flags and null presence. Between the
-//!    passes the distinct raws are parsed at the inferred type, deduplicated
+//! 1. **Pass 1** streams the file, collecting per column the set of
+//!    distinct non-null cells (O(distinct) memory, not O(rows)) and null
+//!    presence. Between the passes each set is typed, parsed, deduplicated
 //!    *as typed values* (`"01"` and `"1"` are one Int) and sorted — the
 //!    sorted position is exactly the dense rank
 //!    [`Column::rank_encode`](crate::Column::rank_encode) would assign, with
@@ -19,20 +20,21 @@
 //!
 //! The output is differentially identical — codes, cardinalities, null
 //! masks — to `read_csv_file_opts(..).encode()` at every chunk size
-//! (pinned by `tests/streaming_ingest.rs`); peak memory is
+//! (pinned by `tests/streaming_equivalence.rs`); peak memory is
 //! O(distinct + packed codes) instead of O(rows · columns) values.
 //!
 //! [`CsvChunks`] is the sibling reader for consumers that need *raw typed
 //! rows* rather than codes (the serving layer's batch replay): pass 1
-//! infers global column types only, then the file is re-read as a sequence
-//! of [`Relation`] chunks sharing one schema.
+//! infers global column types one chunk at a time, then the file is re-read
+//! as a sequence of [`Relation`] chunks sharing one schema.
 
+use crate::csv::{cell, infer, Records, TextColumn, Typed};
 use crate::{
-    Column, ColumnData, CsvOptions, DataType, EncodedRelation, NullPolicy, PackedCodes, Relation,
-    RelationBuilder, RelationError, Schema,
+    CsvOptions, DataType, EncodedRelation, NullPolicy, PackedCodes, Relation, RelationBuilder,
+    RelationError, Schema,
 };
 use std::collections::HashSet;
-use std::io::{BufRead, BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
 /// Default rows per chunk for the streaming readers.
@@ -56,46 +58,22 @@ pub struct StreamedCsv {
     pub peak_bytes: usize,
 }
 
-/// Per-column pass-1 state: distinct raw (trimmed, quote-mapped) fields and
-/// type-inference flags. Parseability is a function of the string, so the
-/// flags only need updating when a *new* distinct value is seen.
+/// Per-column pass-1 state: the distinct non-null cells and null presence.
+#[derive(Default)]
 struct Pass1Col {
     distinct: HashSet<String>,
-    all_int: bool,
-    all_float: bool,
     has_nulls: bool,
 }
 
 impl Pass1Col {
-    fn new() -> Pass1Col {
-        Pass1Col {
-            distinct: HashSet::new(),
-            all_int: true,
-            all_float: true,
-            has_nulls: false,
-        }
-    }
-
     fn see(&mut self, field: &str) {
-        if field.is_empty() {
-            self.has_nulls = true;
-            return;
-        }
-        let mapped = if field == "\"\"" { "" } else { field };
-        if !self.distinct.contains(mapped) {
-            self.all_int &= mapped.parse::<i64>().is_ok();
-            self.all_float &= mapped.parse::<f64>().is_ok();
-            self.distinct.insert(mapped.to_string());
-        }
-    }
-
-    fn data_type(&self) -> DataType {
-        if self.all_int {
-            DataType::Int
-        } else if self.all_float {
-            DataType::Float
-        } else {
-            DataType::Str
+        match cell(field) {
+            None => self.has_nulls = true,
+            Some(s) => {
+                if !self.distinct.contains(s) {
+                    self.distinct.insert(s.to_string());
+                }
+            }
         }
     }
 
@@ -118,33 +96,34 @@ enum TypedDict {
 }
 
 impl TypedDict {
-    fn build(col: &Pass1Col) -> TypedDict {
-        match col.data_type() {
-            DataType::Int => {
-                let mut d: Vec<i64> = col
-                    .distinct
-                    .iter()
-                    .map(|s| s.parse().expect("pass 1 verified Int parseability"))
-                    .collect();
+    /// Types a column's distinct cells as the one-shot reader would type
+    /// the whole column, then sorts and deduplicates the typed values.
+    fn build(distinct: HashSet<String>) -> TypedDict {
+        let typed = infer(DataType::Int, distinct.iter().map(|s| Some(s.as_str())));
+        match typed {
+            Typed::Int(mut d) => {
                 d.sort_unstable();
                 d.dedup();
                 TypedDict::Int(d)
             }
-            DataType::Float => {
-                let mut d: Vec<f64> = col
-                    .distinct
-                    .iter()
-                    .map(|s| s.parse().expect("pass 1 verified Float parseability"))
-                    .collect();
+            Typed::Float(mut d) => {
                 d.sort_unstable_by(|a, b| a.total_cmp(b));
                 d.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
                 TypedDict::Float(d)
             }
-            _ => {
-                let mut d: Vec<String> = col.distinct.iter().cloned().collect();
+            Typed::Str => {
+                let mut d: Vec<String> = distinct.into_iter().collect();
                 d.sort_unstable();
                 TypedDict::Str(d)
             }
+        }
+    }
+
+    fn data_type(&self) -> DataType {
+        match self {
+            TypedDict::Int(_) => DataType::Int,
+            TypedDict::Float(_) => DataType::Float,
+            TypedDict::Str(_) => DataType::Str,
         }
     }
 
@@ -156,17 +135,16 @@ impl TypedDict {
         }
     }
 
-    /// The dense rank of a (non-null, quote-mapped) field, or `None` when
-    /// the field does not parse / is absent — i.e. the file changed between
-    /// the passes.
-    fn rank_of(&self, field: &str) -> Option<usize> {
+    /// The dense rank of a non-null cell, or `None` when the cell does not
+    /// parse / is absent — i.e. the file changed between the passes.
+    fn rank_of(&self, cell: &str) -> Option<usize> {
         match self {
-            TypedDict::Int(d) => d.binary_search(&field.parse::<i64>().ok()?).ok(),
+            TypedDict::Int(d) => d.binary_search(&cell.parse::<i64>().ok()?).ok(),
             TypedDict::Float(d) => {
-                let v = field.parse::<f64>().ok()?;
+                let v = cell.parse::<f64>().ok()?;
                 d.binary_search_by(|x| x.total_cmp(&v)).ok()
             }
-            TypedDict::Str(d) => d.binary_search_by(|x| x.as_str().cmp(field)).ok(),
+            TypedDict::Str(d) => d.binary_search_by(|x| x.as_str().cmp(cell)).ok(),
         }
     }
 
@@ -179,53 +157,19 @@ impl TypedDict {
     }
 }
 
-/// Streams data rows: skips blank lines, trims fields, enforces a
-/// rectangular row shape against `n_cols` (set by the first data row when
-/// `None`). `header` receives the raw header fields when `has_header`.
-fn for_each_data_row<B: BufRead>(
-    reader: B,
-    has_header: bool,
-    header: &mut Option<Vec<String>>,
-    n_cols: &mut Option<usize>,
-    mut f: impl FnMut(usize, &[&str]) -> Result<(), RelationError>,
+/// Fails with [`RelationError::NullPolicyRequired`] naming the first
+/// null-bearing column when no policy is set.
+fn require_policy(
+    opts: CsvOptions,
+    names: &[String],
+    has_nulls: &[bool],
 ) -> Result<(), RelationError> {
-    let mut lines = reader.lines();
-    let mut line_no = 0usize;
-    if has_header {
-        line_no += 1;
-        match lines.next() {
-            Some(line) => {
-                let line = line?;
-                *header = Some(line.split(',').map(|s| s.trim().to_string()).collect());
-            }
-            None => {
-                return Err(RelationError::Csv {
-                    line: 1,
-                    message: "expected a header line".into(),
-                })
-            }
-        }
+    match has_nulls.iter().position(|&nulls| nulls) {
+        Some(a) if opts.null_policy.is_none() => Err(RelationError::NullPolicyRequired {
+            column: names[a].clone(),
+        }),
+        _ => Ok(()),
     }
-    for line in lines {
-        line_no += 1;
-        let line = line?;
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-        match *n_cols {
-            None => *n_cols = Some(fields.len()),
-            Some(n) if fields.len() != n => {
-                return Err(RelationError::Csv {
-                    line: line_no,
-                    message: format!("expected {} fields, found {}", n, fields.len()),
-                });
-            }
-            _ => {}
-        }
-        f(line_no, &fields)?;
-    }
-    Ok(())
 }
 
 /// Reads CSV text into a bit-packed [`EncodedRelation`] via a two-pass
@@ -242,65 +186,42 @@ pub fn read_csv_stream<R: Read + Seek>(
     opts: CsvOptions,
     chunk_rows: usize,
 ) -> Result<StreamedCsv, RelationError> {
-    let chunk_rows = if chunk_rows == 0 { usize::MAX } else { chunk_rows };
+    let chunk_rows = if chunk_rows == 0 {
+        usize::MAX
+    } else {
+        chunk_rows
+    };
 
-    // ---- Pass 1: distinct values, type flags, null presence. ----
-    let mut header: Option<Vec<String>> = None;
-    let mut n_cols: Option<usize> = None;
+    // ---- Pass 1: distinct values and null presence. ----
+    let mut records = Records::new(BufReader::new(&mut input), opts.has_header, None)?;
     let mut cols: Vec<Pass1Col> = Vec::new();
     let mut pass1_rows = 0usize;
-    for_each_data_row(
-        BufReader::new(&mut input),
-        opts.has_header,
-        &mut header,
-        &mut n_cols,
-        |_, fields| {
-            if cols.is_empty() {
-                cols = fields.iter().map(|_| Pass1Col::new()).collect();
-            }
-            for (col, field) in cols.iter_mut().zip(fields) {
-                col.see(field);
-            }
-            pass1_rows += 1;
-            Ok(())
-        },
-    )?;
-
-    // Mirror `read_csv_opts` exactly: with no data rows the relation is
-    // empty (even under a header), and the header count is only checked
-    // against actual rows.
-    let n_cols = n_cols.unwrap_or(0);
-    let names: Vec<String> = match header {
-        Some(h) => {
-            if n_cols > 0 && h.len() != n_cols {
-                return Err(RelationError::Csv {
-                    line: 1,
-                    message: format!("header has {} fields but rows have {}", h.len(), n_cols),
-                });
-            }
-            h.into_iter().take(n_cols).collect()
+    while records.advance()? {
+        if cols.is_empty() {
+            cols = records.fields().map(|_| Pass1Col::default()).collect();
         }
-        None => (0..n_cols).map(|i| format!("c{i}")).collect(),
-    };
-    if opts.null_policy.is_none() {
-        if let Some(a) = cols.iter().position(|c| c.has_nulls) {
-            return Err(RelationError::NullPolicyRequired {
-                column: names[a].clone(),
-            });
+        for (col, field) in cols.iter_mut().zip(records.fields()) {
+            col.see(field);
         }
+        pass1_rows += 1;
     }
+    let names = records.into_names()?;
+    let n_cols = names.len();
+    let has_nulls: Vec<bool> = cols.iter().map(|c| c.has_nulls).collect();
+    require_policy(opts, &names, &has_nulls)?;
 
     let pass1_bytes: usize = cols.iter().map(Pass1Col::approx_bytes).sum();
+    let dicts: Vec<TypedDict> = cols
+        .into_iter()
+        .map(|c| TypedDict::build(c.distinct))
+        .collect();
     let schema = Schema::new(
         names
-            .iter()
-            .zip(&cols)
-            .map(|(n, c)| (n.clone(), c.data_type()))
+            .into_iter()
+            .zip(&dicts)
+            .map(|(n, d)| (n, d.data_type()))
             .collect(),
     )?;
-    let dicts: Vec<TypedDict> = cols.iter().map(TypedDict::build).collect();
-    let has_nulls: Vec<bool> = cols.iter().map(|c| c.has_nulls).collect();
-    drop(cols);
 
     // Rank layout per column (matching `rank_encode_nullable`): nulls share
     // one rank at the front (`First`) or back (`Last`) of the value ranks.
@@ -337,46 +258,35 @@ pub fn read_csv_stream<R: Read + Seek>(
     let mut chunk: Vec<Vec<u32>> = vec![Vec::new(); n_cols];
     let mut chunk_len = 0usize;
     let mut pass2_rows = 0usize;
-    let mut skip_header = None;
-    let mut n_cols2 = Some(n_cols).filter(|&n| n > 0);
-    for_each_data_row(
-        BufReader::new(&mut input),
-        opts.has_header,
-        &mut skip_header,
-        &mut n_cols2,
-        |line_no, fields| {
-            for (a, field) in fields.iter().enumerate() {
-                let code = if field.is_empty() {
-                    if let Some(mask) = &mut masks[a] {
-                        mask.resize(pass2_rows, false);
-                        mask.push(true);
-                    } else {
+    let mut records = Records::new(BufReader::new(&mut input), opts.has_header, Some(n_cols))?;
+    while records.advance()? {
+        let line_no = records.line_no();
+        for (a, field) in records.fields().enumerate() {
+            let code = match cell(field) {
+                None => {
+                    let Some(mask) = &mut masks[a] else {
                         return Err(changed(line_no, "a null appeared"));
-                    }
+                    };
+                    mask.resize(pass2_rows, false);
+                    mask.push(true);
                     null_codes[a]
-                } else {
-                    let mapped = if *field == "\"\"" { "" } else { field };
-                    match dicts[a].rank_of(mapped) {
-                        Some(rank) => rank as u32 + offsets[a],
-                        None => return Err(changed(line_no, "an unseen value appeared")),
-                    }
-                };
-                chunk[a].push(code);
-            }
-            chunk_len += 1;
-            pass2_rows += 1;
-            if chunk_len >= chunk_rows {
-                flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
-            }
-            Ok(())
-        },
-    )?;
+                }
+                Some(s) => match dicts[a].rank_of(s) {
+                    Some(rank) => rank as u32 + offsets[a],
+                    None => return Err(changed(line_no, "an unseen value appeared")),
+                },
+            };
+            chunk[a].push(code);
+        }
+        chunk_len += 1;
+        pass2_rows += 1;
+        if chunk_len >= chunk_rows {
+            flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
+        }
+    }
     flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
     if pass2_rows != pass1_rows {
-        return Err(changed(
-            pass2_rows.max(pass1_rows),
-            "the row count changed",
-        ));
+        return Err(changed(pass2_rows.max(pass1_rows), "the row count changed"));
     }
     // Null masks are row-complete per column; pad the tail of rows whose
     // column saw no further nulls.
@@ -385,8 +295,8 @@ pub fn read_csv_stream<R: Read + Seek>(
     }
 
     let encoded = EncodedRelation::from_packed(schema, packed, cardinalities);
-    let final_bytes = encoded.memory_bytes()
-        + dicts.iter().map(TypedDict::approx_bytes).sum::<usize>();
+    let final_bytes =
+        encoded.memory_bytes() + dicts.iter().map(TypedDict::approx_bytes).sum::<usize>();
     Ok(StreamedCsv {
         encoded,
         null_masks: masks,
@@ -425,21 +335,23 @@ pub fn read_csv_file_stream<P: AsRef<Path>>(
 /// An iterator of raw typed [`Relation`] chunks over a CSV input, sharing
 /// one globally inferred schema.
 ///
-/// Pass 1 scans the whole input once for column types and null presence
-/// (O(1) memory per column — no distinct sets); the iterator then re-reads
-/// the input yielding up to `chunk_rows` rows per [`Relation`]. Because the
-/// types are global, every chunk has the same schema and can be fed to
-/// [`crate::GrowableRelation::extend`] — which is exactly how
-/// `fastod serve --stream` replays a file as an append workload.
+/// Pass 1 scans the whole input once for column types and null presence,
+/// holding the text of at most one chunk (a chunk can only widen a column's
+/// type, so the global type is the widest of the chunks'); the iterator
+/// then re-reads the input yielding up to `chunk_rows` rows per
+/// [`Relation`]. Because the types are global, every chunk has the same
+/// schema and can be fed to [`crate::GrowableRelation::extend`] — which is
+/// exactly how `fastod serve --stream` replays a file as an append
+/// workload.
 pub struct CsvChunks<R: Read> {
-    lines: std::io::Lines<BufReader<R>>,
+    records: Records<BufReader<R>>,
+    /// The current chunk's text, reused from chunk to chunk.
+    text: Vec<TextColumn>,
     names: Vec<String>,
     types: Vec<DataType>,
     policy: Option<NullPolicy>,
-    n_cols: usize,
     n_rows: usize,
     chunk_rows: usize,
-    line_no: usize,
     emitted: usize,
     failed: bool,
 }
@@ -452,86 +364,46 @@ impl<R: Read + Seek> CsvChunks<R> {
         opts: CsvOptions,
         chunk_rows: usize,
     ) -> Result<CsvChunks<R>, RelationError> {
-        let chunk_rows = if chunk_rows == 0 { usize::MAX } else { chunk_rows };
-        let mut header: Option<Vec<String>> = None;
-        let mut n_cols: Option<usize> = None;
-        let mut flags: Vec<(bool, bool, bool)> = Vec::new(); // (all_int, all_float, has_nulls)
-        let mut n_rows = 0usize;
-        for_each_data_row(
-            BufReader::new(&mut input),
-            opts.has_header,
-            &mut header,
-            &mut n_cols,
-            |_, fields| {
-                if flags.is_empty() {
-                    flags = fields.iter().map(|_| (true, true, false)).collect();
-                }
-                for ((all_int, all_float, has_nulls), field) in flags.iter_mut().zip(fields) {
-                    if field.is_empty() {
-                        *has_nulls = true;
-                    } else {
-                        let mapped = if *field == "\"\"" { "" } else { *field };
-                        *all_int &= mapped.parse::<i64>().is_ok();
-                        *all_float &= mapped.parse::<f64>().is_ok();
-                    }
-                }
-                n_rows += 1;
-                Ok(())
-            },
-        )?;
-        let n_cols = n_cols.unwrap_or(0);
-        let names: Vec<String> = match header {
-            Some(h) => {
-                if n_cols > 0 && h.len() != n_cols {
-                    return Err(RelationError::Csv {
-                        line: 1,
-                        message: format!(
-                            "header has {} fields but rows have {}",
-                            h.len(),
-                            n_cols
-                        ),
-                    });
-                }
-                h.into_iter().take(n_cols).collect()
-            }
-            None => (0..n_cols).map(|i| format!("c{i}")).collect(),
+        let chunk_rows = if chunk_rows == 0 {
+            usize::MAX
+        } else {
+            chunk_rows
         };
-        if opts.null_policy.is_none() {
-            if let Some(a) = flags.iter().position(|&(_, _, nulls)| nulls) {
-                return Err(RelationError::NullPolicyRequired {
-                    column: names[a].clone(),
-                });
+        let mut records = Records::new(BufReader::new(&mut input), opts.has_header, None)?;
+        let mut text: Vec<TextColumn> = Vec::new();
+        let mut types: Vec<DataType> = Vec::new();
+        let mut has_nulls: Vec<bool> = Vec::new();
+        let mut widen = |text: &mut Vec<TextColumn>| {
+            types.resize(text.len(), DataType::Int);
+            has_nulls.resize(text.len(), false);
+            for (a, col) in text.iter_mut().enumerate() {
+                types[a] = infer(types[a], col.cells()).data_type();
+                has_nulls[a] |= col.cells().any(|c| c.is_none());
+                col.clear();
+            }
+        };
+        let mut n_rows = 0usize;
+        while records.advance()? {
+            records.push_to(&mut text);
+            n_rows += 1;
+            if n_rows.is_multiple_of(chunk_rows) {
+                widen(&mut text);
             }
         }
-        let types: Vec<DataType> = flags
-            .iter()
-            .map(|&(all_int, all_float, _)| {
-                if all_int {
-                    DataType::Int
-                } else if all_float {
-                    DataType::Float
-                } else {
-                    DataType::Str
-                }
-            })
-            .collect();
+        widen(&mut text);
+        let names = records.into_names()?;
+        require_policy(opts, &names, &has_nulls)?;
 
         input.seek(SeekFrom::Start(0))?;
-        let mut lines = BufReader::new(input).lines();
-        let mut line_no = 0usize;
-        if opts.has_header {
-            line_no += 1;
-            lines.next().transpose()?;
-        }
+        let records = Records::new(BufReader::new(input), opts.has_header, Some(names.len()))?;
         Ok(CsvChunks {
-            lines,
+            records,
+            text,
             names,
             types,
             policy: opts.null_policy,
-            n_cols,
             n_rows,
             chunk_rows,
-            line_no,
             emitted: 0,
             failed: false,
         })
@@ -554,45 +426,47 @@ impl<R: Read> CsvChunks<R> {
         &self.types
     }
 
-    fn build_chunk(
-        &self,
-        raw: Vec<Vec<String>>,
-        masks: Vec<Vec<bool>>,
-        first_line: usize,
-    ) -> Result<Relation, RelationError> {
+    fn next_chunk(&mut self) -> Result<Option<Relation>, RelationError> {
+        let first_line = self.records.line_no() + 1;
+        let mut rows = 0usize;
+        let mut eof = false;
+        while rows < self.chunk_rows {
+            if !self.records.advance()? {
+                eof = true;
+                break;
+            }
+            self.records.push_to(&mut self.text);
+            rows += 1;
+        }
+        // Truncation is reported the moment the end of input is seen, so a
+        // short final chunk never escapes as `Ok` ahead of the error.
+        if eof && self.emitted + rows != self.n_rows {
+            return Err(changed(self.records.line_no(), "the row count changed"));
+        }
+        if rows == 0 {
+            return Ok(None);
+        }
+        self.emitted += rows;
+        if self.emitted > self.n_rows {
+            return Err(changed(self.records.line_no(), "the row count changed"));
+        }
         let mut builder = RelationBuilder::new();
         if let Some(policy) = self.policy {
             builder = builder.null_policy(policy);
         }
-        for (a, (cells, mask)) in raw.into_iter().zip(masks).enumerate() {
-            let data = match self.types[a] {
-                DataType::Int => {
-                    let mut v = Vec::with_capacity(cells.len());
-                    for (cell, &null) in cells.iter().zip(&mask) {
-                        v.push(if null {
-                            0
-                        } else {
-                            cell.parse().map_err(|_| changed(first_line, "an Int column stopped parsing"))?
-                        });
-                    }
-                    ColumnData::Int(v)
-                }
-                DataType::Float => {
-                    let mut v = Vec::with_capacity(cells.len());
-                    for (cell, &null) in cells.iter().zip(&mask) {
-                        v.push(if null {
-                            0.0
-                        } else {
-                            cell.parse().map_err(|_| changed(first_line, "a Float column stopped parsing"))?
-                        });
-                    }
-                    ColumnData::Float(v)
-                }
-                _ => ColumnData::Str(cells),
-            };
-            builder = builder.column_raw(&self.names[a], Column::with_nulls(data, mask));
+        for ((name, &ty), col) in self.names.iter().zip(&self.types).zip(&mut self.text) {
+            let column = col.to_column(ty);
+            col.clear();
+            if column.data_type() != ty {
+                let what = match ty {
+                    DataType::Int => "an Int column stopped parsing",
+                    _ => "a Float column stopped parsing",
+                };
+                return Err(changed(first_line, what));
+            }
+            builder = builder.column_raw(name, column);
         }
-        builder.build()
+        builder.build().map(Some)
     }
 }
 
@@ -610,54 +484,6 @@ impl<R: Read> Iterator for CsvChunks<R> {
                 Some(Err(e))
             }
         }
-    }
-}
-
-impl<R: Read> CsvChunks<R> {
-    fn next_chunk(&mut self) -> Result<Option<Relation>, RelationError> {
-        let mut raw: Vec<Vec<String>> = vec![Vec::new(); self.n_cols];
-        let mut masks: Vec<Vec<bool>> = vec![Vec::new(); self.n_cols];
-        let mut rows = 0usize;
-        let mut eof = false;
-        let first_line = self.line_no + 1;
-        while rows < self.chunk_rows {
-            let Some(line) = self.lines.next() else {
-                eof = true;
-                break;
-            };
-            self.line_no += 1;
-            let line = line?;
-            if line.is_empty() {
-                continue;
-            }
-            let fields: Vec<&str> = line.split(',').map(str::trim).collect();
-            if fields.len() != self.n_cols {
-                return Err(RelationError::Csv {
-                    line: self.line_no,
-                    message: format!("expected {} fields, found {}", self.n_cols, fields.len()),
-                });
-            }
-            for (a, field) in fields.iter().enumerate() {
-                let null = field.is_empty();
-                masks[a].push(null);
-                let mapped = if *field == "\"\"" { "" } else { *field };
-                raw[a].push(if null { String::new() } else { mapped.to_string() });
-            }
-            rows += 1;
-        }
-        // Truncation is reported the moment the end of input is seen, so a
-        // short final chunk never escapes as `Ok` ahead of the error.
-        if eof && self.emitted + rows != self.n_rows {
-            return Err(changed(self.line_no, "the row count changed"));
-        }
-        if rows == 0 {
-            return Ok(None);
-        }
-        self.emitted += rows;
-        if self.emitted > self.n_rows {
-            return Err(changed(self.line_no, "the row count changed"));
-        }
-        self.build_chunk(raw, masks, first_line).map(Some)
     }
 }
 
@@ -718,12 +544,8 @@ mod tests {
 
     #[test]
     fn null_without_policy_is_rejected() {
-        let err = read_csv_stream(
-            Cursor::new("a,b\n1,x\n,y\n"),
-            CsvOptions::with_header(),
-            0,
-        )
-        .unwrap_err();
+        let err = read_csv_stream(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header(), 0)
+            .unwrap_err();
         assert!(matches!(err, RelationError::NullPolicyRequired { column } if column == "a"));
     }
 

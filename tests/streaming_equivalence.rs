@@ -13,6 +13,7 @@
 //! producing a silently short relation.
 
 use fastod_suite::prelude::*;
+use fastod_suite::relation::csv::read_csv_opts;
 use fastod_suite::relation::stream::DEFAULT_CHUNK_ROWS;
 use fastod_suite::relation::{
     read_csv_stream, CsvChunks, CsvOptions, NullPolicy, RelationError,
@@ -193,6 +194,19 @@ fn truncation_between_passes_is_an_error_not_a_short_relation() {
 }
 
 #[test]
+fn rows_appearing_between_passes_are_an_error_not_a_panic() {
+    // Pass 1 sees no data rows, pass 2 sees one: pass 2 holds the field
+    // count pass 1 found (zero), so the row is rejected at its line.
+    let err = read_csv_stream(
+        ShrinkingSource::new("a,b\n", "a,b\n1,x\n"),
+        CsvOptions::with_header(),
+        0,
+    )
+    .unwrap_err();
+    assert!(matches!(err, RelationError::Csv { line: 2, .. }), "{err}");
+}
+
+#[test]
 fn chunk_iterator_surfaces_truncation_and_stops() {
     let full = "a,b\n1,x\n2,y\n3,z\n4,x\n";
     let mut chunks = CsvChunks::new(
@@ -233,4 +247,107 @@ fn file_streaming_matches_file_one_shot() {
     // The default chunk size is the documented knob the CLI exposes.
     const { assert!(DEFAULT_CHUNK_ROWS > 0) };
     let _ = std::fs::remove_file(&path);
+}
+
+/// Asserts the chunk iterator replays `text` as the one-shot relation at
+/// every swept chunk size.
+fn assert_chunks_equivalent(text: &str, opts: CsvOptions) {
+    let rel = read_csv_opts(text.as_bytes(), opts).expect("one-shot read should succeed");
+    for chunk_rows in CHUNK_SIZES {
+        let chunks = CsvChunks::new(Cursor::new(text), opts, chunk_rows)
+            .unwrap_or_else(|e| panic!("chunk_rows={chunk_rows}: {e}"));
+        let mut concat: Option<Relation> = None;
+        for chunk in chunks {
+            let chunk = chunk.unwrap_or_else(|e| panic!("chunk_rows={chunk_rows}: {e}"));
+            match &mut concat {
+                None => concat = Some(chunk),
+                Some(base) => {
+                    base.extend(&chunk).unwrap();
+                }
+            }
+        }
+        match concat {
+            Some(concat) => assert_eq!(concat, rel, "chunk {chunk_rows}"),
+            None => assert_eq!(rel.n_rows(), 0, "chunk {chunk_rows}"),
+        }
+    }
+}
+
+#[test]
+fn line_ending_edges_match() {
+    let opts = CsvOptions::with_header();
+    let cases = [
+        // CRLF endings, including a CRLF blank line.
+        "a,b\r\n1,x\r\n\r\n2,y\r\n",
+        // A final line with no trailing newline.
+        "a,b\n1,x\n2,y",
+        // A `\r` inside a field is data; one before a comma is trimmed.
+        "a,b\nx\ry,1\nz\r,2\n",
+    ];
+    for text in cases {
+        assert_equivalent(text, opts);
+        assert_chunks_equivalent(text, opts);
+    }
+    let rel = read_csv_opts(cases[2].as_bytes(), opts).unwrap();
+    assert_eq!(rel.value(0, 0), Value::Str("x\ry".into()));
+    assert_eq!(rel.value(1, 0), Value::Str("z".into()));
+}
+
+#[test]
+fn whitespace_only_line_is_a_record_not_a_blank_line() {
+    // One column: the whitespace-only line is a null cell.
+    let text = "a\n1\n   \n2\n";
+    for policy in [NullPolicy::First, NullPolicy::Last] {
+        let opts = CsvOptions::with_header().null_policy(policy);
+        assert_equivalent(text, opts);
+        assert_chunks_equivalent(text, opts);
+    }
+    let opts = CsvOptions::with_header().null_policy(NullPolicy::First);
+    let rel = read_csv_opts(text.as_bytes(), opts).unwrap();
+    assert_eq!(rel.n_rows(), 3);
+    assert_eq!(rel.value(1, 0), Value::Null);
+
+    // Two columns: the same line is a ragged row, reported at the same line
+    // by every reader.
+    let ragged = "a,b\n1,2\n \n3,4\n";
+    let opts = CsvOptions::with_header();
+    let one = read_csv_opts(ragged.as_bytes(), opts).unwrap_err();
+    assert!(matches!(one, RelationError::Csv { line: 3, .. }), "{one}");
+    for chunk_rows in CHUNK_SIZES {
+        let streamed = read_csv_stream(Cursor::new(ragged), opts, chunk_rows).unwrap_err();
+        assert_eq!(streamed.to_string(), one.to_string(), "chunk {chunk_rows}");
+        let chunks = CsvChunks::new(Cursor::new(ragged), opts, chunk_rows)
+            .err()
+            .expect("ragged row must fail pass 1");
+        assert_eq!(chunks.to_string(), one.to_string(), "chunk {chunk_rows}");
+    }
+}
+
+#[test]
+fn header_only_file_matches() {
+    for text in ["a,b\n", "a,b"] {
+        assert_equivalent(text, CsvOptions::with_header());
+        assert_chunks_equivalent(text, CsvOptions::with_header());
+    }
+}
+
+#[test]
+fn invalid_utf8_is_an_io_error_in_every_reader() {
+    fn is_invalid_data(e: &RelationError) -> bool {
+        matches!(e, RelationError::Io(io) if io.kind() == std::io::ErrorKind::InvalidData)
+    }
+    let opts = CsvOptions::with_header();
+    // In a data row and in the header.
+    for bytes in [&b"a,b\n1,x\n2,\xff\n"[..], &b"a,\xc3\n1,x\n"[..]] {
+        let one = read_csv_opts(bytes, opts).unwrap_err();
+        assert!(is_invalid_data(&one), "{one}");
+        for chunk_rows in CHUNK_SIZES {
+            let streamed = read_csv_stream(Cursor::new(bytes), opts, chunk_rows).unwrap_err();
+            assert!(is_invalid_data(&streamed), "{streamed}");
+            let chunks = CsvChunks::new(Cursor::new(bytes), opts, chunk_rows)
+                .err()
+                .expect("invalid UTF-8 must fail pass 1");
+            assert!(is_invalid_data(&chunks), "{chunks}");
+        }
+    }
 }
