@@ -38,6 +38,11 @@ pub struct ApproxConfig {
 
 impl ApproxConfig {
     /// Creates a configuration with the given error threshold.
+    ///
+    /// # Panics
+    /// If `epsilon` is outside `[0, 1]` or NaN. Callers taking the
+    /// threshold from user input should reject such values first, as the
+    /// `fastod` CLI does while parsing its arguments.
     pub fn new(epsilon: f64) -> ApproxConfig {
         assert!((0.0..=1.0).contains(&epsilon), "epsilon must be in [0, 1]");
         ApproxConfig {

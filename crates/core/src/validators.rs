@@ -545,16 +545,24 @@ fn class_chunks(p: &StrippedPartition, threads: usize) -> Vec<std::ops::Range<us
 }
 
 /// Approximate validation: an OD is accepted when at most `max_remove` rows
-/// must be deleted for it to hold exactly.
+/// must be deleted for it to hold exactly. The removal-error kernels get
+/// `max_remove` as their cap, so a check stops as soon as the OD is known
+/// to be over budget.
 pub struct ApproxValidator<'a> {
     enc: &'a EncodedRelation,
     max_remove: usize,
+    /// Per-worker scratch arenas, persisted across lattice levels.
+    pools: Vec<SwapScratch>,
 }
 
 impl<'a> ApproxValidator<'a> {
     /// Creates a validator accepting ODs within `max_remove` row removals.
     pub fn new(enc: &'a EncodedRelation, max_remove: usize) -> ApproxValidator<'a> {
-        ApproxValidator { enc, max_remove }
+        ApproxValidator {
+            enc,
+            max_remove,
+            pools: vec![SwapScratch::new()],
+        }
     }
 }
 
@@ -571,7 +579,8 @@ impl OdValidator for ApproxValidator<'_> {
             return true;
         }
         stats.fd_checks += 1;
-        constancy_removal_error(parent, self.enc.codes(a)) <= self.max_remove
+        let cap = self.max_remove;
+        constancy_removal_error(parent, self.enc.codes(a), cap, &mut self.pools[0]) <= cap
     }
 
     fn order_compat(
@@ -583,7 +592,8 @@ impl OdValidator for ApproxValidator<'_> {
         stats: &mut LevelStats,
     ) -> bool {
         stats.swap_checks += 1;
-        swap_removal_error(ctx, self.enc.codes(a), self.enc.codes(b)) <= self.max_remove
+        let (codes_a, codes_b, cap) = (self.enc.codes(a), self.enc.codes(b), self.max_remove);
+        swap_removal_error(ctx, codes_a, codes_b, cap, &mut self.pools[0]) <= cap
     }
 
     fn validate_batch(
@@ -597,17 +607,22 @@ impl OdValidator for ApproxValidator<'_> {
             return sequential_validate(self, tasks, cancel, stats);
         }
         tally_stats(tasks, stats);
-        let (enc, max_remove) = (self.enc, self.max_remove);
-        let mut pool: Vec<()> = Vec::new();
-        exec.try_map_with(&mut pool, || (), tasks, cancel, |(), _i, task| match *task {
-            ValidationTask::Constancy { rhs, parent, .. } => {
-                parent.is_superkey()
-                    || constancy_removal_error(parent, enc.codes(rhs)) <= max_remove
-            }
-            ValidationTask::OrderCompat { a, b, ctx, .. } => {
-                swap_removal_error(ctx, enc.codes(a), enc.codes(b)) <= max_remove
-            }
-        })
+        let (enc, cap) = (self.enc, self.max_remove);
+        exec.try_map_with(
+            &mut self.pools,
+            SwapScratch::new,
+            tasks,
+            cancel,
+            |scratch, _i, task| match *task {
+                ValidationTask::Constancy { rhs, parent, .. } => {
+                    parent.is_superkey()
+                        || constancy_removal_error(parent, enc.codes(rhs), cap, scratch) <= cap
+                }
+                ValidationTask::OrderCompat { a, b, ctx, .. } => {
+                    swap_removal_error(ctx, enc.codes(a), enc.codes(b), cap, scratch) <= cap
+                }
+            },
+        )
     }
 }
 
@@ -741,16 +756,31 @@ mod tests {
                 assert_eq!(stats_n.swap_checks, stats.swap_checks);
                 assert_eq!(stats_n.fd_checks_key_pruned, stats.fd_checks_key_pruned);
             }
-            // Approximate validator: same contract (budget 0 ≙ exact scans).
+        }
+        // Approximate validator: same contract at every budget (0 ≙ the
+        // exact scans, usize::MAX accepts everything). Each validator judges
+        // the batch twice, so the second round reuses its per-worker pools.
+        for budget in [0, 1, 2, usize::MAX] {
             let mut stats1 = LevelStats::default();
-            let approx_ref = ApproxValidator::new(&e, 0)
+            let reference = ApproxValidator::new(&e, budget)
                 .validate_batch(&tasks, &Executor::new(1), &cancel, &mut stats1)
                 .unwrap();
-            let mut stats4 = LevelStats::default();
-            let approx_par = ApproxValidator::new(&e, 0)
-                .validate_batch(&tasks, &Executor::new(4), &cancel, &mut stats4)
-                .unwrap();
-            assert_eq!(approx_ref, approx_par);
+            for threads in [2, 4, 16] {
+                let exec = Executor::new(threads);
+                let mut v = ApproxValidator::new(&e, budget);
+                for round in 0..2 {
+                    let mut stats_n = LevelStats::default();
+                    let got = v.validate_batch(&tasks, &exec, &cancel, &mut stats_n).unwrap();
+                    let at = format!("budget={budget} threads={threads} round={round}");
+                    assert_eq!(got, reference, "{at}");
+                    assert_eq!(stats_n.fd_checks, stats1.fd_checks, "{at}");
+                    assert_eq!(stats_n.swap_checks, stats1.swap_checks, "{at}");
+                    assert_eq!(
+                        stats_n.fd_checks_key_pruned, stats1.fd_checks_key_pruned,
+                        "{at}"
+                    );
+                }
+            }
         }
     }
 

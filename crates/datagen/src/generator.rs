@@ -348,7 +348,14 @@ mod tests {
         ));
         // ...but the removal error is small (≈ 2%).
         let ctx = fastod_partition::StrippedPartition::unit(500);
-        let err = fastod_partition::swap_removal_error(&ctx, enc.codes(0), enc.codes(1));
+        let mut scratch = fastod_partition::SwapScratch::new();
+        let err = fastod_partition::swap_removal_error(
+            &ctx,
+            enc.codes(0),
+            enc.codes(1),
+            usize::MAX,
+            &mut scratch,
+        );
         assert!(err > 0 && err < 50, "err = {err}");
     }
 

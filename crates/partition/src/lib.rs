@@ -18,7 +18,8 @@
 //!   [`check_order_compat`] for `X: A ~ B` (the paper's single-scan swap
 //!   test), plus witness-returning variants for data cleaning;
 //! * removal-based error measures ([`constancy_removal_error`],
-//!   [`swap_removal_error`]) used by the approximate-OD extension;
+//!   [`swap_removal_error`]) used by the approximate-OD extension, which
+//!   stop once the error is known to exceed the caller's budget;
 //! * mutation support for the incremental engine:
 //!   [`StrippedPartition::remove_rows`] (exact in-place class compaction
 //!   reporting a touched-class [`RemoveDelta`]), tombstone-aware builders

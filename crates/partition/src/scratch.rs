@@ -165,7 +165,9 @@ impl Default for SwapState {
 }
 
 /// Scratch space for swap checks: one per-class run state, plus a
-/// [`ClassMap`]. Reused across checks that share a context partition.
+/// [`ClassMap`]. Reused across checks that share a context partition. The
+/// removal-error kernels ([`crate::constancy_removal_error`],
+/// [`crate::swap_removal_error`]) keep their per-class buffers here too.
 ///
 /// Validators keep one `SwapScratch` per worker thread for the whole
 /// discovery run, so the buffers grown at one lattice level are reused at
@@ -179,8 +181,13 @@ pub struct SwapScratch {
     /// Classes touched by the current `A`-run (their run maxima get folded
     /// into `prev_max` when the run ends).
     pub(crate) run_touched: Vec<u32>,
-    /// `(A, B)` code pairs of one class, for the sort-then-sweep check.
+    /// `(A, B)` code pairs of one class, for the sort-then-sweep check and
+    /// the swap removal error.
     pub(crate) pairs: Vec<(u32, u32)>,
+    /// Patience-sort tails of the swap removal error's LNDS scan.
+    pub(crate) tails: Vec<u32>,
+    /// `A`-codes of one class, for the constancy removal error.
+    pub(crate) codes: Vec<u32>,
     /// Whether `class_map` currently holds the partition given by this token.
     loaded_for: Option<usize>,
 }

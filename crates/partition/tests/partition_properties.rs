@@ -95,18 +95,31 @@ proptest! {
         })
     ) {
         let ctx = StrippedPartition::from_codes(&ctx_codes, dense(&ctx_codes));
+        let mut scratch = SwapScratch::new();
+        let c_err = constancy_removal_error(&ctx, &a, usize::MAX, &mut scratch);
+        let s_err = swap_removal_error(&ctx, &a, &b, usize::MAX, &mut scratch);
         // Constancy error is zero iff the constancy scan passes.
-        prop_assert_eq!(
-            constancy_removal_error(&ctx, &a) == 0,
-            check_constancy(&ctx, &a)
-        );
+        prop_assert_eq!(c_err == 0, check_constancy(&ctx, &a));
         // Swap error is zero iff the swap scan passes.
         let tau = SortedColumn::build(&a, dense(&a));
-        let mut scratch = SwapScratch::new();
         prop_assert_eq!(
-            swap_removal_error(&ctx, &a, &b) == 0,
+            s_err == 0,
             check_order_compat(&ctx, &tau, &b, &mut scratch, None)
         );
+        // Capped: min(err, cap + 1) at every cap, through the one scratch
+        // reused across all calls (early exits leave its buffers dirty).
+        for cap in 0..=c_err + 1 {
+            prop_assert_eq!(
+                constancy_removal_error(&ctx, &a, cap, &mut scratch),
+                c_err.min(cap + 1)
+            );
+        }
+        for cap in 0..=s_err + 1 {
+            prop_assert_eq!(
+                swap_removal_error(&ctx, &a, &b, cap, &mut scratch),
+                s_err.min(cap + 1)
+            );
+        }
     }
 
     #[test]

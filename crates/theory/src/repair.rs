@@ -23,10 +23,10 @@
 
 use crate::canonical::CanonicalOd;
 use crate::validate::build_partition;
-use crate::violations::{find_violations, Violation};
+use crate::violations::{find_violations_in, Violation};
 use fastod_obs::json::{escape, parse, Json};
 use fastod_partition::{
-    count_constancy_violations_rows, count_swap_violations_rows, CountScratch,
+    count_constancy_violations_rows, count_swap_violations_rows, CountScratch, StrippedPartition,
 };
 use fastod_relation::{AttrSet, EncodedRelation};
 
@@ -58,15 +58,27 @@ pub struct CheckReport {
 /// Checks one canonical OD: validity, exact violation count, up to
 /// `witness_limit` witness pairs, and the minimal removal set.
 pub fn check_od(enc: &EncodedRelation, od: &CanonicalOd, witness_limit: usize) -> RuleCheck {
-    let mut scratch = CountScratch::new();
     let ctx = build_partition(enc, od.context());
+    check_in(enc, od, &ctx, witness_limit, &mut CountScratch::new())
+}
+
+/// [`check_od`] over `ctx = Π*_{od.context()}`, which the caller has built:
+/// the count/removal pass and the witness scan share it.
+fn check_in(
+    enc: &EncodedRelation,
+    od: &CanonicalOd,
+    ctx: &StrippedPartition,
+    witness_limit: usize,
+    scratch: &mut CountScratch,
+) -> RuleCheck {
     let mut violations = 0u64;
     let mut removal_rows: Vec<u32> = Vec::new();
     match *od {
+        _ if od.is_trivial() => {}
         CanonicalOd::Constancy { rhs, .. } => {
             let codes = enc.codes(rhs);
             for class in ctx.classes() {
-                violations += count_constancy_violations_rows(class, codes, &mut scratch);
+                violations += count_constancy_violations_rows(class, codes, scratch);
                 constancy_removal(class, codes, &mut removal_rows);
             }
         }
@@ -74,22 +86,17 @@ pub fn check_od(enc: &EncodedRelation, od: &CanonicalOd, witness_limit: usize) -
             let codes_a = enc.codes(a);
             let codes_b = enc.codes(b);
             for class in ctx.classes() {
-                violations +=
-                    count_swap_violations_rows(class, codes_a, codes_b, &mut scratch);
+                violations += count_swap_violations_rows(class, codes_a, codes_b, scratch);
                 swap_removal(class, codes_a, codes_b, &mut removal_rows);
             }
         }
-    }
-    if od.is_trivial() {
-        violations = 0;
-        removal_rows.clear();
     }
     removal_rows.sort_unstable();
     RuleCheck {
         od: *od,
         holds: violations == 0,
         violations,
-        witnesses: find_violations(enc, od, witness_limit),
+        witnesses: find_violations_in(enc, od, ctx, witness_limit),
         removal_rows,
     }
 }
@@ -194,15 +201,31 @@ pub fn residual_violations(enc: &EncodedRelation, od: &CanonicalOd, removed: &[u
 }
 
 impl CheckReport {
-    /// Checks every rule against the instance.
+    /// Checks every rule against the instance; `rules[i]` equals
+    /// `check_od(enc, &ods[i], witness_limit)`.
+    ///
+    /// Rules are grouped by context: each `Π*_X` is built once, serves every
+    /// rule over `X`, and is dropped before the next context's is built, so
+    /// one context partition is resident at a time.
     pub fn run(
         enc: &EncodedRelation,
         ods: &[CanonicalOd],
         witness_limit: usize,
     ) -> CheckReport {
+        let mut order: Vec<usize> = (0..ods.len()).collect();
+        order.sort_by_key(|&i| ods[i].context());
+        let mut scratch = CountScratch::new();
+        let mut checked: Vec<(usize, RuleCheck)> = Vec::with_capacity(ods.len());
+        for group in order.chunk_by(|&i, &j| ods[i].context() == ods[j].context()) {
+            let ctx = build_partition(enc, ods[group[0]].context());
+            for &i in group {
+                checked.push((i, check_in(enc, &ods[i], &ctx, witness_limit, &mut scratch)));
+            }
+        }
+        checked.sort_unstable_by_key(|&(i, _)| i);
         CheckReport {
             n_rows: enc.n_rows(),
-            rules: ods.iter().map(|od| check_od(enc, od, witness_limit)).collect(),
+            rules: checked.into_iter().map(|(_, rule)| rule).collect(),
         }
     }
 

@@ -7,7 +7,7 @@
 
 use crate::canonical::CanonicalOd;
 use crate::validate::build_partition;
-use fastod_partition::{ClassMap, SortedColumn};
+use fastod_partition::{ClassMap, SortedColumn, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet, EncodedRelation, Relation};
 
 /// A single witnessed violation of a canonical OD.
@@ -84,8 +84,21 @@ pub fn find_violations(
     if od.is_trivial() || limit == 0 {
         return Vec::new();
     }
+    find_violations_in(enc, od, &build_partition(enc, od.context()), limit)
+}
+
+/// [`find_violations`] over `ctx = Π*_{od.context()}`, which the caller has
+/// built (the check report shares one partition across a context's rules).
+pub(crate) fn find_violations_in(
+    enc: &EncodedRelation,
+    od: &CanonicalOd,
+    ctx: &StrippedPartition,
+    limit: usize,
+) -> Vec<Violation> {
+    if od.is_trivial() || limit == 0 {
+        return Vec::new();
+    }
     let ctx_set = od.context();
-    let ctx = build_partition(enc, ctx_set);
     let mut out = Vec::new();
     match *od {
         CanonicalOd::Constancy { rhs, .. } => {
@@ -112,7 +125,7 @@ pub fn find_violations(
             let codes_a = enc.codes(a);
             let codes_b = enc.codes(b);
             let mut cm = ClassMap::new();
-            cm.assign(&ctx);
+            cm.assign(ctx);
             // Per-class run state, mirroring the partition crate's swap scan
             // but collecting every violation instead of stopping at one.
             #[derive(Clone, Copy)]

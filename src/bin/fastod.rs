@@ -17,7 +17,7 @@
 //!                          (default 1; 0 = all cores; the discovered
 //!                          cover is identical at any thread count)
 //!   --epsilon <F>          approximate discovery: tolerate removing an
-//!                          F-fraction of rows (0.0 = exact)
+//!                          F-fraction of rows, F in [0, 1] (0.0 = exact)
 //!   --violations <OD>      instead of discovering, check one OD and print
 //!                          witnesses; OD syntax: "ctx1,ctx2:[]->A" or
 //!                          "ctx1:A~B" (attribute names)
@@ -47,8 +47,8 @@
 //!                          after removing at most a --max-error fraction
 //!                          of rows — surfacing the almost-true rules
 //!                          whose violations point at data errors
-//!   --max-error <F>        row-removal fraction for --discover-near-valid
-//!                          (default 0.01)
+//!   --max-error <F>        row-removal fraction in [0, 1] for
+//!                          --discover-near-valid (default 0.01)
 //!   --witnesses <N>        witness pairs reported per violated rule
 //!                          (default 5)
 //!   --json                 print the machine-readable fastod.check.v1
@@ -69,6 +69,9 @@
 //!                          (certificate-ladder outcomes) and a final
 //!                          metrics snapshot
 //! ```
+//!
+//! A usage error (unknown flag, missing or malformed value, a fraction
+//! outside `[0, 1]`) exits with status 2 before any input is read.
 
 use fastod_suite::discovery::{ApproxConfig, ApproxFastod, CancelToken};
 use fastod_suite::obs::{LogHistogram, Obs};
@@ -190,11 +193,7 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--epsilon" => {
-                args.epsilon = Some(
-                    need(&mut iter, "--epsilon")?
-                        .parse()
-                        .map_err(|e| format!("--epsilon: {e}"))?,
-                )
+                args.epsilon = Some(parse_fraction("--epsilon", &need(&mut iter, "--epsilon")?)?)
             }
             "--threads" => {
                 args.threads = need(&mut iter, "--threads")?
@@ -206,9 +205,7 @@ fn parse_args() -> Result<Args, String> {
             "--discover-near-valid" => args.near_valid = true,
             "--json" => args.json = true,
             "--max-error" => {
-                args.max_error = need(&mut iter, "--max-error")?
-                    .parse()
-                    .map_err(|e| format!("--max-error: {e}"))?
+                args.max_error = parse_fraction("--max-error", &need(&mut iter, "--max-error")?)?
             }
             "--witnesses" => {
                 args.witness_limit = need(&mut iter, "--witnesses")?
@@ -255,6 +252,18 @@ fn parse_args() -> Result<Args, String> {
         return Err("missing input file".into());
     }
     Ok(args)
+}
+
+/// Parses the value of a row-removal fraction flag (`--epsilon`,
+/// `--max-error`), which must lie in `[0, 1]`; NaN and infinities are
+/// rejected too.
+fn parse_fraction(flag: &str, value: &str) -> Result<f64, String> {
+    let fraction: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    if (0.0..=1.0).contains(&fraction) {
+        Ok(fraction)
+    } else {
+        Err(format!("{flag} must be in [0, 1], got {value}"))
+    }
 }
 
 /// Parses `"a,b:[]->c"` or `"a:b~c"` (empty context: `":[]->c"`).
@@ -770,7 +779,7 @@ fn main() -> ExitCode {
                  [--batch N] [--base-frac F] [--pass-deadline-ms MS] [--stream] [--verbose] \
                  [--trace OUT.jsonl]"
             );
-            return if msg == "help" { ExitCode::SUCCESS } else { ExitCode::FAILURE };
+            return if msg == "help" { ExitCode::SUCCESS } else { ExitCode::from(2) };
         }
     };
 
@@ -896,5 +905,15 @@ mod tests {
         assert!(parse_od(":[]->nosuch", &schema()).is_err());
         assert!(parse_od("year:salary", &schema()).is_err());
         assert!(parse_od("bad:salary~bin", &schema()).is_err());
+    }
+
+    #[test]
+    fn fractions_outside_unit_interval_are_usage_errors() {
+        for bad in ["1.5", "-0.1", "NaN", "inf", "x"] {
+            assert!(parse_fraction("--epsilon", bad).is_err(), "{bad}");
+        }
+        for (good, want) in [("0", 0.0), ("0.01", 0.01), ("1", 1.0)] {
+            assert_eq!(parse_fraction("--max-error", good), Ok(want));
+        }
     }
 }

@@ -7,13 +7,19 @@
 //! * every removal set *repairs*: re-validating on the surviving rows —
 //!   both through `residual_violations` and through a from-scratch
 //!   re-encode cross-checked with `oracle_violation_count` — yields zero;
+//! * approximate discovery's uncapped removal-error kernels count exactly
+//!   the rows of those minimal removal sets;
+//! * `CheckReport::run` equals `check_od` rule by rule, in input order;
 //! * a proptest band does all of the above for every near-valid OD that
 //!   approximate discovery surfaces on random relations;
 //! * the `fastod.check.v1` JSON document round-trips.
 
 use fastod_suite::discovery::{ApproxConfig, ApproxFastod};
+use fastod_suite::partition::{constancy_removal_error, swap_removal_error, SwapScratch};
 use fastod_suite::prelude::*;
-use fastod_suite::theory::{check_od, find_violations, residual_violations, CheckReport};
+use fastod_suite::theory::{
+    build_partition, check_od, find_violations, residual_violations, CheckReport,
+};
 use fastod_testkit::oracle_violation_count;
 use proptest::prelude::*;
 
@@ -50,6 +56,20 @@ fn assert_check_contract(rel: &Relation, enc: &EncodedRelation, od: &CanonicalOd
     assert_eq!(check.removal_rows.is_empty(), check.holds, "{od}: removal iff violated");
     assert!(check.witnesses.len() <= 4, "{od}: witness cap ignored");
     assert_eq!(check.witnesses.is_empty(), check.holds, "{od}: witnesses iff violated");
+
+    // Approximate discovery's removal-error kernel, uncapped, counts exactly
+    // the rows of the minimal removal set.
+    let ctx = build_partition(enc, od.context());
+    let mut scratch = SwapScratch::new();
+    let kernel = match *od {
+        CanonicalOd::Constancy { rhs, .. } => {
+            constancy_removal_error(&ctx, enc.codes(rhs), usize::MAX, &mut scratch)
+        }
+        CanonicalOd::OrderCompat { a, b, .. } => {
+            swap_removal_error(&ctx, enc.codes(a), enc.codes(b), usize::MAX, &mut scratch)
+        }
+    };
+    assert_eq!(kernel, check.removal_rows.len(), "{od}: removal-error kernel disagrees");
 
     // The removal set repairs the rule — checked two independent ways.
     assert_eq!(
@@ -120,6 +140,33 @@ fn check_report_round_trips_through_json() {
     let parsed = CheckReport::parse_json(&json).expect("fastod.check.v1 parses");
     assert_eq!(parsed, report);
     assert_eq!(parsed.to_json(&names), json, "serialization unstable");
+}
+
+/// `CheckReport::run` shares one partition per context across its rules;
+/// on a rule list that interleaves contexts it must still return exactly
+/// `check_od`'s result for each rule, in input order.
+#[test]
+fn check_report_matches_check_od_on_interleaved_contexts() {
+    let rel = fastod_suite::datagen::random_relation(14, 4, 3, 0x0DDC7);
+    let enc = rel.encode();
+    let (x, y) = (AttrSet::singleton(0), AttrSet::from_iter([1, 2]));
+    let rules = vec![
+        CanonicalOd::constancy(x, 1),
+        CanonicalOd::order_compat(y, 0, 3),
+        CanonicalOd::order_compat(x, 2, 3),
+        CanonicalOd::constancy(x, 0), // trivial
+        CanonicalOd::constancy(y, 3),
+        CanonicalOd::order_compat(AttrSet::EMPTY, 1, 2),
+        CanonicalOd::constancy(x, 1), // repeated
+        CanonicalOd::order_compat(y, 1, 3), // trivial
+    ];
+    for witness_limit in [0, 3] {
+        let report = CheckReport::run(&enc, &rules, witness_limit);
+        let expected: Vec<_> = rules.iter().map(|od| check_od(&enc, od, witness_limit)).collect();
+        assert!(report.n_failing() > 0, "fixture should violate some rules");
+        assert_eq!(report.n_rows, enc.n_rows());
+        assert_eq!(report.rules, expected, "witness_limit {witness_limit}");
+    }
 }
 
 proptest! {
