@@ -1,12 +1,13 @@
 //! Hot-path micro-benchmarks for the flat CSR partition layout: partition
 //! products, the sort-then-sweep swap check, the chunked constancy sweep,
-//! and the CSR append path. These are the operations the layout change was
-//! made for — run them before and after touching `crates/partition` to catch
-//! representation regressions without a full `exp1` sweep.
+//! and the CSR append paths (level 1 and lattice). These are the operations
+//! the layout change was made for — run them before and after touching
+//! `crates/partition` to catch representation regressions without a full
+//! `exp1` sweep.
 //!
-//! The benches also pin the **scratch-reuse** contract of the product in
-//! steady state: after a warm-up product, repeated products through the
-//! same [`ProductScratch`] must not grow its arena
+//! The benches also pin the **scratch-reuse** contract of the product and
+//! the lattice absorb in steady state: after a warm-up call, repeated calls
+//! through the same [`ProductScratch`] must not grow its arena
 //! ([`ProductScratch::arena_bytes`] stays constant — the assertion below
 //! fails the bench run if reuse breaks and buffers start reallocating).
 //!
@@ -118,6 +119,42 @@ fn bench_partition_hot(c: &mut Criterion) {
             let mut p = prefix.clone();
             black_box(p.append_codes(codes, card))
         })
+    });
+
+    // Lattice append: a retained level-2 partition Π*_{carrier,flight_num}
+    // over 20k rows absorbs a 1% tail by re-splitting the classes of the
+    // grown parent Π*_{flight_num} (500 classes) that gained a row, next to
+    // the product of the same grown parents it replaces. The absorb row
+    // clones the retained partition per iteration (two memcpys in CSR).
+    let grown = flight_like(20_200, 10, 0xC5A0).encode();
+    let old_n = 20_000;
+    let (carrier, flight) = (grown.codes(5), grown.codes(6));
+    let (card_carrier, card_flight) = (grown.cardinality(5), grown.cardinality(6));
+    let head_flight = StrippedPartition::from_codes(&flight[..old_n], card_flight);
+    let retained =
+        StrippedPartition::from_codes(&carrier[..old_n], card_carrier).product_simple(&head_flight);
+    let p_carrier = StrippedPartition::from_codes(carrier, card_carrier);
+    let p_flight = StrippedPartition::from_codes(flight, card_flight);
+    group.bench_function("csr_absorb_1pct_tail", |b| {
+        let mut scratch = ProductScratch::new();
+        let mut warm = retained.clone();
+        let _ = warm.absorb_append(&p_flight, carrier, card_carrier, &mut scratch);
+        let arena_after_warmup = scratch.arena_bytes();
+        assert!(arena_after_warmup > 0);
+        b.iter(|| {
+            let mut p = retained.clone();
+            let delta = p.absorb_append(black_box(&p_flight), carrier, card_carrier, &mut scratch);
+            assert_eq!(
+                scratch.arena_bytes(),
+                arena_after_warmup,
+                "scratch arena grew in steady state"
+            );
+            (p, delta)
+        })
+    });
+    group.bench_function("csr_product_1pct_tail", |b| {
+        let mut scratch = ProductScratch::new();
+        b.iter(|| black_box(&p_carrier).product(black_box(&p_flight), &mut scratch))
     });
 
     group.finish();

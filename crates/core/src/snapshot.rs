@@ -82,39 +82,25 @@ pub fn compute_candidate_sets(l: usize, current: &mut Level, prev: &Level, n_att
     }
 }
 
-/// [`compute_candidate_sets`] with the per-node derivations sharded across
-/// `exec`'s worker threads.
+/// [`compute_candidate_sets`] behind a cancellation check, for the
+/// executor-driven passes.
 ///
-/// Each node's candidate sets are a pure function of the immutable previous
-/// level, so the nodes are embarrassingly parallel; the executor merges the
-/// results in key order and they are applied sequentially over the sorted
-/// keys — byte-for-byte the sequential outcome at any thread count.
+/// The derivation runs inline on the caller's thread at every thread
+/// count: a level's candidate sets cost tens of microseconds, less than
+/// handing them to freshly spawned workers, so `exec` goes unused.
 ///
 /// # Errors
-/// [`PassError`] when `cancel` fires mid-level or a worker panics.
+/// [`PassError::Cancelled`] when `cancel` has fired.
 pub fn compute_candidate_sets_parallel(
     l: usize,
     current: &mut Level,
     prev: &Level,
     n_attrs: usize,
-    exec: &Executor,
+    _exec: &Executor,
     cancel: &CancelToken,
 ) -> Result<(), PassError> {
-    if !exec.is_parallel() || current.len() < 2 {
-        cancel.check()?;
-        compute_candidate_sets(l, current, prev, n_attrs);
-        return Ok(());
-    }
-    let keys = sorted_keys(current);
-    let mut pool: Vec<()> = Vec::new();
-    let results = exec.try_map_with(&mut pool, || (), &keys, cancel, |(), _i, &bits| {
-        candidate_sets_of(l, bits, prev, n_attrs)
-    })?;
-    for (&bits, (cc, cs)) in keys.iter().zip(results) {
-        let node = current.get_mut(&bits).expect("node exists");
-        node.cc = cc;
-        node.cs = cs;
-    }
+    cancel.check()?;
+    compute_candidate_sets(l, current, prev, n_attrs);
     Ok(())
 }
 
@@ -273,10 +259,11 @@ pub fn prune_level(l: usize, current: &mut Level, lstats: &mut LevelStats) {
 /// partition (one parent product, or one counting sort at level 1), so the
 /// budget trades reuse for memory without ever changing results.
 ///
-/// Recency is tracked per `(level, bits)` key across passes: reusing a node
-/// via `take_node` stamps it with the current pass, while a node that had to
-/// be *recomputed* (its retained copy was stale or evicted) inherits its old
-/// stamp — regions that keep getting invalidated stay cold and go first.
+/// Recency is tracked per `(level, bits)` key across passes: taking a node
+/// via `take_node` (to reuse it, or to absorb appended rows into it) stamps
+/// it with the current pass, while a node that had to be *recomputed* (its
+/// retained copy was evicted) inherits its old stamp — regions whose
+/// retained partitions keep getting evicted stay cold and go first.
 #[derive(Default)]
 pub struct DiscoverySnapshot {
     levels: Vec<Level>,

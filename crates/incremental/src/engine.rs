@@ -127,6 +127,9 @@ pub struct IncrementalDiscovery {
     stats: IncrementalStats,
     queue: Vec<Relation>,
     poisoned: bool,
+    /// Working memory of every product and absorbed append, kept across
+    /// passes so its row-indexed arrays are not reallocated per pass.
+    scratch: ProductScratch,
 }
 
 impl IncrementalDiscovery {
@@ -155,6 +158,7 @@ impl IncrementalDiscovery {
             stats: IncrementalStats::default(),
             queue: Vec::new(),
             poisoned: false,
+            scratch: ProductScratch::new(),
         };
         // The initial build is not a maintenance pass: `pass_deadline` does
         // not apply (bound it with a deadline `cancel` token instead).
@@ -605,8 +609,8 @@ impl IncrementalDiscovery {
     /// on untouched contexts too, and the rest settle by a witness-pair
     /// liveness probe or delta counting over exactly the touched classes
     /// (falling back to an early-exit re-scan when the delta is large or
-    /// the partition was evicted). Appended rows are then absorbed exactly
-    /// as before — the two directions threaten disjoint verdict sets.
+    /// the partition was evicted). Appended rows are then absorbed level by
+    /// level — the two directions threaten disjoint verdict sets.
     fn refresh(&mut self, pass: Pass<'_>, deadline: Option<Instant>) -> Result<BatchReport, PassError> {
         // Failpoint: one branch when unarmed. `Cancel` fails the pass like
         // a fired token; `Panic` unwinds to `run_pass`'s containment.
@@ -641,7 +645,7 @@ impl IncrementalDiscovery {
         let mut judge =
             CachedJudge::new(&mut validator, &mut self.cache, enc, live, deltas, appended > 0);
         let mut m = OdSet::new();
-        let mut scratch = ProductScratch::new();
+        let scratch = &mut self.scratch;
 
         let mut levels: Vec<Level> = vec![build_level0_masked(live, n_attrs)];
         // The unit partition has one all-live-rows class: any append lands
@@ -723,32 +727,39 @@ impl IncrementalDiscovery {
                 let next = if reached_cap {
                     Level::new()
                 } else {
-                    // A node is reusable iff the pass provably left its
-                    // partition alone. For appends: an appended row covered
+                    // Every retained partition is carried forward; only
+                    // nodes without one (new, pruned earlier, or evicted)
+                    // are parent products. Deletes were already absorbed
+                    // in place above. For appends: an appended row covered
                     // in X must be covered in every subset of X, so one
-                    // clean generating parent certifies X clean. For
-                    // deletes: every retained node already absorbed the
-                    // tombstones in place (nothing is dirty), so retained
-                    // nodes are always reusable and only evicted ones are
-                    // recomputed as parent products.
+                    // clean generating parent certifies X clean and its
+                    // partition is reused as is. When both parents are
+                    // dirty, the retained partition absorbs the appended
+                    // rows by re-splitting the parent classes that gained
+                    // one, and its append delta says whether X is dirty.
                     generate_next_level(&levels[l], n_attrs, &cancel, |x, pi, pj, lvl| {
                         let both_dirty =
                             judge.is_dirty(pi.bits()) && judge.is_dirty(pj.bits());
-                        if !both_dirty {
-                            if let Some(mut node) = old.take_node(l + 1, x.bits()) {
-                                node.partition.extend_rows(n_rows);
-                                judge.counters.nodes_reused += 1;
-                                judge.set_dirty(x.bits(), false);
-                                return node.partition;
-                            }
-                        }
-                        let p = lvl[&pi.bits()]
-                            .partition
-                            .product(&lvl[&pj.bits()].partition, &mut scratch);
-                        judge.counters.nodes_recomputed += 1;
-                        let dirty = both_dirty && covers_appended_row(&p, old_n);
+                        let parent = &lvl[&pj.bits()].partition;
+                        let Some(mut node) = old.take_node(l + 1, x.bits()) else {
+                            let p = lvl[&pi.bits()].partition.product(parent, scratch);
+                            judge.counters.nodes_recomputed += 1;
+                            judge.set_dirty(x.bits(), both_dirty && covers_appended_row(&p, old_n));
+                            return p;
+                        };
+                        let dirty = if both_dirty {
+                            let a = pi.difference(pj).min_attr().expect("joined parents differ");
+                            judge.counters.partitions_appended += 1;
+                            node.partition
+                                .absorb_append(parent, enc.codes(a), enc.cardinality(a), scratch)
+                                .is_dirty()
+                        } else {
+                            node.partition.extend_rows(n_rows);
+                            judge.counters.nodes_reused += 1;
+                            false
+                        };
                         judge.set_dirty(x.bits(), dirty);
-                        p
+                        node.partition
                     })?
                 };
                 drop(generate_span);
@@ -768,9 +779,10 @@ impl IncrementalDiscovery {
         let mut counters = judge.counters.clone();
         drop(judge);
         drop(validator);
-        // Successor snapshot: reused nodes stamped hot, recomputed nodes
-        // keep their old recency, then the byte budget (if any) evicts the
-        // coldest partitions — they will be recomputed on demand next pass.
+        // Successor snapshot: nodes taken from the old one (reused or
+        // absorbing) stamped hot, products keep their old recency, then the
+        // byte budget (if any) evicts the coldest partitions — they will be
+        // recomputed on demand next pass.
         let evicted_before = old.evicted_nodes();
         let mut snapshot = DiscoverySnapshot::advanced_from(&old, levels, n_rows);
         snapshot.set_budget(self.config.partition_memory_budget);
@@ -816,10 +828,10 @@ impl IncrementalDiscovery {
 /// Whether any class of `p` contains a row appended at or after `old_n`.
 ///
 /// Every partition the engine builds keeps class rows in ascending row-id
-/// order (`from_codes` counting sort, `product` preserving operand order,
-/// `append_codes` pushing fresh — larger — ids at the tail, `remove_rows`
-/// compacting in place), so checking each class's last element suffices:
-/// O(#classes), not O(covered rows).
+/// order (`from_codes` counting sort, `product` and `absorb_append`
+/// preserving the parent's order, `append_codes` pushing fresh — larger —
+/// ids at the tail, `remove_rows` compacting in place), so checking each
+/// class's last element suffices: O(#classes), not O(covered rows).
 fn covers_appended_row(p: &StrippedPartition, old_n: usize) -> bool {
     p.classes().iter().any(|class| {
         debug_assert!(class.is_sorted(), "engine partitions keep classes in row order");
@@ -1070,6 +1082,31 @@ mod tests {
         assert!(report.counters.skipped_clean > 0, "{:?}", report.counters);
         assert!(report.counters.nodes_reused > 0, "{:?}", report.counters);
         assert_eq!(report.counters.nodes_recomputed, 0, "{:?}", report.counters);
+    }
+
+    #[test]
+    fn append_pass_absorbs_into_retained_nodes() {
+        let n_attrs = 4;
+        let base = random_relation(40, n_attrs, 3, 7);
+        let mut engine = IncrementalDiscovery::new(&base);
+        let generated = engine.stats().totals.nodes_recomputed;
+        let levels = engine.snapshot().levels();
+        let retained: usize = levels.iter().skip(2).map(Level::len).sum();
+        assert!(retained > 0, "the base must retain nodes above level 1");
+        // Re-appended rows pair with their originals under every context,
+        // so every node turns dirty, yet no verdict changes and the pass
+        // regenerates the same lattice.
+        let batch = base.select_rows(&[0, 5, 9]);
+        let report = engine.push_batch(&batch).unwrap();
+        let c = &report.counters;
+        assert_eq!(c.partitions_appended, n_attrs + retained, "{c:?}");
+        assert_eq!(c.nodes_reused, 0, "{c:?}");
+        // Only the nodes the initial pass pruned have no retained partition.
+        assert_eq!(c.nodes_recomputed, generated - retained, "{c:?}");
+        assert!(report.retired.is_empty() && report.promoted.is_empty());
+        let mut concat = base.clone();
+        concat.extend(&batch).unwrap();
+        cover_matches_from_scratch(&engine, &concat);
     }
 
     #[test]

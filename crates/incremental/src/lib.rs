@@ -70,12 +70,15 @@
 //!   tombstone flips in a liveness mask — codes never move and row ids are
 //!   stable forever;
 //! * **partitions** — level-1 partitions absorb appends via
-//!   `StrippedPartition::append_codes_masked`; a product node is recomputed
-//!   only when *both* its generating parents are append-dirty. Deletes are
-//!   cheaper still: `Π*_X(r ∖ D)` is pure class compaction of the retained
-//!   `Π*_X(r)` (`StrippedPartition::remove_rows`), so **every** retained
-//!   node absorbs a delete in place and only budget-evicted nodes are
-//!   recomputed as products;
+//!   `StrippedPartition::append_codes_masked`; a deeper node is touched
+//!   only when *both* its generating parents are append-dirty, and then its
+//!   retained partition absorbs the append by re-splitting just the parent
+//!   classes that gained a row (`StrippedPartition::absorb_append`).
+//!   Deletes are pure class compaction of the retained `Π*_X(r)`
+//!   (`StrippedPartition::remove_rows`): `Π*_X(r ∖ D)` needs no product.
+//!   So **every** retained node absorbs every mutation in place, and only
+//!   nodes without a retained partition (new, pruned earlier, or
+//!   budget-evicted) are computed as products;
 //! * **validations** — appends: cached-invalid candidates are skipped
 //!   outright, cached-valid ones on clean contexts too, the rest
 //!   re-validate. Deletes: cached-valid candidates are skipped outright,

@@ -6,8 +6,9 @@ use std::fmt;
 use std::time::Duration;
 
 /// Work counters for one maintenance pass, split by how each piece of work
-/// was resolved. `skipped_*` are the incremental wins; `revalidated` and
-/// `nodes_recomputed` are where the engine actually touched data.
+/// was resolved. `skipped_*` are the incremental wins; `revalidated`,
+/// `partitions_appended` and `nodes_recomputed` are where the engine
+/// actually touched data.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BatchCounters {
     /// Candidate ODs skipped because a cached `false` verdict is binding
@@ -48,10 +49,12 @@ pub struct BatchCounters {
     /// Lattice nodes whose retained partition was reused with a row-count
     /// bump (clean nodes).
     pub nodes_reused: usize,
-    /// Lattice nodes whose partition was recomputed as a parent product
-    /// (dirty or newly generated nodes).
+    /// Lattice nodes with no retained partition (new, pruned in an earlier
+    /// pass, or evicted), computed as a parent product.
     pub nodes_recomputed: usize,
-    /// Level-1 partitions that absorbed the batch via the append path.
+    /// Retained partitions that absorbed appended rows in place: every
+    /// level-1 partition of an append pass, plus every deeper node whose
+    /// two parents the batch made dirty.
     pub partitions_appended: usize,
     /// Nodes marked dirty — contexts the batch can actually have broken.
     pub dirty_nodes: usize,

@@ -7,13 +7,13 @@
 
 use crate::StrippedPartition;
 
-/// Scratch space for [`StrippedPartition::product`].
+/// Scratch space for [`StrippedPartition::product`] and
+/// [`StrippedPartition::absorb_append`].
 ///
-/// Everything the product touches is a flat, row- or class-indexed array
-/// that persists across calls: the probe/stamp maps, the per-LHS-class
-/// `count`/`cursor` arrays (maintained all-zero / overwritten per call), and
-/// the CSR output buffers the product writes its result into before taking
-/// an exact-size copy. Zero per-class allocations, ever.
+/// Everything they touch is a flat, row- or key-indexed array that
+/// persists across calls: the probe/stamp maps and a `ClassSplitter`
+/// with its CSR output buffers, which the caller copies out at exact size.
+/// Zero per-class allocations, ever.
 #[derive(Default)]
 pub struct ProductScratch {
     /// `probe[row]` = class index in the LHS partition (valid only when
@@ -21,18 +21,7 @@ pub struct ProductScratch {
     pub(crate) probe: Vec<u32>,
     pub(crate) stamp: Vec<u32>,
     pub(crate) epoch: u32,
-    /// Rows of the current RHS class falling in each LHS class; all-zero
-    /// between products (restored via `touched` after every RHS class).
-    pub(crate) count: Vec<u32>,
-    /// Per-LHS-class write position into `out_rows` (`u32::MAX` = the
-    /// product class died as a singleton and its rows are skipped).
-    pub(crate) cursor: Vec<u32>,
-    /// LHS classes hit by the current RHS class, in first-encounter order.
-    pub(crate) touched: Vec<u32>,
-    /// Reusable flat CSR output: concatenated product-class rows.
-    pub(crate) out_rows: Vec<u32>,
-    /// Reusable flat CSR output: product-class offsets into `out_rows`.
-    pub(crate) out_offsets: Vec<u32>,
+    pub(crate) split: ClassSplitter,
 }
 
 impl ProductScratch {
@@ -46,28 +35,26 @@ impl ProductScratch {
     /// same scratch must not grow this (pinned by the `partition_hot`
     /// criterion bench).
     pub fn arena_bytes(&self) -> usize {
+        let split = &self.split;
         (self.probe.capacity()
             + self.stamp.capacity()
-            + self.count.capacity()
-            + self.cursor.capacity()
-            + self.touched.capacity()
-            + self.out_rows.capacity()
-            + self.out_offsets.capacity())
+            + split.count.capacity()
+            + split.cursor.capacity()
+            + split.touched.capacity()
+            + split.rows.capacity()
+            + split.offsets.capacity())
             * std::mem::size_of::<u32>()
     }
 
-    /// Prepares the scratch for a product over `n_rows` rows and
-    /// `n_lhs_classes` probe classes; returns the epoch for this call.
-    pub(crate) fn begin(&mut self, n_rows: usize, n_lhs_classes: usize) -> u32 {
+    /// Prepares the scratch for a call over `n_rows` rows that splits
+    /// classes by keys below `n_keys`, with empty split output; returns the
+    /// epoch for this call.
+    pub(crate) fn begin(&mut self, n_rows: usize, n_keys: usize) -> u32 {
         if self.probe.len() < n_rows {
             self.probe.resize(n_rows, 0);
             self.stamp.resize(n_rows, 0);
         }
-        if self.count.len() < n_lhs_classes {
-            self.count.resize(n_lhs_classes, 0);
-            self.cursor.resize(n_lhs_classes, 0);
-        }
-        debug_assert!(self.count.iter().all(|&c| c == 0), "count invariant broken");
+        self.split.reset(n_keys);
         // On wrap-around the stale stamps could collide; reset then.
         if self.epoch == u32::MAX {
             self.stamp.fill(0);
@@ -75,6 +62,78 @@ impl ProductScratch {
         }
         self.epoch += 1;
         self.epoch
+    }
+}
+
+/// Splits classes into groups of rows with equal key and collects the
+/// groups of ≥ 2 rows in flat CSR form: the one step shared by the product
+/// (key: the row's class in the other operand) and the absorbed append
+/// (key: the row's code).
+#[derive(Default)]
+pub(crate) struct ClassSplitter {
+    /// Rows of the current class per key; all-zero between calls
+    /// (restored via `touched` after every class).
+    count: Vec<u32>,
+    /// Per-key write position into `rows` (`u32::MAX` = the group is a
+    /// singleton and its row is skipped).
+    cursor: Vec<u32>,
+    /// Keys hit by the current class, in first-encounter order.
+    touched: Vec<u32>,
+    /// Concatenated rows of the collected groups.
+    pub(crate) rows: Vec<u32>,
+    /// End offset of each collected group, shifted by the caller's `base`.
+    pub(crate) offsets: Vec<u32>,
+}
+
+impl ClassSplitter {
+    fn reset(&mut self, n_keys: usize) {
+        if self.count.len() < n_keys {
+            self.count.resize(n_keys, 0);
+            self.cursor.resize(n_keys, 0);
+        }
+        debug_assert!(self.count.iter().all(|&c| c == 0), "count invariant broken");
+        self.rows.clear();
+        self.offsets.clear();
+    }
+
+    /// Appends the groups of `class` by `key` (rows keyed `None` are
+    /// skipped) in first-encounter order, each keeping the class's row
+    /// order, and records each group's end as `base + end in rows`.
+    #[inline]
+    pub(crate) fn split(&mut self, class: &[u32], key: impl Fn(u32) -> Option<u32>, base: u32) {
+        self.touched.clear();
+        for &row in class {
+            if let Some(k) = key(row) {
+                if self.count[k as usize] == 0 {
+                    self.touched.push(k);
+                }
+                self.count[k as usize] += 1;
+            }
+        }
+        let mut end = self.rows.len() as u32;
+        for &k in &self.touched {
+            let c = self.count[k as usize];
+            if c >= 2 {
+                self.cursor[k as usize] = end;
+                end += c;
+                self.offsets.push(base + end);
+            } else {
+                self.cursor[k as usize] = u32::MAX;
+            }
+        }
+        self.rows.resize(end as usize, 0);
+        for &row in class {
+            if let Some(k) = key(row) {
+                let cur = self.cursor[k as usize];
+                if cur != u32::MAX {
+                    self.rows[cur as usize] = row;
+                    self.cursor[k as usize] = cur + 1;
+                }
+            }
+        }
+        for &k in &self.touched {
+            self.count[k as usize] = 0;
+        }
     }
 }
 

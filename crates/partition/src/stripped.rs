@@ -520,9 +520,9 @@ impl StrippedPartition {
     /// `live` masks the **old** region `0..self.n_rows()`, and dead rows are
     /// invisible — in particular a dead old singleton must *not* be
     /// resurrected into a class when an appended row reuses its code. The
-    /// appended rows (`self.n_rows()..codes.len()`) are always live (the
-    /// engine applies deletes and appends in separate passes), and `live`
-    /// must already span the full new length.
+    /// appended rows (`self.n_rows()..codes.len()`) are always live, since a
+    /// delete can only target rows that existed before the append, and
+    /// `live` must already span the full new length.
     pub fn append_codes_masked(
         &mut self,
         codes: &[u32],
@@ -672,6 +672,121 @@ impl StrippedPartition {
         delta
     }
 
+    /// Merges appended rows into the retained partition of a lattice node
+    /// of level ≥ 2: the counterpart of [`StrippedPartition::append_codes`]
+    /// for partitions built as products.
+    ///
+    /// `self` is `Π*_X` over the old rows `0..self.n_rows()`. `parent` is
+    /// `Π*_{X∖{a}}` over the grown relation, already updated for the same
+    /// append (and for any tombstones), and `codes` is the full code column
+    /// of `a`. Appends never split or merge old classes, and every class of
+    /// `X` lies inside one class of the parent, so only parent classes that
+    /// gained an appended row can change. The kernel
+    ///
+    /// 1. stamps the rows of every parent class holding an appended row;
+    /// 2. keeps, compacting in place, every retained class whose first row
+    ///    is unstamped;
+    /// 3. re-splits each stamped parent class by `a`'s codes and appends
+    ///    the groups of ≥ 2 rows after the kept classes.
+    ///
+    /// Rows must be ascending inside every class of `parent`, so that a
+    /// class holds an appended row iff its last row does; the result keeps
+    /// rows ascending too. Kept classes come first, in retained order, so
+    /// the class order differs from a fresh product's. When every parent
+    /// class is stamped, the result is byte-identical to
+    /// `other.product(parent)` for any other parent `other = Π*_{X∖{b}}`,
+    /// `b ≠ a`: inside a parent class both group the rows by `a`, in
+    /// first-encounter order.
+    ///
+    /// Cost: O(classes of both partitions + rows of the stamped parent
+    /// classes), plus moving kept classes over dropped ones. The returned
+    /// delta lists the appended rows now covered by a class.
+    ///
+    /// ```
+    /// use fastod_partition::{ProductScratch, StrippedPartition};
+    ///
+    /// // X = {g, a} over 4 old rows; the parent Π*_{g} after 2 appends.
+    /// let g = [0, 0, 1, 1, 0, 2];
+    /// let a = [5, 6, 7, 7, 6, 5];
+    /// let pg_old = StrippedPartition::from_codes(&g[..4], 3);
+    /// let pa_old = StrippedPartition::from_codes(&a[..4], 8);
+    /// let mut pga = pa_old.product_simple(&pg_old);
+    /// assert_eq!(pga.normalized(), vec![vec![2, 3]]);
+    /// let pg = StrippedPartition::from_codes(&g, 3);
+    /// let delta = pga.absorb_append(&pg, &a, 8, &mut ProductScratch::new());
+    /// // Row 4 joins row 1 under (g, a) = (0, 6); row 5 stays a singleton.
+    /// assert_eq!(pga.normalized(), vec![vec![1, 4], vec![2, 3]]);
+    /// assert_eq!(delta.new_covered, vec![4]);
+    /// ```
+    pub fn absorb_append(
+        &mut self,
+        parent: &StrippedPartition,
+        codes: &[u32],
+        cardinality: u32,
+        scratch: &mut ProductScratch,
+    ) -> AppendDelta {
+        let old_n = self.n_rows;
+        let new_n = parent.n_rows;
+        debug_assert!(new_n >= old_n, "relations only grow");
+        debug_assert_eq!(codes.len(), new_n);
+        self.n_rows = new_n;
+        if new_n == old_n {
+            return AppendDelta::default();
+        }
+        let gained = |class: &&[u32]| class.last().is_some_and(|&row| row as usize >= old_n);
+        let epoch = scratch.begin(new_n, cardinality as usize);
+        let stamp = &mut scratch.stamp;
+        for class in parent.classes().iter().filter(gained) {
+            debug_assert!(class.is_sorted(), "parent classes must keep rows ascending");
+            for &row in class {
+                stamp[row as usize] = epoch;
+            }
+        }
+
+        // Keep the unstamped classes. Every row of a retained class shares
+        // one parent class, so its first row decides. The write cursor
+        // trails the read window, as in `remove_rows_masked`.
+        let mut write = 0usize;
+        let mut kept = 0usize;
+        let mut read_lo = 0usize;
+        for ci in 0..self.n_classes() {
+            let (lo, hi) = (read_lo, self.class_offsets[ci + 1] as usize);
+            read_lo = hi;
+            if stamp[self.rows[lo] as usize] == epoch {
+                continue;
+            }
+            if write != lo {
+                self.rows.copy_within(lo..hi, write);
+            }
+            write += hi - lo;
+            kept += 1;
+            self.class_offsets[kept] = write as u32;
+        }
+        self.rows.truncate(write);
+        self.class_offsets.truncate(kept + 1);
+
+        // Re-split the stamped parent classes by `a`'s codes, as the
+        // product splits an rhs class, behind the kept classes.
+        let split = &mut scratch.split;
+        for class in parent.classes().iter().filter(gained) {
+            split.split(class, |row| Some(codes[row as usize]), write as u32);
+        }
+        // Grow the retained buffers to the exact size: their capacity is
+        // what the snapshot's memory budget charges.
+        self.rows.reserve_exact(split.rows.len());
+        self.rows.extend_from_slice(&split.rows);
+        self.class_offsets.reserve_exact(split.offsets.len());
+        self.class_offsets.extend_from_slice(&split.offsets);
+        let new_covered = split
+            .rows
+            .iter()
+            .copied()
+            .filter(|&row| row as usize >= old_n);
+        AppendDelta {
+            new_covered: new_covered.collect(),
+        }
+    }
+
     /// The non-singleton equivalence classes as a CSR view.
     #[inline]
     pub fn classes(&self) -> Classes<'_> {
@@ -763,58 +878,19 @@ impl StrippedPartition {
                 stamp[row as usize] = epoch;
             }
         }
-        let count = &mut scratch.count;
-        let cursor = &mut scratch.cursor;
-        let touched = &mut scratch.touched;
-        let out_rows = &mut scratch.out_rows;
-        let out_offsets = &mut scratch.out_offsets;
-        out_rows.clear();
-        out_offsets.clear();
-        out_offsets.push(0);
-        let mut end = 0u32;
+        // Split every rhs class by LHS class: the groups of ≥ 2 rows are the
+        // product classes, in first-encounter order with the rhs class's
+        // (ascending) row order. Rows in no LHS class are skipped.
+        let split = &mut scratch.split;
+        split.offsets.push(0);
         for rhs_class in other.classes().iter() {
-            // Pass 1: count the rhs class's rows per surviving LHS class.
-            touched.clear();
-            for &row in rhs_class {
-                if stamp[row as usize] == epoch {
-                    let ci = probe[row as usize] as usize;
-                    if count[ci] == 0 {
-                        touched.push(ci as u32);
-                    }
-                    count[ci] += 1;
-                }
-            }
-            // Reserve one contiguous segment per product class of size ≥ 2,
-            // in first-encounter order (matching historical class order).
-            for &ci in touched.iter() {
-                let c = count[ci as usize];
-                if c >= 2 {
-                    cursor[ci as usize] = end;
-                    end += c;
-                    out_offsets.push(end);
-                } else {
-                    cursor[ci as usize] = u32::MAX;
-                }
-            }
-            out_rows.resize(end as usize, 0);
-            // Pass 2: scatter the rows into their segments, preserving the
-            // rhs class's (ascending) row order.
-            for &row in rhs_class {
-                if stamp[row as usize] == epoch {
-                    let ci = probe[row as usize] as usize;
-                    let cur = cursor[ci];
-                    if cur != u32::MAX {
-                        out_rows[cur as usize] = row;
-                        cursor[ci] = cur + 1;
-                    }
-                }
-            }
-            // Restore the all-zero `count` invariant for the next rhs class.
-            for &ci in touched.iter() {
-                count[ci as usize] = 0;
-            }
+            split.split(
+                rhs_class,
+                |row| (stamp[row as usize] == epoch).then(|| probe[row as usize]),
+                0,
+            );
         }
-        StrippedPartition::from_csr(self.n_rows, out_rows.clone(), out_offsets.clone())
+        StrippedPartition::from_csr(self.n_rows, split.rows.clone(), split.offsets.clone())
     }
 
     /// Product with a freshly allocated scratch (convenience for tests and

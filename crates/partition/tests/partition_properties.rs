@@ -43,6 +43,18 @@ fn dense(codes: &[u32]) -> u32 {
     codes.iter().max().map_or(0, |&m| m + 1)
 }
 
+/// `Π*` of the combined key of `cols` over their first `n` rows, with the
+/// rows flagged in `deleted` taken out.
+fn key_partition(cols: &[Vec<u32>], n: usize, deleted: &[bool]) -> StrippedPartition {
+    let mut p = cols
+        .iter()
+        .map(|c| StrippedPartition::from_codes(&c[..n], dense(c)))
+        .reduce(|acc, p| acc.product_simple(&p))
+        .expect("at least one column");
+    p.remove_rows_masked(&deleted[..n]);
+    p
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -140,6 +152,68 @@ proptest! {
         sorted.sort_unstable();
         sorted.dedup();
         prop_assert_eq!(p.is_superkey(), sorted.len() == codes.len());
+    }
+
+    #[test]
+    fn absorb_append_equals_parent_product(
+        (mut cols, old_n, tail, with_deletes, del) in (2usize..=4, 0usize..=16, 0usize..=10)
+            .prop_flat_map(|(k, old_n, new_n)| (
+                prop::collection::vec(arb_codes(old_n + new_n, 3), k),
+                Just(old_n),
+                0u32..3,
+                any::<bool>(),
+                arb_codes(old_n, 4),
+            ))
+    ) {
+        // X is every column; the parent X ∖ {a} drops the last one, `a`.
+        match tail {
+            // A tail of fresh codes in column 0: its rows are singletons in
+            // the parent, so the batch touches no class.
+            1 => for (i, code) in cols[0][old_n..].iter_mut().enumerate() {
+                *code = 3 + i as u32;
+            },
+            // A tail repeating every old row: every class gains a row.
+            2 => for col in &mut cols {
+                col.truncate(old_n);
+                col.extend_from_within(..);
+            },
+            _ => {}
+        }
+        let n = cols[0].len();
+        // Deletes target old rows only: appended rows are live.
+        let deleted: Vec<bool> = (0..n).map(|r| with_deletes && r < old_n && del[r] == 0).collect();
+        let (a, parent_cols) = cols.split_last().expect("k >= 2");
+        let mut absorbed = key_partition(&cols, old_n, &deleted);
+        let before = absorbed.clone();
+        let parent = key_partition(parent_cols, n, &deleted);
+        let other = key_partition(&cols[1..], n, &deleted);
+        let fresh = other.product_simple(&parent);
+        let mut scratch = fastod_partition::ProductScratch::new();
+        let delta = absorbed.absorb_append(&parent, a, dense(a), &mut scratch);
+
+        prop_assert_eq!(&absorbed, &fresh);
+        for class in absorbed.classes() {
+            prop_assert!(class.is_sorted(), "{:?}", class);
+        }
+        let mut covered: Vec<u32> = fresh.classes().iter().flatten().copied()
+            .filter(|&row| row as usize >= old_n).collect();
+        covered.sort_unstable();
+        let mut got = delta.new_covered.clone();
+        got.sort_unstable();
+        prop_assert_eq!(&got, &covered);
+        prop_assert_eq!(delta.is_dirty(), !covered.is_empty());
+        let gained = |class: &[u32]| class.last().is_some_and(|&row| row as usize >= old_n);
+        if tail == 1 {
+            prop_assert!(!delta.is_dirty());
+            prop_assert_eq!(absorbed.raw_csr(), before.raw_csr());
+        }
+        if tail == 2 {
+            prop_assert!(parent.classes().iter().all(gained));
+        }
+        // Every parent class re-split: the product's exact bytes.
+        if parent.classes().iter().all(gained) {
+            prop_assert_eq!(absorbed.raw_csr(), fresh.raw_csr());
+        }
     }
 
     #[test]

@@ -294,6 +294,72 @@ fn budgeted_mutations_stay_equivalent() {
     }
 }
 
+/// Batches of 20–100% of the base, so nearly every parent class gains a
+/// row and retained partitions absorb appends by re-splitting most of
+/// their parents' classes. Each round appends a batch, then updates a
+/// stride of live rows in one combined pass. At 1, 2 and 4 threads the
+/// cover must equal from-scratch discovery on the survivors after every
+/// mutation, and the verdict caches must stay identical across thread
+/// counts.
+#[test]
+fn large_batches_absorb_into_retained_partitions() {
+    const BASE: usize = 50;
+    const ATTRS: usize = 8;
+    let sizes = [10usize, 25, 40, 50];
+    let total = BASE + sizes.iter().map(|&s| s + s / 5).sum::<usize>();
+    let full = fastod_suite::datagen::flight_like(total, ATTRS, 0xAB50);
+    let mut engines: Vec<IncrementalDiscovery> = [1usize, 2, 4]
+        .into_iter()
+        .map(|threads| {
+            let cfg = DiscoveryConfig::default().with_threads(threads);
+            IncrementalDiscovery::with_config(&full.head(BASE), cfg).unwrap()
+        })
+        .collect();
+    // Engines and `full` number rows alike: every mutation appends the
+    // next slice of `full`, so a live physical id is a row of `full`.
+    let mut live: Vec<usize> = (0..BASE).collect();
+    let mut cursor = BASE;
+    let mut next_slice = |n: usize| {
+        let ids = cursor..cursor + n;
+        cursor += n;
+        (full.select_rows(&ids.clone().collect::<Vec<_>>()), ids)
+    };
+    let check = |engines: &[IncrementalDiscovery], live: &[usize], step: usize| {
+        assert_cover_matches(&engines[0], &full.select_rows(live), step);
+        let (reference, rest) = engines.split_first().unwrap();
+        for engine in rest {
+            assert_eq!(reference.cover().sorted(), engine.cover().sorted());
+            assert_eq!(
+                reference.cached_verdicts(),
+                engine.cached_verdicts(),
+                "verdict cache diverged across thread counts at step {step}"
+            );
+        }
+    };
+    for (b, &size) in sizes.iter().enumerate() {
+        let (batch, ids) = next_slice(size);
+        for engine in &mut engines {
+            engine.push_batch(&batch).unwrap();
+        }
+        live.extend(ids);
+        check(&engines, &live, 2 * b + 1);
+        // Replace every fifth live row with the next slice of `full`.
+        let victims: Vec<usize> = live.iter().copied().step_by(5).take(size / 5).collect();
+        let (replacement, ids) = next_slice(victims.len());
+        for engine in &mut engines {
+            engine.update_rows(&victims, &replacement).unwrap();
+        }
+        live.retain(|row| !victims.contains(row));
+        live.extend(ids);
+        check(&engines, &live, 2 * b + 2);
+    }
+    let totals = &engines[0].stats().totals;
+    assert!(
+        totals.partitions_appended > 2 * sizes.len() * ATTRS,
+        "no deeper node absorbed an append: {totals:?}"
+    );
+}
+
 /// The sharded delete-pass witness searches are a pure reordering of the
 /// sequential path: replaying the same mixed-mutation log (the band of
 /// `cover_tracks_mixed_mutations`, tilted towards delete waves so witnesses
