@@ -1,9 +1,9 @@
 //! Hot-path micro-benchmarks for the flat CSR partition layout: partition
 //! products, the sort-then-sweep swap check, the chunked constancy sweep,
-//! and the CSR append paths (level 1 and lattice). These are the operations
-//! the layout change was made for — run them before and after touching
-//! `crates/partition` to catch representation regressions without a full
-//! `exp1` sweep.
+//! the CSR append paths (level 1 and lattice) and the delete-side
+//! compaction. These are the operations the layout change was made for —
+//! run them before and after touching `crates/partition` to catch
+//! representation regressions without a full `exp1` sweep.
 //!
 //! The benches also pin the **scratch-reuse** contract of the product and
 //! the lattice absorb in steady state: after a warm-up call, repeated calls
@@ -155,6 +155,20 @@ fn bench_partition_hot(c: &mut Criterion) {
     group.bench_function("csr_product_1pct_tail", |b| {
         let mut scratch = ProductScratch::new();
         b.iter(|| black_box(&p_carrier).product(black_box(&p_flight), &mut scratch))
+    });
+    // Delete side: the same retained partition loses 50 rows spread over
+    // the relation, one node's share of a delete pass. The row clones the
+    // partition per iteration, as the absorb row does.
+    let mut deleted = vec![false; old_n];
+    for row in (0..old_n).step_by(old_n / 50) {
+        deleted[row] = true;
+    }
+    group.bench_function("csr_remove_50_rows", |b| {
+        b.iter(|| {
+            let mut p = retained.clone();
+            let delta = p.remove_rows_masked(black_box(&deleted));
+            (p, delta)
+        })
     });
 
     group.finish();

@@ -3,9 +3,10 @@
 use crate::pairset::PairSet;
 use crate::parallel::Executor;
 use crate::{CancelToken, PassError};
-use fastod_partition::{ProductScratch, StrippedPartition};
+use fastod_partition::{AppendDelta, ProductScratch, StrippedPartition};
 use fastod_relation::AttrSet;
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// A lattice node: the attribute set is the map key; the node carries its
 /// stripped partition `Π*_X` and candidate sets `C⁺c(X)` / `C⁺s(X)`.
@@ -40,28 +41,16 @@ pub fn sorted_keys(level: &Level) -> Vec<u64> {
     keys
 }
 
-/// `calculateNextLevel(L_l)` — Algorithm 2, with partitions computed as
-/// products of the two generating parents.
-pub fn calculate_next_level(
-    level: &Level,
-    n_attrs: usize,
-    scratch: &mut ProductScratch,
-    cancel: &CancelToken,
-) -> Result<Level, PassError> {
-    generate_next_level(level, n_attrs, cancel, |_, pi, pj, lvl| {
-        lvl[&pi.bits()].partition.product(&lvl[&pj.bits()].partition, scratch)
-    })
-}
-
-/// [`calculate_next_level`] with the partition products sharded across
-/// `exec`'s worker threads.
+/// `calculateNextLevel(L_l)` — Algorithm 2, with every partition the
+/// product of its two generating parents: the generation plan in which
+/// every action is a [`JoinAction::Product`], run by [`run_joins`].
 ///
 /// `pool` holds one [`ProductScratch`] arena per worker and persists across
 /// calls — the lattice driver passes the same pool for every level, so the
 /// row-indexed probe/stamp buffers grown at level 2 are reused all the way
 /// to the deepest level instead of being reallocated per node. The produced
-/// level is identical to the sequential one at any thread count (products
-/// are pure; the join list is deterministic).
+/// level is identical at any thread count (products are pure; the join
+/// list is deterministic).
 pub fn calculate_next_level_parallel(
     level: &Level,
     n_attrs: usize,
@@ -71,21 +60,144 @@ pub fn calculate_next_level_parallel(
 ) -> Result<Level, PassError> {
     cancel.check()?;
     let joins = candidate_joins(level);
-    exec.obs().add("partition.products", joins.len() as u64);
-    let partitions = exec.try_map_with(
-        pool,
-        ProductScratch::new,
-        &joins,
-        cancel,
-        |scratch, _i, &(_x, pi, pj)| {
-            level[&pi.bits()].partition.product(&level[&pj.bits()].partition, scratch)
-        },
-    )?;
+    let actions = joins.iter().map(|_| JoinAction::Product).collect();
+    let built = run_joins(level, &joins, actions, false, exec, pool, cancel)?;
     let mut next = Level::with_capacity(joins.len());
-    for ((x, _, _), partition) in joins.into_iter().zip(partitions) {
-        next.insert(x.bits(), Node::new(partition, n_attrs));
+    for ((x, _, _), join) in joins.into_iter().zip(built) {
+        next.insert(x.bits(), Node::new(join.into_partition(), n_attrs));
     }
     Ok(next)
+}
+
+/// How generation obtains the partition of one child `X = Y ∪ Z` of a
+/// [`candidate_joins`] entry `(X, Y, Z)`. A generation plan lists one
+/// action per join, in join order.
+pub enum JoinAction<'a> {
+    /// The product `Π*_Y · Π*_Z` of the two generating parents.
+    Product,
+    /// A retained `Π*_X` over fewer rows absorbs the appended ones
+    /// ([`StrippedPartition::absorb_append`]): the classes of `Π*_Z` that
+    /// gained a row are re-split by the code column of the attribute in
+    /// `Y ∖ Z`.
+    Absorb {
+        /// The retained partition of `X`.
+        partition: StrippedPartition,
+        /// The code column of the attribute `Y ∖ Z`.
+        codes: &'a [u32],
+        /// That column's cardinality.
+        cardinality: u32,
+    },
+    /// A retained `Π*_X` the mutation provably left unchanged; only its
+    /// row count grows to the parents'.
+    Reuse(StrippedPartition),
+}
+
+/// What one [`JoinAction`] produced, in plan order.
+pub enum JoinResult {
+    /// The parents' product.
+    Product(StrippedPartition),
+    /// The retained partition after absorbing, with its append delta.
+    Absorbed(StrippedPartition, AppendDelta),
+    /// The retained partition, unchanged.
+    Reused(StrippedPartition),
+}
+
+impl JoinResult {
+    /// The child's partition.
+    pub fn into_partition(self) -> StrippedPartition {
+        match self {
+            JoinResult::Product(p) | JoinResult::Absorbed(p, _) | JoinResult::Reused(p) => p,
+        }
+    }
+}
+
+/// Runs a generation plan over `level`: `actions[i]` builds the child of
+/// `joins[i]`. Products and absorbs run on `exec`'s workers, each worker
+/// with its own [`ProductScratch`] from `pool`; reuses only bump a row
+/// count, inline. The results come back in plan order, so whatever the
+/// caller applies from them is independent of the thread count.
+///
+/// With `caller_heap`, a partition that a spawned worker built, or grew
+/// by absorbing, is copied into the calling thread's heap before it is
+/// returned ([`StrippedPartition::reallocated`]; capacities and so
+/// [`StrippedPartition::memory_bytes`] are kept). Callers that retain the
+/// level across passes set it: glibc serves each thread from its own
+/// arena, and a retained partition would pin memory in a worker's arena.
+///
+/// # Errors
+/// [`PassError::Cancelled`] when `cancel` fires, and
+/// [`PassError::Panicked`] when a worker panics; no result is returned
+/// then, and the retained partitions the plan carried are dropped.
+pub fn run_joins(
+    level: &Level,
+    joins: &[(AttrSet, AttrSet, AttrSet)],
+    actions: Vec<JoinAction<'_>>,
+    caller_heap: bool,
+    exec: &Executor,
+    pool: &mut Vec<ProductScratch>,
+    cancel: &CancelToken,
+) -> Result<Vec<JoinResult>, PassError> {
+    debug_assert_eq!(joins.len(), actions.len());
+    let mut results: Vec<Option<JoinResult>> = Vec::with_capacity(joins.len());
+    // The executor shares its items by reference, so each worker moves its
+    // action out of a slot of its own.
+    let mut work: Vec<(usize, Mutex<Option<JoinAction<'_>>>)> = Vec::new();
+    let mut products = 0u64;
+    for (i, action) in actions.into_iter().enumerate() {
+        match action {
+            JoinAction::Reuse(mut partition) => {
+                partition.extend_rows(level[&joins[i].2.bits()].partition.n_rows());
+                results.push(Some(JoinResult::Reused(partition)));
+            }
+            action => {
+                products += u64::from(matches!(action, JoinAction::Product));
+                results.push(None);
+                work.push((i, Mutex::new(Some(action))));
+            }
+        }
+    }
+    exec.obs().add("partition.products", products);
+    let caller = std::thread::current().id();
+    let built = exec.try_map_with(
+        pool,
+        ProductScratch::new,
+        &work,
+        cancel,
+        |scratch, _, (i, slot)| {
+            let (_, y, z) = joins[*i];
+            let parent = &level[&z.bits()].partition;
+            let action = slot
+                .lock()
+                .expect("a slot is locked only to take its action")
+                .take()
+                .expect("each action runs once");
+            // Whether this worker allocated the result's buffers: a product
+            // always, an absorb when it outgrew them.
+            let (join, allocated) = match action {
+                JoinAction::Product => {
+                    let product = level[&y.bits()].partition.product(parent, scratch);
+                    (JoinResult::Product(product), true)
+                }
+                JoinAction::Absorb { mut partition, codes, cardinality } => {
+                    let bytes = partition.memory_bytes();
+                    let delta = partition.absorb_append(parent, codes, cardinality, scratch);
+                    let grew = partition.memory_bytes() != bytes;
+                    (JoinResult::Absorbed(partition, delta), grew)
+                }
+                JoinAction::Reuse(_) => unreachable!("reuses run inline"),
+            };
+            (join, allocated && std::thread::current().id() != caller)
+        },
+    )?;
+    for ((i, _), (join, foreign)) in work.iter().zip(built) {
+        let copy = caller_heap && foreign;
+        results[*i] = Some(match join {
+            JoinResult::Product(p) if copy => JoinResult::Product(p.reallocated()),
+            JoinResult::Absorbed(p, delta) if copy => JoinResult::Absorbed(p.reallocated(), delta),
+            join => join,
+        });
+    }
+    Ok(results.into_iter().map(|r| r.expect("every join built")).collect())
 }
 
 /// The structural half of Algorithm 2: every `(X, Y, Z)` with `X = Y ∪ Z`
@@ -118,34 +230,6 @@ pub fn candidate_joins(level: &Level) -> Vec<(AttrSet, AttrSet, AttrSet)> {
         }
     }
     joins
-}
-
-/// Algorithm 2 with the partition source abstracted.
-///
-/// The join structure comes from [`candidate_joins`]; `make_partition(x,
-/// parent_i, parent_j, level)` supplies `Π*_X`: the one-shot algorithm
-/// computes the product `Π_{YB} · Π_{YC}`, while the incremental engine may
-/// instead reuse a retained partition from a previous pass when the batch
-/// provably left it unchanged.
-pub fn generate_next_level<F>(
-    level: &Level,
-    n_attrs: usize,
-    cancel: &CancelToken,
-    mut make_partition: F,
-) -> Result<Level, PassError>
-where
-    F: FnMut(AttrSet, AttrSet, AttrSet, &Level) -> StrippedPartition,
-{
-    let joins = candidate_joins(level);
-    let mut next = Level::with_capacity(joins.len());
-    for (i, (x, pi, pj)) in joins.into_iter().enumerate() {
-        if i % 64 == 0 {
-            cancel.check()?;
-        }
-        let partition = make_partition(x, pi, pj, level);
-        next.insert(x.bits(), Node::new(partition, n_attrs));
-    }
-    Ok(next)
 }
 
 /// Builds level 1: one node per attribute with `Π*_{{A}}` from its codes.
@@ -460,12 +544,16 @@ mod tests {
         assert!(l1[&AttrSet::singleton(2).bits()].partition.is_superkey());
     }
 
+    /// The next level of a 3-attribute lattice, inline.
+    fn next_level(level: &Level, cancel: &CancelToken) -> Result<Level, PassError> {
+        calculate_next_level_parallel(level, 3, &Executor::new(1), &mut Vec::new(), cancel)
+    }
+
     #[test]
     fn next_level_generates_all_pairs() {
         let enc = enc3();
         let l1 = build_level1(&enc);
-        let mut scratch = ProductScratch::new();
-        let l2 = calculate_next_level(&l1, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l2 = next_level(&l1, &CancelToken::never()).unwrap();
         assert_eq!(l2.len(), 3); // {a,b}, {a,c}, {b,c}
         // Partition of {a,b} refines both.
         let ab = &l2[&AttrSet::from_iter([0, 1]).bits()].partition;
@@ -476,11 +564,10 @@ mod tests {
     fn apriori_condition_blocks_missing_parents() {
         let enc = enc3();
         let l1 = build_level1(&enc);
-        let mut scratch = ProductScratch::new();
-        let mut l2 = calculate_next_level(&l1, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let mut l2 = next_level(&l1, &CancelToken::never()).unwrap();
         // Remove {b,c}: {a,b,c} then lacks a parent and must not be created.
         l2.remove(&AttrSet::from_iter([1, 2]).bits());
-        let l3 = calculate_next_level(&l2, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l3 = next_level(&l2, &CancelToken::never()).unwrap();
         assert!(l3.is_empty());
     }
 
@@ -488,12 +575,11 @@ mod tests {
     fn full_lattice_from_complete_levels() {
         let enc = enc3();
         let l1 = build_level1(&enc);
-        let mut scratch = ProductScratch::new();
-        let l2 = calculate_next_level(&l1, 3, &mut scratch, &CancelToken::never()).unwrap();
-        let l3 = calculate_next_level(&l2, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l2 = next_level(&l1, &CancelToken::never()).unwrap();
+        let l3 = next_level(&l2, &CancelToken::never()).unwrap();
         assert_eq!(l3.len(), 1);
         assert!(l3.contains_key(&AttrSet::full(3).bits()));
-        let l4 = calculate_next_level(&l3, 3, &mut scratch, &CancelToken::never()).unwrap();
+        let l4 = next_level(&l3, &CancelToken::never()).unwrap();
         assert!(l4.is_empty());
     }
 
@@ -501,10 +587,69 @@ mod tests {
     fn cancellation_propagates() {
         let enc = enc3();
         let l1 = build_level1(&enc);
-        let mut scratch = ProductScratch::new();
         let token = CancelToken::with_timeout(std::time::Duration::ZERO);
-        let result = calculate_next_level(&l1, 3, &mut scratch, &token);
+        let result = next_level(&l1, &token);
         assert!(matches!(result, Err(PassError::Cancelled)));
+    }
+
+    /// A plan mixing absorbs, products and reuses builds the same level as
+    /// the all-product plan, at every thread count.
+    #[test]
+    fn mixed_plan_equals_products() {
+        // Rows 5..8 are the tail: they join classes of {a, b} and stay
+        // singletons under {b, c}.
+        let rel = RelationBuilder::new()
+            .column_i64("a", vec![0, 0, 1, 1, 0, 1, 0, 1])
+            .column_i64("b", vec![0, 0, 0, 1, 1, 0, 0, 1])
+            .column_i64("c", vec![2, 2, 1, 1, 2, 5, 6, 7])
+            .build()
+            .unwrap();
+        let enc = rel.encode();
+        let l1 = build_level1(&enc);
+        let expected = next_level(&l1, &CancelToken::never()).unwrap();
+        let retained =
+            next_level(&build_level1(&rel.head(5).encode()), &CancelToken::never()).unwrap();
+        // Joins {a,b}, {a,c}, {b,c}: absorb, product, reuse.
+        let joins = candidate_joins(&l1);
+        assert_eq!(joins.len(), 3);
+        let mut bytes: Vec<Vec<usize>> = Vec::new();
+        for threads in [1, 2] {
+            let taken = |x: AttrSet| retained[&x.bits()].partition.clone();
+            let (ab, y, z) = joins[0];
+            let a = y.difference(z).min_attr().unwrap();
+            let actions = vec![
+                JoinAction::Absorb {
+                    partition: taken(ab),
+                    codes: enc.codes(a),
+                    cardinality: enc.cardinality(a),
+                },
+                JoinAction::Product,
+                JoinAction::Reuse(taken(joins[2].0)),
+            ];
+            let exec = Executor::new(threads);
+            let built = run_joins(
+                &l1,
+                &joins,
+                actions,
+                true,
+                &exec,
+                &mut Vec::new(),
+                &CancelToken::never(),
+            )
+            .unwrap();
+            assert!(matches!(&built[0], JoinResult::Absorbed(_, delta) if delta.is_dirty()));
+            assert!(matches!(built[1], JoinResult::Product(_)));
+            assert!(matches!(built[2], JoinResult::Reused(_)));
+            let mut sizes = Vec::new();
+            for (&(x, _, _), join) in joins.iter().zip(built) {
+                let partition = join.into_partition();
+                assert_eq!(partition, expected[&x.bits()].partition, "threads={threads}");
+                sizes.push(partition.memory_bytes());
+            }
+            bytes.push(sizes);
+        }
+        // Moving results into the caller's heap keeps their capacities.
+        assert_eq!(bytes[0], bytes[1]);
     }
 
     #[test]

@@ -9,11 +9,13 @@
 //! minimal" comparison. Exponential in attributes **and** without any
 //! relief; only run on small configurations.
 
-use crate::lattice::{build_level0, build_level1, calculate_next_level, sorted_keys, Level};
+use crate::lattice::{
+    build_level0, build_level1, calculate_next_level_parallel, sorted_keys, Level,
+};
+use crate::parallel::Executor;
 use crate::stats::{DiscoveryStats, LevelStats};
 use crate::validators::{ExactValidator, OdValidator};
 use crate::{CancelToken, FdCheckMode, PassError};
-use fastod_partition::ProductScratch;
 use fastod_relation::{AttrSet, EncodedRelation};
 use fastod_theory::{CanonicalOd, OdSet};
 use std::time::Instant;
@@ -75,7 +77,8 @@ impl NoPruningFastod {
             return Ok(result);
         }
         let mut validator = ExactValidator::new(enc, FdCheckMode::ErrorRate);
-        let mut scratch = ProductScratch::new();
+        let exec = Executor::new(1);
+        let mut pool = Vec::new();
         let mut prev_prev: Level = Level::new();
         let mut prev: Level = build_level0(enc.n_rows(), n_attrs);
         let mut current: Level = build_level1(enc);
@@ -133,7 +136,7 @@ impl NoPruningFastod {
             let next = if reached_cap {
                 Level::new()
             } else {
-                calculate_next_level(&current, n_attrs, &mut scratch, &self.cancel)?
+                calculate_next_level_parallel(&current, n_attrs, &exec, &mut pool, &self.cancel)?
             };
             lstats.time = level_start.elapsed();
             result.stats.levels.push(lstats);

@@ -1,13 +1,15 @@
 //! A small scoped-thread executor for the validation and product hot paths.
 //!
 //! The build environment is fully offline (no `rayon`), so data parallelism
-//! is built directly on [`std::thread::scope`]: each call spawns up to
-//! `threads` workers that pull item indices from a shared atomic counter and
-//! write `(index, result)` pairs into per-worker buffers. The caller merges
-//! the buffers back into **input order**, which is what makes every parallel
-//! stage of the suite deterministic — the *scheduling* is free-running, but
-//! the merged result vector (and therefore every downstream mutation applied
-//! from it) is independent of thread count and interleaving.
+//! is built directly on [`std::thread::scope`]: each call runs up to
+//! `threads` workers — the calling thread plus up to `threads − 1` spawned
+//! ones, so work starts before any spawn completes — that pull item indices
+//! from a shared atomic counter and write `(index, result)` pairs into
+//! per-worker buffers. The caller merges the buffers back into **input
+//! order**, which is what makes every parallel stage of the suite
+//! deterministic — the *scheduling* is free-running, but the merged result
+//! vector (and therefore every downstream mutation applied from it) is
+//! independent of thread count and interleaving.
 //!
 //! Worker-local scratch state (partition-product arenas, swap-scan buffers)
 //! lives in a caller-owned pool that persists **across** calls: the lattice
@@ -29,9 +31,10 @@ const CANCEL_POLL_ITEMS: usize = 64;
 
 /// A deterministic fork/join executor over a fixed worker count.
 ///
-/// Cloning is cheap (the executor is just a thread count); workers are
-/// spawned per call and joined before the call returns, so no state outlives
-/// a `map`. See the [module docs](self) for the determinism contract.
+/// Cloning is cheap (the executor is just a thread count); the extra
+/// workers are spawned per call and joined before the call returns, so no
+/// state outlives a `map`. See the [module docs](self) for the determinism
+/// contract.
 #[derive(Clone, Debug)]
 pub struct Executor {
     threads: usize,
@@ -147,75 +150,77 @@ impl Executor {
         let stop = AtomicBool::new(false);
         let wall_start = instrument.then(Instant::now);
         let mut panics: Vec<(u32, String)> = Vec::new();
+        // One worker's loop: pull item indices until they run out or the
+        // call stops; returns its results, busy time, item count and panic.
+        let work = |scratch: &mut S| {
+            let mut local: Vec<(u32, R)> = Vec::new();
+            let mut processed = 0usize;
+            let mut busy_ns = 0u64;
+            // A panic is reported with the index of the item that raised
+            // it; a worker-startup fault (no item claimed yet) sorts after
+            // every real item.
+            let mut panic: Option<(u32, String)> = None;
+            match run_worker_failpoint() {
+                Ok(false) => {}
+                Ok(true) => stop.store(true, Ordering::Relaxed),
+                Err(e) => {
+                    stop.store(true, Ordering::Relaxed);
+                    if let PassError::Panicked { message, .. } = e {
+                        panic = Some((u32::MAX, message));
+                    }
+                }
+            }
+            loop {
+                if panic.is_some() {
+                    break;
+                }
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= items.len() {
+                    break;
+                }
+                // Poll before the first item (matching the inline path's
+                // `i == 0` check) and every poll interval thereafter.
+                if processed.is_multiple_of(CANCEL_POLL_ITEMS)
+                    && (stop.load(Ordering::Relaxed) || cancel.is_cancelled())
+                {
+                    stop.store(true, Ordering::Relaxed);
+                    break;
+                }
+                processed += 1;
+                let item_start = instrument.then(Instant::now);
+                match catch_unwind(AssertUnwindSafe(|| f(scratch, i, &items[i]))) {
+                    Ok(r) => local.push((i as u32, r)),
+                    Err(payload) => {
+                        stop.store(true, Ordering::Relaxed);
+                        let message = payload
+                            .downcast_ref::<String>()
+                            .map(String::as_str)
+                            .or_else(|| payload.downcast_ref::<&str>().copied())
+                            .unwrap_or("<non-string panic>")
+                            .to_string();
+                        panic = Some((i as u32, message));
+                    }
+                }
+                if let Some(start) = item_start {
+                    busy_ns += start.elapsed().as_nanos() as u64;
+                }
+            }
+            (local, busy_ns, processed as u64, panic)
+        };
         let mut buffers: Vec<Vec<(u32, R)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = pool[..n_workers]
-                .iter_mut()
-                .map(|scratch| {
-                    let (next, stop, f) = (&next, &stop, &f);
-                    scope.spawn(move || {
-                        let mut local: Vec<(u32, R)> = Vec::new();
-                        let mut processed = 0usize;
-                        let mut busy_ns = 0u64;
-                        // A panic is reported with the index of the item
-                        // that raised it; a worker-startup fault (no item
-                        // claimed yet) sorts after every real item.
-                        let mut panic: Option<(u32, String)> = None;
-                        match run_worker_failpoint() {
-                            Ok(false) => {}
-                            Ok(true) => stop.store(true, Ordering::Relaxed),
-                            Err(e) => {
-                                stop.store(true, Ordering::Relaxed);
-                                if let PassError::Panicked { message, .. } = e {
-                                    panic = Some((u32::MAX, message));
-                                }
-                            }
-                        }
-                        loop {
-                            if panic.is_some() {
-                                break;
-                            }
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= items.len() {
-                                break;
-                            }
-                            // Poll before the first item (matching the inline
-                            // path's `i == 0` check) and every poll interval
-                            // thereafter.
-                            if processed.is_multiple_of(CANCEL_POLL_ITEMS)
-                                && (stop.load(Ordering::Relaxed) || cancel.is_cancelled())
-                            {
-                                stop.store(true, Ordering::Relaxed);
-                                break;
-                            }
-                            processed += 1;
-                            let item_start = instrument.then(Instant::now);
-                            match catch_unwind(AssertUnwindSafe(|| f(scratch, i, &items[i]))) {
-                                Ok(r) => local.push((i as u32, r)),
-                                Err(payload) => {
-                                    stop.store(true, Ordering::Relaxed);
-                                    let message = payload
-                                        .downcast_ref::<String>()
-                                        .map(String::as_str)
-                                        .or_else(|| payload.downcast_ref::<&str>().copied())
-                                        .unwrap_or("<non-string panic>")
-                                        .to_string();
-                                    panic = Some((i as u32, message));
-                                }
-                            }
-                            if let Some(start) = item_start {
-                                busy_ns += start.elapsed().as_nanos() as u64;
-                            }
-                        }
-                        (local, busy_ns, processed as u64, panic)
-                    })
-                })
-                .collect();
+            // The calling thread is worker 0: it starts on the items at
+            // once, while the others spawn.
+            let (own, others) = pool[..n_workers].split_first_mut().expect("n_workers >= 2");
+            let work = &work;
+            let handles: Vec<_> =
+                others.iter_mut().map(|scratch| scope.spawn(move || work(scratch))).collect();
+            let mut outs = vec![work(own)];
+            outs.extend(handles.into_iter().map(|handle| {
+                handle.join().expect("executor workers contain task panics internally")
+            }));
             let mut buffers = Vec::with_capacity(n_workers);
             let mut worker_stats = Vec::with_capacity(n_workers);
-            for handle in handles {
-                let (local, busy_ns, processed, panic) = handle
-                    .join()
-                    .expect("executor workers contain task panics internally");
+            for (local, busy_ns, processed, panic) in outs {
                 buffers.push(local);
                 worker_stats.push((busy_ns, processed));
                 if let Some(p) = panic {

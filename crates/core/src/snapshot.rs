@@ -8,9 +8,12 @@
 //! verdicts are still binding, and resume from nodes whose dependencies were
 //! falsified. This module exposes the pieces of Algorithms 1–4 they need:
 //!
-//! * [`Node`], [`Level`], [`build_level0`], [`build_level1`],
-//!   [`generate_next_level`] — lattice construction with a pluggable
-//!   partition source;
+//! * [`Node`], [`Level`], [`build_level0`], [`build_level1`] — lattice
+//!   construction;
+//! * [`candidate_joins`], [`JoinAction`], [`run_joins`] — generation as a
+//!   plan (one product, absorb or reuse per join, in join order) run on
+//!   the executor; [`calculate_next_level_parallel`] is the all-product
+//!   plan;
 //! * [`compute_candidate_sets`] — Algorithm 3 lines 1–8 (`C⁺c`/`C⁺s`);
 //! * [`validate_level`] — Algorithm 3 lines 9–24, generic over an
 //!   [`OdJudge`] so verdicts can be cached/memoized externally;
@@ -18,23 +21,25 @@
 //! * [`DiscoverySnapshot`] — the retained per-level node store.
 //!
 //! Running `compute_candidate_sets` → `validate_level` → `prune_level` →
-//! `generate_next_level` level by level with a plain validator reproduces
-//! `Fastod::discover` exactly; the equivalence is pinned by this crate's
-//! test suite and by the incremental engine's oracle tests.
+//! `calculate_next_level_parallel` level by level with a plain validator
+//! reproduces `Fastod::discover` exactly; the equivalence is pinned by this
+//! crate's test suite and by the incremental engine's oracle tests.
 
 pub use crate::lattice::{
-    build_level0, build_level0_masked, build_level1, build_level1_parallel,
-    build_level1_sharded, calculate_next_level, calculate_next_level_parallel, candidate_joins,
-    generate_next_level, sorted_keys, Level, Node,
+    build_level0, build_level0_masked, build_level1, build_level1_parallel, build_level1_sharded,
+    calculate_next_level_parallel, candidate_joins, run_joins, sorted_keys, JoinAction, JoinResult,
+    Level, Node,
 };
 use crate::pairset::PairSet;
 use crate::parallel::Executor;
 use crate::stats::LevelStats;
 use crate::validators::{OdJudge, ValidationTask};
 use crate::{CancelToken, PassError};
+use fastod_partition::{RemoveDelta, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet};
 use fastod_theory::{CanonicalOd, OdSet};
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 /// The pure per-node half of `computeODs(L_l)` lines 1–8: `C⁺c(X)` and
 /// `C⁺s(X)` for one node, read entirely from the (immutable) parent level.
@@ -382,33 +387,55 @@ impl DiscoverySnapshot {
     /// Deleting tuples never merges or splits surviving equivalence
     /// classes, so `Π*_X(r ∖ D)` is obtained from the retained `Π*_X(r)` by
     /// pure class compaction
-    /// ([`fastod_partition::StrippedPartition::remove_rows`]) — no products,
-    /// no counting sorts. The returned map is keyed by attribute-set bits
-    /// (globally unique: the bits determine the level via their popcount);
-    /// a node with an **empty** [`fastod_partition::RemoveDelta`] was
+    /// ([`fastod_partition::StrippedPartition::remove_rows_masked`]) — no
+    /// products, no counting sorts. The returned map is keyed by
+    /// attribute-set bits (globally unique: the bits determine the level
+    /// via their popcount); a node with an **empty** [`RemoveDelta`] was
     /// provably untouched (every deleted row was a singleton under it), and
     /// a node *absent* from the map was not retained — evicted under the
     /// memory budget or never generated — so a consumer must fall back to
     /// full revalidation for verdicts on that context.
     ///
+    /// The nodes are independent, so the compaction is a map on `exec`
+    /// over the retained nodes in ascending bits order, with one deletion
+    /// mask shared by every worker. Compaction allocates nothing, so the
+    /// retained buffers stay where they were allocated. `cancel` is the
+    /// pass's token.
+    ///
     /// `deleted` must be sorted ascending.
+    ///
+    /// # Errors
+    /// [`PassError::Cancelled`] when `cancel` fires and
+    /// [`PassError::Panicked`] when a worker panics. Some partitions may
+    /// then be compacted and others not, so the caller must discard the
+    /// snapshot.
     pub fn remove_rows(
         &mut self,
         deleted: &[u32],
-    ) -> HashMap<u64, fastod_partition::RemoveDelta> {
+        exec: &Executor,
+        cancel: &CancelToken,
+    ) -> Result<HashMap<u64, RemoveDelta>, PassError> {
         // One mask shared by every node: membership probes become single
         // indexed reads instead of per-row binary searches.
         let mut mask = vec![false; self.n_rows];
         for &row in deleted {
             mask[row as usize] = true;
         }
-        let mut deltas = HashMap::new();
-        for level in &mut self.levels {
-            for (&bits, node) in level.iter_mut() {
-                deltas.insert(bits, node.partition.remove_rows_masked(&mask));
-            }
-        }
-        deltas
+        // Each worker locks the partition of the node it claimed; no other
+        // worker ever waits on that lock.
+        let mut nodes: Vec<(u64, Mutex<&mut StrippedPartition>)> = self
+            .levels
+            .iter_mut()
+            .flat_map(|level| level.iter_mut())
+            .map(|(&bits, node)| (bits, Mutex::new(&mut node.partition)))
+            .collect();
+        nodes.sort_unstable_by_key(|&(bits, _)| bits);
+        let deltas = exec.try_map_with(&mut Vec::new(), || (), &nodes, cancel, |(), _, (_, p)| {
+            p.lock()
+                .expect("each node is locked once")
+                .remove_rows_masked(&mask)
+        })?;
+        Ok(nodes.iter().map(|&(bits, _)| bits).zip(deltas).collect())
     }
 
     /// Sets (or clears) the partition byte budget. The cap is enforced on
@@ -484,7 +511,6 @@ mod tests {
     use crate::config::FdCheckMode;
     use crate::validators::ExactValidator;
     use crate::{DiscoveryConfig, Fastod};
-    use fastod_partition::ProductScratch;
     use fastod_relation::{EncodedRelation, RelationBuilder};
 
     fn enc() -> EncodedRelation {
@@ -505,7 +531,7 @@ mod tests {
         let n_attrs = enc.n_attrs();
         let cancel = CancelToken::never();
         let mut validator = ExactValidator::new(&enc, FdCheckMode::ErrorRate);
-        let mut scratch = ProductScratch::new();
+        let mut pool = Vec::new();
         let mut m = OdSet::new();
         let mut levels: Vec<Level> = vec![build_level0(enc.n_rows(), n_attrs), build_level1(&enc)];
         let mut l = 1;
@@ -523,7 +549,14 @@ mod tests {
             )
             .unwrap();
             prune_level(l, current, &mut lstats);
-            let next = calculate_next_level(current, n_attrs, &mut scratch, &cancel).unwrap();
+            let next = calculate_next_level_parallel(
+                current,
+                n_attrs,
+                &Executor::new(1),
+                &mut pool,
+                &cancel,
+            )
+            .unwrap();
             if next.is_empty() {
                 break;
             }
@@ -605,8 +638,12 @@ mod tests {
         let levels = vec![build_level0(enc.n_rows(), 3), build_level1(&enc)];
         let mut snap = DiscoverySnapshot::from_levels(levels, enc.n_rows());
         let bytes_before = snap.partition_bytes();
+        let remove = |snap: &mut DiscoverySnapshot, deleted: &[u32], threads: usize| {
+            snap.remove_rows(deleted, &Executor::new(threads), &CancelToken::never())
+                .unwrap()
+        };
         // Delete row 0 (year class {0,1,2} and the unit class lose it).
-        let deltas = snap.remove_rows(&[0]);
+        let deltas = remove(&mut snap, &[0], 1);
         assert_eq!(deltas.len(), snap.n_nodes());
         // The unit node's only class covers everything: touched copies
         // would exceed the capture cap, so only the dirty flag survives.
@@ -628,7 +665,7 @@ mod tests {
         assert_eq!(unit.n_rows(), 6, "physical slots are stable");
         // A second delete touching only singleton-covered nodes reports
         // clean deltas for them.
-        let deltas = snap.remove_rows(&[5]);
+        let deltas = remove(&mut snap, &[5], 2);
         assert!(deltas.values().any(|d| d.is_dirty()));
     }
 

@@ -4,8 +4,8 @@ use crate::judge::{CachedJudge, CachedVerdict};
 use crate::stats::{BatchCounters, BatchReport, IncrementalStats};
 use fastod::parallel::Executor;
 use fastod::snapshot::{
-    build_level0_masked, compute_candidate_sets_parallel, generate_next_level, prune_level,
-    validate_level, DiscoverySnapshot, Level, Node,
+    build_level0_masked, candidate_joins, compute_candidate_sets_parallel, prune_level, run_joins,
+    validate_level, DiscoverySnapshot, JoinAction, JoinResult, Level, Node,
 };
 use fastod::{CancelToken, DiscoveryConfig, ExactValidator, LevelStats, PassError};
 use fastod_faultkit as faultkit;
@@ -127,9 +127,10 @@ pub struct IncrementalDiscovery {
     stats: IncrementalStats,
     queue: Vec<Relation>,
     poisoned: bool,
-    /// Working memory of every product and absorbed append, kept across
-    /// passes so its row-indexed arrays are not reallocated per pass.
-    scratch: ProductScratch,
+    /// One product arena per executor worker, for every product and
+    /// absorbed append of generation. Kept across passes so the workers'
+    /// row-indexed arrays are not reallocated per pass.
+    pool: Vec<ProductScratch>,
 }
 
 impl IncrementalDiscovery {
@@ -158,7 +159,7 @@ impl IncrementalDiscovery {
             stats: IncrementalStats::default(),
             queue: Vec::new(),
             poisoned: false,
-            scratch: ProductScratch::new(),
+            pool: Vec::new(),
         };
         // The initial build is not a maintenance pass: `pass_deadline` does
         // not apply (bound it with a deadline `cancel` token instead).
@@ -604,13 +605,24 @@ impl IncrementalDiscovery {
     /// When the pass carries deletions it first makes every retained
     /// partition absorb the tombstones in place
     /// ([`DiscoverySnapshot::remove_rows`] — pure class compaction, no
-    /// products), handing the per-node touched-class deltas to the judge:
+    /// products, mapped over the nodes on the executor), handing the
+    /// per-node touched-class deltas to the judge:
     /// cached-valid verdicts are binding under deletes, cached-invalid ones
     /// on untouched contexts too, and the rest settle by a witness-pair
     /// liveness probe or delta counting over exactly the touched classes
     /// (falling back to an early-exit re-scan when the delta is large or
     /// the partition was evicted). Appended rows are then absorbed level by
     /// level — the two directions threaten disjoint verdict sets.
+    ///
+    /// Each level is generated as plan → run → apply. The plan takes one
+    /// action per candidate join, in join order, from the parents' dirt:
+    /// a node without a retained partition (new, pruned earlier, or
+    /// evicted) is a parent product; a retained node with two dirty
+    /// parents absorbs the appended rows; any other retained node is
+    /// reused as is. [`run_joins`] runs the products and absorbs on the
+    /// executor with the engine's per-worker scratch pool, and the apply
+    /// step sets dirt and counters in join order, so the cover, the
+    /// verdict cache and the counters cannot depend on the thread count.
     fn refresh(&mut self, pass: Pass<'_>, deadline: Option<Instant>) -> Result<BatchReport, PassError> {
         // Failpoint: one branch when unarmed. `Cancel` fails the pass like
         // a fired token; `Panic` unwinds to `run_pass`'s containment.
@@ -623,13 +635,6 @@ impl IncrementalDiscovery {
             "maintenance_pass",
             &[("deleted", pass.deleted.len() as u64)],
         );
-        let deltas = (!pass.deleted.is_empty()).then(|| self.snapshot.remove_rows(pass.deleted));
-        let enc = self.grow.encoded();
-        let live = self.grow.live();
-        let n_attrs = enc.n_attrs();
-        let n_rows = enc.n_rows();
-        let old_n = pass.old_n;
-        let appended = n_rows - old_n;
         // The pass token is `session cancel ∪ per-pass deadline`: the
         // deadline trip state is private to this pass, the manual flag is
         // shared, so a timed-out pass never bleeds into the next one.
@@ -637,15 +642,27 @@ impl IncrementalDiscovery {
             Some(at) => self.config.cancel.and_deadline(at),
             None => self.config.cancel.clone(),
         };
-        // Unresolved re-validations shard across the same executor the
-        // one-shot driver uses; cache bookkeeping stays sequential.
+        // Removal, generation, unresolved re-validations and escalated
+        // searches shard across the same executor the one-shot driver
+        // uses; cache bookkeeping stays sequential.
         let exec = Executor::with_obs(self.config.threads, obs.clone());
+        let deltas = if pass.deleted.is_empty() {
+            None
+        } else {
+            let _span = obs.span("remove_rows");
+            Some(self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?)
+        };
+        let enc = self.grow.encoded();
+        let live = self.grow.live();
+        let n_attrs = enc.n_attrs();
+        let n_rows = enc.n_rows();
+        let old_n = pass.old_n;
+        let appended = n_rows - old_n;
         let mut old = std::mem::take(&mut self.snapshot);
         let mut validator = ExactValidator::new(enc, self.config.fd_check);
         let mut judge =
             CachedJudge::new(&mut validator, &mut self.cache, enc, live, deltas, appended > 0);
         let mut m = OdSet::new();
-        let scratch = &mut self.scratch;
 
         let mut levels: Vec<Level> = vec![build_level0_masked(live, n_attrs)];
         // The unit partition has one all-live-rows class: any append lands
@@ -661,6 +678,7 @@ impl IncrementalDiscovery {
             // single-attribute partitions (already compacted by the
             // snapshot-wide tombstone removal above); the per-partition
             // append delta is the ground truth of append-dirtiness.
+            let level1_span = obs.span("level1");
             let mut level1 = Level::with_capacity(n_attrs);
             for a in 0..n_attrs {
                 let bits = AttrSet::singleton(a).bits();
@@ -692,6 +710,7 @@ impl IncrementalDiscovery {
                 level1.insert(bits, node);
             }
             levels.push(level1);
+            drop(level1_span);
 
             let mut l = 1usize;
             while !levels[l].is_empty() {
@@ -727,40 +746,63 @@ impl IncrementalDiscovery {
                 let next = if reached_cap {
                     Level::new()
                 } else {
-                    // Every retained partition is carried forward; only
-                    // nodes without one (new, pruned earlier, or evicted)
-                    // are parent products. Deletes were already absorbed
-                    // in place above. For appends: an appended row covered
-                    // in X must be covered in every subset of X, so one
-                    // clean generating parent certifies X clean and its
-                    // partition is reused as is. When both parents are
-                    // dirty, the retained partition absorbs the appended
-                    // rows by re-splitting the parent classes that gained
-                    // one, and its append delta says whether X is dirty.
-                    generate_next_level(&levels[l], n_attrs, &cancel, |x, pi, pj, lvl| {
-                        let both_dirty =
-                            judge.is_dirty(pi.bits()) && judge.is_dirty(pj.bits());
-                        let parent = &lvl[&pj.bits()].partition;
-                        let Some(mut node) = old.take_node(l + 1, x.bits()) else {
-                            let p = lvl[&pi.bits()].partition.product(parent, scratch);
-                            judge.counters.nodes_recomputed += 1;
-                            judge.set_dirty(x.bits(), both_dirty && covers_appended_row(&p, old_n));
-                            return p;
-                        };
-                        let dirty = if both_dirty {
-                            let a = pi.difference(pj).min_attr().expect("joined parents differ");
-                            judge.counters.partitions_appended += 1;
-                            node.partition
-                                .absorb_append(parent, enc.codes(a), enc.cardinality(a), scratch)
-                                .is_dirty()
-                        } else {
-                            node.partition.extend_rows(n_rows);
-                            judge.counters.nodes_reused += 1;
-                            false
+                    let level = &levels[l];
+                    // Plan. Deletes were already absorbed in place above.
+                    // For appends: an appended row covered in X must be
+                    // covered in every subset of X, so one clean generating
+                    // parent certifies X clean and its retained partition
+                    // is reused as is. With both parents dirty, the retained
+                    // partition absorbs the appended rows by re-splitting
+                    // the parent classes that gained one.
+                    let joins = candidate_joins(level);
+                    let both_dirty: Vec<bool> = joins
+                        .iter()
+                        .map(|&(_, pi, pj)| judge.is_dirty(pi.bits()) && judge.is_dirty(pj.bits()))
+                        .collect();
+                    let actions: Vec<JoinAction<'_>> = joins
+                        .iter()
+                        .zip(&both_dirty)
+                        .map(|(&(x, pi, pj), &both_dirty)| match old.take_node(l + 1, x.bits()) {
+                            None => JoinAction::Product,
+                            Some(node) if both_dirty => {
+                                let a = pi.difference(pj).min_attr().expect("parents differ");
+                                JoinAction::Absorb {
+                                    partition: node.partition,
+                                    codes: enc.codes(a),
+                                    cardinality: enc.cardinality(a),
+                                }
+                            }
+                            Some(node) => JoinAction::Reuse(node.partition),
+                        })
+                        .collect();
+                    // Run. The results are retained, so their partitions
+                    // come back in this thread's heap.
+                    let built =
+                        run_joins(level, &joins, actions, true, &exec, &mut self.pool, &cancel)?;
+                    // Apply, in join order. A product is dirty when both
+                    // parents are and it covers an appended row; an absorb
+                    // when its append delta says so.
+                    let mut next = Level::with_capacity(joins.len());
+                    let outcomes = joins.iter().zip(both_dirty).zip(built);
+                    for ((&(x, _, _), both_dirty), join) in outcomes {
+                        let dirty = match &join {
+                            JoinResult::Product(p) => {
+                                judge.counters.nodes_recomputed += 1;
+                                both_dirty && covers_appended_row(p, old_n)
+                            }
+                            JoinResult::Absorbed(_, delta) => {
+                                judge.counters.partitions_appended += 1;
+                                delta.is_dirty()
+                            }
+                            JoinResult::Reused(_) => {
+                                judge.counters.nodes_reused += 1;
+                                false
+                            }
                         };
                         judge.set_dirty(x.bits(), dirty);
-                        node.partition
-                    })?
+                        next.insert(x.bits(), Node::new(join.into_partition(), n_attrs));
+                    }
+                    next
                 };
                 drop(generate_span);
                 drop(level_span);
@@ -772,6 +814,7 @@ impl IncrementalDiscovery {
             }
         }
 
+        let advance_span = obs.span("advance_snapshot");
         // Post-pass cache hygiene — drop or degrade the entries this pass
         // may have changed without re-anchoring; see the judge's
         // finish_pass docs for the exact rules.
@@ -801,6 +844,8 @@ impl IncrementalDiscovery {
             .copied()
             .collect();
         self.cover = m;
+        drop(old);
+        drop(advance_span);
         drop(pass_span);
         let report = BatchReport {
             appended_rows: appended,

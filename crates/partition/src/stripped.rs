@@ -166,6 +166,16 @@ impl<'a> Iterator for ClassesIter<'a> {
     }
 }
 
+/// The cursors of an in-place compaction of a partition's CSR buffers.
+struct Compaction {
+    /// Start of the next class to read, as it was before the compaction.
+    read: usize,
+    /// End of the rows written so far.
+    write: usize,
+    /// Classes written so far.
+    out_classes: usize,
+}
+
 /// A stripped partition `Π*_X`: the equivalence classes of the tuples under
 /// attribute set `X`, with singleton classes removed (paper §4.6,
 /// Example 12, Lemma 14).
@@ -367,11 +377,11 @@ impl StrippedPartition {
     /// splits surviving classes — so the incremental engine absorbs a delete
     /// into every retained node without recomputing a single product.
     ///
-    /// `deleted` must be sorted ascending (row-id membership is resolved by
-    /// binary search; debug-asserted). The physical row count
-    /// ([`StrippedPartition::n_rows`]) is unchanged — deleted rows become
-    /// tombstones in the owning relation, they do not shift ids. O(1) reads
-    /// of [`covered_rows`](StrippedPartition::covered_rows) /
+    /// `deleted` must be sorted ascending (debug-asserted); it becomes a
+    /// mask for [`StrippedPartition::remove_rows_masked`]. The physical row
+    /// count ([`StrippedPartition::n_rows`]) is unchanged — deleted rows
+    /// become tombstones in the owning relation, they do not shift ids.
+    /// O(1) reads of [`covered_rows`](StrippedPartition::covered_rows) /
     /// [`error`](StrippedPartition::error) stay exact because compaction
     /// shrinks the flat row buffer itself.
     ///
@@ -417,51 +427,58 @@ impl StrippedPartition {
     /// The hot form for snapshot-wide removal: the caller builds the mask
     /// once and every partition's membership probe is a single indexed read
     /// instead of a binary search.
+    ///
+    /// One block-wise scan finds the deleted rows' positions in the row
+    /// buffer, and a binary search on the class offsets finds their
+    /// classes. Only those classes are rewritten: each run of untouched
+    /// classes between them moves with one `copy_within` and one shift of
+    /// its offsets.
     pub fn remove_rows_masked(&mut self, deleted: &[bool]) -> RemoveDelta {
         debug_assert_eq!(deleted.len(), self.n_rows);
-        let mut delta = RemoveDelta::default();
-        if !self.rows.iter().any(|&row| deleted[row as usize]) {
-            return delta;
+        let hits = self.deleted_positions(deleted);
+        if hits.is_empty() {
+            return RemoveDelta::default();
+        }
+        // The touched classes, ascending, each with its number of deleted
+        // rows. Positions ascend, so each search starts at the last class.
+        let mut hit_classes: Vec<(usize, usize)> = Vec::new();
+        let mut ci = 0usize;
+        for &pos in &hits {
+            ci += self.class_offsets[ci + 1..].partition_point(|&end| end <= pos);
+            match hit_classes.last_mut() {
+                Some((last, n)) if *last == ci => *n += 1,
+                _ => hit_classes.push((ci, 1)),
+            }
         }
         // Touched-class copies are only useful to delta-counting consumers,
         // which give up once the touched region passes half the covered
-        // rows — stop copying there and flag the delta as truncated.
-        let capture_cap = self.rows.len() / 2;
-        let mut captured = 0usize;
-        // Compact in place: the write cursors trail the read window, so no
-        // fresh buffers are allocated (the hot path runs over the whole
-        // retained snapshot per delete pass).
-        let n_classes = self.n_classes();
-        let mut write = 0usize;
-        let mut out_classes = 0usize;
-        // `read_lo` carries each class's start: the offset slot itself may
-        // already have been overwritten with a compacted end position.
-        let mut read_lo = 0usize;
-        for ci in 0..n_classes {
-            let (lo, hi) = (read_lo, self.class_offsets[ci + 1] as usize);
-            read_lo = hi;
-            // The class rows at [lo, hi) are still intact: writes so far
-            // ended at `write <= lo`.
-            let touched = self.rows[lo..hi].iter().any(|&row| deleted[row as usize]);
-            if !touched {
-                if write != lo {
-                    self.rows.copy_within(lo..hi, write);
-                }
-                write += hi - lo;
-                out_classes += 1;
-                self.class_offsets[out_classes] = write as u32;
-                continue;
-            }
-            let start = write;
-            let mut old: Vec<u32> = Vec::new();
-            let capture = !delta.truncated && {
-                // `kept <= class len`, so cap on the old size alone first.
-                captured += hi - lo;
-                captured <= capture_cap
-            };
-            if capture {
-                old = self.rows[lo..hi].to_vec();
-            }
+        // rows: past that, skip the copies and flag the delta as truncated.
+        let copied: usize = hit_classes
+            .iter()
+            .map(|&(ci, n)| {
+                let len = (self.class_offsets[ci + 1] - self.class_offsets[ci]) as usize;
+                2 * len - n
+            })
+            .sum();
+        let capture = copied <= self.rows.len() / 2;
+        let mut delta = RemoveDelta {
+            touched: Vec::with_capacity(if capture { hit_classes.len() } else { 0 }),
+            truncated: !capture,
+        };
+        // Compact in place. The write cursors trail the read window, so a
+        // class's rows and end offset are intact until it is read; its
+        // start offset may not be, so `read` carries it.
+        let mut cursor = Compaction { read: 0, write: 0, out_classes: 0 };
+        // First class of the pending untouched run.
+        let mut run_from = 0usize;
+        for &(ci, _) in &hit_classes {
+            self.move_class_run(run_from..ci, &mut cursor);
+            run_from = ci + 1;
+            let (lo, hi) = (cursor.read, self.class_offsets[ci + 1] as usize);
+            cursor.read = hi;
+            let old = capture.then(|| self.rows[lo..hi].to_vec());
+            let start = cursor.write;
+            let mut write = start;
             for i in lo..hi {
                 let row = self.rows[i];
                 if !deleted[row as usize] {
@@ -469,32 +486,64 @@ impl StrippedPartition {
                     write += 1;
                 }
             }
-            let kept = write - start;
-            if capture {
-                captured += kept;
-                if captured <= capture_cap {
-                    delta.touched.push(TouchedClass {
-                        old,
-                        new: self.rows[start..write].to_vec(),
-                    });
-                } else {
-                    delta.truncated = true;
-                    delta.touched.clear();
-                }
-            } else {
-                delta.truncated = true;
-                delta.touched.clear();
+            if let Some(old) = old {
+                delta.touched.push(TouchedClass {
+                    old,
+                    new: self.rows[start..write].to_vec(),
+                });
             }
-            if kept >= 2 {
-                out_classes += 1;
-                self.class_offsets[out_classes] = write as u32;
-            } else {
-                write = start;
+            if write - start >= 2 {
+                cursor.out_classes += 1;
+                self.class_offsets[cursor.out_classes] = write as u32;
+                cursor.write = write;
             }
         }
-        self.rows.truncate(write);
-        self.class_offsets.truncate(out_classes + 1);
+        self.move_class_run(run_from..self.n_classes(), &mut cursor);
+        self.rows.truncate(cursor.write);
+        self.class_offsets.truncate(cursor.out_classes + 1);
         delta
+    }
+
+    /// Positions in the row buffer of the rows `deleted` flags, ascending.
+    /// Blocks without a deleted row, almost all of them for small deletes,
+    /// cost one branch-free pass.
+    fn deleted_positions(&self, deleted: &[bool]) -> Vec<u32> {
+        const BLOCK: usize = 64;
+        let mut hits = Vec::new();
+        for (b, block) in self.rows.chunks(BLOCK).enumerate() {
+            if !block.iter().fold(false, |any, &row| any | deleted[row as usize]) {
+                continue;
+            }
+            let base = b * BLOCK;
+            for (i, &row) in block.iter().enumerate() {
+                if deleted[row as usize] {
+                    hits.push((base + i) as u32);
+                }
+            }
+        }
+        hits
+    }
+
+    /// Moves the classes `classes`, which a compaction keeps unchanged, to
+    /// `at.write`: one `copy_within` for their rows, then their end offsets
+    /// shifted into the output slots after `at.out_classes`. Offsets of
+    /// classes not yet read must be intact, except the first one's start,
+    /// which `at.read` carries.
+    fn move_class_run(&mut self, classes: std::ops::Range<usize>, at: &mut Compaction) {
+        if classes.is_empty() {
+            return;
+        }
+        let (lo, hi) = (at.read, self.class_offsets[classes.end] as usize);
+        if at.write != lo {
+            self.rows.copy_within(lo..hi, at.write);
+        }
+        let shift = (lo - at.write) as u32;
+        for ci in classes {
+            at.out_classes += 1;
+            self.class_offsets[at.out_classes] = self.class_offsets[ci + 1] - shift;
+        }
+        at.read = hi;
+        at.write += hi - lo;
     }
 
     /// Merges appended rows into the partition of a single code column
@@ -744,26 +793,21 @@ impl StrippedPartition {
         }
 
         // Keep the unstamped classes. Every row of a retained class shares
-        // one parent class, so its first row decides. The write cursor
-        // trails the read window, as in `remove_rows_masked`.
-        let mut write = 0usize;
-        let mut kept = 0usize;
-        let mut read_lo = 0usize;
+        // one parent class, so its first row decides. Each run of kept
+        // classes moves at once, as in `remove_rows_masked`.
+        let mut cursor = Compaction { read: 0, write: 0, out_classes: 0 };
+        let mut run_from = 0usize;
         for ci in 0..self.n_classes() {
-            let (lo, hi) = (read_lo, self.class_offsets[ci + 1] as usize);
-            read_lo = hi;
-            if stamp[self.rows[lo] as usize] == epoch {
-                continue;
+            if stamp[self.rows[self.class_offsets[ci] as usize] as usize] == epoch {
+                self.move_class_run(run_from..ci, &mut cursor);
+                cursor.read = self.class_offsets[ci + 1] as usize;
+                run_from = ci + 1;
             }
-            if write != lo {
-                self.rows.copy_within(lo..hi, write);
-            }
-            write += hi - lo;
-            kept += 1;
-            self.class_offsets[kept] = write as u32;
         }
+        self.move_class_run(run_from..self.n_classes(), &mut cursor);
+        let write = cursor.write;
         self.rows.truncate(write);
-        self.class_offsets.truncate(kept + 1);
+        self.class_offsets.truncate(cursor.out_classes + 1);
 
         // Re-split the stamped parent classes by `a`'s codes, as the
         // product splits an rhs class, behind the kept classes.
@@ -839,6 +883,20 @@ impl StrippedPartition {
     pub fn memory_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u32>()
             + self.class_offsets.capacity() * std::mem::size_of::<u32>()
+    }
+
+    /// A copy in buffers freshly allocated on the calling thread, with the
+    /// same capacities, so [`memory_bytes`](StrippedPartition::memory_bytes)
+    /// is unchanged (a `clone` would shrink them to the lengths). A caller
+    /// that retains partitions built on other threads moves them into its
+    /// own thread's heap with this.
+    pub fn reallocated(&self) -> StrippedPartition {
+        let copy = |buf: &Vec<u32>| {
+            let mut fresh = Vec::with_capacity(buf.capacity());
+            fresh.extend_from_slice(buf);
+            fresh
+        };
+        StrippedPartition::from_csr(self.n_rows, copy(&self.rows), copy(&self.class_offsets))
     }
 
     /// Computes the product `Π*_X = Π*_Y · Π*_Z` in O(n) using scratch space
@@ -1297,5 +1355,12 @@ mod tests {
         p.remove_rows(&[8, 9]);
         assert_eq!(p.covered_rows(), 8);
         assert_eq!(p.memory_bytes(), before);
+        // A reallocated copy keeps the bytes the budget charges; a clone
+        // shrinks them to the lengths.
+        let copy = p.reallocated();
+        assert_eq!(copy.raw_csr(), p.raw_csr());
+        assert_eq!(copy.n_rows(), p.n_rows());
+        assert_eq!(copy.memory_bytes(), before);
+        assert!(p.clone().memory_bytes() < before);
     }
 }

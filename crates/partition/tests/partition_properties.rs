@@ -55,8 +55,86 @@ fn key_partition(cols: &[Vec<u32>], n: usize, deleted: &[bool]) -> StrippedParti
     p
 }
 
+/// `remove_rows_masked` by definition: filter each class in order, drop
+/// classes under 2 rows. Returns the CSR buffers, the `(old, new)` copies
+/// of the touched classes and the truncation flag. Copies are skipped, and
+/// the delta flagged truncated, when they would hold more than half the
+/// covered rows.
+type RemoveReference = (Vec<u32>, Vec<u32>, Vec<(Vec<u32>, Vec<u32>)>, bool);
+
+fn remove_reference(p: &StrippedPartition, deleted: &[bool]) -> RemoveReference {
+    let (mut rows, mut offsets, mut touched) = (Vec::new(), vec![0u32], Vec::new());
+    for class in p.classes() {
+        let kept: Vec<u32> = class.iter().copied().filter(|&r| !deleted[r as usize]).collect();
+        if kept.len() < class.len() {
+            touched.push((class.to_vec(), kept.clone()));
+        }
+        if kept.len() >= 2 {
+            rows.extend_from_slice(&kept);
+            offsets.push(rows.len() as u32);
+        }
+    }
+    let copied: usize = touched.iter().map(|(old, new)| old.len() + new.len()).sum();
+    let truncated = copied > p.covered_rows() / 2;
+    if truncated {
+        touched.clear();
+    }
+    (rows, offsets, touched, truncated)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn remove_rows_masked_equals_filter_reference(
+        (cols, old_n, build, mask_kind, pick, random) in (1usize..=40, 2u32..8)
+            .prop_flat_map(|(n, card)| (
+                prop::collection::vec(arb_codes(n, card), 2),
+                0..=n,
+                0u32..3,
+                0u32..5,
+                any::<usize>(),
+                prop::collection::vec(any::<bool>(), n),
+            ))
+    ) {
+        let (c0, c1) = (&cols[0], &cols[1]);
+        let n = c0.len();
+        // Three builders, the last two with classes out of code order.
+        let p = match build {
+            0 => StrippedPartition::from_codes(c0, dense(c0)),
+            1 => StrippedPartition::from_codes(c1, dense(c1))
+                .product_simple(&StrippedPartition::from_codes(c0, dense(c0))),
+            _ => {
+                let mut retained = StrippedPartition::from_codes(&c0[..old_n], dense(c0))
+                    .product_simple(&StrippedPartition::from_codes(&c1[..old_n], dense(c1)));
+                let parent = StrippedPartition::from_codes(c1, dense(c1));
+                let mut scratch = fastod_partition::ProductScratch::new();
+                retained.absorb_append(&parent, c0, dense(c0), &mut scratch);
+                retained
+            }
+        };
+        let mut mask = vec![false; n];
+        match mask_kind {
+            0 => {}
+            1 => mask[pick % n] = true,
+            2 if p.n_classes() > 0 => {
+                for &row in p.class(pick % p.n_classes()) {
+                    mask[row as usize] = true;
+                }
+            }
+            3 => mask.fill(true),
+            _ => mask = random,
+        }
+        let (rows, offsets, touched, truncated) = remove_reference(&p, &mask);
+        let mut got = p.clone();
+        let delta = got.remove_rows_masked(&mask);
+        prop_assert_eq!(got.raw_csr(), (&rows[..], &offsets[..]));
+        prop_assert_eq!(got.n_rows(), n);
+        let got_touched: Vec<(Vec<u32>, Vec<u32>)> =
+            delta.touched.iter().map(|t| (t.old.clone(), t.new.clone())).collect();
+        prop_assert_eq!(got_touched, touched);
+        prop_assert_eq!(delta.truncated, truncated);
+    }
 
     #[test]
     fn from_codes_matches_naive_grouping(codes in (1usize..=30).prop_flat_map(|n| arb_codes(n, 5))) {

@@ -13,6 +13,7 @@
 //! counters (the currency of the engine's delete-time delta-validation)
 //! against the oracle's definitional pair scan.
 
+use fastod_suite::incremental::BatchCounters;
 use fastod_suite::partition::{
     count_constancy_violations, count_swap_violations, CountScratch, StrippedPartition,
 };
@@ -243,31 +244,38 @@ fn budgeted_stream_stays_equivalent() {
 /// and recomputation during the traversal — but must never change a single
 /// verdict. Cover identical to from-scratch on the survivors after every
 /// mutation, and the snapshot's resident bytes honour the cap.
+///
+/// Eviction also makes one level mix products (for evicted nodes),
+/// absorbs and reuses, the mix generation applies in join order. So every
+/// pass's counters and the verdict cache after every round must be
+/// identical at 1, 2 and 4 threads.
 #[test]
 fn budgeted_mutations_stay_equivalent() {
-    for threads in [1usize, 2, 4] {
-        let budget = 2_048; // bytes — far below the unbudgeted footprint
-        let base = fastod_suite::datagen::flight_like(60, 8, 0xF00D);
+    let base = fastod_suite::datagen::flight_like(60, 8, 0xF00D);
+    let footprint = IncrementalDiscovery::new(&base).snapshot().partition_bytes();
+    let run = |threads: usize, budget: usize| {
         let cfg = DiscoveryConfig::default()
             .with_threads(threads)
             .with_partition_memory_budget(budget);
         let mut engine = IncrementalDiscovery::with_config(&base, cfg).unwrap();
         let mut history = base.clone();
         let mut live: Vec<usize> = (0..60).collect();
+        let mut counters: Vec<BatchCounters> = Vec::new();
+        let mut caches = Vec::new();
         for b in 0..4u64 {
             // Append a batch …
             let batch = fastod_suite::datagen::flight_like(10, 8, 0x2000 + b);
             live.extend(history.n_rows()..history.n_rows() + batch.n_rows());
-            engine.push_batch(&batch).unwrap();
+            counters.push(engine.push_batch(&batch).unwrap().counters);
             history.extend(&batch).unwrap();
             // … delete a stride of live rows …
             let victims: Vec<usize> = live.iter().copied().skip(3).step_by(9).take(4).collect();
-            engine.delete_rows(&victims).unwrap();
+            counters.push(engine.delete_rows(&victims).unwrap().counters);
             live.retain(|row| !victims.contains(row));
             // … and update one surviving row.
             let victim = live[(7 * b as usize + 1) % live.len()];
             let replacement = fastod_suite::datagen::flight_like(1, 8, 0x3000 + b);
-            engine.update_rows(&[victim], &replacement).unwrap();
+            counters.push(engine.update_rows(&[victim], &replacement).unwrap().counters);
             live.retain(|&row| row != victim);
             live.push(history.n_rows());
             history.extend(&replacement).unwrap();
@@ -279,6 +287,7 @@ fn budgeted_mutations_stay_equivalent() {
                 "budget exceeded after round {b}: {} bytes (threads={threads})",
                 engine.snapshot().partition_bytes()
             );
+            caches.push(engine.cached_verdicts());
         }
         let totals = &engine.stats().totals;
         assert!(totals.nodes_evicted > 0, "budget never evicted: {totals:?}");
@@ -291,6 +300,32 @@ fn budgeted_mutations_stay_equivalent() {
             totals.witness_skips + totals.delta_revalidated + totals.recounted > 0,
             "no cheap certificate ever engaged: {totals:?}"
         );
+        (counters, caches, totals.clone())
+    };
+    // Starved, 2 KiB: every node above level 1 is evicted after each pass.
+    // At the initial footprint the lattice outgrows the budget as rows
+    // arrive, so a level mixes products for evicted nodes, absorbs and
+    // reuses; level 1 absorbs at most 8 attributes × 8 appending passes.
+    for budget in [2_048, footprint] {
+        let (counters, caches, totals) = run(1, budget);
+        if budget == footprint {
+            assert!(
+                totals.nodes_recomputed > 0
+                    && totals.partitions_appended > 8 * 8
+                    && totals.nodes_reused > 0,
+                "no product/absorb/reuse mix: {totals:?}"
+            );
+        }
+        for threads in [2usize, 4] {
+            let (c, v, _) = run(threads, budget);
+            for (pass, (want, got)) in counters.iter().zip(&c).enumerate() {
+                assert_eq!(
+                    want, got,
+                    "budget={budget}: pass {pass} counters differ at threads={threads}"
+                );
+            }
+            assert!(caches == v, "budget={budget}: verdict caches differ at threads={threads}");
+        }
     }
 }
 

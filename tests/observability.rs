@@ -11,7 +11,7 @@
 //! allowed to diverge only by the per-span bookkeeping itself (a relative
 //! ±5% plus a small absolute slack for sub-millisecond phases).
 
-use fastod_suite::obs::{parse_trace, Obs, TraceEvent};
+use fastod_suite::obs::{parse_trace, MetricsSnapshot, Obs, TraceEvent};
 use fastod_suite::prelude::*;
 use std::time::Duration;
 
@@ -138,4 +138,43 @@ fn trace_matches_discovery_stats() {
     );
     assert!(snapshot.counter("executor.calls").unwrap_or(0) > 0);
     assert!(snapshot.counter("partition.products").unwrap_or(0) > 0);
+}
+
+/// A maintenance pass accounts for its own time: the direct children of
+/// `maintenance_pass` (tombstone removal, the level-1 appends, the lattice
+/// levels and the snapshot hand-over) cover at least 95% of its duration,
+/// for delete passes and for update passes alike (three of each, summed).
+#[test]
+fn maintenance_pass_children_cover_the_pass() {
+    let rel = fastod_suite::datagen::flight_like(4_000, 8, 0x0B5F);
+    let obs = Obs::enabled();
+    let cfg = DiscoveryConfig::default().with_obs(obs.clone());
+    let mut engine = IncrementalDiscovery::with_config(&rel.head(3_000), cfg).unwrap();
+    let total_ns = |snap: &MetricsSnapshot, name: &str| snap.span(name).map_or(0, |s| s.total_ns);
+    let children = ["remove_rows", "level1", "level", "advance_snapshot"];
+    let mut check = |pass: &str, run: &mut dyn FnMut(&mut IncrementalDiscovery, usize)| {
+        let before = obs.snapshot();
+        for round in 0..3 {
+            run(&mut engine, round);
+        }
+        let after = obs.snapshot();
+        let delta = |name: &str| total_ns(&after, name) - total_ns(&before, name);
+        let pass_ns = delta("maintenance_pass");
+        let covered: u64 = children.iter().map(|&name| delta(name)).sum();
+        assert!(pass_ns > 0, "{pass} passes recorded no span");
+        assert!(
+            covered as f64 >= 0.95 * pass_ns as f64,
+            "{pass} passes: children cover {covered}ns of {pass_ns}ns"
+        );
+    };
+    check("delete", &mut |engine, round| {
+        let deleted: Vec<usize> = (round..3_000).step_by(60).collect();
+        engine.delete_rows(&deleted).unwrap();
+    });
+    check("update", &mut |engine, round| {
+        // Rows 3000.. of `rel` are unused so far: each round takes the next 25.
+        let updated: Vec<usize> = (round + 30..3_000).step_by(120).collect();
+        let fresh: Vec<usize> = (0..updated.len()).map(|i| 3_000 + 25 * round + i).collect();
+        engine.update_rows(&updated, &rel.select_rows(&fresh)).unwrap();
+    });
 }
