@@ -1,5 +1,5 @@
 //! **Exp-13: the 100M-row scale path — streaming ingest, bit-packed
-//! columns, sharded level-1 build.**
+//! columns, parallel level-1 build.**
 //!
 //! Generates a synthetic warehouse-shaped CSV (a sequence key, two
 //! categoricals at 8/16 bits, a monotone plateau, a low-cardinality float
@@ -10,9 +10,10 @@
 //!   ingest's peak resident bytes (`relation.peak_bytes` gauge);
 //! * encoded-relation memory: bit-packed vs the `4 · rows · attrs` a
 //!   `Vec<u32>` representation costs (the acceptance bar is ≥ 2x);
-//! * level-1 partition build: sequential `build_level1` vs the row-sharded
-//!   `build_level1_parallel` at each `FASTOD_THREADS` count, with the CSR
-//!   buffers asserted **byte-identical** at every thread count.
+//! * level-1 partition build: the plain loop `build_level1` vs
+//!   `build_level1_parallel`, which maps the attributes over the executor,
+//!   at each `FASTOD_THREADS` count, with the CSR buffers asserted
+//!   **byte-identical** at every thread count.
 //!
 //! At smoke/default scale the one-shot reader also runs and the streamed
 //! codes, cardinalities, and (level-capped) discovery cover are asserted
@@ -149,16 +150,16 @@ fn main() {
         );
     }
 
-    // --- Level-1 build: sharded at each thread count, then sequential. ---
+    // --- Level-1 build: parallel at each thread count, then sequential. ---
     let mut table = Table::new(&["build", "threads", "time", "vs sequential"]);
     let cancel = CancelToken::never();
-    let mut sharded_ms: Vec<(usize, f64)> = Vec::new();
-    let mut sharded_csr: Option<Vec<(Vec<u32>, Vec<u32>)>> = None;
+    let mut parallel_ms: Vec<(usize, f64)> = Vec::new();
+    let mut parallel_csr: Option<Vec<(Vec<u32>, Vec<u32>)>> = None;
     for &threads in &threads_sweep {
         let exec = Executor::new(threads);
         let t = Instant::now();
-        let level = build_level1_parallel(&enc, &exec, &cancel).expect("sharded level-1");
-        sharded_ms.push((threads, ms(t)));
+        let level = build_level1_parallel(&enc, &exec, &cancel).expect("parallel level-1");
+        parallel_ms.push((threads, ms(t)));
         let mut keys: Vec<u64> = level.keys().copied().collect();
         keys.sort_unstable();
         let csr: Vec<(Vec<u32>, Vec<u32>)> = keys
@@ -168,26 +169,22 @@ fn main() {
                 (r.to_vec(), o.to_vec())
             })
             .collect();
-        match &sharded_csr {
+        match &parallel_csr {
             Some(reference) => assert_eq!(reference, &csr, "level-1 CSR diverged at t={threads}"),
-            None => sharded_csr = Some(csr),
+            None => parallel_csr = Some(csr),
         }
     }
-    // Sequential baseline reads plain `&[u32]` slices: materialize the
-    // unpacked views first so the timing is the honest Vec<u32> baseline,
-    // not "sequential + unpack".
-    for a in 0..enc.n_attrs() {
-        let _ = enc.codes(a);
-    }
+    // Both builds decode the packed columns into a buffer per attribute.
     let t = Instant::now();
     let seq_level = build_level1(&enc);
     let seq_ms = ms(t);
-    let reference = sharded_csr.expect("at least one sharded run");
+    let reference = parallel_csr.expect("at least one parallel run");
     let mut keys: Vec<u64> = seq_level.keys().copied().collect();
     keys.sort_unstable();
     for (k, expect) in keys.iter().zip(&reference) {
         let (r, o) = seq_level[k].partition.raw_csr();
-        assert_eq!((r, o), (expect.0.as_slice(), expect.1.as_slice()), "sharded CSR != sequential");
+        let expect = (expect.0.as_slice(), expect.1.as_slice());
+        assert_eq!((r, o), expect, "parallel CSR != sequential");
     }
     table.row(vec!["sequential".into(), "1".into(), format!("{seq_ms:.0} ms"), "1.00x".into()]);
     let mut csv_rows = vec![vec![
@@ -197,25 +194,27 @@ fn main() {
         format!("{seq_ms:.3}"),
     ]];
     let mut t4_ms = None;
-    for (threads, sh_ms) in &sharded_ms {
+    for (threads, par_ms) in &parallel_ms {
         table.row(vec![
-            "sharded".into(),
+            "parallel".into(),
             threads.to_string(),
-            format!("{sh_ms:.0} ms"),
-            format!("{:.2}x", seq_ms / sh_ms),
+            format!("{par_ms:.0} ms"),
+            format!("{:.2}x", seq_ms / par_ms),
         ]);
         csv_rows.push(vec![
             rows.to_string(),
-            "sharded".into(),
+            "parallel".into(),
             threads.to_string(),
-            format!("{sh_ms:.3}"),
+            format!("{par_ms:.3}"),
         ]);
         if *threads == *threads_sweep.last().unwrap() {
-            t4_ms = Some(*sh_ms);
+            t4_ms = Some(*par_ms);
         }
     }
     table.print();
-    println!("\nlevel-1 CSR byte-identical across sequential and t={threads_sweep:?} sharded builds ✓");
+    println!(
+        "\nlevel-1 CSR byte-identical across sequential and t={threads_sweep:?} parallel builds ✓"
+    );
 
     let mut gauges = vec![
         ("scale_stream_ingest_ms".to_string(), stream_ms),

@@ -113,9 +113,10 @@ pub(crate) fn run_lattice<J: OdJudge>(
     // Levels l-2, l-1 and l (Algorithm 1 lines 1–6).
     let mut prev_prev: Level = Level::new();
     let mut prev: Level = build_level0(enc.n_rows(), n_attrs);
-    // Row-sharded across the executor; byte-identical to the sequential
-    // build at every thread count (see `build_level1_sharded`).
+    // One counting sort per attribute, mapped over the executor.
+    let level1_span = opts.obs.span("level1");
     let mut current: Level = build_level1_parallel(enc, &exec, &opts.cancel)?;
+    drop(level1_span);
     let mut l = 1usize;
 
     while !current.is_empty() {

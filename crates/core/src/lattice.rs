@@ -4,7 +4,7 @@ use crate::pairset::PairSet;
 use crate::parallel::Executor;
 use crate::{CancelToken, PassError};
 use fastod_partition::{AppendDelta, ProductScratch, StrippedPartition};
-use fastod_relation::AttrSet;
+use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::collections::HashMap;
 use std::sync::Mutex;
 
@@ -233,268 +233,45 @@ pub fn candidate_joins(level: &Level) -> Vec<(AttrSet, AttrSet, AttrSet)> {
 }
 
 /// Builds level 1: one node per attribute with `Π*_{{A}}` from its codes.
-pub fn build_level1(enc: &fastod_relation::EncodedRelation) -> Level {
-    let n_attrs = enc.n_attrs();
-    let mut level = Level::with_capacity(n_attrs);
-    for a in 0..n_attrs {
-        level.insert(
-            AttrSet::singleton(a).bits(),
-            Node::new(
-                StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a)),
-                n_attrs,
-            ),
-        );
-    }
-    level
+pub fn build_level1(enc: &EncodedRelation) -> Level {
+    let mut buf = Vec::new();
+    level1_of((0..enc.n_attrs()).map(|a| level1_partition(enc, a, &mut buf)).collect())
 }
 
-/// Minimum rows per shard for [`build_level1_parallel`]: below this,
-/// spawning extra shards costs more in merge bookkeeping than the counting
-/// sort saves.
-const MIN_SHARD_ROWS: usize = 1 << 16;
-
-/// [`build_level1`] with each attribute's counting sort row-sharded across
-/// `exec`'s workers. The shard size is `n_rows / (threads · 4)` floored at
-/// `MIN_SHARD_ROWS` (64 Ki); the result is **byte-identical** to the sequential
-/// build at every thread count (see [`build_level1_sharded`]).
+/// [`build_level1`] as a map over the attributes on `exec`: each worker
+/// counting-sorts whole attributes, so the level is the same at every
+/// thread count.
+///
+/// # Errors
+/// [`PassError::Cancelled`] when `cancel` fires, and
+/// [`PassError::Panicked`] when a worker panics.
 pub fn build_level1_parallel(
-    enc: &fastod_relation::EncodedRelation,
+    enc: &EncodedRelation,
     exec: &Executor,
     cancel: &CancelToken,
-) -> Result<Level, PassError> {
-    let base = enc
-        .n_rows()
-        .div_ceil(exec.threads().max(1) * 4)
-        .max(MIN_SHARD_ROWS);
-    // Per attribute, never shard finer than the cardinality: a shard at
-    // least as long as the cardinality always takes the O(shard + card)
-    // counting path with ≤ 8 scratch bytes per shard row, while a finer
-    // shard of a key-like column would fall into the O(len · log len)
-    // pair sort — asymptotically worse than the sequential counting sort
-    // it is supposed to beat. (Dense ranks guarantee cardinality ≤ n_rows,
-    // so key-like columns simply degrade to one whole-column shard and the
-    // parallelism comes from the other attributes.)
-    build_level1_with(enc, exec, cancel, |card| base.max(card as usize))
-}
-
-/// [`build_level1_parallel`] with an explicit shard size (rows per shard;
-/// the determinism tests shrink it to force multi-shard merges on small
-/// tables).
-///
-/// # Determinism
-///
-/// Each worker partitions one contiguous row range `[lo, hi)` of one
-/// attribute, emitting its present codes in ascending order with the rows
-/// of each code ascending. The merge then mirrors
-/// [`StrippedPartition::from_codes`] exactly: global per-code counts are
-/// summed, classes are the codes with count ≥ 2 **in ascending code
-/// order**, and each class's rows are copied shard-by-shard in shard-index
-/// order. Since shard `s` covers strictly smaller row ids than shard
-/// `s + 1`, rows end up ascending within every class — precisely the order
-/// the sequential scatter produces — so the CSR bytes cannot depend on the
-/// thread count or shard boundaries.
-pub fn build_level1_sharded(
-    enc: &fastod_relation::EncodedRelation,
-    exec: &Executor,
-    cancel: &CancelToken,
-    shard_rows: usize,
-) -> Result<Level, PassError> {
-    build_level1_with(enc, exec, cancel, |_| shard_rows)
-}
-
-/// Shared body of [`build_level1_parallel`] / [`build_level1_sharded`]:
-/// `shard_for(cardinality)` picks the shard size per attribute.
-fn build_level1_with(
-    enc: &fastod_relation::EncodedRelation,
-    exec: &Executor,
-    cancel: &CancelToken,
-    shard_for: impl Fn(u32) -> usize,
 ) -> Result<Level, PassError> {
     cancel.check()?;
-    let n_attrs = enc.n_attrs();
-    let n_rows = enc.n_rows();
-    // Attribute-major shard list: shards of one attribute stay contiguous
-    // so the merge below can walk the results in a single pass.
-    let mut items: Vec<(usize, usize, usize)> = Vec::new();
-    for a in 0..n_attrs {
-        let shard_rows = shard_for(enc.cardinality(a)).max(1);
-        let mut lo = 0;
-        while lo < n_rows {
-            let hi = (lo + shard_rows).min(n_rows);
-            items.push((a, lo, hi));
-            lo = hi;
-        }
-    }
-    exec.obs().add("partition.level1_shards", items.len() as u64);
-    let mut pool: Vec<Vec<u32>> = Vec::new();
-    let shards = exec.try_map_with(
-        &mut pool,
-        Vec::new,
-        &items,
-        cancel,
-        |buf, _i, &(a, lo, hi)| {
-            let codes = enc.codes_range(a, lo..hi, buf);
-            if lo == 0 && hi == n_rows {
-                // The shard covers the whole column (key-like cardinality or
-                // a tiny relation): build the final partition directly — a
-                // `Level1Shard` intermediate would triple the memory traffic
-                // only for the merge to replay `from_codes` anyway.
-                ShardOut::Done(StrippedPartition::from_codes(codes, enc.cardinality(a)))
-            } else {
-                ShardOut::Partial(shard_level1(codes, enc.cardinality(a), lo as u32))
-            }
-        },
-    )?;
-    // Merge phase: one independent merge per attribute, also fanned out
-    // across the workers (shards of one attribute are contiguous in
-    // `items`/`shards` by construction).
-    let mut attr_ranges: Vec<(usize, usize, usize)> = Vec::with_capacity(n_attrs);
-    let mut pos = 0;
-    for a in 0..n_attrs {
-        let start = pos;
-        while pos < items.len() && items[pos].0 == a {
-            pos += 1;
-        }
-        attr_ranges.push((a, start, pos));
-    }
-    let mut merge_pool: Vec<()> = Vec::new();
-    let partitions = exec.try_map_with(
-        &mut merge_pool,
-        || (),
-        &attr_ranges,
-        cancel,
-        |(), _i, &(a, start, end)| match &shards[start..end] {
-            [ShardOut::Done(partition)] => partition.clone(),
-            range => merge_level1_shards(n_rows, enc.cardinality(a), range),
-        },
-    )?;
-    let mut level = Level::with_capacity(n_attrs);
-    for ((a, _, _), partition) in attr_ranges.into_iter().zip(partitions) {
-        level.insert(AttrSet::singleton(a).bits(), Node::new(partition, n_attrs));
-    }
-    Ok(level)
+    let attrs: Vec<AttrId> = (0..enc.n_attrs()).collect();
+    let partitions = exec.try_map_with(&mut Vec::new(), Vec::new, &attrs, cancel, |buf, _, &a| {
+        level1_partition(enc, a, buf)
+    })?;
+    Ok(level1_of(partitions))
 }
 
-/// One worker's output in the shard phase: either the finished partition
-/// (the shard covered the whole column) or a partial to merge.
-enum ShardOut {
-    Done(StrippedPartition),
-    Partial(Level1Shard),
+/// `Π*_{{A}}` by one counting sort over `a`'s codes. A packed column is
+/// decoded into `buf`, so its unpacked cache is never filled.
+fn level1_partition(enc: &EncodedRelation, a: AttrId, buf: &mut Vec<u32>) -> StrippedPartition {
+    StrippedPartition::from_codes(enc.codes_range(a, 0..enc.n_rows(), buf), enc.cardinality(a))
 }
 
-/// One worker's partial counting sort over a contiguous row range: the
-/// codes present in the range (ascending), their occurrence counts, and the
-/// range's rows grouped by code (ascending within each group).
-struct Level1Shard {
-    present: Vec<u32>,
-    counts: Vec<u32>,
-    rows: Vec<u32>,
-}
-
-fn shard_level1(codes: &[u32], cardinality: u32, base_row: u32) -> Level1Shard {
-    let card = cardinality as usize;
-    let mut present = Vec::new();
-    let mut pcounts = Vec::new();
-    let mut rows = vec![0u32; codes.len()];
-    if card <= codes.len() {
-        // Counting sort: the card-sized scratch costs at most
-        // 8 bytes/row here, and only when the cardinality is small relative
-        // to the shard.
-        let mut counts = vec![0u32; card];
-        for &c in codes {
-            counts[c as usize] += 1;
-        }
-        let mut cursor = vec![0u32; card];
-        let mut total = 0u32;
-        for (code, &count) in counts.iter().enumerate() {
-            if count > 0 {
-                cursor[code] = total;
-                total += count;
-                present.push(code as u32);
-                pcounts.push(count);
-            }
-        }
-        for (i, &c) in codes.iter().enumerate() {
-            let cur = &mut cursor[c as usize];
-            rows[*cur as usize] = base_row + i as u32;
-            *cur += 1;
-        }
-    } else {
-        // High-cardinality (key-like) column: a card-sized array per shard
-        // would dwarf the shard itself — sort (code, row) pairs instead.
-        let mut pairs: Vec<(u32, u32)> = codes
-            .iter()
-            .enumerate()
-            .map(|(i, &c)| (c, base_row + i as u32))
-            .collect();
-        pairs.sort_unstable();
-        let mut run_start = 0;
-        for (i, &(code, row)) in pairs.iter().enumerate() {
-            rows[i] = row;
-            if i + 1 == pairs.len() || pairs[i + 1].0 != code {
-                present.push(code);
-                pcounts.push((i + 1 - run_start) as u32);
-                run_start = i + 1;
-            }
-        }
-    }
-    Level1Shard {
-        present,
-        counts: pcounts,
-        rows,
-    }
-}
-
-/// Merges one attribute's shards into `Π*_{{A}}`, mirroring the sequential
-/// [`StrippedPartition::from_codes`] byte for byte (see
-/// [`build_level1_sharded`]).
-fn merge_level1_shards(
-    n_rows: usize,
-    cardinality: u32,
-    shards: &[ShardOut],
-) -> StrippedPartition {
-    // A `Done` shard covers the whole column, so it is always alone in its
-    // range and short-circuited by the caller before merging.
-    fn partial(s: &ShardOut) -> &Level1Shard {
-        match s {
-            ShardOut::Partial(p) => p,
-            ShardOut::Done(_) => unreachable!("whole-column shard inside a multi-shard merge"),
-        }
-    }
-    let card = cardinality as usize;
-    let mut counts = vec![0u32; card];
-    for shard in shards {
-        let shard = partial(shard);
-        for (&code, &cnt) in shard.present.iter().zip(&shard.counts) {
-            counts[code as usize] += cnt;
-        }
-    }
-    let mut class_offsets = vec![0u32];
-    let mut cursor: Vec<u32> = vec![u32::MAX; card];
-    let mut total = 0u32;
-    for (code, &count) in counts.iter().enumerate() {
-        if count >= 2 {
-            cursor[code] = total;
-            total += count;
-            class_offsets.push(total);
-        }
-    }
-    let mut rows = vec![0u32; total as usize];
-    for shard in shards {
-        let shard = partial(shard);
-        let mut lo = 0usize;
-        for (&code, &cnt) in shard.present.iter().zip(&shard.counts) {
-            let hi = lo + cnt as usize;
-            let cur = cursor[code as usize];
-            if cur != u32::MAX {
-                rows[cur as usize..cur as usize + cnt as usize]
-                    .copy_from_slice(&shard.rows[lo..hi]);
-                cursor[code as usize] = cur + cnt;
-            }
-            lo = hi;
-        }
-    }
-    StrippedPartition::from_raw_csr(n_rows, rows, class_offsets)
+/// Level 1 from `partitions[a] = Π*_{{A}}`.
+fn level1_of(partitions: Vec<StrippedPartition>) -> Level {
+    let n_attrs = partitions.len();
+    partitions
+        .into_iter()
+        .enumerate()
+        .map(|(a, partition)| (AttrSet::singleton(a).bits(), Node::new(partition, n_attrs)))
+        .collect()
 }
 
 /// Builds level 0: the single `{}` node with the unit partition and
@@ -518,7 +295,6 @@ pub fn build_level0_masked(live: &[bool], n_attrs: usize) -> Level {
     level.insert(AttrSet::EMPTY.bits(), node);
     level
 }
-
 
 #[cfg(test)]
 mod tests {
@@ -660,55 +436,43 @@ mod tests {
         assert_eq!(node.partition.n_classes(), 1);
     }
 
+    /// The attribute map builds level 1 byte for byte like the plain loop,
+    /// at every thread count, from plain and packed columns alike.
     #[test]
-    fn sharded_level1_is_byte_identical_to_sequential() {
-        // Mixed cardinalities: low-card (counting-sort shards), key-like
-        // (pair-sort shards), constant.
+    fn parallel_level1_equals_sequential() {
         let n = 50i64;
-        let enc = RelationBuilder::new()
+        let rel = RelationBuilder::new()
             .column_i64("low", (0..n).map(|i| i * 7 % 3).collect())
             .column_i64("key", (0..n).map(|i| (i * 31) % n).collect())
             .column_i64("konst", vec![9; n as usize])
             .build()
-            .unwrap()
-            .encode();
-        let seq = build_level1(&enc);
-        for threads in [1, 2, 4] {
-            let exec = Executor::new(threads);
-            for shard_rows in [1, 3, 64] {
-                let sharded =
-                    build_level1_sharded(&enc, &exec, &CancelToken::never(), shard_rows)
-                        .unwrap();
-                assert_eq!(sharded.len(), seq.len());
-                for (bits, node) in &seq {
-                    let got = &sharded[bits].partition;
+            .unwrap();
+        let plain = rel.encode();
+        let mut packed = rel.encode();
+        packed.pack();
+        let empty = rel.head(0).encode();
+        let packed_bytes = packed.memory_bytes();
+        for (enc, expected) in [
+            (&plain, build_level1(&plain)),
+            (&packed, build_level1(&plain)),
+            (&empty, build_level1(&empty)),
+        ] {
+            assert_eq!(expected.len(), 3);
+            for threads in [1, 2, 4] {
+                let exec = Executor::new(threads);
+                let got = build_level1_parallel(enc, &exec, &CancelToken::never()).unwrap();
+                assert_eq!(got.len(), expected.len());
+                for (bits, node) in &expected {
                     assert_eq!(
-                        got.raw_csr(),
+                        got[bits].partition.raw_csr(),
                         node.partition.raw_csr(),
-                        "threads={threads} shard_rows={shard_rows}"
+                        "attrs {bits:#b} rows {} threads {threads}",
+                        enc.n_rows()
                     );
                 }
             }
         }
-    }
-
-    #[test]
-    fn sharded_level1_handles_packed_and_empty() {
-        let mut enc = enc3();
-        enc.pack();
-        let seq = build_level1(&enc3());
-        let exec = Executor::new(2);
-        let sharded = build_level1_sharded(&enc, &exec, &CancelToken::never(), 2).unwrap();
-        for (bits, node) in &seq {
-            assert_eq!(sharded[bits].partition.raw_csr(), node.partition.raw_csr());
-        }
-        // Zero-row relation: every attribute gets the empty partition.
-        let empty = RelationBuilder::new()
-            .column_i64("a", vec![])
-            .build()
-            .unwrap()
-            .encode();
-        let l1 = build_level1_parallel(&empty, &exec, &CancelToken::never()).unwrap();
-        assert!(l1[&AttrSet::singleton(0).bits()].partition.is_superkey());
+        // Packed columns are decoded per worker, never cached unpacked.
+        assert_eq!(packed.memory_bytes(), packed_bytes);
     }
 }

@@ -15,9 +15,9 @@
 //! lives in a caller-owned pool that persists **across** calls: the lattice
 //! driver keeps one pool for the whole discovery run, so level `l + 1`
 //! reuses the arenas grown during level `l` instead of reallocating per
-//! node. With `threads == 1` no thread is ever spawned and the items run
-//! inline on the caller's stack, byte-for-byte like the historical
-//! sequential code path.
+//! node. There is one loop for every thread count: with one worker (one
+//! thread, or a single item) it runs on the calling thread and nothing is
+//! spawned.
 
 use crate::{CancelToken, PassError};
 use fastod_faultkit as faultkit;
@@ -51,8 +51,8 @@ impl Executor {
     }
 
     /// Like [`Executor::new`], with an observability recorder: each call
-    /// bumps `executor.calls`/`executor.items`, and parallel calls record
-    /// per-worker `executor.worker_items` / `executor.worker_busy_us` /
+    /// bumps `executor.calls`/`executor.items` and records per-worker
+    /// `executor.worker_items` / `executor.worker_busy_us` /
     /// `executor.worker_idle_us` histograms (idle ≈ time lost to steal
     /// contention and join skew).
     pub fn with_obs(threads: usize, obs: Obs) -> Executor {
@@ -121,35 +121,10 @@ impl Executor {
             self.obs.add("executor.calls", 1);
             self.obs.add("executor.items", items.len() as u64);
         }
-        if n_workers == 1 {
-            // Inline path: no spawn, identical to the historical sequential
-            // loop (same scratch, same item order).
-            if run_worker_failpoint()? {
-                return Err(PassError::Cancelled);
-            }
-            let scratch = &mut pool[0];
-            let mut out = Vec::with_capacity(items.len());
-            for (i, item) in items.iter().enumerate() {
-                if i % CANCEL_POLL_ITEMS == 0 {
-                    cancel.check()?;
-                }
-                match catch_unwind(AssertUnwindSafe(|| f(scratch, i, item))) {
-                    Ok(r) => out.push(r),
-                    Err(payload) => {
-                        return Err(PassError::panicked(
-                            faultkit::EXECUTOR_WORKER,
-                            payload.as_ref(),
-                        ))
-                    }
-                }
-            }
-            return Ok(out);
-        }
-
         let next = AtomicUsize::new(0);
         let stop = AtomicBool::new(false);
         let wall_start = instrument.then(Instant::now);
-        let mut panics: Vec<(u32, String)> = Vec::new();
+        let mut panics: Vec<(u32, PassError)> = Vec::new();
         // One worker's loop: pull item indices until they run out or the
         // call stops; returns its results, busy time, item count and panic.
         let work = |scratch: &mut S| {
@@ -159,15 +134,13 @@ impl Executor {
             // A panic is reported with the index of the item that raised
             // it; a worker-startup fault (no item claimed yet) sorts after
             // every real item.
-            let mut panic: Option<(u32, String)> = None;
+            let mut panic: Option<(u32, PassError)> = None;
             match run_worker_failpoint() {
                 Ok(false) => {}
                 Ok(true) => stop.store(true, Ordering::Relaxed),
                 Err(e) => {
                     stop.store(true, Ordering::Relaxed);
-                    if let PassError::Panicked { message, .. } = e {
-                        panic = Some((u32::MAX, message));
-                    }
+                    panic = Some((u32::MAX, e));
                 }
             }
             loop {
@@ -178,8 +151,8 @@ impl Executor {
                 if i >= items.len() {
                     break;
                 }
-                // Poll before the first item (matching the inline path's
-                // `i == 0` check) and every poll interval thereafter.
+                // Poll before the first item and every poll interval
+                // thereafter.
                 if processed.is_multiple_of(CANCEL_POLL_ITEMS)
                     && (stop.load(Ordering::Relaxed) || cancel.is_cancelled())
                 {
@@ -192,13 +165,9 @@ impl Executor {
                     Ok(r) => local.push((i as u32, r)),
                     Err(payload) => {
                         stop.store(true, Ordering::Relaxed);
-                        let message = payload
-                            .downcast_ref::<String>()
-                            .map(String::as_str)
-                            .or_else(|| payload.downcast_ref::<&str>().copied())
-                            .unwrap_or("<non-string panic>")
-                            .to_string();
-                        panic = Some((i as u32, message));
+                        let error =
+                            PassError::panicked(faultkit::EXECUTOR_WORKER, payload.as_ref());
+                        panic = Some((i as u32, error));
                     }
                 }
                 if let Some(start) = item_start {
@@ -209,8 +178,8 @@ impl Executor {
         };
         let mut buffers: Vec<Vec<(u32, R)>> = std::thread::scope(|scope| {
             // The calling thread is worker 0: it starts on the items at
-            // once, while the others spawn.
-            let (own, others) = pool[..n_workers].split_first_mut().expect("n_workers >= 2");
+            // once, while the others spawn. With one worker nothing spawns.
+            let (own, others) = pool[..n_workers].split_first_mut().expect("n_workers >= 1");
             let work = &work;
             let handles: Vec<_> =
                 others.iter_mut().map(|scratch| scope.spawn(move || work(scratch))).collect();
@@ -244,13 +213,13 @@ impl Executor {
             buffers
         });
         // Deterministic fold: the smallest panicking item index names the
-        // error (matching what the inline path would have hit first).
-        if let Some((_, message)) = panics.into_iter().min() {
-            return Err(PassError::Panicked { site: faultkit::EXECUTOR_WORKER, message });
+        // error (the one a single worker would have hit first).
+        if let Some((_, error)) = panics.into_iter().min_by_key(|&(i, _)| i) {
+            return Err(error);
         }
         // Only a worker-observed stop counts: when `stop` is unset every
         // index was processed, and a deadline elapsing after the fact must
-        // not discard a complete result (the inline path would return Ok).
+        // not discard a complete result.
         if stop.load(Ordering::Relaxed) {
             return Err(PassError::Cancelled);
         }
@@ -489,13 +458,11 @@ mod tests {
             assert_eq!(snap.counter("test.items_seen"), Some(1003), "threads={threads}");
             assert_eq!(snap.counter("executor.items"), Some(1003));
             assert_eq!(snap.counter("executor.calls"), Some(1));
-            if threads > 1 {
-                let per_worker = snap.histogram("executor.worker_items").unwrap();
-                assert_eq!(per_worker.count, threads as u64);
-                // Per-worker item counts sum back to the item total.
-                let total = (per_worker.mean * per_worker.count as f64).round() as u64;
-                assert_eq!(total, 1003);
-            }
+            let per_worker = snap.histogram("executor.worker_items").unwrap();
+            assert_eq!(per_worker.count, threads as u64, "threads={threads}");
+            // Per-worker item counts sum back to the item total.
+            let total = (per_worker.mean * per_worker.count as f64).round() as u64;
+            assert_eq!(total, 1003, "threads={threads}");
         }
     }
 

@@ -26,7 +26,7 @@
 //! crate's test suite and by the incremental engine's oracle tests.
 
 pub use crate::lattice::{
-    build_level0, build_level0_masked, build_level1, build_level1_parallel, build_level1_sharded,
+    build_level0, build_level0_masked, build_level1, build_level1_parallel,
     calculate_next_level_parallel, candidate_joins, run_joins, sorted_keys, JoinAction, JoinResult,
     Level, Node,
 };

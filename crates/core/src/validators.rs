@@ -4,11 +4,14 @@
 //! plus two additions over the paper: a per-class **sort-then-sweep** swap
 //! check used when a context covers few rows (see
 //! [`fastod_partition::check_order_compat_sweep`]), and a **batched** entry
-//! point ([`OdValidator::validate_batch`]) through which a whole lattice
-//! level's candidate validations are sharded across the worker threads of a
-//! [`crate::parallel::Executor`]. The approximate validator implements the
-//! §7 extension via removal-based error measures (both monotone under
-//! context refinement, so the candidate machinery stays sound).
+//! point ([`OdValidator::validate_batch`]) that judges a whole lattice
+//! level's candidates as one map over the worker threads of a
+//! [`crate::parallel::Executor`] (on the calling thread at one thread).
+//! The exact validator has one other route: a batch of at least two tasks
+//! but fewer than the workers shards each task's classes instead. The
+//! approximate validator implements the §7 extension via removal-based
+//! error measures (both monotone under context refinement, so the
+//! candidate machinery stays sound).
 
 use crate::config::FdCheckMode;
 use crate::parallel::Executor;
@@ -94,27 +97,20 @@ pub trait OdValidator {
         stats: &mut LevelStats,
     ) -> bool;
 
-    /// Validates a batch of tasks, returning verdicts in task order.
-    ///
-    /// The default runs the tasks sequentially in order — exactly the
-    /// historical per-candidate loop. Implementations may override it to
-    /// shard the batch across `exec`'s worker threads; verdicts must still
-    /// come back in task order (the executor's merge guarantees this), which
-    /// keeps the discovered cover independent of the thread count.
+    /// Validates a batch of tasks on `exec`'s workers, returning verdicts
+    /// in task order (the executor's merge guarantees this), which keeps the
+    /// discovered cover independent of the thread count.
     ///
     /// # Errors
-    /// [`PassError`] when `cancel` fires mid-batch or a sharded task
-    /// closure panics (contained by the executor).
+    /// [`PassError`] when `cancel` fires mid-batch or a task closure panics
+    /// (contained by the executor).
     fn validate_batch(
         &mut self,
         tasks: &[ValidationTask<'_>],
         exec: &Executor,
         cancel: &CancelToken,
         stats: &mut LevelStats,
-    ) -> Result<Vec<bool>, PassError> {
-        let _ = exec;
-        sequential_validate(self, tasks, cancel, stats)
-    }
+    ) -> Result<Vec<bool>, PassError>;
 
     /// Searches for one concrete violating pair of `task`'s OD — the
     /// witness the incremental engine caches against future deletions (a
@@ -143,32 +139,9 @@ pub trait OdValidator {
     }
 }
 
-/// The shared sequential fallback: judge tasks one by one, in order.
-fn sequential_validate<V: OdValidator + ?Sized>(
-    v: &mut V,
-    tasks: &[ValidationTask<'_>],
-    cancel: &CancelToken,
-    stats: &mut LevelStats,
-) -> Result<Vec<bool>, PassError> {
-    let mut out = Vec::with_capacity(tasks.len());
-    for (i, task) in tasks.iter().enumerate() {
-        if i % 64 == 0 {
-            cancel.check()?;
-        }
-        out.push(match *task {
-            ValidationTask::Constancy { rhs, parent, node, .. } => {
-                v.constancy(parent, node, rhs, stats)
-            }
-            ValidationTask::OrderCompat { ctx_set, a, b, ctx } => {
-                v.order_compat(ctx, ctx_set.bits() as usize, a, b, stats)
-            }
-        });
-    }
-    Ok(out)
-}
-
-/// Tallies the per-kind check counters exactly as the sequential validators
-/// do (superkey contexts count as key-pruned, not as performed checks).
+/// Tallies the per-kind check counters of a batch exactly as the per-task
+/// methods do (superkey contexts count as key-pruned, not as performed
+/// checks).
 fn tally_stats(tasks: &[ValidationTask<'_>], stats: &mut LevelStats) {
     for task in tasks {
         match task {
@@ -219,32 +192,15 @@ pub trait OdJudge {
     /// contract.
     ///
     /// # Errors
-    /// [`PassError`] when `cancel` fires mid-batch or a sharded task
-    /// closure panics (contained by the executor).
+    /// [`PassError`] when `cancel` fires mid-batch or a task closure panics
+    /// (contained by the executor).
     fn judge_batch(
         &mut self,
         tasks: &[ValidationTask<'_>],
         exec: &Executor,
         cancel: &CancelToken,
         stats: &mut LevelStats,
-    ) -> Result<Vec<bool>, PassError> {
-        let _ = exec;
-        let mut out = Vec::with_capacity(tasks.len());
-        for (i, task) in tasks.iter().enumerate() {
-            if i % 64 == 0 {
-                cancel.check()?;
-            }
-            out.push(match *task {
-                ValidationTask::Constancy { parent_set, rhs, parent, node } => {
-                    self.constancy(parent_set, rhs, parent, node, stats)
-                }
-                ValidationTask::OrderCompat { ctx_set, a, b, ctx } => {
-                    self.order_compat(ctx_set, a, b, ctx, stats)
-                }
-            });
-        }
-        Ok(out)
-    }
+    ) -> Result<Vec<bool>, PassError>;
 }
 
 impl<V: OdValidator> OdJudge for V {
@@ -308,7 +264,8 @@ impl<'a> ExactValidator<'a> {
     }
 }
 
-/// The constancy verdict, shared by the sequential and worker paths.
+/// The constancy verdict of a non-superkey context, shared by the per-task
+/// method and the batch.
 fn exact_constancy(
     enc: &EncodedRelation,
     fd_mode: FdCheckMode,
@@ -322,8 +279,8 @@ fn exact_constancy(
     }
 }
 
-/// The order-compatibility verdict, shared by the sequential and worker
-/// paths: sort-then-sweep for sparse contexts, τ-scan otherwise.
+/// The order-compatibility verdict, shared by the per-task method and the
+/// batch: sort-then-sweep for sparse contexts, τ-scan otherwise.
 fn exact_order_compat(
     enc: &EncodedRelation,
     taus: &[OnceLock<SortedColumn>],
@@ -377,12 +334,9 @@ impl OdValidator for ExactValidator<'_> {
         cancel: &CancelToken,
         stats: &mut LevelStats,
     ) -> Result<Vec<bool>, PassError> {
-        if !exec.is_parallel() || tasks.len() < 2 {
-            return sequential_validate(self, tasks, cancel, stats);
-        }
         tally_stats(tasks, stats);
         let (enc, fd_mode, taus) = (self.enc, self.fd_mode, &self.taus);
-        if tasks.len() >= exec.threads() {
+        if tasks.len() >= exec.threads() || tasks.len() < 2 {
             // Task-level sharding: one candidate validation per work item.
             return exec.try_map_with(
                 &mut self.pools,
@@ -409,9 +363,8 @@ impl OdValidator for ExactValidator<'_> {
         // where each scan is largest): shard each task's *classes* instead.
         // Contexts too dense to split (a single chunk — e.g. the unit
         // partition's one all-rows class) gain nothing from sharding and
-        // fall back to the sequential heuristic scan (τ-scan on dense
-        // contexts), so this branch never regresses below the `threads: 1`
-        // algorithm.
+        // fall back to the single-task heuristic scan (τ-scan on dense
+        // contexts), so this branch never regresses below the task map.
         let mut verdicts = Vec::with_capacity(tasks.len());
         for task in tasks {
             cancel.check()?;
@@ -603,9 +556,6 @@ impl OdValidator for ApproxValidator<'_> {
         cancel: &CancelToken,
         stats: &mut LevelStats,
     ) -> Result<Vec<bool>, PassError> {
-        if !exec.is_parallel() || tasks.len() < 2 {
-            return sequential_validate(self, tasks, cancel, stats);
-        }
         tally_stats(tasks, stats);
         let (enc, cap) = (self.enc, self.max_remove);
         exec.try_map_with(
@@ -698,9 +648,9 @@ mod tests {
         assert!(OdValidator::order_compat(&mut loose, &ctx, 0, 0, 1, &mut stats));
     }
 
-    /// Batched verdicts must equal per-task verdicts, at every thread count
-    /// and with both FD-check modes, including the class-sharded route
-    /// (fewer tasks than workers).
+    /// Batched verdicts and counters must equal the per-task methods', at
+    /// every thread count and with both FD-check modes, including the
+    /// class-sharded route (fewer tasks than workers).
     #[test]
     fn batch_matches_sequential_across_thread_counts() {
         let e = RelationBuilder::new()
@@ -738,14 +688,30 @@ mod tests {
                 });
             }
         }
+        // The reference judges the tasks one by one through the per-task
+        // methods.
+        fn one_by_one<V: OdValidator>(
+            v: &mut V,
+            tasks: &[ValidationTask<'_>],
+        ) -> (Vec<bool>, LevelStats) {
+            let mut stats = LevelStats::default();
+            let verdicts = tasks
+                .iter()
+                .map(|task| match *task {
+                    ValidationTask::Constancy { rhs, parent, node, .. } => {
+                        v.constancy(parent, node, rhs, &mut stats)
+                    }
+                    ValidationTask::OrderCompat { ctx_set, a, b, ctx } => {
+                        v.order_compat(ctx, ctx_set.bits() as usize, a, b, &mut stats)
+                    }
+                })
+                .collect();
+            (verdicts, stats)
+        }
         let cancel = CancelToken::never();
         for fd_mode in [FdCheckMode::ErrorRate, FdCheckMode::Scan] {
-            let mut stats = LevelStats::default();
-            let mut v = ExactValidator::new(&e, fd_mode);
-            let reference = v
-                .validate_batch(&tasks, &Executor::new(1), &cancel, &mut stats)
-                .unwrap();
-            for threads in [2, 4, 16, 64] {
+            let (reference, stats) = one_by_one(&mut ExactValidator::new(&e, fd_mode), &tasks);
+            for threads in [1, 2, 4, 16, 64] {
                 let mut stats_n = LevelStats::default();
                 let mut v = ExactValidator::new(&e, fd_mode);
                 let got = v
@@ -761,11 +727,8 @@ mod tests {
         // exact scans, usize::MAX accepts everything). Each validator judges
         // the batch twice, so the second round reuses its per-worker pools.
         for budget in [0, 1, 2, usize::MAX] {
-            let mut stats1 = LevelStats::default();
-            let reference = ApproxValidator::new(&e, budget)
-                .validate_batch(&tasks, &Executor::new(1), &cancel, &mut stats1)
-                .unwrap();
-            for threads in [2, 4, 16] {
+            let (reference, stats1) = one_by_one(&mut ApproxValidator::new(&e, budget), &tasks);
+            for threads in [1, 2, 4, 16] {
                 let exec = Executor::new(threads);
                 let mut v = ApproxValidator::new(&e, budget);
                 for round in 0..2 {

@@ -331,24 +331,6 @@ impl StrippedPartition {
         StrippedPartition::from_csr(n_rows, rows, class_offsets)
     }
 
-    /// Builds a partition from pre-assembled flat CSR buffers — the
-    /// constructor for external builders that produce the layout directly,
-    /// such as the sharded level-1 build in `fastod-core`.
-    ///
-    /// `class_offsets` must start at 0, be non-decreasing, and end at
-    /// `rows.len()`; every class must hold ≥ 2 distinct row ids `< n_rows`
-    /// (debug-asserted). Callers are responsible for class/row ordering —
-    /// to be byte-identical with [`StrippedPartition::from_codes`], classes
-    /// must come in ascending code order with rows ascending inside each
-    /// class.
-    pub fn from_raw_csr(n_rows: usize, rows: Vec<u32>, class_offsets: Vec<u32>) -> StrippedPartition {
-        debug_assert!(class_offsets.windows(2).all(|w| {
-            let class = &rows[w[0] as usize..w[1] as usize];
-            class.len() >= 2 && class.iter().all(|&r| (r as usize) < n_rows)
-        }));
-        StrippedPartition::from_csr(n_rows, rows, class_offsets)
-    }
-
     /// The raw CSR buffers (`rows`, `class_offsets`) — the byte-exact
     /// representation determinism tests compare across thread counts.
     pub fn raw_csr(&self) -> (&[u32], &[u32]) {
@@ -1331,17 +1313,6 @@ mod tests {
         let p2 = x.product(&y, &mut scratch);
         assert_eq!(p1, p2);
         assert_eq!(p1.normalized(), vec![vec![0, 1], vec![4, 5]]);
-    }
-
-    #[test]
-    fn from_raw_csr_matches_from_codes() {
-        let codes = vec![2u32, 0, 2, 1, 0, 2];
-        let by_codes = StrippedPartition::from_codes(&codes, 3);
-        let (rows, offsets) = by_codes.raw_csr();
-        let rebuilt =
-            StrippedPartition::from_raw_csr(codes.len(), rows.to_vec(), offsets.to_vec());
-        assert_eq!(rebuilt, by_codes);
-        assert_eq!(rebuilt.raw_csr(), by_codes.raw_csr());
     }
 
     #[test]

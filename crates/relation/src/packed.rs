@@ -10,8 +10,8 @@
 //! code spans at most two words). Consumers that need a contiguous `&[u32]`
 //! view — the whole validation hot path — go through
 //! [`PackedCodes::as_slice`], which materializes an unpacked copy **lazily,
-//! once**, behind a [`OnceLock`]; scale-path consumers (the sharded level-1
-//! builder, the streaming benches) use [`PackedCodes::decode_range`] into a
+//! once**, behind a [`OnceLock`]; scale-path consumers (the level-1
+//! build, the streaming benches) use [`PackedCodes::decode_range`] into a
 //! caller scratch buffer instead and never pay for the copy.
 
 use std::sync::OnceLock;

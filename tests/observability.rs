@@ -178,3 +178,29 @@ fn maintenance_pass_children_cover_the_pass() {
         engine.update_rows(&updated, &rel.select_rows(&fresh)).unwrap();
     });
 }
+
+/// One-shot discovery accounts for its own time as well: level 1 and the
+/// lattice levels cover at least 95% of `discover`, at one and two
+/// threads, on a relation long enough that level 1 is a large share of a
+/// run capped at level 2.
+#[test]
+fn discover_children_cover_the_run() {
+    let enc = fastod_suite::datagen::flight_like(200_000, 4, 0x0B60).encode();
+    for threads in [1, 2] {
+        let obs = Obs::enabled();
+        let cfg = DiscoveryConfig::default()
+            .with_threads(threads)
+            .with_max_level(2)
+            .with_obs(obs.clone());
+        Fastod::new(cfg).discover(&enc);
+        let snap = obs.snapshot();
+        let total_ns = |name: &str| snap.span(name).map_or(0, |s| s.total_ns);
+        let run_ns = total_ns("discover");
+        let covered = total_ns("level1") + total_ns("level");
+        assert!(run_ns > 0, "threads={threads}: no discover span");
+        assert!(
+            covered as f64 >= 0.95 * run_ns as f64,
+            "threads={threads}: level1 and level cover {covered}ns of {run_ns}ns"
+        );
+    }
+}

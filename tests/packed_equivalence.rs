@@ -163,8 +163,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Generated tables: cover identity between packed and plain encodings,
-    /// including multi-threaded discovery (the sharded level-1 build reads
-    /// packed columns through `codes_range`).
+    /// including multi-threaded discovery (the level-1 build reads packed
+    /// columns through `codes_range`).
     #[test]
     fn discovery_cover_identical_packed_vs_plain(
         n_rows in 0usize..40,
