@@ -92,11 +92,11 @@ pub(crate) fn run_lattice<J: OdJudge>(
     validator: &mut J,
     opts: &DriverOptions,
 ) -> Result<DiscoveryResult, PassError> {
-    let start = Instant::now();
-    // Spans shadow the stats clocks exactly — guard opened right after the
-    // Instant, dropped right before `.elapsed()` — so a trace's span tree
-    // and DiscoveryStats agree to within the guard's own overhead.
+    // Spans enclose the stats clocks: each guard opens right before its
+    // Instant and drops right after `.elapsed()`, so only clock reads
+    // separate the two, and the span's own bookkeeping is outside both.
     let run_span = opts.obs.span_with("discover", &[("n_attrs", enc.n_attrs() as u64)]);
+    let start = Instant::now();
     let n_attrs = enc.n_attrs();
     let mut m = OdSet::new();
     let mut stats = DiscoveryStats::default();
@@ -105,24 +105,24 @@ pub(crate) fn run_lattice<J: OdJudge>(
     let mut product_pool: Vec<ProductScratch> = Vec::new();
 
     if n_attrs == 0 {
-        drop(run_span);
         stats.total_time = start.elapsed();
+        drop(run_span);
         return Ok(DiscoveryResult { ods: m, stats });
     }
 
-    // Levels l-2, l-1 and l (Algorithm 1 lines 1–6).
+    // Levels l-2, l-1 and l (Algorithm 1 lines 1–6), built under one span.
+    // Level 1 is one counting sort per attribute, mapped over the executor.
+    let level1_span = opts.obs.span("level1");
     let mut prev_prev: Level = Level::new();
     let mut prev: Level = build_level0(enc.n_rows(), n_attrs);
-    // One counting sort per attribute, mapped over the executor.
-    let level1_span = opts.obs.span("level1");
     let mut current: Level = build_level1_parallel(enc, &exec, &opts.cancel)?;
     drop(level1_span);
     let mut l = 1usize;
 
     while !current.is_empty() {
-        let level_start = Instant::now();
         let level_span =
             opts.obs.span_with("level", &[("level", l as u64), ("nodes", current.len() as u64)]);
+        let level_start = Instant::now();
         let mut lstats = LevelStats {
             level: l,
             nodes: current.len(),
@@ -132,8 +132,8 @@ pub(crate) fn run_lattice<J: OdJudge>(
             let _span = opts.obs.span_with("compute_candidates", &[("level", l as u64)]);
             compute_candidate_sets_parallel(l, &mut current, &prev, n_attrs, &exec, &opts.cancel)?;
         }
-        let validate_start = Instant::now();
         let validate_span = opts.obs.span_with("validate_level", &[("level", l as u64)]);
+        let validate_start = Instant::now();
         validate_level(
             l,
             &mut current,
@@ -146,12 +146,12 @@ pub(crate) fn run_lattice<J: OdJudge>(
             &exec,
             &opts.cancel,
         )?;
-        drop(validate_span);
         lstats.validate_time = validate_start.elapsed();
+        drop(validate_span);
         prune_level(l, &mut current, &mut lstats);
         let reached_cap = opts.max_level.is_some_and(|cap| l >= cap);
-        let generate_start = Instant::now();
         let generate_span = opts.obs.span_with("generate_level", &[("level", l as u64)]);
+        let generate_start = Instant::now();
         let next = if reached_cap {
             Level::new()
         } else {
@@ -163,19 +163,20 @@ pub(crate) fn run_lattice<J: OdJudge>(
                 &opts.cancel,
             )?
         };
-        drop(generate_span);
         lstats.generate_time = generate_start.elapsed();
-        drop(level_span);
-        lstats.time = level_start.elapsed();
-        opts.obs.add("discover.ods_found", lstats.ods_found() as u64);
-        stats.levels.push(lstats);
+        drop(generate_span);
+        // Shift inside the level's span: freeing level l-2 can stall a tick.
         prev_prev = std::mem::take(&mut prev);
         prev = std::mem::take(&mut current);
         current = next;
+        lstats.time = level_start.elapsed();
+        drop(level_span);
+        opts.obs.add("discover.ods_found", lstats.ods_found() as u64);
+        stats.levels.push(lstats);
         l += 1;
     }
-    drop(run_span);
     stats.total_time = start.elapsed();
+    drop(run_span);
     opts.obs.add("discover.runs", 1);
     Ok(DiscoveryResult { ods: m, stats })
 }

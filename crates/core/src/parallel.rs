@@ -125,9 +125,12 @@ impl Executor {
         let stop = AtomicBool::new(false);
         let wall_start = instrument.then(Instant::now);
         let mut panics: Vec<(u32, PassError)> = Vec::new();
+        let plan = faultkit::current();
         // One worker's loop: pull item indices until they run out or the
         // call stops; returns its results, busy time, item count and panic.
+        // Every worker runs under the caller's fault plan, if any.
         let work = |scratch: &mut S| {
+            faultkit::adopt(plan.clone());
             let mut local: Vec<(u32, R)> = Vec::new();
             let mut processed = 0usize;
             let mut busy_ns = 0u64;
@@ -259,11 +262,8 @@ impl Executor {
 /// Runs the `executor.worker` failpoint with any injected panic contained:
 /// `Ok(false)` to proceed, `Ok(true)` when the fault requests cancellation,
 /// [`PassError::Panicked`] when it fires a panic. Unarmed this is one
-/// relaxed load.
+/// thread-local read.
 fn run_worker_failpoint() -> Result<bool, PassError> {
-    if !faultkit::is_armed() {
-        return Ok(false);
-    }
     match catch_unwind(|| faultkit::hit(faultkit::EXECUTOR_WORKER)) {
         Ok(faultkit::Signal::Proceed) => Ok(false),
         Ok(faultkit::Signal::Cancel) => Ok(true),
@@ -413,6 +413,20 @@ mod tests {
                 .unwrap_err();
             assert!(matches!(err, PassError::Panicked { site: "executor.worker", .. }), "{err:?}");
         }
+        // Hit `threads - 1` comes up only if every worker's startup hit
+        // counts against the caller's plan.
+        {
+            let _guard = faultkit::arm(faultkit::FaultPlan::new().rule(
+                faultkit::EXECUTOR_WORKER,
+                exec.threads() as u64 - 1,
+                faultkit::FaultAction::Panic,
+            ));
+            let mut pool: Vec<()> = Vec::new();
+            let err = exec
+                .try_map_with(&mut pool, || (), &items, &CancelToken::never(), |(), _, &x| x)
+                .unwrap_err();
+            assert!(matches!(err, PassError::Panicked { site: "executor.worker", .. }), "{err:?}");
+        }
         // Cancel action: surfaces as a cancelled pass.
         {
             let _guard = faultkit::arm(faultkit::FaultPlan::new().rule(
@@ -429,6 +443,39 @@ mod tests {
         // Disarmed again: clean run.
         let out = exec.map(&items, |_, &x| x);
         assert_eq!(out.len(), 256);
+    }
+
+    #[test]
+    fn a_plan_armed_on_another_thread_never_fires_here() {
+        use fastod_faultkit as faultkit;
+        use std::sync::Barrier;
+        let exec = Executor::new(4);
+        let items: Vec<usize> = (0..256).collect();
+        let run = || {
+            let mut pool: Vec<()> = Vec::new();
+            exec.try_map_with(&mut pool, || (), &items, &CancelToken::never(), |(), _, &x| x)
+        };
+        // Armed, unarmed, armed: the other thread holds its plan across
+        // this thread's whole call, then runs a call of its own.
+        let barrier = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let armed = scope.spawn(|| {
+                let _guard = faultkit::arm(faultkit::FaultPlan::new().rule(
+                    faultkit::EXECUTOR_WORKER,
+                    0,
+                    faultkit::FaultAction::Panic,
+                ));
+                barrier.wait();
+                barrier.wait();
+                run()
+            });
+            barrier.wait();
+            let unarmed = run();
+            barrier.wait();
+            assert_eq!(unarmed.expect("no plan on this thread").len(), 256);
+            let err = armed.join().unwrap().unwrap_err();
+            assert!(matches!(err, PassError::Panicked { site: "executor.worker", .. }), "{err:?}");
+        });
     }
 
     #[test]

@@ -5,16 +5,18 @@
 //! serving layer's publish step) that a test can *arm* to panic, inject a
 //! delay, or request cancellation on its Nth hit. The design mirrors the
 //! `fastod-obs` recorder: when nothing is armed — the only state in
-//! production — a site costs **one relaxed atomic load** and branches away;
+//! production — a site costs **one thread-local read** and branches away;
 //! all bookkeeping lives behind that branch.
 //!
-//! Arming is process-global and serialized: [`arm`] takes a global lock held
-//! by the returned [`FaultGuard`], so concurrently running tests that inject
-//! faults queue up instead of corrupting each other's schedules, and
-//! dropping the guard disarms every site. The guard also records which
-//! faults actually [`fired`](FaultGuard::fired), letting a chaos harness
-//! decide afterwards whether a failed mutation was absorbed before the fault
-//! hit (and so must not be replayed) or never happened.
+//! A plan is **per thread**: [`arm`] installs it on the calling thread
+//! only, and the returned [`FaultGuard`] disarms that thread when dropped.
+//! The executor's workers [`adopt`] the plan of the thread that started the
+//! call, so a pass sees exactly the faults its own thread armed, and tests
+//! running concurrently on other threads never see (or use up) them.
+//! Arming a second plan on a thread that already has one panics. The guard
+//! also records which faults actually [`fired`](FaultGuard::fired), letting
+//! a chaos harness decide afterwards whether a failed mutation was absorbed
+//! before the fault hit (and so must not be replayed) or never happened.
 //!
 //! ```
 //! use fastod_faultkit as faultkit;
@@ -34,9 +36,10 @@
 
 #![deny(missing_docs)]
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::marker::PhantomData;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The executor's per-worker site, hit once per worker before its first item.
@@ -90,7 +93,7 @@ pub struct FaultPlan {
 }
 
 impl FaultPlan {
-    /// An empty plan (arming it still serializes, but nothing fires).
+    /// An empty plan: nothing fires.
     pub fn new() -> FaultPlan {
         FaultPlan::default()
     }
@@ -149,15 +152,10 @@ pub enum Signal {
     Cancel,
 }
 
-/// The armed-anything fast-path flag; sites check only this when disarmed.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// The active schedule (rules, per-site hit counters, fired log).
-static PLAN: Mutex<Option<PlanState>> = Mutex::new(None);
-
-/// Serializes armed sections process-wide so parallel tests cannot overlay
-/// each other's schedules. Held by [`FaultGuard`].
-static ARM_SERIAL: Mutex<()> = Mutex::new(());
+thread_local! {
+    /// The plan armed on (or adopted by) this thread, if any.
+    static PLAN: RefCell<Option<ArmedPlan>> = const { RefCell::new(None) };
+}
 
 struct PlanState {
     rules: Vec<(FaultRule, bool)>, // (rule, consumed)
@@ -165,46 +163,57 @@ struct PlanState {
     fired: Vec<FiredFault>,
 }
 
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // An injected panic inside `hit` never holds this lock, but a panicking
-    // *test* might; the state is always internally consistent, so recover.
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
-}
+/// A handle on an armed schedule (rules, per-site hit counters, fired
+/// log), shared by the arming thread and the threads that [`adopt`] it.
+#[derive(Clone)]
+pub struct ArmedPlan(Arc<Mutex<PlanState>>);
 
-/// Arms a schedule, returning a guard that keeps it armed until dropped.
-/// Blocks while another guard exists (armed sections serialize).
+/// Arms a schedule on the calling thread, returning a guard that keeps it
+/// armed until dropped.
 ///
 /// Arming also installs (once, process-wide) a panic hook that suppresses
 /// the default backtrace spew for panics whose message starts with
 /// `faultkit:` — injected panics are expected and contained; their stderr
 /// noise would drown real failures in chaos runs.
+///
+/// # Panics
+/// If the calling thread already has a plan (armed or adopted).
 pub fn arm(plan: FaultPlan) -> FaultGuard {
     install_quiet_hook();
-    let serial = lock(&ARM_SERIAL);
-    *lock(&PLAN) = Some(PlanState {
+    assert!(current().is_none(), "this thread already has a fault plan; drop its guard first");
+    let armed = ArmedPlan(Arc::new(Mutex::new(PlanState {
         rules: plan.rules.into_iter().map(|r| (r, false)).collect(),
         hits: HashMap::new(),
         fired: Vec::new(),
-    });
-    ARMED.store(true, Ordering::SeqCst);
-    FaultGuard { _serial: serial }
+    })));
+    adopt(Some(armed.clone()));
+    FaultGuard { plan: armed, _thread: PhantomData }
 }
 
-/// Whether any schedule is currently armed.
-pub fn is_armed() -> bool {
-    ARMED.load(Ordering::Relaxed)
+/// The calling thread's plan: armed here or adopted, `None` when unarmed.
+pub fn current() -> Option<ArmedPlan> {
+    PLAN.with_borrow(Option::clone)
 }
 
-/// Keeps a schedule armed; dropping it disarms every site and discards the
-/// schedule. Holds the global arming lock, so at most one exists at a time.
+/// Makes `plan` the calling thread's plan, so a thread started on behalf of
+/// an armed caller (an executor worker) shares its caller's schedule: hit
+/// counts, fired log and all. Pass [`current`] from the starting thread.
+pub fn adopt(plan: Option<ArmedPlan>) {
+    PLAN.set(plan);
+}
+
+/// Keeps a schedule armed on the thread that armed it; dropping it disarms
+/// that thread and discards the schedule. Not `Send`: it must be dropped
+/// on the thread it disarms.
 pub struct FaultGuard {
-    _serial: MutexGuard<'static, ()>,
+    plan: ArmedPlan,
+    _thread: PhantomData<*const ()>,
 }
 
 impl FaultGuard {
     /// The faults that have fired so far, in firing order.
     pub fn fired(&self) -> Vec<FiredFault> {
-        lock(&PLAN).as_ref().map(|s| s.fired.clone()).unwrap_or_default()
+        self.plan.0.lock().unwrap_or_else(PoisonError::into_inner).fired.clone()
     }
 
     /// Whether any fault fired at `site`.
@@ -215,28 +224,27 @@ impl FaultGuard {
 
 impl Drop for FaultGuard {
     fn drop(&mut self) {
-        ARMED.store(false, Ordering::SeqCst);
-        *lock(&PLAN) = None;
+        PLAN.take();
     }
 }
 
-/// A failpoint. Unarmed this is one relaxed load and a branch; armed it
-/// counts the hit, fires any due rule (panicking or sleeping right here),
-/// and returns what the caller should do.
+/// A failpoint. Unarmed this is one thread-local read and a branch; armed
+/// it counts the hit, fires any due rule (panicking or sleeping right
+/// here), and returns what the caller should do.
 #[inline]
 pub fn hit(site: &'static str) -> Signal {
-    if !ARMED.load(Ordering::Relaxed) {
-        return Signal::Proceed;
+    match current() {
+        None => Signal::Proceed,
+        Some(plan) => hit_armed(&plan, site),
     }
-    hit_armed(site)
 }
 
 #[cold]
-fn hit_armed(site: &'static str) -> Signal {
-    let mut guard = lock(&PLAN);
-    let Some(state) = guard.as_mut() else {
-        return Signal::Proceed;
-    };
+fn hit_armed(plan: &ArmedPlan, site: &'static str) -> Signal {
+    // An injected panic fires after the unlock below, and every update
+    // leaves the state consistent, so a poisoned lock is safe to recover.
+    let mut guard = plan.0.lock().unwrap_or_else(PoisonError::into_inner);
+    let state = &mut *guard;
     let counter = state.hits.entry(site).or_insert(0);
     let n = *counter;
     *counter += 1;
@@ -286,12 +294,8 @@ mod tests {
 
     #[test]
     fn unarmed_site_proceeds() {
-        // No guard in this thread of execution: the site is a no-op. (If a
-        // concurrently running test armed a schedule, `arm` below would
-        // block until it finished, so only check the cheap invariant here.)
-        let guard = arm(FaultPlan::new());
+        assert!(current().is_none());
         assert_eq!(hit(EXECUTOR_WORKER), Signal::Proceed);
-        assert!(guard.fired().is_empty());
     }
 
     #[test]
@@ -332,9 +336,45 @@ mod tests {
     #[test]
     fn drop_disarms() {
         let guard = arm(FaultPlan::new().rule(INCR_JUDGE_BATCH, 0, FaultAction::Cancel));
-        assert!(is_armed());
+        assert!(current().is_some());
         drop(guard);
+        assert!(current().is_none());
         assert_eq!(hit(INCR_JUDGE_BATCH), Signal::Proceed);
+    }
+
+    #[test]
+    fn plan_stays_on_the_arming_thread() {
+        let guard = arm(FaultPlan::new().rule(SERVE_PUBLISH, 0, FaultAction::Cancel));
+        // A thread spawned while the plan is armed neither fires the rule
+        // nor uses up its hit.
+        let other = std::thread::spawn(|| hit(SERVE_PUBLISH)).join().unwrap();
+        assert_eq!(other, Signal::Proceed);
+        assert_eq!(hit(SERVE_PUBLISH), Signal::Cancel); // hit 0, here
+        assert_eq!(hit(SERVE_PUBLISH), Signal::Proceed);
+        assert_eq!(guard.fired().len(), 1);
+    }
+
+    #[test]
+    fn adopted_plan_shares_hits_and_fired_log() {
+        let guard = arm(FaultPlan::new().rule(INCR_REFRESH, 1, FaultAction::Cancel));
+        assert_eq!(hit(INCR_REFRESH), Signal::Proceed); // hit 0, here
+        let plan = current();
+        let other = std::thread::spawn(move || {
+            adopt(plan);
+            hit(INCR_REFRESH) // hit 1, on the adopting thread
+        });
+        assert_eq!(other.join().unwrap(), Signal::Cancel);
+        assert_eq!(
+            guard.fired(),
+            vec![FiredFault { site: INCR_REFRESH, action: FaultAction::Cancel, hit: 1 }]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "this thread already has a fault plan")]
+    fn arming_twice_on_one_thread_panics() {
+        let _first = arm(FaultPlan::new());
+        let _second = arm(FaultPlan::new());
     }
 
     #[test]

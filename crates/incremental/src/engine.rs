@@ -664,6 +664,8 @@ impl IncrementalDiscovery {
             CachedJudge::new(&mut validator, &mut self.cache, enc, live, deltas, appended > 0);
         let mut m = OdSet::new();
 
+        // Level 0 is built under level 1's span (none without attributes).
+        let level1_span = (n_attrs > 0).then(|| obs.span("level1"));
         let mut levels: Vec<Level> = vec![build_level0_masked(live, n_attrs)];
         // The unit partition has one all-live-rows class: any append lands
         // in it. (Delete dirt is tracked by the judge's per-node deltas,
@@ -678,7 +680,6 @@ impl IncrementalDiscovery {
             // single-attribute partitions (already compacted by the
             // snapshot-wide tombstone removal above); the per-partition
             // append delta is the ground truth of append-dirtiness.
-            let level1_span = obs.span("level1");
             let mut level1 = Level::with_capacity(n_attrs);
             for a in 0..n_attrs {
                 let bits = AttrSet::singleton(a).bits();

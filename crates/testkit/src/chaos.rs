@@ -137,7 +137,7 @@ pub fn run_chaos(scenario: &Scenario, seed: u64, threads: usize) -> ChaosReport 
         .unwrap_or_else(|e| panic!("{}", tag(&format!("open failed: {e}"))));
 
     // Arm *after* the initial discovery: the schedule budget belongs to the
-    // replay. The guard serializes chaos runs process-wide and disarms on
+    // replay, which runs every pass on this thread. The guard disarms on
     // drop (even if an assertion below panics).
     let guard = faultkit::arm(faultkit::FaultPlan::seeded(seed));
 

@@ -204,9 +204,6 @@ proptest! {
 /// restores the full answer.
 #[test]
 fn zero_deadline_pass_fails_and_recovers() {
-    // An empty plan injects nothing but holds the process-wide arming lock,
-    // so no other test's schedule can fire inside this one.
-    let _no_faults = faultkit::arm(faultkit::FaultPlan::new());
     let base = random_relation(40, 4, 3, 7);
     let server = Server::new(ServeConfig {
         discovery: DiscoveryConfig::default()
@@ -236,7 +233,6 @@ fn zero_deadline_pass_fails_and_recovers() {
 /// a deadline `cancel` token bounds `Fastod::discover`.
 #[test]
 fn one_shot_ignores_pass_deadline() {
-    let _no_faults = faultkit::arm(faultkit::FaultPlan::new());
     let rel = random_relation(30, 3, 3, 9);
     let cfg = DiscoveryConfig::default()
         .with_pass_deadline(std::time::Duration::ZERO)
