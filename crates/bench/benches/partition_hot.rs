@@ -11,6 +11,11 @@
 //! ([`ProductScratch::arena_bytes`] stays constant — the assertion below
 //! fails the bench run if reuse breaks and buffers start reallocating).
 //!
+//! The `swap_{sweep,tau}_{small,large}_classes` rows time both order
+//! kernels on both sides of the validator's choice between them (sweep iff
+//! a context's classes average at most 1024 rows), so the crossover that
+//! choice encodes can be re-measured.
+//!
 //! The `*_noop_obs` rows pin the disabled-recorder contract of `fastod-obs`:
 //! the same work plus a per-iteration counter add and span guard must cost
 //! the same as the bare row — the no-op sink is how instrumented production
@@ -20,7 +25,8 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fastod_datagen::{flight_like, ncvoter_like};
 use fastod_obs::Obs;
 use fastod_partition::{
-    check_constancy, check_order_compat_sweep, ProductScratch, StrippedPartition, SwapScratch,
+    check_constancy, check_order_compat, check_order_compat_sweep, ProductScratch, SortedColumn,
+    StrippedPartition, SwapScratch,
 };
 
 fn bench_partition_hot(c: &mut Criterion) {
@@ -60,6 +66,65 @@ fn bench_partition_hot(c: &mut Criterion) {
             )
         })
     });
+
+    // A product whose split operand is mostly 2- and 3-row classes, as at
+    // deep lattice levels: Π*_{carrier,flight_num} (about 5 rows a class)
+    // probed, Π*_{day,flight_num} split, with the same steady-state check.
+    let (day, flight_num) = (2, 6);
+    let p_flight_num =
+        StrippedPartition::from_codes(enc.codes(flight_num), enc.cardinality(flight_num));
+    let p_day = StrippedPartition::from_codes(enc.codes(day), enc.cardinality(day));
+    let p_carrier_flight = p_carrier.product_simple(&p_flight_num);
+    let p_day_flight = p_day.product_simple(&p_flight_num);
+    let small = p_day_flight
+        .classes()
+        .iter()
+        .filter(|c| c.len() <= 3)
+        .count();
+    assert!(
+        small * 10 >= p_day_flight.n_classes() * 9,
+        "split operand has large classes"
+    );
+    group.bench_function("csr_product_small_classes", |b| {
+        let mut scratch = ProductScratch::new();
+        let _ = p_carrier_flight.product(&p_day_flight, &mut scratch);
+        let arena_after_warmup = scratch.arena_bytes();
+        assert!(arena_after_warmup > 0);
+        b.iter(|| {
+            let p = black_box(&p_carrier_flight).product(black_box(&p_day_flight), &mut scratch);
+            assert_eq!(
+                scratch.arena_bytes(),
+                arena_after_warmup,
+                "scratch arena grew in steady state"
+            );
+            p
+        })
+    });
+
+    // Both order kernels on `flight_num ~ year`, which holds (year is
+    // constant), so each scans its whole context: Π*_{carrier,flight_num}
+    // (about 5 rows a class) and Π*_{carrier} (about 2500). flight_num is
+    // random within a class, so the sweep really sorts; an `A` that rises
+    // with the row id, such as flight_sk, hands it presorted classes. The
+    // τ-scan loads its class map on every check (no context token).
+    let (year, a_codes) = (enc.codes(0), enc.codes(flight_num));
+    let tau_flight = SortedColumn::build(a_codes, enc.cardinality(flight_num));
+    for (name, ctx) in [("small", &p_carrier_flight), ("large", &p_carrier)] {
+        assert!(check_order_compat_sweep(
+            ctx,
+            a_codes,
+            year,
+            &mut SwapScratch::new()
+        ));
+        group.bench_function(format!("swap_sweep_{name}_classes"), |b| {
+            let mut scratch = SwapScratch::new();
+            b.iter(|| check_order_compat_sweep(black_box(ctx), a_codes, year, &mut scratch))
+        });
+        group.bench_function(format!("swap_tau_{name}_classes"), |b| {
+            let mut scratch = SwapScratch::new();
+            b.iter(|| check_order_compat(black_box(ctx), &tau_flight, year, &mut scratch, None))
+        });
+    }
 
     group.bench_function("constancy_sweep_20k", |b| {
         b.iter(|| check_constancy(black_box(&p_carrier), black_box(enc.codes(7))))

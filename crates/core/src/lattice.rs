@@ -47,7 +47,7 @@ pub fn sorted_keys(level: &Level) -> Vec<u64> {
 ///
 /// `pool` holds one [`ProductScratch`] arena per worker and persists across
 /// calls — the lattice driver passes the same pool for every level, so the
-/// row-indexed probe/stamp buffers grown at level 2 are reused all the way
+/// row-indexed slot arrays grown at level 2 are reused all the way
 /// to the deepest level instead of being reallocated per node. The produced
 /// level is identical at any thread count (products are pure; the join
 /// list is deterministic).
@@ -175,7 +175,14 @@ pub fn run_joins(
             // always, an absorb when it outgrew them.
             let (join, allocated) = match action {
                 JoinAction::Product => {
-                    let product = level[&y.bits()].partition.product(parent, scratch);
+                    // Splitting costs more per row than probing, so split
+                    // the operand that covers fewer rows.
+                    let sibling = &level[&y.bits()].partition;
+                    let product = if sibling.covered_rows() >= parent.covered_rows() {
+                        sibling.product(parent, scratch)
+                    } else {
+                        parent.product(sibling, scratch)
+                    };
                     (JoinResult::Product(product), true)
                 }
                 JoinAction::Absorb { mut partition, codes, cardinality } => {

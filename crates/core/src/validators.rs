@@ -2,7 +2,8 @@
 //!
 //! The exact validator implements §4.6 (error rates, τ-scans, key pruning)
 //! plus two additions over the paper: a per-class **sort-then-sweep** swap
-//! check used when a context covers few rows (see
+//! check used when a context's classes average at most 1024 rows, which at
+//! deep lattice levels is nearly every context (see
 //! [`fastod_partition::check_order_compat_sweep`]), and a **batched** entry
 //! point ([`OdValidator::validate_batch`]) that judges a whole lattice
 //! level's candidates as one map over the worker threads of a
@@ -25,9 +26,21 @@ use fastod_partition::{
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::sync::OnceLock;
 
-/// When the covered rows of a context are below `|r| / SWEEP_DENSITY_CUTOFF`,
-/// the sort-then-sweep swap check beats the `O(|r|)` τ-scan.
-const SWEEP_DENSITY_CUTOFF: usize = 4;
+/// The largest average class size, in rows, at which a context's order
+/// checks sort and sweep each class instead of τ-scanning all of `|r|`.
+/// Measured on every order check of flight-like and voter-like lattices
+/// (15k–300k rows): the τ-scan wins only above about this size, and 512,
+/// 1024 and 2048 stay within 8% of each other.
+const SWEEP_MAX_AVG_CLASS: usize = 1024;
+
+/// Whether the order checks of `ctx` sort and sweep: its classes average
+/// at most [`SWEEP_MAX_AVG_CLASS`] rows. A superkey context has no classes
+/// and sweeps nothing. Most order checks fail, and the sweep stops at the
+/// first class that holds a swap, while the τ-scan walks every class in
+/// `A`-order at once; only large classes make its presorted walk pay.
+fn sweeps(ctx: &StrippedPartition) -> bool {
+    ctx.covered_rows() <= SWEEP_MAX_AVG_CLASS.saturating_mul(ctx.n_classes())
+}
 
 /// One candidate-OD validation with its partition inputs resolved — the unit
 /// of work sharded across the executor's threads.
@@ -245,7 +258,8 @@ pub struct ExactValidator<'a> {
     /// `OnceLock`). One-shot discovery touches (nearly) every attribute
     /// anyway, but incremental maintenance passes often validate almost
     /// nothing — they must not pay O(n) per attribute up front; and contexts
-    /// sparse enough for the sort-then-sweep path never need `τ_A` at all.
+    /// with small classes take the sort-then-sweep path and never need
+    /// `τ_A` at all.
     taus: Vec<OnceLock<SortedColumn>>,
     /// Per-worker scratch arenas, persisted across lattice levels.
     pools: Vec<SwapScratch>,
@@ -280,7 +294,8 @@ fn exact_constancy(
 }
 
 /// The order-compatibility verdict, shared by the per-task method and the
-/// batch: sort-then-sweep for sparse contexts, τ-scan otherwise.
+/// batch: sort-then-sweep for small-class contexts ([`sweeps`]), τ-scan
+/// otherwise.
 fn exact_order_compat(
     enc: &EncodedRelation,
     taus: &[OnceLock<SortedColumn>],
@@ -290,8 +305,7 @@ fn exact_order_compat(
     a: AttrId,
     b: AttrId,
 ) -> bool {
-    let covered = ctx.covered_rows();
-    if covered.saturating_mul(SWEEP_DENSITY_CUTOFF) < ctx.n_rows() {
+    if sweeps(ctx) {
         return check_order_compat_sweep(ctx, enc.codes(a), enc.codes(b), scratch);
     }
     let tau = taus[a].get_or_init(|| SortedColumn::build(enc.codes(a), enc.cardinality(a)));
@@ -336,7 +350,9 @@ impl OdValidator for ExactValidator<'_> {
     ) -> Result<Vec<bool>, PassError> {
         tally_stats(tasks, stats);
         let (enc, fd_mode, taus) = (self.enc, self.fd_mode, &self.taus);
-        if tasks.len() >= exec.threads() || tasks.len() < 2 {
+        let task_sharded = tasks.len() >= exec.threads() || tasks.len() < 2;
+        count_order_kernels(tasks, task_sharded, exec);
+        if task_sharded {
             // Task-level sharding: one candidate validation per work item.
             return exec.try_map_with(
                 &mut self.pools,
@@ -361,10 +377,10 @@ impl OdValidator for ExactValidator<'_> {
         }
         // Fewer tasks than workers (typical at the lowest lattice levels,
         // where each scan is largest): shard each task's *classes* instead.
-        // Contexts too dense to split (a single chunk — e.g. the unit
-        // partition's one all-rows class) gain nothing from sharding and
-        // fall back to the single-task heuristic scan (τ-scan on dense
-        // contexts), so this branch never regresses below the task map.
+        // A context of one class (e.g. the unit partition's all-rows
+        // class) gains nothing from sharding and falls back to the
+        // single-task kernel choice ([`sweeps`]), so this branch never
+        // regresses below the task map.
         let mut verdicts = Vec::with_capacity(tasks.len());
         for task in tasks {
             cancel.check()?;
@@ -436,9 +452,10 @@ impl OdValidator for ExactValidator<'_> {
     }
 
     /// Key pruning and the split scan for constancy; for order
-    /// compatibility the same density heuristic as the boolean check —
-    /// sort-then-sweep on sparse contexts, the early-exit `τ`-scan (no
-    /// per-class sorting) on dense ones.
+    /// compatibility the same kernel choice as the boolean check —
+    /// sort-then-sweep on small-class contexts, the early-exit `τ`-scan
+    /// (no per-class sorting) on contexts whose classes average more than
+    /// 1024 rows.
     fn find_violation(&mut self, task: &ValidationTask<'_>) -> ViolationWitness {
         let (enc, taus) = (self.enc, &self.taus);
         exact_find_violation(enc, taus, &mut self.pools[0], task)
@@ -471,7 +488,7 @@ fn exact_find_violation(
             find_constancy_violation(parent, enc.codes(rhs))
         }
         ValidationTask::OrderCompat { a, b, ctx, .. } => {
-            if ctx.covered_rows().saturating_mul(SWEEP_DENSITY_CUTOFF) < ctx.n_rows() {
+            if sweeps(ctx) {
                 find_swap_sweep(ctx.classes(), enc.codes(a), enc.codes(b))
             } else {
                 let tau =
@@ -484,6 +501,25 @@ fn exact_find_violation(
         Some((s, t)) => ViolationWitness::Pair(s, t),
         None => ViolationWitness::Valid,
     }
+}
+
+/// Adds the batch's order checks to the `validate.order_sweep` and
+/// `validate.order_tau` counters, by the kernel that judges each: the
+/// class-sharded route sweeps every context it can split.
+fn count_order_kernels(tasks: &[ValidationTask<'_>], task_sharded: bool, exec: &Executor) {
+    let (mut sweep, mut tau) = (0u64, 0u64);
+    for task in tasks {
+        if let ValidationTask::OrderCompat { ctx, .. } = task {
+            let split = !task_sharded && class_chunks(ctx, exec.threads()).len() >= 2;
+            if split || sweeps(ctx) {
+                sweep += 1;
+            } else {
+                tau += 1;
+            }
+        }
+    }
+    exec.obs().add("validate.order_sweep", sweep);
+    exec.obs().add("validate.order_tau", tau);
 }
 
 /// Splits a partition's class indices into roughly even contiguous ranges,
@@ -743,6 +779,109 @@ mod tests {
                         "{at}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Both order kernels give the naive verdict at the edge of the rule
+    /// that picks between them: `g`'s classes average 1024 rows (sweep),
+    /// `h`'s 1025 (τ-scan). Every route of the batch counts each check
+    /// under the kernel it names, and a witness is a genuine swap.
+    #[test]
+    fn kernel_choice_changes_no_verdict() {
+        use fastod_theory::validate::canonical_od_holds_naive;
+        use fastod_theory::CanonicalOd;
+        let n = 2100i64;
+        // g: classes 0..1024 and 1024..2048, then singletons. h: even and
+        // odd rows below 2050, then singletons.
+        let g = (0..n)
+            .map(|r| if r < 2048 { r / 1024 } else { r })
+            .collect();
+        let h = (0..n).map(|r| if r < 2050 { r % 2 } else { r }).collect();
+        let a: Vec<i64> = (0..n).map(|r| r / 3).collect();
+        let b_ok: Vec<i64> = (0..n).map(|r| r / 5).collect();
+        // Rows 1500 and 1800 share a class of g and of h; swapping their B
+        // orders them against A.
+        let mut b_bad = b_ok.clone();
+        b_bad.swap(1500, 1800);
+        let e = RelationBuilder::new()
+            .column_i64("g", g)
+            .column_i64("h", h)
+            .column_i64("a", a)
+            .column_i64("b_ok", b_ok)
+            .column_i64("b_bad", b_bad)
+            .build()
+            .unwrap()
+            .encode();
+        let pg = StrippedPartition::from_codes(e.codes(0), e.cardinality(0));
+        let ph = StrippedPartition::from_codes(e.codes(1), e.cardinality(1));
+        assert!(sweeps(&pg) && !sweeps(&ph));
+        let mut tasks = Vec::new();
+        for (ctx_attr, ctx) in [(0, &pg), (1, &ph)] {
+            for b in [3, 4] {
+                tasks.push(ValidationTask::OrderCompat {
+                    ctx_set: AttrSet::singleton(ctx_attr),
+                    a: 2,
+                    b,
+                    ctx,
+                });
+            }
+        }
+        let naive: Vec<bool> = tasks
+            .iter()
+            .map(|task| match *task {
+                ValidationTask::OrderCompat { ctx_set, a, b, .. } => {
+                    canonical_od_holds_naive(&e, &CanonicalOd::order_compat(ctx_set, a, b))
+                }
+                ValidationTask::Constancy { .. } => unreachable!("order checks only"),
+            })
+            .collect();
+        assert_eq!(naive, [true, false, true, false]);
+        let cancel = CancelToken::never();
+        // 4 tasks on 8 threads take the class-sharded route.
+        for threads in [1, 2, 8] {
+            let obs = fastod_obs::Obs::enabled();
+            let exec = Executor::with_obs(threads, obs.clone());
+            let mut v = ExactValidator::new(&e, FdCheckMode::ErrorRate);
+            let mut stats = LevelStats::default();
+            let got = v
+                .validate_batch(&tasks, &exec, &cancel, &mut stats)
+                .unwrap();
+            assert_eq!(got, naive, "threads={threads}");
+            let snap = obs.snapshot();
+            let (sweep, tau) = if threads == 8 { (4, 0) } else { (2, 2) };
+            assert_eq!(
+                snap.counter("validate.order_sweep"),
+                Some(sweep),
+                "threads={threads}"
+            );
+            assert_eq!(
+                snap.counter("validate.order_tau"),
+                Some(tau),
+                "threads={threads}"
+            );
+        }
+        let mut v = ExactValidator::new(&e, FdCheckMode::ErrorRate);
+        for (task, holds) in tasks.iter().zip(naive) {
+            let ValidationTask::OrderCompat { a, b, ctx, .. } = *task else {
+                unreachable!("order checks only")
+            };
+            match v.find_violation(task) {
+                ViolationWitness::Valid => assert!(holds),
+                ViolationWitness::Pair(s, t) => {
+                    assert!(!holds);
+                    let (s, t) = (s as usize, t as usize);
+                    assert!(ctx
+                        .classes()
+                        .iter()
+                        .any(|c| c.contains(&(s as u32)) && c.contains(&(t as u32))));
+                    let (ca, cb) = (e.cmp_attr(a, s, t), e.cmp_attr(b, s, t));
+                    assert!(
+                        ca != std::cmp::Ordering::Equal && ca == cb.reverse(),
+                        "({s}, {t})"
+                    );
+                }
+                ViolationWitness::Unsupported => panic!("the exact validator finds witnesses"),
             }
         }
     }

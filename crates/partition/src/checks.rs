@@ -100,16 +100,18 @@ pub fn find_swap(
 
 /// Checks `X: A ~ B` by per-class **sort-then-sweep** instead of the full
 /// `τ_A` walk: each class's `(A, B)` code pairs are collected, sorted, and
-/// swept once for a swap. Cost is `O(Σ |E| log |E|)` over the classes of
-/// `Π*_X` — independent of the relation size, so it beats the `O(|r|)`
-/// τ-scan whenever the context's covered rows are a small fraction of the
-/// relation (deep lattice levels, incremental re-validations). It also
-/// replaces the naive `O(|E|²)` all-pairs scan that capped the brute-force
-/// oracle at 6 attributes.
+/// swept once for a swap, and the check stops at the first class that
+/// holds one. Cost is `O(Σ |E| log |E|)` over the classes of `Π*_X` —
+/// independent of the relation size. It also replaces the naive
+/// `O(|E|²)` all-pairs scan that capped the brute-force oracle at 6
+/// attributes.
 ///
 /// The verdict is identical to [`check_order_compat`]; which one is faster
-/// depends on `||Π*_X||` versus `|r|` (see `ExactValidator` in `fastod` for
-/// the selection heuristic).
+/// depends on the average class size `||Π*_X|| / |Π*_X|`. Sorting small
+/// classes is cheap, and most checks fail early in some class, while the
+/// τ-scan walks every class at once in `A`-order; only classes of more
+/// than about 1024 rows make its presorted walk pay. `ExactValidator` in
+/// `fastod` picks the kernel by that rule.
 pub fn check_order_compat_sweep(
     ctx: &StrippedPartition,
     codes_a: &[u32],

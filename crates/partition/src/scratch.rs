@@ -11,15 +11,16 @@ use crate::StrippedPartition;
 /// [`StrippedPartition::absorb_append`].
 ///
 /// Everything they touch is a flat, row- or key-indexed array that
-/// persists across calls: the probe/stamp maps and a `ClassSplitter`
-/// with its CSR output buffers, which the caller copies out at exact size.
-/// Zero per-class allocations, ever.
+/// persists across calls: one slot per row and a `ClassSplitter` with its
+/// CSR output buffers, which the caller copies out at exact size. A slot
+/// packs `epoch << 32 | class`, as [`ClassMap`] does, so a probed row
+/// costs one read, and a stale epoch means the row was not stamped in
+/// this call. Zero per-class allocations, ever.
 #[derive(Default)]
 pub struct ProductScratch {
-    /// `probe[row]` = class index in the LHS partition (valid only when
-    /// `stamp[row]` equals the current epoch).
-    pub(crate) probe: Vec<u32>,
-    pub(crate) stamp: Vec<u32>,
+    /// `epoch << 32 | class` per row: the row's class in the probed
+    /// operand (the product), or just the stamp (the absorb).
+    pub(crate) slots: Vec<u64>,
     pub(crate) epoch: u32,
     pub(crate) split: ClassSplitter,
 }
@@ -36,33 +37,38 @@ impl ProductScratch {
     /// criterion bench).
     pub fn arena_bytes(&self) -> usize {
         let split = &self.split;
-        (self.probe.capacity()
-            + self.stamp.capacity()
-            + split.count.capacity()
-            + split.cursor.capacity()
-            + split.touched.capacity()
-            + split.rows.capacity()
-            + split.offsets.capacity())
-            * std::mem::size_of::<u32>()
+        self.slots.capacity() * std::mem::size_of::<u64>()
+            + (split.count.capacity()
+                + split.cursor.capacity()
+                + split.touched.capacity()
+                + split.rows.capacity()
+                + split.offsets.capacity())
+                * std::mem::size_of::<u32>()
     }
 
     /// Prepares the scratch for a call over `n_rows` rows that splits
     /// classes by keys below `n_keys`, with empty split output; returns the
     /// epoch for this call.
     pub(crate) fn begin(&mut self, n_rows: usize, n_keys: usize) -> u32 {
-        if self.probe.len() < n_rows {
-            self.probe.resize(n_rows, 0);
-            self.stamp.resize(n_rows, 0);
+        if self.slots.len() < n_rows {
+            self.slots.resize(n_rows, 0);
         }
         self.split.reset(n_keys);
         // On wrap-around the stale stamps could collide; reset then.
         if self.epoch == u32::MAX {
-            self.stamp.fill(0);
+            self.slots.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
         self.epoch
     }
+}
+
+/// The class a slot of [`ProductScratch::slots`] holds, if the slot was
+/// stamped at `epoch`.
+#[inline]
+pub(crate) fn slot_class(slot: u64, epoch: u32) -> Option<u32> {
+    ((slot >> 32) as u32 == epoch).then_some(slot as u32)
 }
 
 /// Splits classes into groups of rows with equal key and collects the
@@ -99,8 +105,46 @@ impl ClassSplitter {
     /// Appends the groups of `class` by `key` (rows keyed `None` are
     /// skipped) in first-encounter order, each keeping the class's row
     /// order, and records each group's end as `base + end in rows`.
+    ///
+    /// Classes of 2 and 3 rows, most of them at deep lattice levels,
+    /// compare their keys directly: they hold at most one group of ≥ 2
+    /// rows, so there is no order to keep between groups.
     #[inline]
     pub(crate) fn split(&mut self, class: &[u32], key: impl Fn(u32) -> Option<u32>, base: u32) {
+        match *class {
+            [r0, r1] => {
+                let k0 = key(r0);
+                if k0.is_some() && k0 == key(r1) {
+                    self.push_group(&[r0, r1], base);
+                }
+            }
+            [r0, r1, r2] => {
+                let (k0, k1, k2) = (key(r0), key(r1), key(r2));
+                if k0.is_some() && k0 == k1 {
+                    if k1 == k2 {
+                        self.push_group(&[r0, r1, r2], base);
+                    } else {
+                        self.push_group(&[r0, r1], base);
+                    }
+                } else if k0.is_some() && k0 == k2 {
+                    self.push_group(&[r0, r2], base);
+                } else if k1.is_some() && k1 == k2 {
+                    self.push_group(&[r1, r2], base);
+                }
+            }
+            _ => self.split_counted(class, key, base),
+        }
+    }
+
+    fn push_group(&mut self, group: &[u32], base: u32) {
+        self.rows.extend_from_slice(group);
+        self.offsets.push(base + self.rows.len() as u32);
+    }
+
+    /// [`ClassSplitter::split`] for any class: count the rows per key,
+    /// then place each group's rows at its cursor.
+    #[inline]
+    fn split_counted(&mut self, class: &[u32], key: impl Fn(u32) -> Option<u32>, base: u32) {
         self.touched.clear();
         for &row in class {
             if let Some(k) = key(row) {

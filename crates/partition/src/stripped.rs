@@ -1,6 +1,6 @@
 //! Stripped partitions `Π*_X` and their products, in a flat CSR layout.
 
-use crate::scratch::ProductScratch;
+use crate::scratch::{slot_class, ProductScratch};
 
 /// Outcome of [`StrippedPartition::append_codes`]: `new_covered` drives the
 /// incremental engine's dirty-node tracking via [`AppendDelta::is_dirty`].
@@ -766,11 +766,12 @@ impl StrippedPartition {
         }
         let gained = |class: &&[u32]| class.last().is_some_and(|&row| row as usize >= old_n);
         let epoch = scratch.begin(new_n, cardinality as usize);
-        let stamp = &mut scratch.stamp;
+        let slots = &mut scratch.slots;
+        let tag = u64::from(epoch) << 32;
         for class in parent.classes().iter().filter(gained) {
             debug_assert!(class.is_sorted(), "parent classes must keep rows ascending");
             for &row in class {
-                stamp[row as usize] = epoch;
+                slots[row as usize] = tag;
             }
         }
 
@@ -780,7 +781,8 @@ impl StrippedPartition {
         let mut cursor = Compaction { read: 0, write: 0, out_classes: 0 };
         let mut run_from = 0usize;
         for ci in 0..self.n_classes() {
-            if stamp[self.rows[self.class_offsets[ci] as usize] as usize] == epoch {
+            let first = self.rows[self.class_offsets[ci] as usize];
+            if slot_class(slots[first as usize], epoch).is_some() {
                 self.move_class_run(run_from..ci, &mut cursor);
                 cursor.read = self.class_offsets[ci + 1] as usize;
                 run_from = ci + 1;
@@ -893,6 +895,12 @@ impl StrippedPartition {
     /// caller-owned so hot paths (the lattice driver keeps one per worker
     /// thread) reuse all working memory across millions of products.
     ///
+    /// `self` is probed (one slot write per covered row) and `other` is
+    /// split (a slot read and a key comparison per covered row), so the
+    /// product is cheapest with the operand that covers fewer rows as
+    /// `other`; the result is the same partition either way, with its
+    /// classes in `other`'s order.
+    ///
     /// ```
     /// use fastod_partition::{ProductScratch, StrippedPartition};
     ///
@@ -911,11 +919,12 @@ impl StrippedPartition {
     ) -> StrippedPartition {
         debug_assert_eq!(self.n_rows, other.n_rows);
         let epoch = scratch.begin(self.n_rows, self.n_classes());
-        let (probe, stamp) = (&mut scratch.probe, &mut scratch.stamp);
+        let slots = &mut scratch.slots;
+        let tag = u64::from(epoch) << 32;
         for (ci, class) in self.classes().iter().enumerate() {
+            let slot = tag | ci as u64;
             for &row in class {
-                probe[row as usize] = ci as u32;
-                stamp[row as usize] = epoch;
+                slots[row as usize] = slot;
             }
         }
         // Split every rhs class by LHS class: the groups of ≥ 2 rows are the
@@ -924,11 +933,7 @@ impl StrippedPartition {
         let split = &mut scratch.split;
         split.offsets.push(0);
         for rhs_class in other.classes().iter() {
-            split.split(
-                rhs_class,
-                |row| (stamp[row as usize] == epoch).then(|| probe[row as usize]),
-                0,
-            );
+            split.split(rhs_class, |row| slot_class(slots[row as usize], epoch), 0);
         }
         StrippedPartition::from_csr(self.n_rows, split.rows.clone(), split.offsets.clone())
     }
@@ -1030,6 +1035,47 @@ mod tests {
         let y = part(6, &[&[0, 1], &[2, 3, 4, 5]]);
         let xy = x.product_simple(&y);
         assert_eq!(xy.normalized(), vec![vec![0, 1], vec![2, 3], vec![4, 5]]);
+    }
+
+    /// The exact bytes of a product whose split operand has classes of 2,
+    /// 3 and 5 rows, some with rows that are singletons in the probed one:
+    /// groups come in first-encounter order, and rows absent from the
+    /// probed operand never pair with each other.
+    #[test]
+    fn product_bytes_over_small_classes() {
+        let probed = part(
+            30,
+            &[
+                &[0, 1, 5, 8, 9, 13, 27, 28],
+                &[2, 3, 6, 10, 11, 24, 25, 26],
+                &[4, 7, 12, 14, 29],
+            ],
+        );
+        // Rows 15..=23 are singletons in `probed`.
+        let split = part(
+            30,
+            &[
+                &[0, 1],             // one class: [0, 1]
+                &[2, 4],             // two classes: none
+                &[15, 16],           // both absent: none
+                &[3, 5, 6],          // first and last: [3, 6]
+                &[9, 10, 11],        // last two: [10, 11]
+                &[17, 18, 19],       // all absent: none
+                &[7, 8, 13, 14, 20], // [7, 14] first encountered, then [8, 13]
+                &[12, 21],           // one absent: none
+                &[24, 25, 26],       // all three
+                &[27, 28, 29],       // first two: [27, 28]
+            ],
+        );
+        let rows: &[u32] = &[0, 1, 3, 6, 10, 11, 7, 14, 8, 13, 24, 25, 26, 27, 28];
+        let offsets: &[u32] = &[0, 2, 4, 6, 8, 10, 13, 15];
+        let mut scratch = ProductScratch::new();
+        for _ in 0..2 {
+            assert_eq!(
+                probed.product(&split, &mut scratch).raw_csr(),
+                (rows, offsets)
+            );
+        }
     }
 
     #[test]

@@ -173,20 +173,17 @@ impl<R: BufRead> Records<R> {
     }
 
     /// The column names once every record is read: the header's, which
-    /// must match the records' field count, or `c0, c1, ...`. Without
-    /// records there are no columns, header or not.
+    /// must match the records' field count, or `c0, c1, ...`. A header
+    /// with no records still names its columns; without either there are
+    /// none.
     pub(crate) fn into_names(self) -> Result<Vec<String>, RelationError> {
-        let n = self.n_fields.unwrap_or(0);
-        match self.header {
-            Some(h) if n > 0 && h.len() != n => Err(RelationError::Csv {
+        match (self.header, self.n_fields) {
+            (Some(h), Some(n)) if h.len() != n => Err(RelationError::Csv {
                 line: 1,
                 message: format!("header has {} fields but rows have {}", h.len(), n),
             }),
-            Some(mut h) => {
-                h.truncate(n);
-                Ok(h)
-            }
-            None => Ok((0..n).map(|i| format!("c{i}")).collect()),
+            (Some(h), _) => Ok(h),
+            (None, n) => Ok((0..n.unwrap_or(0)).map(|i| format!("c{i}")).collect()),
         }
     }
 }
@@ -318,6 +315,8 @@ pub fn read_csv_opts<R: Read>(reader: R, opts: CsvOptions) -> Result<Relation, R
         records.push_to(&mut text);
     }
     let names = records.into_names()?;
+    // A header without rows names columns no record created.
+    text.resize_with(names.len(), TextColumn::default);
 
     let mut builder = RelationBuilder::new();
     if let Some(policy) = opts.null_policy {

@@ -207,6 +207,7 @@ pub fn read_csv_stream<R: Read + Seek>(
     }
     let names = records.into_names()?;
     let n_cols = names.len();
+    cols.resize_with(n_cols, Pass1Col::default);
     let has_nulls: Vec<bool> = cols.iter().map(|c| c.has_nulls).collect();
     require_policy(opts, &names, &has_nulls)?;
 
@@ -390,8 +391,9 @@ impl<R: Read + Seek> CsvChunks<R> {
                 widen(&mut text);
             }
         }
-        widen(&mut text);
         let names = records.into_names()?;
+        text.resize_with(names.len(), TextColumn::default);
+        widen(&mut text);
         require_policy(opts, &names, &has_nulls)?;
 
         input.seek(SeekFrom::Start(0))?;

@@ -138,6 +138,18 @@ fn trace_matches_discovery_stats() {
     );
     assert!(snapshot.counter("executor.calls").unwrap_or(0) > 0);
     assert!(snapshot.counter("partition.products").unwrap_or(0) > 0);
+    // Every order check is counted once, under the kernel that ran it.
+    // Level 2's unit context (one class of 2000 rows) is τ-scanned; the
+    // small-class contexts of deeper levels are swept.
+    let sweeps = snapshot.counter("validate.order_sweep").unwrap_or(0);
+    let taus = snapshot.counter("validate.order_tau").unwrap_or(0);
+    let swap_checks: usize = stats.levels.iter().map(|l| l.swap_checks).sum();
+    assert_eq!(
+        sweeps + taus,
+        swap_checks as u64,
+        "sweep {sweeps} + tau {taus}"
+    );
+    assert!(sweeps > 0 && taus > 0, "sweep {sweeps}, tau {taus}");
 }
 
 /// A maintenance pass accounts for its own time: the direct children of

@@ -195,8 +195,8 @@ fn truncation_between_passes_is_an_error_not_a_short_relation() {
 
 #[test]
 fn rows_appearing_between_passes_are_an_error_not_a_panic() {
-    // Pass 1 sees no data rows, pass 2 sees one: pass 2 holds the field
-    // count pass 1 found (zero), so the row is rejected at its line.
+    // Pass 1 sees no data rows, pass 2 sees one: its values are in no
+    // dictionary pass 1 built, so the row is rejected at its line.
     let err = read_csv_stream(
         ShrinkingSource::new("a,b\n", "a,b\n1,x\n"),
         CsvOptions::with_header(),
@@ -328,6 +328,13 @@ fn header_only_file_matches() {
     for text in ["a,b\n", "a,b"] {
         assert_equivalent(text, CsvOptions::with_header());
         assert_chunks_equivalent(text, CsvOptions::with_header());
+        // The header names two empty columns in every reader.
+        let rel = read_csv_opts(text.as_bytes(), CsvOptions::with_header()).unwrap();
+        assert_eq!((rel.n_rows(), rel.n_attrs()), (0, 2));
+        assert_eq!(rel.schema().names(), ["a", "b"]);
+        let chunks = CsvChunks::new(Cursor::new(text), CsvOptions::with_header(), 0).unwrap();
+        assert_eq!(chunks.names(), ["a", "b"]);
+        assert_eq!(chunks.types().len(), 2);
     }
 }
 
