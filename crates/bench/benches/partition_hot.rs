@@ -1,15 +1,16 @@
 //! Hot-path micro-benchmarks for the flat CSR partition layout: partition
-//! products, the sort-then-sweep swap check, the chunked constancy sweep,
-//! the CSR append paths (level 1 and lattice) and the delete-side
-//! compaction. These are the operations the layout change was made for —
-//! run them before and after touching `crates/partition` to catch
-//! representation regressions without a full `exp1` sweep.
+//! products and refinements, the sort-then-sweep swap check, the chunked
+//! constancy sweep, the CSR append paths (level 1 and lattice) and the
+//! delete-side compaction. These are the operations the layout change was
+//! made for — run them before and after touching `crates/partition` to
+//! catch representation regressions without a full `exp1` sweep.
 //!
-//! The benches also pin the **scratch-reuse** contract of the product and
-//! the lattice absorb in steady state: after a warm-up call, repeated calls
-//! through the same [`ProductScratch`] must not grow its arena
-//! ([`ProductScratch::arena_bytes`] stays constant — the assertion below
-//! fails the bench run if reuse breaks and buffers start reallocating).
+//! The benches also pin the **scratch-reuse** contract of the product, the
+//! refinement and the lattice absorb in steady state: after a warm-up
+//! call, repeated calls through the same [`ProductScratch`] must not grow
+//! its arena ([`ProductScratch::arena_bytes`] stays constant — the
+//! assertion below fails the bench run if reuse breaks and buffers start
+//! reallocating).
 //!
 //! The `swap_{sweep,tau}_{small,large}_classes` rows time both order
 //! kernels on both sides of the validator's choice between them (sweep iff
@@ -54,6 +55,11 @@ fn bench_partition_hot(c: &mut Criterion) {
             p
         })
     });
+
+    // The lattice's kernel for the same child: the split operand refined
+    // by the probed operand's extra attribute, carrier.
+    let carrier = (enc.codes(5), enc.cardinality(5));
+    bench_refine(&mut group, "csr_refine_20k", &p_orig, carrier, &p_carrier);
 
     group.bench_function("swap_sweep_20k", |b| {
         let mut scratch = SwapScratch::new();
@@ -100,6 +106,8 @@ fn bench_partition_hot(c: &mut Criterion) {
             p
         })
     });
+
+    bench_refine(&mut group, "csr_refine_small_classes", &p_day_flight, carrier, &p_carrier_flight);
 
     // Both order kernels on `flight_num ~ year`, which holds (year is
     // constant), so each scans its whole context: Π*_{carrier,flight_num}
@@ -237,6 +245,34 @@ fn bench_partition_hot(c: &mut Criterion) {
     });
 
     group.finish();
+}
+
+/// A `name` row timing `split.refine(codes, cardinality)`, which must
+/// equal the product that probes `probed` and splits `split` byte for byte,
+/// with the steady-state arena check of the product rows.
+fn bench_refine(
+    group: &mut criterion::BenchmarkGroup<'_>,
+    name: &str,
+    split: &StrippedPartition,
+    (codes, cardinality): (&[u32], u32),
+    probed: &StrippedPartition,
+) {
+    let mut scratch = ProductScratch::new();
+    let refined = split.refine(codes, cardinality, &mut scratch);
+    assert_eq!(refined.raw_csr(), probed.product_simple(split).raw_csr());
+    let arena_after_warmup = scratch.arena_bytes();
+    assert!(arena_after_warmup > 0);
+    group.bench_function(name, |b| {
+        b.iter(|| {
+            let p = black_box(split).refine(codes, cardinality, &mut scratch);
+            assert_eq!(
+                scratch.arena_bytes(),
+                arena_after_warmup,
+                "scratch arena grew in steady state"
+            );
+            p
+        })
+    });
 }
 
 criterion_group!(benches, bench_partition_hot);

@@ -6,6 +6,7 @@ use crate::{CancelToken, PassError};
 use fastod_partition::{AppendDelta, ProductScratch, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::collections::HashMap;
+use std::ops::Index;
 use std::sync::Mutex;
 
 /// A lattice node: the attribute set is the map key; the node carries its
@@ -31,8 +32,104 @@ impl Node {
     }
 }
 
-/// One lattice level `L_l`, keyed by the node's attribute-set bits.
-pub type Level = HashMap<u64, Node>;
+/// One lattice level `L_l`: its nodes keyed by attribute-set bits, and
+/// the relation their partitions cover.
+///
+/// [`calculate_next_level_parallel`] refines each child's partition by a
+/// code column of that relation, and the benchmark's replay pins that
+/// function's signature, so the level carries the relation instead of the
+/// call taking it. [`build_level1`] and [`build_level1_parallel`] set it,
+/// and every level generated from one inherits it. Cloning an
+/// [`EncodedRelation`] shares its columns through `Arc`, so no codes are
+/// copied, and the last level that holds them frees them. [`Level::new`],
+/// [`Level::default`] and the level-0 builders carry no relation, nor do
+/// the levels the incremental engine builds: it passes its own encoding
+/// to [`run_joins`].
+#[derive(Default)]
+pub struct Level {
+    nodes: HashMap<u64, Node>,
+    /// The relation the partitions cover, for generating the next level.
+    pub(crate) relation: Option<EncodedRelation>,
+}
+
+impl Level {
+    /// An empty level without a relation.
+    pub fn new() -> Level {
+        Level::default()
+    }
+
+    /// An empty level without a relation, with room for `n` nodes.
+    pub fn with_capacity(n: usize) -> Level {
+        Level {
+            nodes: HashMap::with_capacity(n),
+            relation: None,
+        }
+    }
+
+    /// Number of nodes.
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the level has no node.
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Whether the level holds the node of `bits`.
+    pub(crate) fn contains_key(&self, bits: &u64) -> bool {
+        self.nodes.contains_key(bits)
+    }
+
+    /// The node of `bits`, if present.
+    pub(crate) fn get(&self, bits: &u64) -> Option<&Node> {
+        self.nodes.get(bits)
+    }
+
+    /// The node of `bits` for mutation, if present.
+    pub(crate) fn get_mut(&mut self, bits: &u64) -> Option<&mut Node> {
+        self.nodes.get_mut(bits)
+    }
+
+    /// Inserts the node of `bits`, returning the node it replaced.
+    pub fn insert(&mut self, bits: u64, node: Node) -> Option<Node> {
+        self.nodes.insert(bits, node)
+    }
+
+    /// Removes and returns the node of `bits`, if present.
+    pub(crate) fn remove(&mut self, bits: &u64) -> Option<Node> {
+        self.nodes.remove(bits)
+    }
+
+    /// Keeps only the nodes for which `keep` returns true.
+    pub(crate) fn retain(&mut self, keep: impl FnMut(&u64, &mut Node) -> bool) {
+        self.nodes.retain(keep);
+    }
+
+    /// The node keys, in arbitrary order (see [`sorted_keys`]).
+    pub fn keys(&self) -> impl Iterator<Item = &u64> {
+        self.nodes.keys()
+    }
+
+    /// The nodes, in arbitrary order.
+    pub fn values(&self) -> impl Iterator<Item = &Node> {
+        self.nodes.values()
+    }
+
+    /// The keys and nodes for mutation, in arbitrary order.
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = (&u64, &mut Node)> {
+        self.nodes.iter_mut()
+    }
+}
+
+impl Index<&u64> for Level {
+    type Output = Node;
+
+    /// The node of `bits`; panics when it is absent.
+    fn index(&self, bits: &u64) -> &Node {
+        &self.nodes[bits]
+    }
+}
 
 /// The keys of a level in ascending bit order (deterministic iteration).
 pub fn sorted_keys(level: &Level) -> Vec<u64> {
@@ -41,16 +138,22 @@ pub fn sorted_keys(level: &Level) -> Vec<u64> {
     keys
 }
 
-/// `calculateNextLevel(L_l)` — Algorithm 2, with every partition the
-/// product of its two generating parents: the generation plan in which
-/// every action is a [`JoinAction::Product`], run by [`run_joins`].
+/// `calculateNextLevel(L_l)` — Algorithm 2, with every child's partition
+/// built from its two generating parents: the generation plan in which
+/// every action is a [`JoinAction::Product`], run by [`run_joins`] over
+/// the relation `level` carries. The returned level carries it too.
 ///
 /// `pool` holds one [`ProductScratch`] arena per worker and persists across
 /// calls — the lattice driver passes the same pool for every level, so the
-/// row-indexed slot arrays grown at level 2 are reused all the way
-/// to the deepest level instead of being reallocated per node. The produced
-/// level is identical at any thread count (products are pure; the join
-/// list is deterministic).
+/// key arrays grown at level 2 are reused all the way to the deepest level
+/// instead of being reallocated per node. The produced level is identical
+/// at any thread count (refinements are pure; the join list is
+/// deterministic).
+///
+/// # Panics
+/// When `level` carries no relation: only a level built by
+/// [`build_level1`], [`build_level1_parallel`] or this function can be
+/// generated from.
 pub fn calculate_next_level_parallel(
     level: &Level,
     n_attrs: usize,
@@ -58,11 +161,16 @@ pub fn calculate_next_level_parallel(
     pool: &mut Vec<ProductScratch>,
     cancel: &CancelToken,
 ) -> Result<Level, PassError> {
+    let enc = level.relation.as_ref().expect(
+        "calculate_next_level_parallel needs a level that carries its relation \
+         (built by build_level1, build_level1_parallel or this function)",
+    );
     cancel.check()?;
     let joins = candidate_joins(level);
     let actions = joins.iter().map(|_| JoinAction::Product).collect();
-    let built = run_joins(level, &joins, actions, false, exec, pool, cancel)?;
+    let built = run_joins(level, enc, &joins, actions, false, exec, pool, cancel)?;
     let mut next = Level::with_capacity(joins.len());
+    next.relation = Some(enc.clone());
     for ((x, _, _), join) in joins.into_iter().zip(built) {
         next.insert(x.bits(), Node::new(join.into_partition(), n_attrs));
     }
@@ -72,21 +180,17 @@ pub fn calculate_next_level_parallel(
 /// How generation obtains the partition of one child `X = Y ∪ Z` of a
 /// [`candidate_joins`] entry `(X, Y, Z)`. A generation plan lists one
 /// action per join, in join order.
-pub enum JoinAction<'a> {
-    /// The product `Π*_Y · Π*_Z` of the two generating parents.
+pub enum JoinAction {
+    /// `Π*_X` from the two generating parents: the parent that covers
+    /// fewer rows, refined by the code column of the other's extra
+    /// attribute ([`StrippedPartition::refine`]; `Z` on a tie). The bytes
+    /// equal the product `Π*_Y · Π*_Z` that splits that parent.
     Product,
     /// A retained `Π*_X` over fewer rows absorbs the appended ones
     /// ([`StrippedPartition::absorb_append`]): the classes of `Π*_Z` that
     /// gained a row are re-split by the code column of the attribute in
     /// `Y ∖ Z`.
-    Absorb {
-        /// The retained partition of `X`.
-        partition: StrippedPartition,
-        /// The code column of the attribute `Y ∖ Z`.
-        codes: &'a [u32],
-        /// That column's cardinality.
-        cardinality: u32,
-    },
+    Absorb(StrippedPartition),
     /// A retained `Π*_X` the mutation provably left unchanged; only its
     /// row count grows to the parents'.
     Reuse(StrippedPartition),
@@ -94,7 +198,7 @@ pub enum JoinAction<'a> {
 
 /// What one [`JoinAction`] produced, in plan order.
 pub enum JoinResult {
-    /// The parents' product.
+    /// The child built from both parents.
     Product(StrippedPartition),
     /// The retained partition after absorbing, with its append delta.
     Absorbed(StrippedPartition, AppendDelta),
@@ -112,10 +216,12 @@ impl JoinResult {
 }
 
 /// Runs a generation plan over `level`: `actions[i]` builds the child of
-/// `joins[i]`. Products and absorbs run on `exec`'s workers, each worker
-/// with its own [`ProductScratch`] from `pool`; reuses only bump a row
-/// count, inline. The results come back in plan order, so whatever the
-/// caller applies from them is independent of the thread count.
+/// `joins[i]`, splitting parent classes by the code columns of `enc`, the
+/// relation the level's partitions cover. Products and absorbs run on
+/// `exec`'s workers, each worker with its own [`ProductScratch`] from
+/// `pool`; reuses only bump a row count, inline. The results come back in
+/// plan order, so whatever the caller applies from them is independent of
+/// the thread count.
 ///
 /// With `caller_heap`, a partition that a spawned worker built, or grew
 /// by absorbing, is copied into the calling thread's heap before it is
@@ -128,10 +234,12 @@ impl JoinResult {
 /// [`PassError::Cancelled`] when `cancel` fires, and
 /// [`PassError::Panicked`] when a worker panics; no result is returned
 /// then, and the retained partitions the plan carried are dropped.
+#[allow(clippy::too_many_arguments)]
 pub fn run_joins(
     level: &Level,
+    enc: &EncodedRelation,
     joins: &[(AttrSet, AttrSet, AttrSet)],
-    actions: Vec<JoinAction<'_>>,
+    actions: Vec<JoinAction>,
     caller_heap: bool,
     exec: &Executor,
     pool: &mut Vec<ProductScratch>,
@@ -141,7 +249,7 @@ pub fn run_joins(
     let mut results: Vec<Option<JoinResult>> = Vec::with_capacity(joins.len());
     // The executor shares its items by reference, so each worker moves its
     // action out of a slot of its own.
-    let mut work: Vec<(usize, Mutex<Option<JoinAction<'_>>>)> = Vec::new();
+    let mut work: Vec<(usize, Mutex<Option<JoinAction>>)> = Vec::new();
     let mut products = 0u64;
     for (i, action) in actions.into_iter().enumerate() {
         match action {
@@ -171,23 +279,31 @@ pub fn run_joins(
                 .expect("a slot is locked only to take its action")
                 .take()
                 .expect("each action runs once");
+            // The code column and cardinality of the one attribute that one
+            // parent adds to the other.
+            let column = |extra: AttrSet| {
+                let a = extra.min_attr().expect("the parents differ");
+                (enc.codes(a), enc.cardinality(a))
+            };
             // Whether this worker allocated the result's buffers: a product
             // always, an absorb when it outgrew them.
             let (join, allocated) = match action {
                 JoinAction::Product => {
-                    // Splitting costs more per row than probing, so split
-                    // the operand that covers fewer rows.
+                    // A refinement costs one key read per row of the
+                    // refined parent, so refine the one that covers fewer.
                     let sibling = &level[&y.bits()].partition;
-                    let product = if sibling.covered_rows() >= parent.covered_rows() {
-                        sibling.product(parent, scratch)
+                    let (split, extra) = if sibling.covered_rows() >= parent.covered_rows() {
+                        (parent, y.difference(z))
                     } else {
-                        parent.product(sibling, scratch)
+                        (sibling, z.difference(y))
                     };
-                    (JoinResult::Product(product), true)
+                    let (codes, card) = column(extra);
+                    (JoinResult::Product(split.refine(codes, card, scratch)), true)
                 }
-                JoinAction::Absorb { mut partition, codes, cardinality } => {
+                JoinAction::Absorb(mut partition) => {
+                    let (codes, card) = column(y.difference(z));
                     let bytes = partition.memory_bytes();
-                    let delta = partition.absorb_append(parent, codes, cardinality, scratch);
+                    let delta = partition.absorb_append(parent, codes, card, scratch);
                     let grew = partition.memory_bytes() != bytes;
                     (JoinResult::Absorbed(partition, delta), grew)
                 }
@@ -240,14 +356,15 @@ pub fn candidate_joins(level: &Level) -> Vec<(AttrSet, AttrSet, AttrSet)> {
 }
 
 /// Builds level 1: one node per attribute with `Π*_{{A}}` from its codes.
+/// The level carries `enc` for generating the next one.
 pub fn build_level1(enc: &EncodedRelation) -> Level {
     let mut buf = Vec::new();
-    level1_of((0..enc.n_attrs()).map(|a| level1_partition(enc, a, &mut buf)).collect())
+    level1_of(enc, (0..enc.n_attrs()).map(|a| level1_partition(enc, a, &mut buf)).collect())
 }
 
 /// [`build_level1`] as a map over the attributes on `exec`: each worker
 /// counting-sorts whole attributes, so the level is the same at every
-/// thread count.
+/// thread count. The level carries `enc`.
 ///
 /// # Errors
 /// [`PassError::Cancelled`] when `cancel` fires, and
@@ -262,7 +379,7 @@ pub fn build_level1_parallel(
     let partitions = exec.try_map_with(&mut Vec::new(), Vec::new, &attrs, cancel, |buf, _, &a| {
         level1_partition(enc, a, buf)
     })?;
-    Ok(level1_of(partitions))
+    Ok(level1_of(enc, partitions))
 }
 
 /// `Π*_{{A}}` by one counting sort over `a`'s codes. A packed column is
@@ -271,14 +388,15 @@ fn level1_partition(enc: &EncodedRelation, a: AttrId, buf: &mut Vec<u32>) -> Str
     StrippedPartition::from_codes(enc.codes_range(a, 0..enc.n_rows(), buf), enc.cardinality(a))
 }
 
-/// Level 1 from `partitions[a] = Π*_{{A}}`.
-fn level1_of(partitions: Vec<StrippedPartition>) -> Level {
+/// Level 1 of `enc` from `partitions[a] = Π*_{{A}}`.
+fn level1_of(enc: &EncodedRelation, partitions: Vec<StrippedPartition>) -> Level {
     let n_attrs = partitions.len();
-    partitions
-        .into_iter()
-        .enumerate()
-        .map(|(a, partition)| (AttrSet::singleton(a).bits(), Node::new(partition, n_attrs)))
-        .collect()
+    let mut level = Level::with_capacity(n_attrs);
+    level.relation = Some(enc.clone());
+    for (a, partition) in partitions.into_iter().enumerate() {
+        level.insert(AttrSet::singleton(a).bits(), Node::new(partition, n_attrs));
+    }
+    level
 }
 
 /// Builds level 0: the single `{}` node with the unit partition and
@@ -375,6 +493,72 @@ mod tests {
         assert!(matches!(result, Err(PassError::Cancelled)));
     }
 
+    /// Every generated child has the bytes of the product that splits the
+    /// parent covering fewer rows (`Z` on a tie), node for node, at every
+    /// thread count, from plain and packed columns, over the unpruned
+    /// levels 1–4 of a table with constant, key-like and low-cardinality
+    /// columns.
+    #[test]
+    fn refined_levels_equal_products() {
+        let rel = fastod_datagen::flight_like(600, 8, 7);
+        let plain = rel.encode();
+        let mut packed = rel.encode();
+        packed.pack();
+        for enc in [&plain, &packed] {
+            let mut level = build_level1(enc);
+            for l in 1..=4 {
+                let joins = candidate_joins(&level);
+                assert!(!joins.is_empty(), "level {l} has joins");
+                let expected: Vec<StrippedPartition> = joins
+                    .iter()
+                    .map(|&(_, y, z)| {
+                        let (py, pz) = (&level[&y.bits()].partition, &level[&z.bits()].partition);
+                        if py.covered_rows() >= pz.covered_rows() {
+                            py.product_simple(pz)
+                        } else {
+                            pz.product_simple(py)
+                        }
+                    })
+                    .collect();
+                let mut next = Level::new();
+                for threads in [1, 2, 4] {
+                    next = calculate_next_level_parallel(
+                        &level,
+                        enc.n_attrs(),
+                        &Executor::new(threads),
+                        &mut Vec::new(),
+                        &CancelToken::never(),
+                    )
+                    .unwrap();
+                    assert_eq!(next.len(), joins.len());
+                    for (&(x, _, _), product) in joins.iter().zip(&expected) {
+                        assert_eq!(
+                            next[&x.bits()].partition.raw_csr(),
+                            product.raw_csr(),
+                            "{x:?} from level {l}, threads {threads}, packed {}",
+                            enc.is_packed(0)
+                        );
+                    }
+                }
+                assert!(next.relation.is_some(), "the next level carries the relation");
+                level = next;
+            }
+        }
+    }
+
+    /// Generation reads its code columns from the level, so a level with
+    /// nodes but no relation is a caller's bug.
+    #[test]
+    #[should_panic(expected = "needs a level that carries its relation")]
+    fn next_level_without_relation_panics() {
+        let l1 = build_level1(&enc3());
+        let mut bare = Level::new();
+        for bits in sorted_keys(&l1) {
+            bare.insert(bits, Node::new(l1[&bits].partition.clone(), 3));
+        }
+        let _ = next_level(&bare, &CancelToken::never());
+    }
+
     /// A plan mixing absorbs, products and reuses builds the same level as
     /// the all-product plan, at every thread count.
     #[test]
@@ -398,20 +582,15 @@ mod tests {
         let mut bytes: Vec<Vec<usize>> = Vec::new();
         for threads in [1, 2] {
             let taken = |x: AttrSet| retained[&x.bits()].partition.clone();
-            let (ab, y, z) = joins[0];
-            let a = y.difference(z).min_attr().unwrap();
             let actions = vec![
-                JoinAction::Absorb {
-                    partition: taken(ab),
-                    codes: enc.codes(a),
-                    cardinality: enc.cardinality(a),
-                },
+                JoinAction::Absorb(taken(joins[0].0)),
                 JoinAction::Product,
                 JoinAction::Reuse(taken(joins[2].0)),
             ];
             let exec = Executor::new(threads);
             let built = run_joins(
                 &l1,
+                &enc,
                 &joins,
                 actions,
                 true,
@@ -469,10 +648,10 @@ mod tests {
                 let exec = Executor::new(threads);
                 let got = build_level1_parallel(enc, &exec, &CancelToken::never()).unwrap();
                 assert_eq!(got.len(), expected.len());
-                for (bits, node) in &expected {
+                for bits in expected.keys() {
                     assert_eq!(
                         got[bits].partition.raw_csr(),
-                        node.partition.raw_csr(),
+                        expected[bits].partition.raw_csr(),
                         "attrs {bits:#b} rows {} threads {threads}",
                         enc.n_rows()
                     );

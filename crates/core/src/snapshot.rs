@@ -12,8 +12,8 @@
 //!   construction;
 //! * [`candidate_joins`], [`JoinAction`], [`run_joins`] — generation as a
 //!   plan (one product, absorb or reuse per join, in join order) run on
-//!   the executor; [`calculate_next_level_parallel`] is the all-product
-//!   plan;
+//!   the executor, every product a refinement of one parent; the
+//!   all-product plan is [`calculate_next_level_parallel`];
 //! * [`compute_candidate_sets`] — Algorithm 3 lines 1–8 (`C⁺c`/`C⁺s`);
 //! * [`validate_level`] — Algorithm 3 lines 9–24, generic over an
 //!   [`OdJudge`] so verdicts can be cached/memoized externally;
@@ -244,6 +244,16 @@ pub fn prune_level(l: usize, current: &mut Level, lstats: &mut LevelStats) {
     lstats.pruned_nodes = before - current.len();
 }
 
+/// `levels` without the relation each may carry. A retained level must
+/// not hold a code column: a second holder of a column's `Arc` makes the
+/// next append to the growing relation copy that column.
+fn retained(mut levels: Vec<Level>) -> Vec<Level> {
+    for level in &mut levels {
+        level.relation = None;
+    }
+    levels
+}
+
 /// The retained lattice of a completed traversal: every post-prune level
 /// with its partitions and candidate sets, ready for a later pass to reuse.
 ///
@@ -261,8 +271,8 @@ pub fn prune_level(l: usize, current: &mut Level, lstats: &mut LevelStats) {
 /// [`enforce_budget`](DiscoverySnapshot::enforce_budget) evicts whole nodes
 /// — least-recently-*reused* first — until the resident bytes fit. Eviction
 /// is always safe: a later pass that misses a node simply recomputes its
-/// partition (one parent product, or one counting sort at level 1), so the
-/// budget trades reuse for memory without ever changing results.
+/// partition (one refinement of a parent, or one counting sort at level 1),
+/// so the budget trades reuse for memory without ever changing results.
 ///
 /// Recency is tracked per `(level, bits)` key across passes: taking a node
 /// via `take_node` (to reuse it, or to absorb appended rows into it) stamps
@@ -292,9 +302,11 @@ impl DiscoverySnapshot {
     }
 
     /// Wraps the retained levels of a finished traversal over `n_rows` rows.
+    /// The levels drop the relation they carry, so the snapshot holds no
+    /// code column.
     pub fn from_levels(levels: Vec<Level>, n_rows: usize) -> DiscoverySnapshot {
         let mut snap = DiscoverySnapshot {
-            levels,
+            levels: retained(levels),
             n_rows,
             pass: 1,
             ..DiscoverySnapshot::default()
@@ -310,7 +322,8 @@ impl DiscoverySnapshot {
     /// reused out of `old` (via [`take_node`](DiscoverySnapshot::take_node))
     /// are stamped with the new pass, recomputed nodes inherit their old
     /// stamp (or the new pass when the key is new), and `old`'s budget is
-    /// carried over and enforced.
+    /// carried over and enforced. The levels drop the relation they carry,
+    /// as in [`from_levels`](DiscoverySnapshot::from_levels).
     pub fn advanced_from(
         old: &DiscoverySnapshot,
         levels: Vec<Level>,
@@ -319,7 +332,7 @@ impl DiscoverySnapshot {
         let pass = old.pass + 1;
         let reused: std::collections::HashSet<(u32, u64)> = old.taken.iter().copied().collect();
         let mut snap = DiscoverySnapshot {
-            levels,
+            levels: retained(levels),
             n_rows,
             pass,
             budget: old.budget,
@@ -468,9 +481,9 @@ impl DiscoverySnapshot {
 
     /// Evicts nodes until [`partition_bytes`](DiscoverySnapshot::partition_bytes)
     /// fits the budget, returning how many were dropped. Order: stalest
-    /// `last_reuse` stamp first; ties broken deepest level first (deep
-    /// products are one cheap parent product away), then ascending bits —
-    /// fully deterministic.
+    /// `last_reuse` stamp first; ties broken deepest level first (a deep
+    /// node is one cheap refinement of a parent away), then ascending bits
+    /// — fully deterministic.
     pub fn enforce_budget(&mut self) -> usize {
         let Some(budget) = self.budget else {
             return 0;
@@ -687,6 +700,30 @@ mod tests {
         let unit = &l0[&AttrSet::EMPTY.bits()].partition;
         assert!(unit.classes().iter().all(|c| !c.contains(&0)));
         assert_eq!(unit.covered_rows(), 5);
+    }
+
+    /// One-shot levels carry their relation; a snapshot never retains it.
+    #[test]
+    fn retained_levels_carry_no_relation() {
+        let enc = enc();
+        let make = || {
+            let l1 = build_level1(&enc);
+            let l2 = calculate_next_level_parallel(
+                &l1,
+                3,
+                &Executor::new(1),
+                &mut Vec::new(),
+                &CancelToken::never(),
+            )
+            .unwrap();
+            vec![build_level0(enc.n_rows(), 3), l1, l2]
+        };
+        assert!(make().iter().skip(1).all(|level| level.relation.is_some()));
+        let old = DiscoverySnapshot::from_levels(make(), enc.n_rows());
+        assert!(old.levels().iter().all(|level| level.relation.is_none()));
+        let snap = DiscoverySnapshot::advanced_from(&old, make(), enc.n_rows());
+        assert_eq!(snap.n_nodes(), old.n_nodes());
+        assert!(snap.levels().iter().all(|level| level.relation.is_none()));
     }
 
     #[test]

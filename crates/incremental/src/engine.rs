@@ -129,7 +129,7 @@ pub struct IncrementalDiscovery {
     poisoned: bool,
     /// One product arena per executor worker, for every product and
     /// absorbed append of generation. Kept across passes so the workers'
-    /// row-indexed arrays are not reallocated per pass.
+    /// key and slot arrays are not reallocated per pass.
     pool: Vec<ProductScratch>,
 }
 
@@ -760,26 +760,20 @@ impl IncrementalDiscovery {
                         .iter()
                         .map(|&(_, pi, pj)| judge.is_dirty(pi.bits()) && judge.is_dirty(pj.bits()))
                         .collect();
-                    let actions: Vec<JoinAction<'_>> = joins
+                    let actions: Vec<JoinAction> = joins
                         .iter()
                         .zip(&both_dirty)
-                        .map(|(&(x, pi, pj), &both_dirty)| match old.take_node(l + 1, x.bits()) {
+                        .map(|(&(x, _, _), &both_dirty)| match old.take_node(l + 1, x.bits()) {
                             None => JoinAction::Product,
-                            Some(node) if both_dirty => {
-                                let a = pi.difference(pj).min_attr().expect("parents differ");
-                                JoinAction::Absorb {
-                                    partition: node.partition,
-                                    codes: enc.codes(a),
-                                    cardinality: enc.cardinality(a),
-                                }
-                            }
+                            Some(node) if both_dirty => JoinAction::Absorb(node.partition),
                             Some(node) => JoinAction::Reuse(node.partition),
                         })
                         .collect();
                     // Run. The results are retained, so their partitions
                     // come back in this thread's heap.
+                    let pool = &mut self.pool;
                     let built =
-                        run_joins(level, &joins, actions, true, &exec, &mut self.pool, &cancel)?;
+                        run_joins(level, enc, &joins, actions, true, &exec, pool, &cancel)?;
                     // Apply, in join order. A product is dirty when both
                     // parents are and it covers an appended row; an absorb
                     // when its append delta says so.
@@ -874,7 +868,7 @@ impl IncrementalDiscovery {
 /// Whether any class of `p` contains a row appended at or after `old_n`.
 ///
 /// Every partition the engine builds keeps class rows in ascending row-id
-/// order (`from_codes` counting sort, `product` and `absorb_append`
+/// order (`from_codes` counting sort, `refine` and `absorb_append`
 /// preserving the parent's order, `append_codes` pushing fresh — larger —
 /// ids at the tail, `remove_rows` compacting in place), so checking each
 /// class's last element suffices: O(#classes), not O(covered rows).

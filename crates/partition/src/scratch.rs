@@ -7,15 +7,16 @@
 
 use crate::StrippedPartition;
 
-/// Scratch space for [`StrippedPartition::product`] and
-/// [`StrippedPartition::absorb_append`].
+/// Scratch space for [`StrippedPartition::refine`],
+/// [`StrippedPartition::absorb_append`] and [`StrippedPartition::product`].
 ///
 /// Everything they touch is a flat, row- or key-indexed array that
-/// persists across calls: one slot per row and a `ClassSplitter` with its
-/// CSR output buffers, which the caller copies out at exact size. A slot
-/// packs `epoch << 32 | class`, as [`ClassMap`] does, so a probed row
-/// costs one read, and a stale epoch means the row was not stamped in
-/// this call. Zero per-class allocations, ever.
+/// persists across calls: a `ClassSplitter` with its CSR output buffers,
+/// which the caller copies out at exact size, and one slot per row. Only
+/// the product and the absorb use the slots; a refinement never grows
+/// them. A slot packs `epoch << 32 | class`, as [`ClassMap`] does, so a
+/// probed row costs one read, and a stale epoch means the row was not
+/// stamped in this call. Zero per-class allocations, ever.
 #[derive(Default)]
 pub struct ProductScratch {
     /// `epoch << 32 | class` per row: the row's class in the probed
@@ -72,9 +73,10 @@ pub(crate) fn slot_class(slot: u64, epoch: u32) -> Option<u32> {
 }
 
 /// Splits classes into groups of rows with equal key and collects the
-/// groups of ≥ 2 rows in flat CSR form: the one step shared by the product
-/// (key: the row's class in the other operand) and the absorbed append
-/// (key: the row's code).
+/// groups of ≥ 2 rows in flat CSR form: the one step shared by the
+/// refinement and the absorbed append (key: the row's code, so the key
+/// arrays are sized by the column's cardinality) and the product (key:
+/// the row's class in the other operand).
 #[derive(Default)]
 pub(crate) struct ClassSplitter {
     /// Rows of the current class per key; all-zero between calls
@@ -92,7 +94,8 @@ pub(crate) struct ClassSplitter {
 }
 
 impl ClassSplitter {
-    fn reset(&mut self, n_keys: usize) {
+    /// Sizes the key arrays for keys below `n_keys` and empties the output.
+    pub(crate) fn reset(&mut self, n_keys: usize) {
         if self.count.len() < n_keys {
             self.count.resize(n_keys, 0);
             self.cursor.resize(n_keys, 0);
@@ -133,6 +136,19 @@ impl ClassSplitter {
                 }
             }
             _ => self.split_counted(class, key, base),
+        }
+    }
+
+    /// [`ClassSplitter::split`] of each of `classes` by its rows' `codes`.
+    #[inline]
+    pub(crate) fn split_by_codes<'c>(
+        &mut self,
+        classes: impl Iterator<Item = &'c [u32]>,
+        codes: &[u32],
+        base: u32,
+    ) {
+        for class in classes {
+            self.split(class, |row| Some(codes[row as usize]), base);
         }
     }
 

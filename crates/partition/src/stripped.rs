@@ -793,12 +793,10 @@ impl StrippedPartition {
         self.rows.truncate(write);
         self.class_offsets.truncate(cursor.out_classes + 1);
 
-        // Re-split the stamped parent classes by `a`'s codes, as the
-        // product splits an rhs class, behind the kept classes.
+        // Re-split the stamped parent classes by `a`'s codes, as
+        // `refine` splits every class, behind the kept classes.
         let split = &mut scratch.split;
-        for class in parent.classes().iter().filter(gained) {
-            split.split(class, |row| Some(codes[row as usize]), write as u32);
-        }
+        split.split_by_codes(parent.classes().iter().filter(gained), codes, write as u32);
         // Grow the retained buffers to the exact size: their capacity is
         // what the snapshot's memory budget charges.
         self.rows.reserve_exact(split.rows.len());
@@ -883,17 +881,66 @@ impl StrippedPartition {
         StrippedPartition::from_csr(self.n_rows, copy(&self.rows), copy(&self.class_offsets))
     }
 
-    /// Computes the product `Π*_X = Π*_Y · Π*_Z` in O(n) using scratch space
-    /// (paper §4.6: "partitions are computed in linear time as products of
-    /// partitions").
+    /// `Π*_{X ∪ {A}}` from `self = Π*_X` and `A`'s code column: every class
+    /// of `self` split by `codes[row]`, keeping the groups of ≥ 2 rows.
+    /// The groups come in `self`'s class order, each class's groups in
+    /// first-encounter order, and each group keeps its class's row order.
+    ///
+    /// This is how the FASTOD lattice builds every child `X = Y ∪ Z` of
+    /// two parents that differ in one attribute each: it refines one parent
+    /// by the other's extra attribute. Inside a class of `Z`, two rows
+    /// share a class of `Y` iff they share that attribute's code, and a row
+    /// that is a singleton under `Y` shares its code with no other row of
+    /// the class. So `Z.refine(Y ∖ Z)` is byte-identical to the
+    /// [`product`](StrippedPartition::product) that probes `Y` and splits
+    /// `Z`, without the probe pass over `Y`.
+    ///
+    /// Cost: one key read per covered row of `self`, plus O(cardinality)
+    /// the first time the scratch's key arrays grow to it. The scratch's
+    /// row slots are not used; an empty `self` touches no scratch at all.
+    /// The result is an exact-size copy of the scratch's output buffers.
+    ///
+    /// ```
+    /// use fastod_partition::{ProductScratch, StrippedPartition};
+    ///
+    /// // Π*_A = {{0,1,2,3}}, refined by B = [0, 0, 1, 1, 1].
+    /// let pa = StrippedPartition::from_codes(&[0, 0, 0, 0, 1], 2);
+    /// let b = [0, 0, 1, 1, 1];
+    /// let pab = pa.refine(&b, 2, &mut ProductScratch::new());
+    /// assert_eq!(pab.normalized(), vec![vec![0, 1], vec![2, 3]]);
+    /// // The same bytes as the product that splits Π*_A.
+    /// let pb = StrippedPartition::from_codes(&b, 2);
+    /// assert_eq!(pab.raw_csr(), pb.product_simple(&pa).raw_csr());
+    /// ```
+    pub fn refine(
+        &self,
+        codes: &[u32],
+        cardinality: u32,
+        scratch: &mut ProductScratch,
+    ) -> StrippedPartition {
+        debug_assert_eq!(codes.len(), self.n_rows);
+        if self.is_superkey() {
+            return StrippedPartition::from_csr(self.n_rows, Vec::new(), vec![0]);
+        }
+        let split = &mut scratch.split;
+        split.reset(cardinality as usize);
+        split.offsets.push(0);
+        split.split_by_codes(self.classes().iter(), codes, 0);
+        StrippedPartition::from_csr(self.n_rows, split.rows.clone(), split.offsets.clone())
+    }
+
+    /// Computes the product `Π*_X = Π*_Y · Π*_Z` of any two partitions in
+    /// O(n) using scratch space (paper §4.6: "partitions are computed in
+    /// linear time as products of partitions"). The FASTOD lattice builds
+    /// its children with [`refine`](StrippedPartition::refine) instead,
+    /// since its parents differ in one attribute; the product remains the
+    /// general kernel for the TANE baseline, tests and benches.
     ///
     /// A row lands in a product class iff it is in a non-singleton class of
     /// *both* operands and shares both class memberships with another row.
     /// The probe pass writes the surviving rows directly into the scratch
     /// arena's flat CSR output buffers — no per-class allocation ever — and
-    /// the result is an exact-size copy of those buffers. The arena is
-    /// caller-owned so hot paths (the lattice driver keeps one per worker
-    /// thread) reuse all working memory across millions of products.
+    /// the result is an exact-size copy of those buffers.
     ///
     /// `self` is probed (one slot write per covered row) and `other` is
     /// split (a slot read and a key comparison per covered row), so the

@@ -1,6 +1,7 @@
 //! Property-based tests for the partition substrate: products against
-//! ground-truth grouping, swap scans against the naive pairwise oracle,
-//! error-measure consistency, and superkey behaviour — on random codes.
+//! ground-truth grouping, refinements against products, swap scans against
+//! the naive pairwise oracle, error-measure consistency, and superkey
+//! behaviour — on random codes.
 
 use fastod_partition::{
     check_constancy, check_order_compat, constancy_removal_error, swap_removal_error,
@@ -292,6 +293,44 @@ proptest! {
         if parent.classes().iter().all(gained) {
             prop_assert_eq!(absorbed.raw_csr(), fresh.raw_csr());
         }
+    }
+
+    #[test]
+    fn refine_equals_product_that_splits(
+        (mut cols, kinds, old_n, del) in (1usize..=40).prop_flat_map(|n| (
+            prop::collection::vec(arb_codes(n, 5), 2),
+            (0u32..4, 0u32..4),
+            0..=n,
+            arb_codes(n, 4),
+        ))
+    ) {
+        let n = cols[0].len();
+        // Constant and key-like columns besides random ones.
+        for (col, kind) in cols.iter_mut().zip([kinds.0, kinds.1]) {
+            match kind {
+                1 => col.fill(0),
+                2 => *col = (0..n as u32).rev().collect(),
+                _ => {}
+            }
+        }
+        let (c0, c1) = (&cols[0], &cols[1]);
+        let mut scratch = fastod_partition::ProductScratch::new();
+        let p0 = StrippedPartition::from_codes(c0, dense(c0));
+        let p1 = StrippedPartition::from_codes(c1, dense(c1));
+        let refined = p0.refine(c1, dense(c1), &mut scratch);
+        prop_assert_eq!(refined.raw_csr(), p1.product_simple(&p0).raw_csr());
+
+        // Π*_{c0} over the first `old_n` rows absorbs the others, which
+        // puts its classes out of code order, then loses a quarter of the
+        // rows. Refining it still splits exactly as the product does.
+        let mut grown = StrippedPartition::from_codes(&c0[..old_n], dense(c0));
+        grown.append_codes(c0, dense(c0));
+        let deleted: Vec<bool> = del.iter().map(|&d| d == 0).collect();
+        grown.remove_rows_masked(&deleted);
+        let live: Vec<bool> = deleted.iter().map(|&d| !d).collect();
+        let p1_live = StrippedPartition::from_codes_masked(c1, dense(c1), &live);
+        let refined = grown.refine(c1, dense(c1), &mut scratch);
+        prop_assert_eq!(refined.raw_csr(), p1_live.product_simple(&grown).raw_csr());
     }
 
     #[test]

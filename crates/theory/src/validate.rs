@@ -1,31 +1,32 @@
 //! Validation of canonical ODs against relation instances.
 //!
 //! Two independent implementations:
-//! * the **partition path** (what discovery uses): build `Π*_X` by products
-//!   and run the §4.6 scans;
+//! * the **partition path** (what discovery uses): build `Π*_X` by
+//!   refining one attribute's partition by the others and run the §4.6
+//!   scans;
 //! * the **naive path** straight from Definition 6's pair semantics, used as
 //!   a test oracle and for brute-forcing complete ground truth on tiny
 //!   schemas.
 
 use crate::CanonicalOd;
 use fastod_partition::{
-    check_constancy, check_order_compat, SortedColumn, StrippedPartition, SwapScratch,
+    check_constancy, check_order_compat, ProductScratch, SortedColumn, StrippedPartition,
+    SwapScratch,
 };
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 
-/// Builds `Π*_X` from scratch by folding partition products over the
-/// context's attributes. O(|X| · n).
+/// Builds `Π*_X` from scratch: the first attribute's partition, refined by
+/// each further attribute's codes through one scratch. O(|X| · n).
 pub fn build_partition(enc: &EncodedRelation, ctx: AttrSet) -> StrippedPartition {
     let mut iter = ctx.iter();
     let Some(first) = iter.next() else {
         return StrippedPartition::unit(enc.n_rows());
     };
-    let mut part = StrippedPartition::from_codes(enc.codes(first), enc.cardinality(first));
-    for a in iter {
-        let pa = StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a));
-        part = part.product_simple(&pa);
-    }
-    part
+    let mut scratch = ProductScratch::new();
+    iter.fold(
+        StrippedPartition::from_codes(enc.codes(first), enc.cardinality(first)),
+        |part, a| part.refine(enc.codes(a), enc.cardinality(a), &mut scratch),
+    )
 }
 
 /// Validates a canonical OD on an instance via partitions.
