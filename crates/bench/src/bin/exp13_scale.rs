@@ -1,15 +1,12 @@
-//! **Exp-13: the 100M-row scale path — streaming ingest, bit-packed
-//! columns, parallel level-1 build.**
+//! **Exp-13: the 100M-row scale path — streaming ingest and the parallel
+//! level-1 build.**
 //!
 //! Generates a synthetic warehouse-shaped CSV (a sequence key, two
-//! categoricals at 8/16 bits, a monotone plateau, a low-cardinality float
-//! and a low-cardinality string — ~73 packed bits/row against the 192 bits
-//! of six `Vec<u32>` columns), then measures:
+//! categoricals of 200 and 50k values, a monotone plateau, a
+//! low-cardinality float and a low-cardinality string), then measures:
 //!
 //! * streaming two-pass ingest (`read_csv_file_stream`) throughput and the
 //!   ingest's peak resident bytes (`relation.peak_bytes` gauge);
-//! * encoded-relation memory: bit-packed vs the `4 · rows · attrs` a
-//!   `Vec<u32>` representation costs (the acceptance bar is ≥ 2x);
 //! * level-1 partition build: the plain loop `build_level1` vs
 //!   `build_level1_parallel`, which maps the attributes over the executor,
 //!   at each `FASTOD_THREADS` count, with the CSR buffers asserted
@@ -35,9 +32,9 @@ use std::time::Instant;
 
 const N_ATTRS: usize = 6;
 /// Smoke-scale ceiling for the ingest's peak resident bytes (1M rows): the
-/// distinct sets + dictionaries + packed columns of the synthetic table fit
+/// distinct sets + dictionaries + code columns of the synthetic table fit
 /// well under this, and a regression that starts materializing O(rows)
-/// state blows straight through it.
+/// values blows straight through it.
 const SMOKE_PEAK_CEILING: usize = 256 << 20;
 
 /// Writes the synthetic table as CSV. Deterministic in `rows`.
@@ -63,21 +60,13 @@ fn ms(from: Instant) -> f64 {
     from.elapsed().as_secs_f64() * 1e3
 }
 
-/// Asserts streamed and one-shot encodings agree, comparing packed columns
-/// chunk-wise so the check itself never materializes an unpacked copy.
+/// Asserts streamed and one-shot encodings agree.
 fn assert_same_encoding(streamed: &EncodedRelation, oneshot: &EncodedRelation) {
     assert_eq!(streamed.n_rows(), oneshot.n_rows());
     assert_eq!(streamed.n_attrs(), oneshot.n_attrs());
-    let mut buf = Vec::new();
     for a in 0..oneshot.n_attrs() {
         assert_eq!(streamed.cardinality(a), oneshot.cardinality(a), "attr {a}");
-        let plain = oneshot.codes(a);
-        let mut lo = 0;
-        while lo < plain.len() {
-            let hi = (lo + (1 << 20)).min(plain.len());
-            assert_eq!(streamed.codes_range(a, lo..hi, &mut buf), &plain[lo..hi], "attr {a}");
-            lo = hi;
-        }
+        assert!(streamed.codes(a) == oneshot.codes(a), "attr {a} codes differ");
     }
 }
 
@@ -97,31 +86,20 @@ fn main() {
     let file_bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!("generated {} ({:.1} MB) in {:.0} ms", path.display(), file_bytes as f64 / 1e6, ms(t));
 
-    // --- Streaming two-pass ingest into bit-packed columns. ---
+    // --- Streaming two-pass ingest. ---
     let t = Instant::now();
+    // The third argument, a chunk size, is unused.
     let streamed =
-        read_csv_file_stream(&path, CsvOptions::with_header(), 1 << 16).expect("streamed ingest");
+        read_csv_file_stream(&path, CsvOptions::with_header(), 0).expect("streamed ingest");
     let stream_ms = ms(t);
     let enc = streamed.encoded;
-    let packed_bytes = enc.memory_bytes();
-    // What the same encoding costs as `Vec<u32>` columns — exact, since a
-    // plain code column is 4 bytes/row by construction.
-    let plain_bytes = rows * N_ATTRS * 4;
-    let mem_ratio = plain_bytes as f64 / packed_bytes as f64;
     obs.set_gauge("relation.peak_bytes", streamed.peak_bytes as f64);
     println!(
-        "streamed ingest: {:.0} ms ({:.2} M rows/s); packed {:.1} MB vs plain {:.1} MB ({:.2}x), \
-         ingest peak {:.1} MB",
+        "streamed ingest: {:.0} ms ({:.2} M rows/s); codes {:.1} MB, ingest peak {:.1} MB",
         stream_ms,
         rows as f64 / stream_ms / 1e3,
-        packed_bytes as f64 / 1e6,
-        plain_bytes as f64 / 1e6,
-        mem_ratio,
+        enc.memory_bytes() as f64 / 1e6,
         streamed.peak_bytes as f64 / 1e6,
-    );
-    assert!(
-        mem_ratio >= 2.0,
-        "packed encoding must be ≥2x smaller than Vec<u32> ({mem_ratio:.2}x)"
     );
 
     // --- One-shot comparison (skipped at paper scale: materializing every
@@ -174,7 +152,6 @@ fn main() {
             None => parallel_csr = Some(csr),
         }
     }
-    // Both builds decode the packed columns into a buffer per attribute.
     let t = Instant::now();
     let seq_level = build_level1(&enc);
     let seq_ms = ms(t);
@@ -224,8 +201,6 @@ fn main() {
     if let Some(one_ms) = oneshot_ms {
         gauges.push(("scale_oneshot_ingest_ms".to_string(), one_ms));
     }
-    gauges.push(("scale_packed_bytes".to_string(), packed_bytes as f64));
-    gauges.push(("scale_memory_ratio".to_string(), mem_ratio));
     write_csv("exp13_scale", &["rows", "build", "threads", "ms"], &csv_rows);
     obs.flush();
     fastod_bench::write_results_file(

@@ -358,8 +358,7 @@ pub fn candidate_joins(level: &Level) -> Vec<(AttrSet, AttrSet, AttrSet)> {
 /// Builds level 1: one node per attribute with `Π*_{{A}}` from its codes.
 /// The level carries `enc` for generating the next one.
 pub fn build_level1(enc: &EncodedRelation) -> Level {
-    let mut buf = Vec::new();
-    level1_of(enc, (0..enc.n_attrs()).map(|a| level1_partition(enc, a, &mut buf)).collect())
+    level1_of(enc, (0..enc.n_attrs()).map(|a| level1_partition(enc, a)).collect())
 }
 
 /// [`build_level1`] as a map over the attributes on `exec`: each worker
@@ -376,16 +375,14 @@ pub fn build_level1_parallel(
 ) -> Result<Level, PassError> {
     cancel.check()?;
     let attrs: Vec<AttrId> = (0..enc.n_attrs()).collect();
-    let partitions = exec.try_map_with(&mut Vec::new(), Vec::new, &attrs, cancel, |buf, _, &a| {
-        level1_partition(enc, a, buf)
-    })?;
+    let partitions =
+        exec.try_map_with(&mut Vec::new(), || (), &attrs, cancel, |(), _, &a| level1_partition(enc, a))?;
     Ok(level1_of(enc, partitions))
 }
 
-/// `Π*_{{A}}` by one counting sort over `a`'s codes. A packed column is
-/// decoded into `buf`, so its unpacked cache is never filled.
-fn level1_partition(enc: &EncodedRelation, a: AttrId, buf: &mut Vec<u32>) -> StrippedPartition {
-    StrippedPartition::from_codes(enc.codes_range(a, 0..enc.n_rows(), buf), enc.cardinality(a))
+/// `Π*_{{A}}` by one counting sort over `a`'s codes.
+fn level1_partition(enc: &EncodedRelation, a: AttrId) -> StrippedPartition {
+    StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a))
 }
 
 /// Level 1 of `enc` from `partitions[a] = Π*_{{A}}`.
@@ -495,54 +492,47 @@ mod tests {
 
     /// Every generated child has the bytes of the product that splits the
     /// parent covering fewer rows (`Z` on a tie), node for node, at every
-    /// thread count, from plain and packed columns, over the unpruned
-    /// levels 1–4 of a table with constant, key-like and low-cardinality
-    /// columns.
+    /// thread count, over the unpruned levels 1–4 of a table with constant,
+    /// key-like and low-cardinality columns.
     #[test]
     fn refined_levels_equal_products() {
-        let rel = fastod_datagen::flight_like(600, 8, 7);
-        let plain = rel.encode();
-        let mut packed = rel.encode();
-        packed.pack();
-        for enc in [&plain, &packed] {
-            let mut level = build_level1(enc);
-            for l in 1..=4 {
-                let joins = candidate_joins(&level);
-                assert!(!joins.is_empty(), "level {l} has joins");
-                let expected: Vec<StrippedPartition> = joins
-                    .iter()
-                    .map(|&(_, y, z)| {
-                        let (py, pz) = (&level[&y.bits()].partition, &level[&z.bits()].partition);
-                        if py.covered_rows() >= pz.covered_rows() {
-                            py.product_simple(pz)
-                        } else {
-                            pz.product_simple(py)
-                        }
-                    })
-                    .collect();
-                let mut next = Level::new();
-                for threads in [1, 2, 4] {
-                    next = calculate_next_level_parallel(
-                        &level,
-                        enc.n_attrs(),
-                        &Executor::new(threads),
-                        &mut Vec::new(),
-                        &CancelToken::never(),
-                    )
-                    .unwrap();
-                    assert_eq!(next.len(), joins.len());
-                    for (&(x, _, _), product) in joins.iter().zip(&expected) {
-                        assert_eq!(
-                            next[&x.bits()].partition.raw_csr(),
-                            product.raw_csr(),
-                            "{x:?} from level {l}, threads {threads}, packed {}",
-                            enc.is_packed(0)
-                        );
+        let enc = fastod_datagen::flight_like(600, 8, 7).encode();
+        let mut level = build_level1(&enc);
+        for l in 1..=4 {
+            let joins = candidate_joins(&level);
+            assert!(!joins.is_empty(), "level {l} has joins");
+            let expected: Vec<StrippedPartition> = joins
+                .iter()
+                .map(|&(_, y, z)| {
+                    let (py, pz) = (&level[&y.bits()].partition, &level[&z.bits()].partition);
+                    if py.covered_rows() >= pz.covered_rows() {
+                        py.product_simple(pz)
+                    } else {
+                        pz.product_simple(py)
                     }
+                })
+                .collect();
+            let mut next = Level::new();
+            for threads in [1, 2, 4] {
+                next = calculate_next_level_parallel(
+                    &level,
+                    enc.n_attrs(),
+                    &Executor::new(threads),
+                    &mut Vec::new(),
+                    &CancelToken::never(),
+                )
+                .unwrap();
+                assert_eq!(next.len(), joins.len());
+                for (&(x, _, _), product) in joins.iter().zip(&expected) {
+                    assert_eq!(
+                        next[&x.bits()].partition.raw_csr(),
+                        product.raw_csr(),
+                        "{x:?} from level {l}, threads {threads}"
+                    );
                 }
-                assert!(next.relation.is_some(), "the next level carries the relation");
-                level = next;
             }
+            assert!(next.relation.is_some(), "the next level carries the relation");
+            level = next;
         }
     }
 
@@ -623,7 +613,7 @@ mod tests {
     }
 
     /// The attribute map builds level 1 byte for byte like the plain loop,
-    /// at every thread count, from plain and packed columns alike.
+    /// at every thread count, with and without rows.
     #[test]
     fn parallel_level1_equals_sequential() {
         let n = 50i64;
@@ -633,20 +623,12 @@ mod tests {
             .column_i64("konst", vec![9; n as usize])
             .build()
             .unwrap();
-        let plain = rel.encode();
-        let mut packed = rel.encode();
-        packed.pack();
-        let empty = rel.head(0).encode();
-        let packed_bytes = packed.memory_bytes();
-        for (enc, expected) in [
-            (&plain, build_level1(&plain)),
-            (&packed, build_level1(&plain)),
-            (&empty, build_level1(&empty)),
-        ] {
+        for enc in [rel.encode(), rel.head(0).encode()] {
+            let expected = build_level1(&enc);
             assert_eq!(expected.len(), 3);
             for threads in [1, 2, 4] {
                 let exec = Executor::new(threads);
-                let got = build_level1_parallel(enc, &exec, &CancelToken::never()).unwrap();
+                let got = build_level1_parallel(&enc, &exec, &CancelToken::never()).unwrap();
                 assert_eq!(got.len(), expected.len());
                 for bits in expected.keys() {
                     assert_eq!(
@@ -658,7 +640,5 @@ mod tests {
                 }
             }
         }
-        // Packed columns are decoded per worker, never cached unpacked.
-        assert_eq!(packed.memory_bytes(), packed_bytes);
     }
 }

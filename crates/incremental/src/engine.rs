@@ -655,6 +655,9 @@ impl IncrementalDiscovery {
         let enc = self.grow.encoded();
         let live = self.grow.live();
         let n_attrs = enc.n_attrs();
+        // Level 0, and the judge's set-up before it, run under level 1's
+        // span (none without attributes), so the pass's children cover it.
+        let level1_span = (n_attrs > 0).then(|| obs.span("level1"));
         let n_rows = enc.n_rows();
         let old_n = pass.old_n;
         let appended = n_rows - old_n;
@@ -664,8 +667,6 @@ impl IncrementalDiscovery {
             CachedJudge::new(&mut validator, &mut self.cache, enc, live, deltas, appended > 0);
         let mut m = OdSet::new();
 
-        // Level 0 is built under level 1's span (none without attributes).
-        let level1_span = (n_attrs > 0).then(|| obs.span("level1"));
         let mut levels: Vec<Level> = vec![build_level0_masked(live, n_attrs)];
         // The unit partition has one all-live-rows class: any append lands
         // in it. (Delete dirt is tracked by the judge's per-node deltas,

@@ -6,21 +6,8 @@
 //! partitions τ_A can be built with counting sort, and all dependency checks
 //! reduce to `u32` comparisons.
 
-use crate::{AttrId, AttrSet, PackedCodes, Relation, Schema};
+use crate::{AttrId, AttrSet, Relation, Schema};
 use std::sync::Arc;
-
-/// One code column: unpacked `u32`s (the historical layout, zero-cost
-/// `&[u32]` access) or bit-packed at the column's cardinality width (the
-/// scale path — see [`PackedCodes`]). Both variants are [`Arc`]-shared so
-/// projection and cloning stay O(1) per column.
-#[derive(Clone, Debug)]
-enum CodeColumn {
-    /// Plain `u32` codes.
-    Plain(Arc<Vec<u32>>),
-    /// Bit-packed codes; `&[u32]` access goes through the lazy unpacked
-    /// cache inside [`PackedCodes`].
-    Packed(Arc<PackedCodes>),
-}
 
 /// A relation with every column replaced by dense-rank `u32` codes.
 ///
@@ -33,16 +20,10 @@ enum CodeColumn {
 /// pointers, not the `O(n)` column data. Mutation (the incremental grower's
 /// append path) goes through `Arc::make_mut`, which only copies a column if
 /// some projection still holds it.
-///
-/// Columns may additionally be [bit-packed](EncodedRelation::pack) at
-/// `ceil(log2(cardinality + 1))` bits each; every accessor keeps working
-/// (packed columns materialize an unpacked view lazily on first `&[u32]`
-/// access), and [`EncodedRelation::codes_range`] gives scale-path consumers
-/// chunked access that never materializes the full column.
 #[derive(Clone, Debug)]
 pub struct EncodedRelation {
     schema: Schema,
-    codes: Vec<CodeColumn>,
+    codes: Vec<Arc<Vec<u32>>>,
     cardinalities: Vec<u32>,
     n_rows: usize,
 }
@@ -57,7 +38,7 @@ impl EncodedRelation {
         let mut cardinalities = Vec::with_capacity(rel.n_attrs());
         for a in 0..rel.n_attrs() {
             let (c, card) = rel.column(a).rank_encode(rel.null_policy());
-            codes.push(CodeColumn::Plain(Arc::new(c)));
+            codes.push(Arc::new(c));
             cardinalities.push(card);
         }
         EncodedRelation {
@@ -85,36 +66,7 @@ impl EncodedRelation {
             .collect();
         EncodedRelation {
             schema,
-            codes: codes
-                .into_iter()
-                .map(|c| CodeColumn::Plain(Arc::new(c)))
-                .collect(),
-            cardinalities,
-            n_rows,
-        }
-    }
-
-    /// Builds an encoded relation from bit-packed columns (the streaming
-    /// CSV reader's output). Cardinalities are supplied by the caller — the
-    /// dictionary build already knows them, and unpacking every column just
-    /// to recompute a max would defeat the packing.
-    pub(crate) fn from_packed(
-        schema: Schema,
-        columns: Vec<PackedCodes>,
-        cardinalities: Vec<u32>,
-    ) -> EncodedRelation {
-        assert_eq!(schema.n_attrs(), columns.len());
-        assert_eq!(columns.len(), cardinalities.len());
-        let n_rows = columns.first().map_or(0, PackedCodes::len);
-        for col in &columns {
-            assert_eq!(col.len(), n_rows, "ragged code columns");
-        }
-        EncodedRelation {
-            schema,
-            codes: columns
-                .into_iter()
-                .map(|c| CodeColumn::Packed(Arc::new(c)))
-                .collect(),
+            codes: codes.into_iter().map(Arc::new).collect(),
             cardinalities,
             n_rows,
         }
@@ -136,42 +88,14 @@ impl EncodedRelation {
     }
 
     /// The code column for attribute `a`.
-    ///
-    /// For a [packed](EncodedRelation::pack) column this materializes (and
-    /// caches) the unpacked view on first call — correct but O(n) memory;
-    /// scale-path consumers use [`EncodedRelation::codes_range`] instead.
     pub fn codes(&self, a: AttrId) -> &[u32] {
-        match &self.codes[a] {
-            CodeColumn::Plain(v) => v,
-            CodeColumn::Packed(p) => p.as_slice(),
-        }
+        &self.codes[a]
     }
 
-    /// The codes for rows `range` of attribute `a`, without materializing
-    /// the whole column: plain columns return a subslice, packed columns
-    /// decode into `buf`. The returned slice borrows from `self` or `buf`.
-    pub fn codes_range<'a>(
-        &'a self,
-        a: AttrId,
-        range: std::ops::Range<usize>,
-        buf: &'a mut Vec<u32>,
-    ) -> &'a [u32] {
-        match &self.codes[a] {
-            CodeColumn::Plain(v) => &v[range],
-            CodeColumn::Packed(p) => {
-                p.decode_range(range, buf);
-                buf
-            }
-        }
-    }
-
-    /// The code for tuple `row`, attribute `a`. O(1) for both layouts.
+    /// The code for tuple `row`, attribute `a`.
     #[inline]
     pub fn code(&self, row: usize, a: AttrId) -> u32 {
-        match &self.codes[a] {
-            CodeColumn::Plain(v) => v[row],
-            CodeColumn::Packed(p) => p.get(row),
-        }
+        self.codes[a][row]
     }
 
     /// Distinct-value count of attribute `a`.
@@ -179,59 +103,21 @@ impl EncodedRelation {
         self.cardinalities[a]
     }
 
-    /// Re-stores every plain column bit-packed at its cardinality width
-    /// (`ceil(log2(card + 1))` bits per code). Codes, cardinalities and all
-    /// read accessors are unchanged; shared projections keep observing the
-    /// buffers they already hold.
-    pub fn pack(&mut self) {
-        for a in 0..self.codes.len() {
-            self.pack_column(a);
-        }
-    }
-
-    /// [`EncodedRelation::pack`] for a single column. Used by the grower to
-    /// restore packedness after an append unpacked the column for growth.
-    pub(crate) fn pack_column(&mut self, a: AttrId) {
-        if let CodeColumn::Plain(v) = &self.codes[a] {
-            let packed = PackedCodes::from_codes(v, self.cardinalities[a]);
-            self.codes[a] = CodeColumn::Packed(Arc::new(packed));
-        }
-    }
-
-    /// Whether column `a` is currently bit-packed.
-    pub fn is_packed(&self, a: AttrId) -> bool {
-        matches!(self.codes[a], CodeColumn::Packed(_))
-    }
-
-    /// Resident heap bytes of the code columns (packed columns report their
-    /// packed words plus any materialized unpack cache, not the logical
-    /// `4 · n_rows` size). This is the quantity behind the
-    /// `relation.peak_bytes` gauge.
+    /// Resident heap bytes of the code columns: each column's capacity in
+    /// `u32`s, so `4 · n_rows · n_attrs` for exact-size columns. This is
+    /// the quantity behind the `relation.peak_bytes` gauge.
     pub fn memory_bytes(&self) -> usize {
         self.codes
             .iter()
-            .map(|col| match col {
-                CodeColumn::Plain(v) => v.capacity() * std::mem::size_of::<u32>(),
-                CodeColumn::Packed(p) => p.memory_bytes(),
-            })
+            .map(|col| col.capacity() * std::mem::size_of::<u32>())
             .sum()
     }
 
     /// Mutable access to one code column, for the incremental grower.
     /// Copy-on-write: the column is only duplicated when a projection or
-    /// clone still shares it. A packed column is unpacked to the plain
-    /// layout first (projections keep the packed buffer they hold); the
-    /// grower re-packs after the batch via
-    /// [`EncodedRelation::pack_column`].
+    /// clone still shares it.
     pub(crate) fn codes_mut(&mut self, a: AttrId) -> &mut Vec<u32> {
-        let col = &mut self.codes[a];
-        if let CodeColumn::Packed(p) = col {
-            *col = CodeColumn::Plain(Arc::new(p.to_vec()));
-        }
-        match col {
-            CodeColumn::Plain(v) => Arc::make_mut(v),
-            CodeColumn::Packed(_) => unreachable!("packed column unpacked above"),
-        }
+        Arc::make_mut(&mut self.codes[a])
     }
 
     /// Updates one cardinality slot after dictionary growth.
@@ -282,7 +168,7 @@ impl EncodedRelation {
     /// `O(n · |attrs|)` column data per call.
     pub fn project(&self, attrs: AttrSet) -> EncodedRelation {
         let schema = self.schema.project(attrs);
-        let codes: Vec<CodeColumn> = attrs.iter().map(|a| self.codes[a].clone()).collect();
+        let codes = attrs.iter().map(|a| Arc::clone(&self.codes[a])).collect();
         let cardinalities = attrs.iter().map(|a| self.cardinalities[a]).collect();
         EncodedRelation {
             schema,
@@ -340,6 +226,7 @@ mod tests {
         assert_eq!(e.cardinality(0), 3);
         assert!(e.is_constant(1));
         assert!(!e.is_constant(0));
+        assert_eq!(e.memory_bytes(), 2 * 4 * 4); // two columns of 4 u32s
     }
 
     #[test]
@@ -380,50 +267,18 @@ mod tests {
     }
 
     #[test]
-    fn pack_preserves_codes_and_reports_packed_bytes() {
+    fn codes_mut_copies_on_write_and_leaves_projections_intact() {
         let mut e = encoded();
-        let before: Vec<Vec<u32>> = (0..e.n_attrs()).map(|a| e.codes(a).to_vec()).collect();
-        let plain_bytes = e.memory_bytes();
-        assert_eq!(plain_bytes, 2 * 4 * 4); // two plain columns of 4 u32s
-        e.pack();
-        assert!(e.is_packed(0) && e.is_packed(1));
-        // Packed accounting: column 0 (card 3 → 2 bits) and column 1
-        // (card 1 → 1 bit) fit one u64 word each — far below 4·n_rows.
-        assert_eq!(e.memory_bytes(), 2 * 8);
-        for (a, col) in before.iter().enumerate() {
-            assert_eq!(e.codes(a), col.as_slice(), "attr {a}");
-            for (row, &code) in col.iter().enumerate() {
-                assert_eq!(e.code(row, a), code);
-            }
-        }
-        // codes() above materialized the unpack caches: accounted for.
-        assert!(e.memory_bytes() >= 2 * 8 + 2 * 4 * 4);
-    }
-
-    #[test]
-    fn codes_range_decodes_without_cache() {
-        let mut e = encoded();
-        e.pack();
-        let mut buf = Vec::new();
-        assert_eq!(e.codes_range(0, 1..3, &mut buf), &[0, 1]);
-        // No unpack cache was materialized by the chunked accessor.
-        assert_eq!(e.memory_bytes(), 2 * 8);
-    }
-
-    #[test]
-    fn codes_mut_unpacks_and_leaves_projections_intact() {
-        let mut e = encoded();
-        e.pack();
         let p = e.project(AttrSet::from_iter([0, 1]));
         e.codes_mut(0).push(9);
         e.set_cardinality(0, 10);
         e.set_n_rows(5);
-        assert!(!e.is_packed(0));
-        assert!(e.is_packed(1));
         assert_eq!(e.codes(0), &[2, 0, 1, 0, 9]);
-        // The projection still sees the packed pre-mutation column.
-        assert!(p.is_packed(0));
+        // The projection still sees the pre-mutation column; the untouched
+        // column stays shared.
         assert_eq!(p.codes(0), &[2, 0, 1, 0]);
+        assert!(!std::ptr::eq(e.codes(0).as_ptr(), p.codes(0).as_ptr()));
+        assert!(std::ptr::eq(e.codes(1).as_ptr(), p.codes(1).as_ptr()));
     }
 
     #[test]

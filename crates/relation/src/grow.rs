@@ -361,13 +361,6 @@ impl GrowableRelation {
         &self.enc
     }
 
-    /// Bit-packs the code columns (see [`EncodedRelation::pack`]). Packing
-    /// survives subsequent [`GrowableRelation::extend`] calls: appends
-    /// unpack a column for dictionary growth and re-pack it afterwards.
-    pub fn pack(&mut self) {
-        self.enc.pack();
-    }
-
     /// Appends a batch, growing dictionaries and codes in place.
     ///
     /// # Errors
@@ -411,15 +404,8 @@ impl GrowableRelation {
         let policy = self.null_policy.unwrap_or(NullPolicy::First);
         let mut remapped = Vec::with_capacity(self.dicts.len());
         for (a, dict) in self.dicts.iter_mut().enumerate() {
-            // `codes_mut` transparently unpacks a bit-packed column for
-            // growth; re-pack below so packedness round-trips through
-            // appends.
-            let was_packed = self.enc.is_packed(a);
             remapped.push(dict.grow(batch.column(a), self.enc.codes_mut(a), policy));
             self.enc.set_cardinality(a, dict.len() as u32);
-            if was_packed {
-                self.enc.pack_column(a);
-            }
         }
         self.enc.set_n_rows(old_n_rows + batch.n_rows());
         self.live.resize(old_n_rows + batch.n_rows(), true);
@@ -614,24 +600,6 @@ mod tests {
             Err(RelationError::NullPolicyRequired { .. })
         ));
         assert_eq!(grow.n_rows(), 1);
-    }
-
-    #[test]
-    fn packed_columns_grow_and_stay_packed() {
-        let base = rel(vec![30, 10, 30], vec!["b", "a", "b"]);
-        let mut grow = GrowableRelation::new(&base);
-        grow.pack();
-        assert!(grow.encoded().is_packed(0));
-        let mut concat = base.clone();
-        let batch = rel(vec![20, 10], vec!["c", "a"]); // 20 forces a remap
-        grow.extend(&batch).unwrap();
-        concat.extend(&batch).unwrap();
-        let fresh = concat.encode();
-        for a in 0..concat.n_attrs() {
-            assert!(grow.encoded().is_packed(a), "attr {a} lost packing");
-            assert_eq!(grow.encoded().codes(a), fresh.codes(a), "attr {a}");
-            assert_eq!(grow.encoded().cardinality(a), fresh.cardinality(a));
-        }
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub mod csv;
 mod encode;
 mod error;
 mod grow;
-mod packed;
 mod relation;
 pub mod sample;
 mod schema;
@@ -56,7 +55,6 @@ pub use column::{Column, ColumnData};
 pub use encode::EncodedRelation;
 pub use error::RelationError;
 pub use grow::{AppendReport, GrowableRelation};
-pub use packed::PackedCodes;
 pub use relation::{Relation, RelationBuilder};
 pub use schema::Schema;
 pub use csv::CsvOptions;

@@ -1,4 +1,4 @@
-//! Chunked streaming CSV ingest for the 100M-row scale path.
+//! Streaming CSV ingest for the 100M-row scale path.
 //!
 //! [`crate::csv::read_csv_opts`] holds the whole file's text before
 //! encoding, so a 100M-row file costs O(file) text *plus* O(file) typed
@@ -15,13 +15,13 @@
 //!    [`Column::rank_encode`](crate::Column::rank_encode) would assign, with
 //!    the dedicated null rank spliced in per [`NullPolicy`].
 //! 2. **Pass 2** rewinds and re-reads the file, encoding every cell by
-//!    binary search into a [`PackedCodes`] column at
-//!    `ceil(log2(cardinality + 1))` bits.
+//!    binary search straight into its `Vec<u32>` code column, allocated at
+//!    exactly pass 1's row count.
 //!
 //! The output is differentially identical — codes, cardinalities, null
-//! masks — to `read_csv_file_opts(..).encode()` at every chunk size
-//! (pinned by `tests/streaming_equivalence.rs`); peak memory is
-//! O(distinct + packed codes) instead of O(rows · columns) values.
+//! masks — to `read_csv_file_opts(..).encode()` (pinned by
+//! `tests/streaming_equivalence.rs`); peak memory is O(distinct values +
+//! 4 bytes per code) instead of O(rows · columns) values.
 //!
 //! [`CsvChunks`] is the sibling reader for consumers that need *raw typed
 //! rows* rather than codes (the serving layer's batch replay): pass 1
@@ -30,31 +30,32 @@
 
 use crate::csv::{cell, infer, Records, TextColumn, Typed};
 use crate::{
-    CsvOptions, DataType, EncodedRelation, NullPolicy, PackedCodes, Relation, RelationBuilder,
-    RelationError, Schema,
+    CsvOptions, DataType, EncodedRelation, NullPolicy, Relation, RelationBuilder, RelationError,
+    Schema,
 };
 use std::collections::HashSet;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
-/// Default rows per chunk for the streaming readers.
+/// The chunk size callers pass as [`read_csv_file_stream`]'s third
+/// argument, which the reader ignores.
 pub const DEFAULT_CHUNK_ROWS: usize = 1 << 16;
 
-/// Result of [`read_csv_stream`]: a bit-packed encoded relation plus the
-/// per-column null masks (needed by consumers that must distinguish the
-/// null rank from value ranks; `None` for null-free columns).
+/// Result of [`read_csv_stream`]: an encoded relation plus the per-column
+/// null masks (needed by consumers that must distinguish the null rank from
+/// value ranks; `None` for null-free columns).
 #[derive(Debug)]
 pub struct StreamedCsv {
-    /// The encoded relation, every column bit-packed at its cardinality
-    /// width.
+    /// The encoded relation; each code column holds exactly one `u32` per
+    /// row.
     pub encoded: EncodedRelation,
     /// Per column: `Some(mask)` iff the column contains nulls
     /// (`mask[row]` true ⇒ null), mirroring
     /// [`Column::null_mask`](crate::Column::null_mask).
     pub null_masks: Vec<Option<Vec<bool>>>,
     /// Estimated peak resident bytes of the ingest itself: the larger of
-    /// the pass-1 distinct sets and the final dictionaries + packed
-    /// columns. Feeds the `relation.peak_bytes` gauge.
+    /// the pass-1 distinct sets and the final dictionaries + code columns
+    /// (`4 · rows · columns` bytes). Feeds the `relation.peak_bytes` gauge.
     pub peak_bytes: usize,
 }
 
@@ -172,26 +173,17 @@ fn require_policy(
     }
 }
 
-/// Reads CSV text into a bit-packed [`EncodedRelation`] via a two-pass
-/// streaming dictionary build — same dialect, nulls and type inference as
+/// Reads CSV text into an [`EncodedRelation`] via a two-pass streaming
+/// dictionary build — same dialect, nulls and type inference as
 /// [`crate::csv::read_csv_opts`], without materializing the file's values.
 ///
-/// `chunk_rows` bounds the rows encoded per flush in pass 2 (`0` means
-/// whole-file); the output is identical at every chunk size. The input must
-/// be [`Seek`]able — the file is read twice. A file that changes between
-/// the passes (truncated, appended, edited) fails with
+/// The input must be [`Seek`]able — the file is read twice. A file that
+/// changes between the passes (truncated, appended, edited) fails with
 /// [`RelationError::Csv`] rather than producing torn codes.
 pub fn read_csv_stream<R: Read + Seek>(
     mut input: R,
     opts: CsvOptions,
-    chunk_rows: usize,
 ) -> Result<StreamedCsv, RelationError> {
-    let chunk_rows = if chunk_rows == 0 {
-        usize::MAX
-    } else {
-        chunk_rows
-    };
-
     // ---- Pass 1: distinct values and null presence. ----
     let mut records = Records::new(BufReader::new(&mut input), opts.has_header, None)?;
     let mut cols: Vec<Pass1Col> = Vec::new();
@@ -227,11 +219,6 @@ pub fn read_csv_stream<R: Read + Seek>(
     // Rank layout per column (matching `rank_encode_nullable`): nulls share
     // one rank at the front (`First`) or back (`Last`) of the value ranks.
     let policy = opts.null_policy.unwrap_or(NullPolicy::First);
-    let cardinalities: Vec<u32> = dicts
-        .iter()
-        .zip(&has_nulls)
-        .map(|(d, &nulls)| (d.len() + usize::from(nulls)) as u32)
-        .collect();
     let offsets: Vec<u32> = has_nulls
         .iter()
         .map(|&nulls| u32::from(nulls && policy == NullPolicy::First))
@@ -244,20 +231,13 @@ pub fn read_csv_stream<R: Read + Seek>(
         })
         .collect();
 
-    // ---- Pass 2: rewind and encode chunk by chunk. ----
+    // ---- Pass 2: rewind and encode every cell into its column. ----
     input.seek(SeekFrom::Start(0))?;
-    let mut packed: Vec<PackedCodes> = cardinalities
-        .iter()
-        .map(|&card| PackedCodes::with_capacity(card, pass1_rows))
-        .collect();
+    let mut columns: Vec<Vec<u32>> = (0..n_cols).map(|_| Vec::with_capacity(pass1_rows)).collect();
     let mut masks: Vec<Option<Vec<bool>>> = has_nulls
         .iter()
         .map(|&nulls| nulls.then(|| Vec::with_capacity(pass1_rows)))
         .collect();
-    // Per-chunk code buffers: rows accumulate here and flush into the
-    // packed columns every `chunk_rows` rows.
-    let mut chunk: Vec<Vec<u32>> = vec![Vec::new(); n_cols];
-    let mut chunk_len = 0usize;
     let mut pass2_rows = 0usize;
     let mut records = Records::new(BufReader::new(&mut input), opts.has_header, Some(n_cols))?;
     while records.advance()? {
@@ -277,15 +257,10 @@ pub fn read_csv_stream<R: Read + Seek>(
                     None => return Err(changed(line_no, "an unseen value appeared")),
                 },
             };
-            chunk[a].push(code);
+            columns[a].push(code);
         }
-        chunk_len += 1;
         pass2_rows += 1;
-        if chunk_len >= chunk_rows {
-            flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
-        }
     }
-    flush_chunk(&mut chunk, &mut packed, &mut chunk_len);
     if pass2_rows != pass1_rows {
         return Err(changed(pass2_rows.max(pass1_rows), "the row count changed"));
     }
@@ -295,7 +270,7 @@ pub fn read_csv_stream<R: Read + Seek>(
         mask.resize(pass1_rows, false);
     }
 
-    let encoded = EncodedRelation::from_packed(schema, packed, cardinalities);
+    let encoded = EncodedRelation::from_codes(schema, columns);
     let final_bytes =
         encoded.memory_bytes() + dicts.iter().map(TypedDict::approx_bytes).sum::<usize>();
     Ok(StreamedCsv {
@@ -312,25 +287,18 @@ fn changed(line: usize, what: &str) -> RelationError {
     }
 }
 
-fn flush_chunk(chunk: &mut [Vec<u32>], packed: &mut [PackedCodes], chunk_len: &mut usize) {
-    for (codes, col) in chunk.iter_mut().zip(packed.iter_mut()) {
-        for &c in codes.iter() {
-            col.push(c);
-        }
-        codes.clear();
-    }
-    *chunk_len = 0;
-}
-
 /// Streaming variant of [`crate::csv::read_csv_file_opts`]: reads a CSV
-/// file into a bit-packed [`EncodedRelation`] via [`read_csv_stream`].
+/// file into an [`EncodedRelation`] via [`read_csv_stream`].
+///
+/// `_chunk_rows` is unused: pass 2 encodes straight into whole columns. The
+/// parameter stays for callers that still pass [`DEFAULT_CHUNK_ROWS`].
 pub fn read_csv_file_stream<P: AsRef<Path>>(
     path: P,
     opts: CsvOptions,
-    chunk_rows: usize,
+    _chunk_rows: usize,
 ) -> Result<StreamedCsv, RelationError> {
     let file = std::fs::File::open(path)?;
-    read_csv_stream(file, opts, chunk_rows)
+    read_csv_stream(file, opts)
 }
 
 /// An iterator of raw typed [`Relation`] chunks over a CSV input, sharing
@@ -505,10 +473,10 @@ mod tests {
     use crate::csv::read_csv_opts;
     use std::io::Cursor;
 
-    fn assert_stream_matches(text: &str, opts: CsvOptions, chunk_rows: usize) {
+    fn assert_stream_matches(text: &str, opts: CsvOptions) {
         let rel = read_csv_opts(text.as_bytes(), opts).unwrap();
         let enc = rel.encode();
-        let streamed = read_csv_stream(Cursor::new(text), opts, chunk_rows).unwrap();
+        let streamed = read_csv_stream(Cursor::new(text), opts).unwrap();
         assert_eq!(streamed.encoded.n_rows(), enc.n_rows());
         assert_eq!(streamed.encoded.n_attrs(), enc.n_attrs());
         for a in 0..enc.n_attrs() {
@@ -530,9 +498,7 @@ mod tests {
     #[test]
     fn matches_one_shot_reader() {
         let text = "id,grp,score\n3,b,1.5\n1,a,2\n2,b,1.5\n";
-        for chunk in [1, 2, 0] {
-            assert_stream_matches(text, CsvOptions::with_header(), chunk);
-        }
+        assert_stream_matches(text, CsvOptions::with_header());
     }
 
     #[test]
@@ -540,14 +506,14 @@ mod tests {
         let text = "s,n\nx,\n,2\n\"\",3\n";
         for policy in [NullPolicy::First, NullPolicy::Last] {
             let opts = CsvOptions::with_header().null_policy(policy);
-            assert_stream_matches(text, opts, 1);
+            assert_stream_matches(text, opts);
         }
     }
 
     #[test]
     fn null_without_policy_is_rejected() {
-        let err = read_csv_stream(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header(), 0)
-            .unwrap_err();
+        let err =
+            read_csv_stream(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header()).unwrap_err();
         assert!(matches!(err, RelationError::NullPolicyRequired { column } if column == "a"));
     }
 

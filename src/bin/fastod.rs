@@ -23,14 +23,12 @@
 //!                          "ctx1:A~B" (attribute names)
 //!   --stats                print per-level statistics (Figure 7 style)
 //!   --stream               ingest the CSV via the two-pass streaming
-//!                          dictionary build into bit-packed code columns
-//!                          (the 100M-row scale path): peak memory is
-//!                          O(distinct values + packed codes) instead of
-//!                          O(rows), reported via the `relation.peak_bytes`
-//!                          gauge; codes/cardinalities/covers are identical
-//!                          to the one-shot reader
-//!   --chunk-rows <N>       rows per streaming chunk (default 65536;
-//!                          0 = whole file)
+//!                          dictionary build (the 100M-row scale path): the
+//!                          file's values are never held, so peak memory is
+//!                          O(distinct values) plus 4 bytes per code,
+//!                          reported via the `relation.peak_bytes` gauge;
+//!                          codes/cardinalities/covers are identical to the
+//!                          one-shot reader
 //!   --trace <FILE.jsonl>   write a structured span trace of the run (one
 //!                          JSON event per closed span; schema documented
 //!                          in fastod-obs) and enable metrics collection
@@ -112,14 +110,13 @@ struct Args {
     /// `serve`: wall-clock budget per maintenance pass; an overrunning
     /// pass fails like a cancelled one and auto-recovery rebuilds it.
     pass_deadline_ms: Option<u64>,
-    /// Ingest via the two-pass streaming dictionary build into bit-packed
-    /// code columns instead of materializing the whole file's values.
+    /// Ingest via the two-pass streaming dictionary build instead of
+    /// materializing the whole file's values.
     stream: bool,
-    /// Rows per streaming chunk (0 = whole file).
-    chunk_rows: usize,
 }
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the command line after the program name.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         file: String::new(),
         header: true,
@@ -145,9 +142,8 @@ fn parse_args() -> Result<Args, String> {
         base_frac: 0.5,
         pass_deadline_ms: None,
         stream: false,
-        chunk_rows: fastod_suite::relation::stream::DEFAULT_CHUNK_ROWS,
     };
-    let mut iter = std::env::args().skip(1).peekable();
+    let mut iter = argv.into_iter().peekable();
     match iter.peek().map(String::as_str) {
         Some("serve") => {
             args.serve = true;
@@ -170,11 +166,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--no-header" => args.header = false,
             "--stream" => args.stream = true,
-            "--chunk-rows" => {
-                args.chunk_rows = need(&mut iter, "--chunk-rows")?
-                    .parse()
-                    .map_err(|e| format!("--chunk-rows: {e}"))?
-            }
             "--stats" => args.stats = true,
             "--verbose" => args.verbose = true,
             "--trace" => args.trace = Some(need(&mut iter, "--trace")?),
@@ -230,9 +221,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--batch: {e}"))?
             }
             "--base-frac" => {
-                args.base_frac = need(&mut iter, "--base-frac")?
-                    .parse()
-                    .map_err(|e| format!("--base-frac: {e}"))?
+                args.base_frac = parse_fraction("--base-frac", &need(&mut iter, "--base-frac")?)?
             }
             "--pass-deadline-ms" => {
                 args.pass_deadline_ms = Some(
@@ -254,8 +243,8 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Parses the value of a row-removal fraction flag (`--epsilon`,
-/// `--max-error`), which must lie in `[0, 1]`; NaN and infinities are
+/// Parses the value of a fraction flag (`--epsilon`, `--max-error`,
+/// `--base-frac`), which must lie in `[0, 1]`; NaN and infinities are
 /// rejected too.
 fn parse_fraction(flag: &str, value: &str) -> Result<f64, String> {
     let fraction: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
@@ -527,7 +516,6 @@ fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
     });
 
     let (epoch, snap) = session.read();
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     eprintln!(
         "replayed {} append passes (mean {:.2} ms) + {} delete passes (mean {:.2} ms); \
          final epoch {}, cover = {} ODs over {} live rows",
@@ -663,7 +651,6 @@ fn run_serve_stream(args: &Args, opts: CsvOptions, obs: &Obs) -> ExitCode {
         replayed += rows;
     }
     let (epoch, snap) = session.read();
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
     eprintln!(
         "replayed {} rows in {} append passes (mean {:.2} ms); final epoch {}, cover = {} ODs over {} live rows",
         replayed,
@@ -677,6 +664,16 @@ fn run_serve_stream(args: &Args, opts: CsvOptions, obs: &Obs) -> ExitCode {
         eprintln!("\n{}", session.metrics().render());
     }
     ExitCode::SUCCESS
+}
+
+/// The mean of a replay's pass latencies; `0.0` when no pass ran (an
+/// empty `f64` sum is `-0.0`, which would print as `-0.00`).
+fn mean(ms: &[f64]) -> f64 {
+    if ms.is_empty() {
+        0.0
+    } else {
+        ms.iter().sum::<f64>() / ms.len() as f64
+    }
 }
 
 /// The discovery tail shared by the one-shot and streamed ingest paths:
@@ -762,7 +759,7 @@ fn run_discover(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs:
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
+    let args = match parse_args(std::env::args().skip(1)) {
         Ok(a) => a,
         Err(msg) => {
             if msg != "help" {
@@ -771,7 +768,7 @@ fn main() -> ExitCode {
             eprintln!(
                 "usage: fastod <FILE.csv> [--no-header] [--max-level N] [--timeout SECS] \
                  [--threads N] [--epsilon F] [--violations OD] [--stats] [--stream] \
-                 [--chunk-rows N] [--trace OUT.jsonl]\n       \
+                 [--trace OUT.jsonl]\n       \
                  fastod stats <FILE.csv> [same options]\n       \
                  fastod check <FILE.csv> [--od SPEC]... [--discover-near-valid] \
                  [--max-error F] [--witnesses N] [--nulls first|last] [--json] [--stream]\n       \
@@ -813,7 +810,8 @@ fn main() -> ExitCode {
             let code = run_serve_stream(&args, opts, &obs);
             return finish(code, &obs);
         }
-        let streamed = match read_csv_file_stream(&args.file, opts, args.chunk_rows) {
+        // The third argument, a chunk size, is unused.
+        let streamed = match read_csv_file_stream(&args.file, opts, 0) {
             Ok(s) => s,
             Err(e) => {
                 eprintln!("error reading {}: {e}", args.file);
@@ -915,5 +913,26 @@ mod tests {
         for (good, want) in [("0", 0.0), ("0.01", 0.01), ("1", 1.0)] {
             assert_eq!(parse_fraction("--max-error", good), Ok(want));
         }
+    }
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|a| a.to_string()))
+    }
+
+    #[test]
+    fn base_frac_outside_unit_interval_is_a_usage_error() {
+        for bad in ["7", "-1", "nan"] {
+            let err = parse(&["serve", "f.csv", "--base-frac", bad]).err();
+            assert_eq!(err, Some(format!("--base-frac must be in [0, 1], got {bad}")));
+        }
+        let args = parse(&["serve", "f.csv", "--base-frac", "0.25"]).unwrap();
+        assert!(args.serve);
+        assert_eq!((args.file.as_str(), args.base_frac), ("f.csv", 0.25));
+    }
+
+    #[test]
+    fn mean_of_no_passes_prints_zero() {
+        assert_eq!(format!("{:.2}", mean(&[])), "0.00");
+        assert_eq!(format!("{:.2}", mean(&[1.0, 2.0])), "1.50");
     }
 }

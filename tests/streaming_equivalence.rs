@@ -1,64 +1,57 @@
 //! The streaming CSV reader, pinned against the one-shot reader.
 //!
 //! `read_csv_stream` makes two passes over the file (dictionaries, then
-//! encode) and never holds more than a chunk of decoded values — but its
-//! *result* must be indistinguishable from `read_csv_opts` reading the whole
-//! file at once: same schema, same dense-rank codes, same cardinalities,
-//! same null masks, same discovered cover. These tests sweep chunk sizes
-//! {1, 7, 4096, whole-file} across the dialect corner cases the one-shot
-//! reader pins (quoted-empty vs null, whitespace trimming, blank lines,
-//! headerless files, both null policies) and pin the error behaviour: ragged
-//! rows and missing null policies fail identically, and a file that shrinks
-//! between the two streaming passes is reported as such rather than
-//! producing a silently short relation.
+//! encode) and never holds the file's decoded values — but its *result*
+//! must be indistinguishable from `read_csv_opts` reading the whole file at
+//! once: same schema, same dense-rank codes, same cardinalities, same null
+//! masks, same discovered cover. These tests run it, and the `CsvChunks`
+//! row reader at chunk sizes {1, 7, 4096, whole-file}, across the dialect
+//! corner cases the one-shot reader pins (quoted-empty vs null, whitespace
+//! trimming, blank lines, headerless files, both null policies) and pin the
+//! error behaviour: ragged rows and missing null policies fail identically,
+//! and a file that shrinks between the two streaming passes is reported as
+//! such rather than producing a silently short relation.
 
 use fastod_suite::prelude::*;
-use fastod_suite::relation::csv::read_csv_opts;
+use fastod_suite::relation::csv::{read_csv_opts, write_csv};
 use fastod_suite::relation::stream::DEFAULT_CHUNK_ROWS;
 use fastod_suite::relation::{
     read_csv_stream, CsvChunks, CsvOptions, NullPolicy, RelationError,
 };
+use proptest::prelude::*;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 
+/// Chunk sizes swept for `CsvChunks`.
 const CHUNK_SIZES: [usize; 4] = [1, 7, 4096, 0]; // 0 = whole file
 
-/// Asserts the streamed encoding equals the one-shot read of `text` at every
-/// swept chunk size, and that (for non-trivial inputs) the discovered covers
-/// agree.
+/// Asserts the streamed encoding equals the one-shot read of `text`, and
+/// that (for non-trivial inputs) the discovered covers agree.
 fn assert_equivalent(text: &str, opts: CsvOptions) {
     let rel = fastod_suite::relation::csv::read_csv_opts(text.as_bytes(), opts)
         .expect("one-shot read should succeed");
     let enc = rel.encode();
-    for chunk_rows in CHUNK_SIZES {
-        let streamed = read_csv_stream(Cursor::new(text), opts, chunk_rows)
-            .unwrap_or_else(|e| panic!("chunk_rows={chunk_rows}: {e}"));
-        assert_eq!(streamed.encoded.n_rows(), enc.n_rows(), "chunk {chunk_rows}");
-        assert_eq!(streamed.encoded.n_attrs(), enc.n_attrs());
-        for a in 0..enc.n_attrs() {
-            assert_eq!(streamed.encoded.schema().name(a), rel.schema().name(a));
-            assert_eq!(
-                streamed.encoded.schema().data_type(a),
-                rel.schema().data_type(a),
-                "attr {a} type, chunk {chunk_rows}"
-            );
-            assert_eq!(
-                streamed.encoded.codes(a),
-                enc.codes(a),
-                "attr {a} codes, chunk {chunk_rows}"
-            );
-            assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
-            assert_eq!(
-                streamed.null_masks[a].as_deref(),
-                rel.column(a).null_mask(),
-                "attr {a} null mask, chunk {chunk_rows}"
-            );
-        }
-        if enc.n_rows() > 0 {
-            let cover = |e: &EncodedRelation| {
-                Fastod::new(DiscoveryConfig::default()).discover(e).ods.sorted()
-            };
-            assert_eq!(cover(&streamed.encoded), cover(&enc), "chunk {chunk_rows}");
-        }
+    let streamed = read_csv_stream(Cursor::new(text), opts).expect("streamed read should succeed");
+    assert_eq!(streamed.encoded.n_rows(), enc.n_rows());
+    assert_eq!(streamed.encoded.n_attrs(), enc.n_attrs());
+    for a in 0..enc.n_attrs() {
+        assert_eq!(streamed.encoded.schema().name(a), rel.schema().name(a));
+        assert_eq!(
+            streamed.encoded.schema().data_type(a),
+            rel.schema().data_type(a),
+            "attr {a} type"
+        );
+        assert_eq!(streamed.encoded.codes(a), enc.codes(a), "attr {a} codes");
+        assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
+        assert_eq!(
+            streamed.null_masks[a].as_deref(),
+            rel.column(a).null_mask(),
+            "attr {a} null mask"
+        );
+    }
+    if enc.n_rows() > 0 {
+        let cover =
+            |e: &EncodedRelation| Fastod::new(DiscoveryConfig::default()).discover(e).ods.sorted();
+        assert_eq!(cover(&streamed.encoded), cover(&enc));
     }
 }
 
@@ -117,17 +110,14 @@ fn error_pins_match_one_shot() {
     let ragged = "a,b\n1,2\n1,2,3\n";
     let one = fastod_suite::relation::csv::read_csv_opts(ragged.as_bytes(), CsvOptions::with_header())
         .unwrap_err();
-    for chunk_rows in CHUNK_SIZES {
-        let streamed =
-            read_csv_stream(Cursor::new(ragged), CsvOptions::with_header(), chunk_rows).unwrap_err();
-        assert_eq!(streamed.to_string(), one.to_string(), "chunk {chunk_rows}");
-    }
+    let streamed = read_csv_stream(Cursor::new(ragged), CsvOptions::with_header()).unwrap_err();
+    assert_eq!(streamed.to_string(), one.to_string());
     // Missing null policy names the first nullable column by index order.
-    let err = read_csv_stream(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header(), 1)
-        .unwrap_err();
+    let err =
+        read_csv_stream(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header()).unwrap_err();
     assert!(matches!(err, RelationError::NullPolicyRequired { ref column } if column == "a"));
     // Header demanded but absent.
-    let err = read_csv_stream(Cursor::new(""), CsvOptions::with_header(), 0).unwrap_err();
+    let err = read_csv_stream(Cursor::new(""), CsvOptions::with_header()).unwrap_err();
     assert!(matches!(err, RelationError::Csv { line: 1, .. }), "{err}");
 }
 
@@ -168,11 +158,10 @@ impl Seek for ShrinkingSource {
 #[test]
 fn truncation_between_passes_is_an_error_not_a_short_relation() {
     let full = "a,b\n1,x\n2,y\n3,z\n4,x\n";
-    // Mid-chunk EOF: pass 2 sees two of four data rows.
+    // Early EOF: pass 2 sees two of four data rows.
     let err = read_csv_stream(
         ShrinkingSource::new(full, "a,b\n1,x\n2,y\n"),
         CsvOptions::with_header(),
-        3,
     )
     .unwrap_err();
     assert!(
@@ -184,7 +173,6 @@ fn truncation_between_passes_is_an_error_not_a_short_relation() {
     let err = read_csv_stream(
         ShrinkingSource::new(full, "a,b\n1,x\n2,y\n9,z\n4,x\n"),
         CsvOptions::with_header(),
-        2,
     )
     .unwrap_err();
     assert!(
@@ -197,12 +185,8 @@ fn truncation_between_passes_is_an_error_not_a_short_relation() {
 fn rows_appearing_between_passes_are_an_error_not_a_panic() {
     // Pass 1 sees no data rows, pass 2 sees one: its values are in no
     // dictionary pass 1 built, so the row is rejected at its line.
-    let err = read_csv_stream(
-        ShrinkingSource::new("a,b\n", "a,b\n1,x\n"),
-        CsvOptions::with_header(),
-        0,
-    )
-    .unwrap_err();
+    let err = read_csv_stream(ShrinkingSource::new("a,b\n", "a,b\n1,x\n"), CsvOptions::with_header())
+        .unwrap_err();
     assert!(matches!(err, RelationError::Csv { line: 2, .. }), "{err}");
 }
 
@@ -238,15 +222,74 @@ fn file_streaming_matches_file_one_shot() {
     let one = fastod_suite::relation::csv::read_csv_file_opts(&path, CsvOptions::with_header())
         .unwrap()
         .encode();
-    let streamed =
-        fastod_suite::relation::read_csv_file_stream(&path, CsvOptions::with_header(), 2).unwrap();
+    // The chunk size is unused; this is the call the benchmark makes.
+    let streamed = fastod_suite::relation::read_csv_file_stream(
+        &path,
+        CsvOptions::with_header(),
+        DEFAULT_CHUNK_ROWS,
+    )
+    .unwrap();
     for a in 0..one.n_attrs() {
         assert_eq!(streamed.encoded.codes(a), one.codes(a), "attr {a}");
     }
     assert!(streamed.peak_bytes > 0);
-    // The default chunk size is the documented knob the CLI exposes.
-    const { assert!(DEFAULT_CHUNK_ROWS > 0) };
     let _ = std::fs::remove_file(&path);
+}
+
+/// The streamed code columns are exactly one `u32` per row, so the
+/// encoded bytes that `StreamedCsv::peak_bytes` counts are `4 · rows ·
+/// attrs`, with no slack from growth.
+#[test]
+fn streamed_columns_hold_four_bytes_per_code() {
+    let mut text = String::from("seq,grp,opt\n");
+    for i in 0..1000 {
+        let opt = if i % 9 == 0 { String::new() } else { (i % 5).to_string() };
+        text.push_str(&format!("{i},g{},{opt}\n", i % 7));
+    }
+    let opts = CsvOptions::with_header().null_policy(NullPolicy::Last);
+    let streamed = read_csv_stream(Cursor::new(text.as_str()), opts).unwrap();
+    let enc = &streamed.encoded;
+    assert_eq!((enc.n_rows(), enc.n_attrs()), (1000, 3));
+    assert_eq!(enc.memory_bytes(), 4 * 1000 * 3);
+    assert!(streamed.peak_bytes >= enc.memory_bytes());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Generated tables written as CSV and streamed back discover the cover
+    /// of the in-memory encoding, at every thread count: the streamed
+    /// columns (built by `EncodedRelation::from_codes`) are what the
+    /// parallel level-1 build reads.
+    #[test]
+    fn streamed_cover_identical_to_in_memory_encoding(
+        n_rows in 0usize..40,
+        card in 1u32..6,
+        seed in any::<u64>(),
+        threads in 1usize..4,
+    ) {
+        let spec = fastod_suite::datagen::TableSpec::new("streamed", n_rows, seed)
+            .column("key", fastod_suite::datagen::ColumnSpec::ShuffledKey)
+            .column("cat", fastod_suite::datagen::ColumnSpec::RandomInt { cardinality: card })
+            .column(
+                "mono",
+                fastod_suite::datagen::ColumnSpec::MonotoneOf { source: 0, plateau: 3 },
+            )
+            .column(
+                "fd",
+                fastod_suite::datagen::ColumnSpec::FdOf { sources: vec![1], cardinality: card },
+            );
+        let rel = spec.build();
+        let mut text = Vec::new();
+        write_csv(&rel, &mut text).unwrap();
+        let streamed = read_csv_stream(Cursor::new(text), CsvOptions::with_header()).unwrap();
+        let enc = rel.encode();
+        prop_assert_eq!(streamed.encoded.n_rows(), n_rows);
+        let cfg = DiscoveryConfig::default().with_threads(threads);
+        let a = Fastod::new(cfg.clone()).discover(&enc).ods.sorted();
+        let b = Fastod::new(cfg).discover(&streamed.encoded).ods.sorted();
+        prop_assert_eq!(a, b);
+    }
 }
 
 /// Asserts the chunk iterator replays `text` as the one-shot relation at
@@ -313,9 +356,9 @@ fn whitespace_only_line_is_a_record_not_a_blank_line() {
     let opts = CsvOptions::with_header();
     let one = read_csv_opts(ragged.as_bytes(), opts).unwrap_err();
     assert!(matches!(one, RelationError::Csv { line: 3, .. }), "{one}");
+    let streamed = read_csv_stream(Cursor::new(ragged), opts).unwrap_err();
+    assert_eq!(streamed.to_string(), one.to_string());
     for chunk_rows in CHUNK_SIZES {
-        let streamed = read_csv_stream(Cursor::new(ragged), opts, chunk_rows).unwrap_err();
-        assert_eq!(streamed.to_string(), one.to_string(), "chunk {chunk_rows}");
         let chunks = CsvChunks::new(Cursor::new(ragged), opts, chunk_rows)
             .err()
             .expect("ragged row must fail pass 1");
@@ -348,9 +391,9 @@ fn invalid_utf8_is_an_io_error_in_every_reader() {
     for bytes in [&b"a,b\n1,x\n2,\xff\n"[..], &b"a,\xc3\n1,x\n"[..]] {
         let one = read_csv_opts(bytes, opts).unwrap_err();
         assert!(is_invalid_data(&one), "{one}");
+        let streamed = read_csv_stream(Cursor::new(bytes), opts).unwrap_err();
+        assert!(is_invalid_data(&streamed), "{streamed}");
         for chunk_rows in CHUNK_SIZES {
-            let streamed = read_csv_stream(Cursor::new(bytes), opts, chunk_rows).unwrap_err();
-            assert!(is_invalid_data(&streamed), "{streamed}");
             let chunks = CsvChunks::new(Cursor::new(bytes), opts, chunk_rows)
                 .err()
                 .expect("invalid UTF-8 must fail pass 1");
