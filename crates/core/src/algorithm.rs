@@ -92,11 +92,11 @@ pub(crate) fn run_lattice<J: OdJudge>(
     validator: &mut J,
     opts: &DriverOptions,
 ) -> Result<DiscoveryResult, PassError> {
-    // Spans enclose the stats clocks: each guard opens right before its
-    // Instant and drops right after `.elapsed()`, so only clock reads
-    // separate the two, and the span's own bookkeeping is outside both.
-    let run_span = opts.obs.span_with("discover", &[("n_attrs", enc.n_attrs() as u64)]);
+    // The phase spans and the stats share their clock reads: each span
+    // opens at the instant its stats clock starts and closes at the one it
+    // stops, so a preemption between two reads cannot split them.
     let start = Instant::now();
+    let run_span = opts.obs.span_from("discover", &[("n_attrs", enc.n_attrs() as u64)], start);
     let n_attrs = enc.n_attrs();
     let mut m = OdSet::new();
     let mut stats = DiscoveryStats::default();
@@ -105,8 +105,9 @@ pub(crate) fn run_lattice<J: OdJudge>(
     let mut product_pool: Vec<ProductScratch> = Vec::new();
 
     if n_attrs == 0 {
-        stats.total_time = start.elapsed();
-        drop(run_span);
+        let end = Instant::now();
+        stats.total_time = end - start;
+        run_span.end_at(end);
         return Ok(DiscoveryResult { ods: m, stats });
     }
 
@@ -120,9 +121,12 @@ pub(crate) fn run_lattice<J: OdJudge>(
     let mut l = 1usize;
 
     while !current.is_empty() {
-        let level_span =
-            opts.obs.span_with("level", &[("level", l as u64), ("nodes", current.len() as u64)]);
         let level_start = Instant::now();
+        let level_span = opts.obs.span_from(
+            "level",
+            &[("level", l as u64), ("nodes", current.len() as u64)],
+            level_start,
+        );
         let mut lstats = LevelStats {
             level: l,
             nodes: current.len(),
@@ -132,8 +136,9 @@ pub(crate) fn run_lattice<J: OdJudge>(
             let _span = opts.obs.span_with("compute_candidates", &[("level", l as u64)]);
             compute_candidate_sets_parallel(l, &mut current, &prev, n_attrs, &exec, &opts.cancel)?;
         }
-        let validate_span = opts.obs.span_with("validate_level", &[("level", l as u64)]);
         let validate_start = Instant::now();
+        let validate_span =
+            opts.obs.span_from("validate_level", &[("level", l as u64)], validate_start);
         validate_level(
             l,
             &mut current,
@@ -146,12 +151,14 @@ pub(crate) fn run_lattice<J: OdJudge>(
             &exec,
             &opts.cancel,
         )?;
-        lstats.validate_time = validate_start.elapsed();
-        drop(validate_span);
+        let validate_end = Instant::now();
+        lstats.validate_time = validate_end - validate_start;
+        validate_span.end_at(validate_end);
         prune_level(l, &mut current, &mut lstats);
         let reached_cap = opts.max_level.is_some_and(|cap| l >= cap);
-        let generate_span = opts.obs.span_with("generate_level", &[("level", l as u64)]);
         let generate_start = Instant::now();
+        let generate_span =
+            opts.obs.span_from("generate_level", &[("level", l as u64)], generate_start);
         let next = if reached_cap {
             Level::new()
         } else {
@@ -163,20 +170,23 @@ pub(crate) fn run_lattice<J: OdJudge>(
                 &opts.cancel,
             )?
         };
-        lstats.generate_time = generate_start.elapsed();
-        drop(generate_span);
+        let generate_end = Instant::now();
+        lstats.generate_time = generate_end - generate_start;
+        generate_span.end_at(generate_end);
         // Shift inside the level's span: freeing level l-2 can stall a tick.
         prev_prev = std::mem::take(&mut prev);
         prev = std::mem::take(&mut current);
         current = next;
-        lstats.time = level_start.elapsed();
-        drop(level_span);
+        let level_end = Instant::now();
+        lstats.time = level_end - level_start;
+        level_span.end_at(level_end);
         opts.obs.add("discover.ods_found", lstats.ods_found() as u64);
         stats.levels.push(lstats);
         l += 1;
     }
-    stats.total_time = start.elapsed();
-    drop(run_span);
+    let end = Instant::now();
+    stats.total_time = end - start;
+    run_span.end_at(end);
     opts.obs.add("discover.runs", 1);
     Ok(DiscoveryResult { ods: m, stats })
 }

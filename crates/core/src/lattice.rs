@@ -7,27 +7,43 @@ use fastod_partition::{AppendDelta, ProductScratch, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::collections::HashMap;
 use std::ops::Index;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// A lattice node: the attribute set is the map key; the node carries its
-/// stripped partition `Π*_X` and candidate sets `C⁺c(X)` / `C⁺s(X)`.
+/// stripped partition `Π*_X`, candidate sets `C⁺c(X)` / `C⁺s(X)` and the
+/// attributes outside `X` that `X` is known to determine.
 pub struct Node {
-    /// The stripped partition `Π*_X`.
-    pub partition: StrippedPartition,
+    /// The stripped partition `Π*_X`. One-shot generation shares it with
+    /// a parent whose partition a known FD makes equal to it (see
+    /// [`calculate_next_level_parallel`]); a caller that mutates it goes
+    /// through `Arc::make_mut`, which copies only a shared one.
+    pub partition: Arc<StrippedPartition>,
     /// Candidate attributes `C⁺c(X)` (Definition 7).
     pub cc: AttrSet,
     /// Candidate pairs `C⁺s(X)` (Definition 8).
     pub cs: PairSet,
+    /// Attributes `A ∉ X` for which `X: [] ↦ A` is known to hold, learned
+    /// from partition sizes during one-shot generation. Empty in every
+    /// level the incremental engine builds: a mutation can break an FD.
+    /// Generation trusts it, so only this crate sets it.
+    pub(crate) determines: AttrSet,
 }
 
 impl Node {
     /// A node with empty candidate sets (they are filled by
-    /// [`crate::snapshot::compute_candidate_sets`]).
+    /// [`crate::snapshot::compute_candidate_sets`]) and no known FD.
     pub fn new(partition: StrippedPartition, n_attrs: usize) -> Node {
+        Node::sharing(Arc::new(partition), AttrSet::EMPTY, n_attrs)
+    }
+
+    /// A node over a possibly shared partition, knowing it determines
+    /// `determines`.
+    fn sharing(partition: Arc<StrippedPartition>, determines: AttrSet, n_attrs: usize) -> Node {
         Node {
             partition,
             cc: AttrSet::EMPTY,
             cs: PairSet::new(n_attrs),
+            determines,
         }
     }
 }
@@ -138,10 +154,24 @@ pub fn sorted_keys(level: &Level) -> Vec<u64> {
     keys
 }
 
-/// `calculateNextLevel(L_l)` — Algorithm 2, with every child's partition
-/// built from its two generating parents: the generation plan in which
-/// every action is a [`JoinAction::Product`], run by [`run_joins`] over
-/// the relation `level` carries. The returned level carries it too.
+/// `calculateNextLevel(L_l)` — Algorithm 2 over the relation `level`
+/// carries. The returned level carries it too.
+///
+/// A child `X = P ∪ {a}` whose parent `P` is known to determine `a` (a
+/// fact the node carries, learned as below) has `Π*_X = Π*_P`, so it
+/// shares that parent's partition: one `Arc` clone, no row read. Every
+/// other child is a [`JoinAction::Product`] of the plan [`run_joins`]
+/// runs, which refines the parent covering the fewest rows. The
+/// `partition.shared` counter counts the shared children,
+/// `partition.products` the refined ones.
+///
+/// Facts come for free from the partitions' sizes. A child refines each
+/// of its parents, so it has the partition of parent `P = X ∖ {b}` iff
+/// it has as many covered rows and classes, which is the error test
+/// `e(P) = e(X)` that validation applies to `P: [] ↦ b`. Such a parent
+/// determines `b`, and by Augmentation-I so does every superset of it:
+/// each child inherits the facts of its parents, both those they knew
+/// and those the level's children proved about them.
 ///
 /// `pool` holds one [`ProductScratch`] arena per worker and persists across
 /// calls — the lattice driver passes the same pool for every level, so the
@@ -167,24 +197,69 @@ pub fn calculate_next_level_parallel(
     );
     cancel.check()?;
     let joins = candidate_joins(level);
-    let actions = joins.iter().map(|_| JoinAction::Product).collect();
-    let built = run_joins(level, enc, &joins, actions, false, exec, pool, cancel)?;
-    let mut next = Level::with_capacity(joins.len());
+    let shared: Vec<Option<Arc<StrippedPartition>>> =
+        joins.iter().map(|&(x, _, _)| known_equal_parent(level, x).cloned()).collect();
+    let refined: Vec<(AttrSet, AttrSet, AttrSet)> = joins
+        .iter()
+        .zip(&shared)
+        .filter_map(|(&join, share)| share.is_none().then_some(join))
+        .collect();
+    let actions = refined.iter().map(|_| JoinAction::Product).collect();
+    let mut built =
+        run_joins(level, enc, &refined, actions, false, exec, pool, cancel)?.into_iter();
+    exec.obs().add("partition.shared", (joins.len() - refined.len()) as u64);
+    let children: Vec<(AttrSet, Arc<StrippedPartition>)> = joins
+        .iter()
+        .zip(shared)
+        .map(|(&(x, _, _), share)| {
+            let partition = share.unwrap_or_else(|| {
+                Arc::new(built.next().expect("one result per refined join").into_partition())
+            });
+            (x, partition)
+        })
+        .collect();
+    // The FDs this level's children prove about their parents.
+    let mut proven: HashMap<u64, AttrSet> = HashMap::new();
+    for (x, partition) in &children {
+        for (b, p) in x.parents() {
+            let parent = &level[&p.bits()].partition;
+            if parent.covered_rows() == partition.covered_rows()
+                && parent.n_classes() == partition.n_classes()
+            {
+                let facts = proven.entry(p.bits()).or_default();
+                *facts = facts.with(b);
+            }
+        }
+    }
+    let mut next = Level::with_capacity(children.len());
     next.relation = Some(enc.clone());
-    for ((x, _, _), join) in joins.into_iter().zip(built) {
-        next.insert(x.bits(), Node::new(join.into_partition(), n_attrs));
+    for (x, partition) in children {
+        let determines = x.parents().fold(AttrSet::EMPTY, |facts, (_, p)| {
+            let proven = proven.get(&p.bits()).copied().unwrap_or_default();
+            facts.union(level[&p.bits()].determines).union(proven)
+        });
+        next.insert(x.bits(), Node::sharing(partition, determines.difference(x), n_attrs));
     }
     Ok(next)
+}
+
+/// The partition of the first parent `X ∖ {a}` of `X` known to determine
+/// `a`, which is `Π*_X`.
+fn known_equal_parent(level: &Level, x: AttrSet) -> Option<&Arc<StrippedPartition>> {
+    x.parents().find_map(|(a, p)| {
+        let parent = &level[&p.bits()];
+        parent.determines.contains(a).then_some(&parent.partition)
+    })
 }
 
 /// How generation obtains the partition of one child `X = Y ∪ Z` of a
 /// [`candidate_joins`] entry `(X, Y, Z)`. A generation plan lists one
 /// action per join, in join order.
 pub enum JoinAction {
-    /// `Π*_X` from the two generating parents: the parent that covers
-    /// fewer rows, refined by the code column of the other's extra
-    /// attribute ([`StrippedPartition::refine`]; `Z` on a tie). The bytes
-    /// equal the product `Π*_Y · Π*_Z` that splits that parent.
+    /// `Π*_X` from one of its `|X|` parents, all of which the level holds:
+    /// the parent `X ∖ {a}` that covers the fewest rows (the lowest bits on
+    /// a tie), refined by `a`'s code column
+    /// ([`StrippedPartition::refine`]).
     Product,
     /// A retained `Π*_X` over fewer rows absorbs the appended ones
     /// ([`StrippedPartition::absorb_append`]): the classes of `Π*_Z` that
@@ -198,7 +273,7 @@ pub enum JoinAction {
 
 /// What one [`JoinAction`] produced, in plan order.
 pub enum JoinResult {
-    /// The child built from both parents.
+    /// The child refined from one of its parents.
     Product(StrippedPartition),
     /// The retained partition after absorbing, with its append delta.
     Absorbed(StrippedPartition, AppendDelta),
@@ -272,36 +347,34 @@ pub fn run_joins(
         &work,
         cancel,
         |scratch, _, (i, slot)| {
-            let (_, y, z) = joins[*i];
-            let parent = &level[&z.bits()].partition;
+            let (x, y, z) = joins[*i];
             let action = slot
                 .lock()
                 .expect("a slot is locked only to take its action")
                 .take()
                 .expect("each action runs once");
-            // The code column and cardinality of the one attribute that one
-            // parent adds to the other.
-            let column = |extra: AttrSet| {
-                let a = extra.min_attr().expect("the parents differ");
-                (enc.codes(a), enc.cardinality(a))
-            };
+            let column = |a: AttrId| (enc.codes(a), enc.cardinality(a));
             // Whether this worker allocated the result's buffers: a product
             // always, an absorb when it outgrew them.
             let (join, allocated) = match action {
                 JoinAction::Product => {
                     // A refinement costs one key read per row of the
-                    // refined parent, so refine the one that covers fewer.
-                    let sibling = &level[&y.bits()].partition;
-                    let (split, extra) = if sibling.covered_rows() >= parent.covered_rows() {
-                        (parent, y.difference(z))
-                    } else {
-                        (sibling, z.difference(y))
-                    };
-                    let (codes, card) = column(extra);
+                    // refined parent, so refine the one that covers fewest.
+                    let covered = |p: AttrSet| level[&p.bits()].partition.covered_rows();
+                    let (a, p) = x
+                        .parents()
+                        .min_by_key(|&(_, p)| (covered(p), p.bits()))
+                        .expect("a child has parents");
+                    let (codes, card) = column(a);
+                    let split = &level[&p.bits()].partition;
                     (JoinResult::Product(split.refine(codes, card, scratch)), true)
                 }
                 JoinAction::Absorb(mut partition) => {
-                    let (codes, card) = column(y.difference(z));
+                    // The classes of `Z` that gained a row, re-split by the
+                    // attribute `Y` adds to it.
+                    let parent = &level[&z.bits()].partition;
+                    let (codes, card) =
+                        column(y.difference(z).min_attr().expect("the parents differ"));
                     let bytes = partition.memory_bytes();
                     let delta = partition.absorb_append(parent, codes, card, scratch);
                     let grew = partition.memory_bytes() != bytes;
@@ -490,28 +563,22 @@ mod tests {
         assert!(matches!(result, Err(PassError::Cancelled)));
     }
 
-    /// Every generated child has the bytes of the product that splits the
-    /// parent covering fewer rows (`Z` on a tie), node for node, at every
-    /// thread count, over the unpruned levels 1–4 of a table with constant,
-    /// key-like and low-cardinality columns.
+    /// Generation over the unpruned levels 1–4 of a table with constant,
+    /// key-like, low-cardinality and derived columns, at every thread
+    /// count: every child's partition is the product of its two generating
+    /// parents; a child whose parent is known to determine the attribute
+    /// it lacks holds that parent's own partition; every other child has
+    /// the bytes of its fewest-rows parent's refinement (the lowest bits on
+    /// a tie); and every known FD holds.
     #[test]
     fn refined_levels_equal_products() {
         let enc = fastod_datagen::flight_like(600, 8, 7).encode();
         let mut level = build_level1(&enc);
+        let mut scratch = ProductScratch::new();
+        let mut shared = 0;
         for l in 1..=4 {
             let joins = candidate_joins(&level);
             assert!(!joins.is_empty(), "level {l} has joins");
-            let expected: Vec<StrippedPartition> = joins
-                .iter()
-                .map(|&(_, y, z)| {
-                    let (py, pz) = (&level[&y.bits()].partition, &level[&z.bits()].partition);
-                    if py.covered_rows() >= pz.covered_rows() {
-                        py.product_simple(pz)
-                    } else {
-                        pz.product_simple(py)
-                    }
-                })
-                .collect();
             let mut next = Level::new();
             for threads in [1, 2, 4] {
                 next = calculate_next_level_parallel(
@@ -523,17 +590,38 @@ mod tests {
                 )
                 .unwrap();
                 assert_eq!(next.len(), joins.len());
-                for (&(x, _, _), product) in joins.iter().zip(&expected) {
-                    assert_eq!(
-                        next[&x.bits()].partition.raw_csr(),
-                        product.raw_csr(),
-                        "{x:?} from level {l}, threads {threads}"
-                    );
+                for &(x, y, z) in &joins {
+                    let child = &next[&x.bits()].partition;
+                    let (py, pz) = (&level[&y.bits()].partition, &level[&z.bits()].partition);
+                    let what = format!("{x:?} from level {l}, threads {threads}");
+                    assert_eq!(child.normalized(), py.product_simple(pz).normalized(), "{what}");
+                    let known = x.parents().find(|&(a, p)| level[&p.bits()].determines.contains(a));
+                    if let Some((_, p)) = known {
+                        assert!(Arc::ptr_eq(child, &level[&p.bits()].partition), "{what}");
+                        shared += usize::from(threads == 1);
+                        continue;
+                    }
+                    let (a, p) = x
+                        .parents()
+                        .min_by_key(|&(_, p)| (level[&p.bits()].partition.covered_rows(), p.bits()))
+                        .unwrap();
+                    let parent = &level[&p.bits()].partition;
+                    let refined = parent.refine(enc.codes(a), enc.cardinality(a), &mut scratch);
+                    assert_eq!(child.raw_csr(), refined.raw_csr(), "{what}");
+                }
+            }
+            for (&bits, node) in next.nodes.iter() {
+                for a in node.determines.iter() {
+                    assert!(!AttrSet::from_bits(bits).contains(a));
+                    let refined =
+                        node.partition.refine(enc.codes(a), enc.cardinality(a), &mut scratch);
+                    assert_eq!(refined, *node.partition, "{bits:#b} determines {a}");
                 }
             }
             assert!(next.relation.is_some(), "the next level carries the relation");
             level = next;
         }
+        assert!(shared > 0, "some child shares its parent's partition");
     }
 
     /// Generation reads its code columns from the level, so a level with
@@ -544,7 +632,7 @@ mod tests {
         let l1 = build_level1(&enc3());
         let mut bare = Level::new();
         for bits in sorted_keys(&l1) {
-            bare.insert(bits, Node::new(l1[&bits].partition.clone(), 3));
+            bare.insert(bits, Node::new(StrippedPartition::clone(&l1[&bits].partition), 3));
         }
         let _ = next_level(&bare, &CancelToken::never());
     }
@@ -571,7 +659,7 @@ mod tests {
         assert_eq!(joins.len(), 3);
         let mut bytes: Vec<Vec<usize>> = Vec::new();
         for threads in [1, 2] {
-            let taken = |x: AttrSet| retained[&x.bits()].partition.clone();
+            let taken = |x: AttrSet| StrippedPartition::clone(&retained[&x.bits()].partition);
             let actions = vec![
                 JoinAction::Absorb(taken(joins[0].0)),
                 JoinAction::Product,
@@ -595,7 +683,7 @@ mod tests {
             let mut sizes = Vec::new();
             for (&(x, _, _), join) in joins.iter().zip(built) {
                 let partition = join.into_partition();
-                assert_eq!(partition, expected[&x.bits()].partition, "threads={threads}");
+                assert_eq!(partition, *expected[&x.bits()].partition, "threads={threads}");
                 sizes.push(partition.memory_bytes());
             }
             bytes.push(sizes);

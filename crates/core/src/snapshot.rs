@@ -39,7 +39,7 @@ use fastod_partition::{RemoveDelta, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet};
 use fastod_theory::{CanonicalOd, OdSet};
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 
 /// The pure per-node half of `computeODs(L_l)` lines 1–8: `C⁺c(X)` and
 /// `C⁺s(X)` for one node, read entirely from the (immutable) parent level.
@@ -440,7 +440,7 @@ impl DiscoverySnapshot {
             .levels
             .iter_mut()
             .flat_map(|level| level.iter_mut())
-            .map(|(&bits, node)| (bits, Mutex::new(&mut node.partition)))
+            .map(|(&bits, node)| (bits, Mutex::new(Arc::make_mut(&mut node.partition))))
             .collect();
         nodes.sort_unstable_by_key(|&(bits, _)| bits);
         let deltas = exec.try_map_with(&mut Vec::new(), || (), &nodes, cancel, |(), _, (_, p)| {

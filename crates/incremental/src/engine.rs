@@ -16,6 +16,7 @@ use fastod_theory::{CanonicalOd, OdSet};
 use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Errors surfaced by the incremental engine.
@@ -687,7 +688,7 @@ impl IncrementalDiscovery {
                 let (node, dirty) = match old.take_node(1, bits) {
                     Some(mut node) => {
                         if appended > 0 {
-                            let delta = node.partition.append_codes_masked(
+                            let delta = Arc::make_mut(&mut node.partition).append_codes_masked(
                                 enc.codes(a),
                                 enc.cardinality(a),
                                 live,
@@ -766,8 +767,10 @@ impl IncrementalDiscovery {
                         .zip(&both_dirty)
                         .map(|(&(x, _, _), &both_dirty)| match old.take_node(l + 1, x.bits()) {
                             None => JoinAction::Product,
-                            Some(node) if both_dirty => JoinAction::Absorb(node.partition),
-                            Some(node) => JoinAction::Reuse(node.partition),
+                            Some(node) if both_dirty => {
+                                JoinAction::Absorb(Arc::unwrap_or_clone(node.partition))
+                            }
+                            Some(node) => JoinAction::Reuse(Arc::unwrap_or_clone(node.partition)),
                         })
                         .collect();
                     // Run. The results are retained, so their partitions

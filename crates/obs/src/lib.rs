@@ -226,6 +226,30 @@ impl Obs {
     /// Opens a span with attached integer fields (e.g.
     /// `obs.span_with("validate_level", &[("level", 3)])`).
     pub fn span_with(&self, name: &'static str, fields: &[(&'static str, u64)]) -> SpanGuard {
+        self.open(name, fields, Instant::now)
+    }
+
+    /// [`Obs::span_with`] for a span that started at `start`, an instant
+    /// the caller read for its own clock. Closing it with
+    /// [`SpanGuard::end_at`] on the caller's end instant makes the span's
+    /// duration equal the caller's measurement, whatever preempts the
+    /// thread in between.
+    pub fn span_from(
+        &self,
+        name: &'static str,
+        fields: &[(&'static str, u64)],
+        start: Instant,
+    ) -> SpanGuard {
+        self.open(name, fields, || start)
+    }
+
+    /// Opens a span starting at `start()`, read after the bookkeeping.
+    fn open(
+        &self,
+        name: &'static str,
+        fields: &[(&'static str, u64)],
+        start: impl FnOnce() -> Instant,
+    ) -> SpanGuard {
         let Some(inner) = &self.inner else {
             return SpanGuard(None);
         };
@@ -244,7 +268,7 @@ impl Obs {
             id,
             parent,
             fields: fields.to_vec(),
-            start: Instant::now(),
+            start: start(),
         }))
     }
 
@@ -372,14 +396,28 @@ impl SpanGuard {
     pub fn is_enabled(&self) -> bool {
         self.0.is_some()
     }
+
+    /// Closes the span at `end`, an instant the caller read for its own
+    /// clock, instead of at the drop.
+    pub fn end_at(mut self, end: Instant) {
+        if let Some(span) = self.0.take() {
+            ActiveSpan::close(span, end);
+        }
+    }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(span) = self.0.take() else {
-            return;
-        };
-        let dur = span.start.elapsed();
+        if let Some(span) = self.0.take() {
+            ActiveSpan::close(span, Instant::now());
+        }
+    }
+}
+
+impl ActiveSpan {
+    /// Records `span` as ending at `end`.
+    fn close(span: ActiveSpan, end: Instant) {
+        let dur = end.saturating_duration_since(span.start);
         SPAN_STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Guards usually drop in LIFO order; tolerate out-of-order
@@ -513,6 +551,28 @@ mod tests {
         assert_eq!(level.field("level"), Some(1));
         assert_eq!(leaf.parent, Some(level.id));
         assert!(root.dur_ns >= level.dur_ns);
+    }
+
+    /// A span opened at and closed on the caller's instants records
+    /// exactly their difference, and a disabled recorder records nothing.
+    #[test]
+    fn span_from_and_end_at_share_the_callers_clock() {
+        let obs = Obs::enabled();
+        let start = Instant::now();
+        let span = obs.span_from("timed", &[("level", 1)], start);
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        let end = Instant::now();
+        std::thread::sleep(std::time::Duration::from_millis(2));
+        span.end_at(end);
+        let snap = obs.snapshot();
+        let recorded = snap.span("timed").unwrap();
+        assert_eq!(recorded.count, 1);
+        assert_eq!(recorded.total_ns, (end - start).as_nanos() as u64);
+        let disabled = Obs::disabled();
+        let span = disabled.span_from("timed", &[], start);
+        assert!(!span.is_enabled());
+        span.end_at(end);
+        assert!(disabled.snapshot().is_empty());
     }
 
     #[test]

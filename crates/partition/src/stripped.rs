@@ -886,9 +886,10 @@ impl StrippedPartition {
     /// The groups come in `self`'s class order, each class's groups in
     /// first-encounter order, and each group keeps its class's row order.
     ///
-    /// This is how the FASTOD lattice builds every child `X = Y ∪ Z` of
-    /// two parents that differ in one attribute each: it refines one parent
-    /// by the other's extra attribute. Inside a class of `Z`, two rows
+    /// This is how the FASTOD lattice builds every child it does not
+    /// share with a parent: it refines the parent `X ∖ {A}` that covers
+    /// the fewest rows by `A`. For two parents `Y` and `Z` that differ in
+    /// one attribute each, inside a class of `Z`, two rows
     /// share a class of `Y` iff they share that attribute's code, and a row
     /// that is a singleton under `Y` shares its code with no other row of
     /// the class. So `Z.refine(Y ∖ Z)` is byte-identical to the

@@ -54,8 +54,10 @@ pub struct StreamedCsv {
     /// [`Column::null_mask`](crate::Column::null_mask).
     pub null_masks: Vec<Option<Vec<bool>>>,
     /// Estimated peak resident bytes of the ingest itself: the larger of
-    /// the pass-1 distinct sets and the final dictionaries + code columns
-    /// (`4 · rows · columns` bytes). Feeds the `relation.peak_bytes` gauge.
+    /// the pass-1 distinct sets (their hash tables and string blocks, plus
+    /// the table the last growth rehashes from) and the final dictionaries
+    /// plus code columns (`4 · rows · columns` bytes). Feeds the
+    /// `relation.peak_bytes` gauge.
     pub peak_bytes: usize,
 }
 
@@ -78,13 +80,36 @@ impl Pass1Col {
         }
     }
 
-    /// Rough resident-bytes estimate of the distinct set (string payloads
-    /// plus per-entry container overhead).
+    /// Resident bytes of the distinct set at its current size: its table
+    /// and each string's heap block.
     fn approx_bytes(&self) -> usize {
-        self.distinct
-            .iter()
-            .map(|s| s.capacity() + 56)
-            .sum::<usize>()
+        table_bytes(self.distinct.capacity())
+            + self.distinct.iter().map(|s| heap_block(s.capacity())).sum::<usize>()
+    }
+}
+
+/// Peak resident bytes of pass 1's distinct sets: each at its final size,
+/// plus the half-size table that stays live while the largest set's last
+/// growth rehashes. The sets grow one at a time, so one such table at most.
+fn pass1_bytes(cols: &[Pass1Col]) -> usize {
+    let largest = cols.iter().map(|c| table_bytes(c.distinct.capacity())).max();
+    cols.iter().map(Pass1Col::approx_bytes).sum::<usize>() + largest.unwrap_or(0) / 2
+}
+
+/// Bytes of a `HashSet<String>` table with room for `capacity` entries:
+/// `capacity · 8/7` buckets, each one `String` and one control byte.
+fn table_bytes(capacity: usize) -> usize {
+    capacity * 8 / 7 * (std::mem::size_of::<String>() + 1)
+}
+
+/// The heap block glibc's `malloc` takes for a `len`-byte request: the
+/// request plus an 8-byte header, rounded up to 16, and at least 32. An
+/// empty string allocates nothing.
+fn heap_block(len: usize) -> usize {
+    if len == 0 {
+        0
+    } else {
+        (len + 8).next_multiple_of(16).max(32)
     }
 }
 
@@ -203,7 +228,7 @@ pub fn read_csv_stream<R: Read + Seek>(
     let has_nulls: Vec<bool> = cols.iter().map(|c| c.has_nulls).collect();
     require_policy(opts, &names, &has_nulls)?;
 
-    let pass1_bytes: usize = cols.iter().map(Pass1Col::approx_bytes).sum();
+    let pass1_bytes = pass1_bytes(&cols);
     let dicts: Vec<TypedDict> = cols
         .into_iter()
         .map(|c| TypedDict::build(c.distinct))
@@ -515,6 +540,30 @@ mod tests {
         let err =
             read_csv_stream(Cursor::new("a,b\n1,x\n,y\n"), CsvOptions::with_header()).unwrap_err();
         assert!(matches!(err, RelationError::NullPolicyRequired { column } if column == "a"));
+    }
+
+    /// Pass 1 charges each set's buckets, each string's malloc block and
+    /// the largest set's half-size table.
+    #[test]
+    fn pass1_bytes_charge_tables_blocks_and_one_rehash() {
+        let blocks: Vec<usize> = [0, 1, 24, 25, 40, 41].map(heap_block).into();
+        assert_eq!(blocks, vec![0, 32, 32, 48, 48, 64]);
+        let mut long = Pass1Col::default();
+        for i in 0..1000 {
+            long.see(&format!("{i:030}"));
+        }
+        // 1000 entries fill 2048 buckets; a 30-byte string takes 48 bytes.
+        assert_eq!(long.distinct.capacity(), 1792);
+        let long_bytes = 2048 * 25 + 1000 * 48;
+        assert_eq!(long.approx_bytes(), long_bytes);
+        let mut short = Pass1Col::default();
+        for cell in ["a", "b", "b", "", "\"\""] {
+            short.see(cell);
+        }
+        assert!(short.has_nulls);
+        let short_bytes = table_bytes(short.distinct.capacity()) + 2 * 32;
+        assert_eq!(short.approx_bytes(), short_bytes);
+        assert_eq!(pass1_bytes(&[short, long]), short_bytes + long_bytes + 1024 * 25);
     }
 
     #[test]

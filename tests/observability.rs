@@ -137,7 +137,13 @@ fn trace_matches_discovery_stats() {
         Some(stats.levels.len() as u64)
     );
     assert!(snapshot.counter("executor.calls").unwrap_or(0) > 0);
-    assert!(snapshot.counter("partition.products").unwrap_or(0) > 0);
+    // Every generated child is either refined from a parent or shares the
+    // partition of a parent a known FD makes it equal to.
+    let products = snapshot.counter("partition.products").unwrap_or(0);
+    let shared = snapshot.counter("partition.shared").unwrap_or(0);
+    let children: usize = stats.levels.iter().filter(|l| l.level >= 2).map(|l| l.nodes).sum();
+    assert_eq!(products + shared, children as u64, "products {products} + shared {shared}");
+    assert!(products > 0 && shared > 0, "products {products}, shared {shared}");
     // Every order check is counted once, under the kernel that ran it.
     // Level 2's unit context (one class of 2000 rows) is τ-scanned; the
     // small-class contexts of deeper levels are swept.

@@ -50,8 +50,56 @@ fn arb_eight_attr_relation() -> impl Strategy<Value = EncodedRelation> {
     })
 }
 
+/// An FD-heavy instance: `n_base` random columns followed by a copy of
+/// the first, the second coarsened to `b / 2` and a column derived from
+/// the first and the third. Generation proves the one-attribute FDs at
+/// level 2 and shares partitions through them from level 3; it proves the
+/// two-attribute one at level 3 unless pruning removed a parent.
+fn fd_heavy_relation(n_base: usize, n_rows: usize, max_card: u32, seed: u64) -> EncodedRelation {
+    let base = fastod_suite::datagen::random_relation(n_rows, n_base, max_card, seed).encode();
+    let column = |a: usize| -> Vec<i64> { base.codes(a).iter().map(|&c| i64::from(c)).collect() };
+    let mut builder = RelationBuilder::new();
+    for a in 0..n_base {
+        builder = builder.column_i64(&format!("c{a}"), column(a));
+    }
+    let mixed = column(0).iter().zip(column(2)).map(|(x, y)| (3 * x + y) % 5).collect();
+    builder
+        .column_i64("copy", column(0))
+        .column_i64("half", column(1).iter().map(|b| b / 2).collect())
+        .column_i64("mixed", mixed)
+        .build()
+        .unwrap()
+        .encode()
+}
+
+/// The FD-heavy band: 6–8 attributes.
+fn arb_fd_heavy_relation() -> impl Strategy<Value = EncodedRelation> {
+    (3usize..=5, 4usize..=14, 2u32..=4, any::<u64>()).prop_map(
+        |(n_base, n_rows, max_card, seed)| fd_heavy_relation(n_base, n_rows, max_card, seed),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Theorem 8 on the FD-heavy band, where generation shares the
+    /// partitions of parents that known FDs make equal to their children,
+    /// at one and four threads.
+    #[test]
+    fn fastod_equals_oracle_on_fd_heavy_schemas(enc in arb_fd_heavy_relation()) {
+        let report = oracle_minimal_cover(&enc);
+        for threads in [1, 4] {
+            let result =
+                Fastod::new(DiscoveryConfig::default().with_threads(threads)).discover(&enc);
+            prop_assert!(
+                report.matches(&result.ods),
+                "FASTOD != oracle minimal cover on {} attrs x {} rows at {threads} threads:\n{}",
+                enc.n_attrs(),
+                enc.n_rows(),
+                report.diff(&result.ods)
+            );
+        }
+    }
 
     /// FASTOD ≡ oracle minimal cover, set-exact (Theorem 8).
     #[test]
@@ -185,4 +233,17 @@ fn employee_table_matches_oracle() {
         "employee projection mismatch:\n{}",
         report.diff(&result.ods)
     );
+}
+
+/// The FD-heavy band does exercise sharing: on one of its instances some
+/// children take a parent's partition, and the cover still matches.
+#[test]
+fn fd_heavy_instance_shares_partitions() {
+    let enc = fd_heavy_relation(5, 14, 3, 7);
+    let obs = fastod_suite::obs::Obs::enabled();
+    let result = Fastod::new(DiscoveryConfig::default().with_obs(obs.clone())).discover(&enc);
+    let shared = obs.snapshot().counter("partition.shared").unwrap_or(0);
+    assert!(shared > 0, "no child shared a partition");
+    let report = oracle_minimal_cover(&enc);
+    assert!(report.matches(&result.ods), "{}", report.diff(&result.ods));
 }
