@@ -113,15 +113,16 @@ pub(crate) fn run_lattice<J: OdJudge>(
 
     // Levels l-2, l-1 and l (Algorithm 1 lines 1–6), built under one span.
     // Level 1 is one counting sort per attribute, mapped over the executor.
-    let level1_span = opts.obs.span("level1");
+    // It and the levels tile the run: each opens where the previous closed.
+    let level1_span = opts.obs.span_from("level1", &[], start);
     let mut prev_prev: Level = Level::new();
     let mut prev: Level = build_level0(enc.n_rows(), n_attrs);
     let mut current: Level = build_level1_parallel(enc, &exec, &opts.cancel)?;
-    drop(level1_span);
+    let mut level_start = Instant::now();
+    level1_span.end_at(level_start);
     let mut l = 1usize;
 
     while !current.is_empty() {
-        let level_start = Instant::now();
         let level_span = opts.obs.span_from(
             "level",
             &[("level", l as u64), ("nodes", current.len() as u64)],
@@ -180,6 +181,7 @@ pub(crate) fn run_lattice<J: OdJudge>(
         let level_end = Instant::now();
         lstats.time = level_end - level_start;
         level_span.end_at(level_end);
+        level_start = level_end;
         opts.obs.add("discover.ods_found", lstats.ods_found() as u64);
         stats.levels.push(lstats);
         l += 1;

@@ -64,6 +64,4 @@ pub use pairset::PairSet;
 pub use parallel::Executor;
 pub use result::DiscoveryResult;
 pub use stats::{DiscoveryStats, LevelStats};
-pub use validators::{
-    ApproxValidator, ExactValidator, OdJudge, OdValidator, ValidationTask, ViolationWitness,
-};
+pub use validators::{ApproxValidator, ExactValidator, OdJudge, OdValidator, ValidationTask};

@@ -26,9 +26,6 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::Instant;
 
-/// How often a worker polls the cancellation token, in items.
-const CANCEL_POLL_ITEMS: usize = 64;
-
 /// A deterministic fork/join executor over a fixed worker count.
 ///
 /// Cloning is cheap (the executor is just a thread count); the extra
@@ -88,15 +85,16 @@ impl Executor {
     /// the worker's scratch, the item index, and the item.
     ///
     /// # Errors
-    /// Returns [`PassError::Cancelled`] when `cancel` fires; workers stop
-    /// pulling new items promptly (within `CANCEL_POLL_ITEMS` items) and
-    /// partial results are discarded. Returns [`PassError::Panicked`] when a
-    /// task closure panics: the unwind is caught **per item**, sibling
-    /// workers stop pulling work, and the panics observed are folded into
-    /// one error by smallest item index — a worker panic fails the call,
-    /// never the process. (Under racing workers a later item's panic can be
-    /// the only one observed; the hard guarantee is that a failed call
-    /// returns no partial results, not which of several panics is named.)
+    /// Returns [`PassError::Cancelled`] when `cancel` fires; every worker
+    /// polls it before each item, so none starts another item once it has
+    /// fired, and partial results are discarded. Returns
+    /// [`PassError::Panicked`] when a task closure panics: the unwind is
+    /// caught **per item**, sibling workers stop pulling work, and the
+    /// panics observed are folded into one error by smallest item index —
+    /// a worker panic fails the call, never the process. (Under racing
+    /// workers a later item's panic can be the only one observed; the hard
+    /// guarantee is that a failed call returns no partial results, not
+    /// which of several panics is named.)
     pub fn try_map_with<S, T, R, F, M>(
         &self,
         pool: &mut Vec<S>,
@@ -154,11 +152,8 @@ impl Executor {
                 if i >= items.len() {
                     break;
                 }
-                // Poll before the first item and every poll interval
-                // thereafter.
-                if processed.is_multiple_of(CANCEL_POLL_ITEMS)
-                    && (stop.load(Ordering::Relaxed) || cancel.is_cancelled())
-                {
+                // Poll before every item: one item can be a long scan.
+                if stop.load(Ordering::Relaxed) || cancel.is_cancelled() {
                     stop.store(true, Ordering::Relaxed);
                     break;
                 }
@@ -343,6 +338,25 @@ mod tests {
         let mut pool: Vec<()> = Vec::new();
         let result = exec.try_map_with(&mut pool, || (), &items, &cancel, |(), _, &x| x);
         assert_eq!(result.unwrap_err(), PassError::Cancelled);
+    }
+
+    /// A token fired inside item 5 stops the call before item 6 starts.
+    #[test]
+    fn cancellation_is_polled_before_every_item() {
+        let exec = Executor::new(1);
+        let items: Vec<usize> = (0..1000).collect();
+        let (cancel, handle) = CancelToken::manual();
+        let ran = AtomicUsize::new(0);
+        let mut pool: Vec<()> = Vec::new();
+        let result = exec.try_map_with(&mut pool, || (), &items, &cancel, |(), _, &x| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            if x == 5 {
+                handle.store(true, Ordering::Relaxed);
+            }
+            x
+        });
+        assert_eq!(result.unwrap_err(), PassError::Cancelled);
+        assert_eq!(ran.load(Ordering::Relaxed), 6);
     }
 
     #[test]

@@ -7,21 +7,20 @@
 //! [`fastod_partition::check_order_compat_sweep`]), and a **batched** entry
 //! point ([`OdValidator::validate_batch`]) that judges a whole lattice
 //! level's candidates as one map over the worker threads of a
-//! [`crate::parallel::Executor`] (on the calling thread at one thread).
-//! The exact validator has one other route: a batch of at least two tasks
-//! but fewer than the workers shards each task's classes instead. The
-//! approximate validator implements the §7 extension via removal-based
-//! error measures (both monotone under context refinement, so the
-//! candidate machinery stays sound).
+//! [`crate::parallel::Executor`] (on the calling thread at one thread),
+//! one task per item at every thread count. The approximate validator
+//! implements the §7 extension via removal-based error measures (both
+//! monotone under context refinement, so the candidate machinery stays
+//! sound).
 
 use crate::config::FdCheckMode;
 use crate::parallel::Executor;
 use crate::stats::LevelStats;
 use crate::{CancelToken, PassError};
 use fastod_partition::{
-    check_constancy, check_constancy_classes, check_order_compat, check_order_compat_sweep,
-    check_order_compat_sweep_classes, constancy_removal_error, find_constancy_violation,
-    find_swap, find_swap_sweep, swap_removal_error, SortedColumn, StrippedPartition, SwapScratch,
+    check_constancy, check_order_compat, check_order_compat_sweep, constancy_removal_error,
+    find_constancy_violation, find_swap, find_swap_sweep, swap_removal_error, SortedColumn,
+    StrippedPartition, SwapScratch,
 };
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::sync::OnceLock;
@@ -75,20 +74,10 @@ pub enum ValidationTask<'p> {
     },
 }
 
-/// Outcome of [`OdValidator::find_violation`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ViolationWitness {
-    /// The validator has no witness machinery; the caller must fall back
-    /// to its own search.
-    Unsupported,
-    /// The OD holds — no violating pair exists.
-    Valid,
-    /// One concrete violating pair (row ids): a split for constancy tasks,
-    /// a swap for order-compatibility tasks.
-    Pair(u32, u32),
-}
-
 /// Strategy for validating the two canonical OD shapes at a lattice node.
+/// The lattice driver calls [`validate_batch`](OdValidator::validate_batch)
+/// through [`OdJudge`]; the per-task methods serve callers that judge one
+/// candidate at a time, such as [`crate::NoPruningFastod`].
 pub trait OdValidator {
     /// Validates `X\A: [] ↦ A` given `Π*_{X\A}` (parent) and `Π*_X` (node).
     fn constancy(
@@ -124,32 +113,6 @@ pub trait OdValidator {
         cancel: &CancelToken,
         stats: &mut LevelStats,
     ) -> Result<Vec<bool>, PassError>;
-
-    /// Searches for one concrete violating pair of `task`'s OD — the
-    /// witness the incremental engine caches against future deletions (a
-    /// violating pair stays violating until one of its rows is deleted).
-    /// Implementations should use their cheapest early-exit scan; the
-    /// default opts out and lets the caller run its own search.
-    fn find_violation(&mut self, task: &ValidationTask<'_>) -> ViolationWitness {
-        let _ = task;
-        ViolationWitness::Unsupported
-    }
-
-    /// [`find_violation`](OdValidator::find_violation) through a **shared**
-    /// reference with caller-supplied scratch, so a batch of witness
-    /// searches can be sharded across worker threads (the incremental
-    /// engine's delete-wave escalations). Must be a pure function of the
-    /// task — same witness at every thread count — and must agree with
-    /// [`find_violation`](OdValidator::find_violation), which is what keeps
-    /// cached witnesses thread-count-independent. The default opts out.
-    fn find_violation_shared(
-        &self,
-        task: &ValidationTask<'_>,
-        scratch: &mut SwapScratch,
-    ) -> ViolationWitness {
-        let _ = (task, scratch);
-        ViolationWitness::Unsupported
-    }
 }
 
 /// Tallies the per-kind check counters of a batch exactly as the per-task
@@ -177,7 +140,9 @@ fn tally_stats(tasks: &[ValidationTask<'_>], stats: &mut LevelStats) {
 /// wrappers (the incremental engine's verdict cache) key on. Every
 /// `OdValidator` is an `OdJudge` through the blanket impl, which simply
 /// drops the identity (and derives the scratch-reuse token from the context
-/// bits, as the one-shot algorithm always did).
+/// bits, as the one-shot algorithm always did). A judge implements only
+/// [`judge_batch`](OdJudge::judge_batch); the single-task methods judge a
+/// one-task batch.
 pub trait OdJudge {
     /// Judges the constancy OD `parent_set: [] ↦ rhs` given `Π*_{parent_set}`
     /// and the node partition `Π*_{parent_set ∪ {rhs}}`.
@@ -188,7 +153,9 @@ pub trait OdJudge {
         parent: &StrippedPartition,
         node: &StrippedPartition,
         stats: &mut LevelStats,
-    ) -> bool;
+    ) -> bool {
+        judge_one(self, ValidationTask::Constancy { parent_set, rhs, parent, node }, stats)
+    }
 
     /// Judges the order-compatibility OD `ctx_set: a ~ b` given `Π*_{ctx_set}`.
     fn order_compat(
@@ -198,7 +165,9 @@ pub trait OdJudge {
         b: AttrId,
         ctx: &StrippedPartition,
         stats: &mut LevelStats,
-    ) -> bool;
+    ) -> bool {
+        judge_one(self, ValidationTask::OrderCompat { ctx_set, a, b, ctx }, stats)
+    }
 
     /// Judges a batch of tasks, returning verdicts in task order; see
     /// [`OdValidator::validate_batch`] for the parallelism and determinism
@@ -216,29 +185,21 @@ pub trait OdJudge {
     ) -> Result<Vec<bool>, PassError>;
 }
 
+/// Judges `task` as a one-task batch on the calling thread. Panics if the
+/// batch fails: under a never-cancelled token only a contained panic or an
+/// armed fault plan can fail it.
+fn judge_one<J: OdJudge + ?Sized>(
+    judge: &mut J,
+    task: ValidationTask<'_>,
+    stats: &mut LevelStats,
+) -> bool {
+    match judge.judge_batch(&[task], &Executor::default(), &CancelToken::never(), stats) {
+        Ok(verdicts) => verdicts[0],
+        Err(e) => panic!("never-cancelled one-task batch failed: {e}"),
+    }
+}
+
 impl<V: OdValidator> OdJudge for V {
-    fn constancy(
-        &mut self,
-        _parent_set: AttrSet,
-        rhs: AttrId,
-        parent: &StrippedPartition,
-        node: &StrippedPartition,
-        stats: &mut LevelStats,
-    ) -> bool {
-        OdValidator::constancy(self, parent, node, rhs, stats)
-    }
-
-    fn order_compat(
-        &mut self,
-        ctx_set: AttrSet,
-        a: AttrId,
-        b: AttrId,
-        ctx: &StrippedPartition,
-        stats: &mut LevelStats,
-    ) -> bool {
-        OdValidator::order_compat(self, ctx, ctx_set.bits() as usize, a, b, stats)
-    }
-
     fn judge_batch(
         &mut self,
         tasks: &[ValidationTask<'_>],
@@ -274,6 +235,36 @@ impl<'a> ExactValidator<'a> {
             taus: (0..enc.n_attrs()).map(|_| OnceLock::new()).collect(),
             pools: vec![SwapScratch::new()],
             fd_mode,
+        }
+    }
+
+    /// Searches for one violating pair of `task`'s OD: a split for a
+    /// constancy task, a swap for an order-compatibility task, `None` when
+    /// the OD holds. The incremental engine caches the pair against future
+    /// deletions, since a violating pair stays violating until one of its
+    /// rows is deleted. The kernel choice is the boolean check's
+    /// (sort-then-sweep on small-class contexts, the early-exit `τ`-scan
+    /// otherwise), and the result is a pure function of the task, so a map
+    /// of searches finds the same pairs at every thread count (workers
+    /// build the `τ_A` cache racily but idempotently).
+    pub fn find_violation(
+        &self,
+        task: &ValidationTask<'_>,
+        scratch: &mut SwapScratch,
+    ) -> Option<(u32, u32)> {
+        let enc = self.enc;
+        match *task {
+            ValidationTask::Constancy { rhs, parent, .. } => {
+                find_constancy_violation(parent, enc.codes(rhs))
+            }
+            ValidationTask::OrderCompat { a, b, ctx, .. } if sweeps(ctx) => {
+                find_swap_sweep(ctx.classes(), enc.codes(a), enc.codes(b))
+            }
+            ValidationTask::OrderCompat { a, b, ctx, .. } => {
+                let tau = self.taus[a]
+                    .get_or_init(|| SortedColumn::build(enc.codes(a), enc.cardinality(a)));
+                find_swap(ctx, tau, enc.codes(b), scratch)
+            }
         }
     }
 }
@@ -349,169 +340,33 @@ impl OdValidator for ExactValidator<'_> {
         stats: &mut LevelStats,
     ) -> Result<Vec<bool>, PassError> {
         tally_stats(tasks, stats);
+        count_order_kernels(tasks, exec);
         let (enc, fd_mode, taus) = (self.enc, self.fd_mode, &self.taus);
-        let task_sharded = tasks.len() >= exec.threads() || tasks.len() < 2;
-        count_order_kernels(tasks, task_sharded, exec);
-        if task_sharded {
-            // Task-level sharding: one candidate validation per work item.
-            return exec.try_map_with(
-                &mut self.pools,
-                SwapScratch::new,
-                tasks,
-                cancel,
-                |scratch, _i, task| match *task {
-                    ValidationTask::Constancy { rhs, parent, node, .. } => {
-                        parent.is_superkey() || exact_constancy(enc, fd_mode, parent, node, rhs)
-                    }
-                    ValidationTask::OrderCompat { ctx_set, a, b, ctx } => exact_order_compat(
-                        enc,
-                        taus,
-                        scratch,
-                        ctx,
-                        ctx_set.bits() as usize,
-                        a,
-                        b,
-                    ),
-                },
-            );
-        }
-        // Fewer tasks than workers (typical at the lowest lattice levels,
-        // where each scan is largest): shard each task's *classes* instead.
-        // A context of one class (e.g. the unit partition's all-rows
-        // class) gains nothing from sharding and falls back to the
-        // single-task kernel choice ([`sweeps`]), so this branch never
-        // regresses below the task map.
-        let mut verdicts = Vec::with_capacity(tasks.len());
-        for task in tasks {
-            cancel.check()?;
-            verdicts.push(match *task {
+        exec.try_map_with(
+            &mut self.pools,
+            SwapScratch::new,
+            tasks,
+            cancel,
+            |scratch, _i, task| match *task {
                 ValidationTask::Constancy { rhs, parent, node, .. } => {
-                    if parent.is_superkey() {
-                        true
-                    } else {
-                        match fd_mode {
-                            FdCheckMode::ErrorRate => parent.error() == node.error(),
-                            FdCheckMode::Scan => {
-                                let chunks = class_chunks(parent, exec.threads());
-                                if chunks.len() < 2 {
-                                    check_constancy(parent, enc.codes(rhs))
-                                } else {
-                                    exec.try_map_with(
-                                        &mut self.pools,
-                                        SwapScratch::new,
-                                        &chunks,
-                                        cancel,
-                                        |_s, _i, range| {
-                                            check_constancy_classes(
-                                                parent.classes().slice(range.clone()),
-                                                enc.codes(rhs),
-                                            )
-                                        },
-                                    )?
-                                    .into_iter()
-                                    .all(|ok| ok)
-                                }
-                            }
-                        }
-                    }
+                    parent.is_superkey() || exact_constancy(enc, fd_mode, parent, node, rhs)
                 }
                 ValidationTask::OrderCompat { ctx_set, a, b, ctx } => {
-                    let chunks = class_chunks(ctx, exec.threads());
-                    if chunks.len() < 2 {
-                        exact_order_compat(
-                            enc,
-                            taus,
-                            &mut self.pools[0],
-                            ctx,
-                            ctx_set.bits() as usize,
-                            a,
-                            b,
-                        )
-                    } else {
-                        exec.try_map_with(
-                            &mut self.pools,
-                            SwapScratch::new,
-                            &chunks,
-                            cancel,
-                            |scratch, _i, range| {
-                                check_order_compat_sweep_classes(
-                                    ctx.classes().slice(range.clone()),
-                                    enc.codes(a),
-                                    enc.codes(b),
-                                    scratch,
-                                )
-                            },
-                        )?
-                        .into_iter()
-                        .all(|ok| ok)
-                    }
+                    exact_order_compat(enc, taus, scratch, ctx, ctx_set.bits() as usize, a, b)
                 }
-            });
-        }
-        Ok(verdicts)
-    }
-
-    /// Key pruning and the split scan for constancy; for order
-    /// compatibility the same kernel choice as the boolean check —
-    /// sort-then-sweep on small-class contexts, the early-exit `τ`-scan
-    /// (no per-class sorting) on contexts whose classes average more than
-    /// 1024 rows.
-    fn find_violation(&mut self, task: &ValidationTask<'_>) -> ViolationWitness {
-        let (enc, taus) = (self.enc, &self.taus);
-        exact_find_violation(enc, taus, &mut self.pools[0], task)
-    }
-
-    fn find_violation_shared(
-        &self,
-        task: &ValidationTask<'_>,
-        scratch: &mut SwapScratch,
-    ) -> ViolationWitness {
-        exact_find_violation(self.enc, &self.taus, scratch, task)
-    }
-}
-
-/// The witness search behind both [`OdValidator::find_violation`] entry
-/// points of [`ExactValidator`] — one body, so the exclusive and shared
-/// paths cannot drift (the `τ_A` cache behind each `OnceLock` is built
-/// racily but idempotently when workers share the validator).
-fn exact_find_violation(
-    enc: &EncodedRelation,
-    taus: &[OnceLock<SortedColumn>],
-    scratch: &mut SwapScratch,
-    task: &ValidationTask<'_>,
-) -> ViolationWitness {
-    let found = match *task {
-        ValidationTask::Constancy { rhs, parent, .. } => {
-            if parent.is_superkey() {
-                return ViolationWitness::Valid;
-            }
-            find_constancy_violation(parent, enc.codes(rhs))
-        }
-        ValidationTask::OrderCompat { a, b, ctx, .. } => {
-            if sweeps(ctx) {
-                find_swap_sweep(ctx.classes(), enc.codes(a), enc.codes(b))
-            } else {
-                let tau =
-                    taus[a].get_or_init(|| SortedColumn::build(enc.codes(a), enc.cardinality(a)));
-                find_swap(ctx, tau, enc.codes(b), scratch)
-            }
-        }
-    };
-    match found {
-        Some((s, t)) => ViolationWitness::Pair(s, t),
-        None => ViolationWitness::Valid,
+            },
+        )
     }
 }
 
 /// Adds the batch's order checks to the `validate.order_sweep` and
-/// `validate.order_tau` counters, by the kernel that judges each: the
-/// class-sharded route sweeps every context it can split.
-fn count_order_kernels(tasks: &[ValidationTask<'_>], task_sharded: bool, exec: &Executor) {
+/// `validate.order_tau` counters, by the kernel that judges each
+/// ([`sweeps`]).
+fn count_order_kernels(tasks: &[ValidationTask<'_>], exec: &Executor) {
     let (mut sweep, mut tau) = (0u64, 0u64);
     for task in tasks {
         if let ValidationTask::OrderCompat { ctx, .. } = task {
-            let split = !task_sharded && class_chunks(ctx, exec.threads()).len() >= 2;
-            if split || sweeps(ctx) {
+            if sweeps(ctx) {
                 sweep += 1;
             } else {
                 tau += 1;
@@ -520,17 +375,6 @@ fn count_order_kernels(tasks: &[ValidationTask<'_>], task_sharded: bool, exec: &
     }
     exec.obs().add("validate.order_sweep", sweep);
     exec.obs().add("validate.order_tau", tau);
-}
-
-/// Splits a partition's class indices into roughly even contiguous ranges,
-/// one unit of scan work per range.
-fn class_chunks(p: &StrippedPartition, threads: usize) -> Vec<std::ops::Range<usize>> {
-    let n = p.n_classes();
-    let want = (threads * 4).clamp(1, n.max(1));
-    let step = n.div_ceil(want).max(1);
-    (0..n.div_ceil(step))
-        .map(|i| i * step..((i + 1) * step).min(n))
-        .collect()
 }
 
 /// Approximate validation: an OD is accepted when at most `max_remove` rows
@@ -641,6 +485,11 @@ mod tests {
         assert!(!OdValidator::constancy(&mut v1, &parent, &node, 1, &mut stats));
         assert!(!OdValidator::constancy(&mut v2, &parent, &node, 1, &mut stats));
         assert_eq!(stats.fd_checks, 2);
+        // The judge's single-task methods run a one-task batch.
+        let x = AttrSet::singleton(0);
+        assert!(!OdJudge::constancy(&mut v1, x, 1, &parent, &node, &mut stats));
+        assert!(OdJudge::order_compat(&mut v2, x, 0, 1, &parent, &mut stats));
+        assert_eq!((stats.fd_checks, stats.swap_checks), (3, 1));
     }
 
     #[test]
@@ -685,8 +534,8 @@ mod tests {
     }
 
     /// Batched verdicts and counters must equal the per-task methods', at
-    /// every thread count and with both FD-check modes, including the
-    /// class-sharded route (fewer tasks than workers).
+    /// every thread count (more workers than tasks included) and with both
+    /// FD-check modes.
     #[test]
     fn batch_matches_sequential_across_thread_counts() {
         let e = RelationBuilder::new()
@@ -785,8 +634,8 @@ mod tests {
 
     /// Both order kernels give the naive verdict at the edge of the rule
     /// that picks between them: `g`'s classes average 1024 rows (sweep),
-    /// `h`'s 1025 (τ-scan). Every route of the batch counts each check
-    /// under the kernel it names, and a witness is a genuine swap.
+    /// `h`'s 1025 (τ-scan). The batch counts each check under the kernel
+    /// it names at every thread count, and a witness is a genuine swap.
     #[test]
     fn kernel_choice_changes_no_verdict() {
         use fastod_theory::validate::canonical_od_holds_naive;
@@ -838,7 +687,7 @@ mod tests {
             .collect();
         assert_eq!(naive, [true, false, true, false]);
         let cancel = CancelToken::never();
-        // 4 tasks on 8 threads take the class-sharded route.
+        // 4 tasks on 8 threads run as one map, as on 1 and 2.
         for threads in [1, 2, 8] {
             let obs = fastod_obs::Obs::enabled();
             let exec = Executor::with_obs(threads, obs.clone());
@@ -849,26 +698,18 @@ mod tests {
                 .unwrap();
             assert_eq!(got, naive, "threads={threads}");
             let snap = obs.snapshot();
-            let (sweep, tau) = if threads == 8 { (4, 0) } else { (2, 2) };
-            assert_eq!(
-                snap.counter("validate.order_sweep"),
-                Some(sweep),
-                "threads={threads}"
-            );
-            assert_eq!(
-                snap.counter("validate.order_tau"),
-                Some(tau),
-                "threads={threads}"
-            );
+            assert_eq!(snap.counter("validate.order_sweep"), Some(2), "threads={threads}");
+            assert_eq!(snap.counter("validate.order_tau"), Some(2), "threads={threads}");
         }
-        let mut v = ExactValidator::new(&e, FdCheckMode::ErrorRate);
+        let v = ExactValidator::new(&e, FdCheckMode::ErrorRate);
+        let mut scratch = SwapScratch::new();
         for (task, holds) in tasks.iter().zip(naive) {
             let ValidationTask::OrderCompat { a, b, ctx, .. } = *task else {
                 unreachable!("order checks only")
             };
-            match v.find_violation(task) {
-                ViolationWitness::Valid => assert!(holds),
-                ViolationWitness::Pair(s, t) => {
+            match v.find_violation(task, &mut scratch) {
+                None => assert!(holds),
+                Some((s, t)) => {
                     assert!(!holds);
                     let (s, t) = (s as usize, t as usize);
                     assert!(ctx
@@ -881,7 +722,6 @@ mod tests {
                         "({s}, {t})"
                     );
                 }
-                ViolationWitness::Unsupported => panic!("the exact validator finds witnesses"),
             }
         }
     }

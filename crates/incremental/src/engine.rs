@@ -7,7 +7,7 @@ use fastod::snapshot::{
     build_level0_masked, candidate_joins, compute_candidate_sets_parallel, prune_level, run_joins,
     validate_level, DiscoverySnapshot, JoinAction, JoinResult, Level, Node,
 };
-use fastod::{CancelToken, DiscoveryConfig, ExactValidator, LevelStats, PassError};
+use fastod::{CancelToken, DiscoveryConfig, LevelStats, PassError};
 use fastod_faultkit as faultkit;
 use fastod_partition::{ProductScratch, StrippedPartition};
 use fastod_relation::{GrowableRelation, Relation, RelationError, Schema};
@@ -630,11 +630,16 @@ impl IncrementalDiscovery {
         if let faultkit::Signal::Cancel = faultkit::hit(faultkit::INCR_REFRESH) {
             return Err(PassError::Cancelled);
         }
+        // The pass's direct children tile it: each opens at the instant the
+        // previous one closed (`mark`), so a preemption between two of them
+        // still lands inside a child.
         let started = Instant::now();
+        let mut mark = started;
         let obs = self.config.obs.clone();
-        let pass_span = obs.span_with(
+        let pass_span = obs.span_from(
             "maintenance_pass",
             &[("deleted", pass.deleted.len() as u64)],
+            started,
         );
         // The pass token is `session cancel ∪ per-pass deadline`: the
         // deadline trip state is private to this pass, the manual flag is
@@ -650,22 +655,30 @@ impl IncrementalDiscovery {
         let deltas = if pass.deleted.is_empty() {
             None
         } else {
-            let _span = obs.span("remove_rows");
-            Some(self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?)
+            let span = obs.span_from("remove_rows", &[], mark);
+            let deltas = self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?;
+            mark = Instant::now();
+            span.end_at(mark);
+            Some(deltas)
         };
         let enc = self.grow.encoded();
         let live = self.grow.live();
         let n_attrs = enc.n_attrs();
         // Level 0, and the judge's set-up before it, run under level 1's
-        // span (none without attributes), so the pass's children cover it.
-        let level1_span = (n_attrs > 0).then(|| obs.span("level1"));
+        // span (none without attributes).
+        let level1_span = (n_attrs > 0).then(|| obs.span_from("level1", &[], mark));
         let n_rows = enc.n_rows();
         let old_n = pass.old_n;
         let appended = n_rows - old_n;
         let mut old = std::mem::take(&mut self.snapshot);
-        let mut validator = ExactValidator::new(enc, self.config.fd_check);
-        let mut judge =
-            CachedJudge::new(&mut validator, &mut self.cache, enc, live, deltas, appended > 0);
+        let mut judge = CachedJudge::new(
+            enc,
+            self.config.fd_check,
+            &mut self.cache,
+            live,
+            deltas,
+            appended > 0,
+        );
         let mut m = OdSet::new();
 
         let mut levels: Vec<Level> = vec![build_level0_masked(live, n_attrs)];
@@ -713,13 +726,17 @@ impl IncrementalDiscovery {
                 level1.insert(bits, node);
             }
             levels.push(level1);
-            drop(level1_span);
+            mark = Instant::now();
+            if let Some(span) = level1_span {
+                span.end_at(mark);
+            }
 
             let mut l = 1usize;
             while !levels[l].is_empty() {
-                let level_span = obs.span_with(
+                let level_span = obs.span_from(
                     "level",
                     &[("level", l as u64), ("nodes", levels[l].len() as u64)],
+                    mark,
                 );
                 let mut lstats = LevelStats {
                     level: l,
@@ -804,7 +821,8 @@ impl IncrementalDiscovery {
                     next
                 };
                 drop(generate_span);
-                drop(level_span);
+                mark = Instant::now();
+                level_span.end_at(mark);
                 levels.push(next);
                 l += 1;
             }
@@ -813,14 +831,13 @@ impl IncrementalDiscovery {
             }
         }
 
-        let advance_span = obs.span("advance_snapshot");
+        let advance_span = obs.span_from("advance_snapshot", &[], mark);
         // Post-pass cache hygiene — drop or degrade the entries this pass
         // may have changed without re-anchoring; see the judge's
         // finish_pass docs for the exact rules.
         judge.finish_pass();
         let mut counters = judge.counters.clone();
         drop(judge);
-        drop(validator);
         // Successor snapshot: nodes taken from the old one (reused or
         // absorbing) stamped hot, products keep their old recency, then the
         // byte budget (if any) evicts the coldest partitions — they will be
@@ -844,8 +861,9 @@ impl IncrementalDiscovery {
             .collect();
         self.cover = m;
         drop(old);
-        drop(advance_span);
-        drop(pass_span);
+        let end = Instant::now();
+        advance_span.end_at(end);
+        pass_span.end_at(end);
         let report = BatchReport {
             appended_rows: appended,
             deleted_rows: pass.deleted.len(),
@@ -853,7 +871,7 @@ impl IncrementalDiscovery {
             retired,
             promoted,
             counters,
-            elapsed: started.elapsed(),
+            elapsed: end - started,
         };
         if obs.is_enabled() {
             obs.add("incr.passes", 1);

@@ -4,15 +4,15 @@
 use crate::stats::BatchCounters;
 use fastod::parallel::Executor;
 use fastod::{
-    CancelToken, LevelStats, OdJudge, OdValidator, PassError, ValidationTask, ViolationWitness,
+    CancelToken, ExactValidator, FdCheckMode, LevelStats, OdJudge, OdValidator, PassError,
+    ValidationTask,
 };
 use fastod_faultkit as faultkit;
 use fastod_partition::{
     count_constancy_violations, count_constancy_violations_rows, count_swap_violations,
-    count_swap_violations_rows, find_constancy_violation, find_swap_sweep, CountScratch,
-    RemoveDelta, StrippedPartition, SwapScratch,
+    count_swap_violations_rows, CountScratch, RemoveDelta, StrippedPartition, SwapScratch,
 };
-use fastod_relation::{AttrId, AttrSet, EncodedRelation};
+use fastod_relation::EncodedRelation;
 use fastod_theory::CanonicalOd;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroU64;
@@ -117,7 +117,7 @@ impl CachedVerdict {
 const DELTA_DENSITY_CUTOFF: usize = 2;
 
 /// An [`OdJudge`] that consults the persistent verdict cache and the current
-/// pass's dirt tracking before falling back to a real validator. One pass
+/// pass's dirt tracking before falling back to the exact validator. One pass
 /// can carry appends, deletes, or both (an update); each cached verdict is
 /// threatened by exactly one direction, so the rules compose per entry:
 ///
@@ -132,8 +132,8 @@ const DELTA_DENSITY_CUTOFF: usize = 2;
 ///   exact-count **delta** over the touched classes (`O(touched)`, only
 ///   when the context saw no appends this pass), or an early-exit witness
 ///   search over the current partition.
-pub(crate) struct CachedJudge<'a, V> {
-    inner: &'a mut V,
+pub(crate) struct CachedJudge<'a> {
+    inner: ExactValidator<'a>,
     cache: &'a mut HashMap<CanonicalOd, CachedVerdict>,
     enc: &'a EncodedRelation,
     /// Liveness mask over physical rows — certifies cached witnesses.
@@ -153,8 +153,7 @@ pub(crate) struct CachedJudge<'a, V> {
     /// entries are still anchored.
     judged: HashSet<CanonicalOd>,
     scratch: CountScratch,
-    /// Per-worker scratch arenas for the sharded escalation phase; slot 0
-    /// doubles as the inline (single-thread) escalation scratch.
+    /// Per-worker scratch arenas for the escalation map.
     pools: Vec<EscalationScratch>,
     pub(crate) counters: BatchCounters,
 }
@@ -199,7 +198,7 @@ enum EscalationOutcome {
     Witness(Option<(u32, u32)>),
 }
 
-/// One delete-pass entry queued for the sharded escalation phase of
+/// One delete-pass entry queued for the escalation map of
 /// [`CachedJudge::judge_batch`].
 struct Escalation<'p> {
     /// Index into the batch's task (and verdict) vector.
@@ -212,10 +211,10 @@ struct Escalation<'p> {
 
 /// Executes one escalation against the current instance. A pure function of
 /// the task — no judge state, same result on every worker — which is what
-/// lets `judge_batch` shard these across threads while keeping the cache
-/// byte-identical to the sequential path.
-fn run_escalation<V: OdValidator>(
-    inner: &V,
+/// lets `judge_batch` map these over the executor while keeping the cache
+/// byte-identical at every thread count.
+fn run_escalation(
+    inner: &ExactValidator<'_>,
     enc: &EncodedRelation,
     esc: &Escalation<'_>,
     scratch: &mut EscalationScratch,
@@ -228,27 +227,24 @@ fn run_escalation<V: OdValidator>(
             &mut scratch.count,
         )),
         EscalationKind::Search => {
-            let witness = match inner.find_violation_shared(&esc.task, &mut scratch.swap) {
-                ViolationWitness::Valid => None,
-                ViolationWitness::Pair(s, t) => Some((s, t)),
-                ViolationWitness::Unsupported => find_witness(&esc.od, ctx_of(&esc.task), enc),
-            };
-            EscalationOutcome::Witness(witness)
+            EscalationOutcome::Witness(inner.find_violation(&esc.task, &mut scratch.swap))
         }
     }
 }
 
-impl<'a, V: OdValidator> CachedJudge<'a, V> {
+impl<'a> CachedJudge<'a> {
+    /// A judge over `enc` whose fresh verdicts come from an
+    /// [`ExactValidator`] in `fd_mode`.
     pub fn new(
-        inner: &'a mut V,
-        cache: &'a mut HashMap<CanonicalOd, CachedVerdict>,
         enc: &'a EncodedRelation,
+        fd_mode: FdCheckMode,
+        cache: &'a mut HashMap<CanonicalOd, CachedVerdict>,
         live: &'a [bool],
         deltas: Option<HashMap<u64, RemoveDelta>>,
         has_appends: bool,
-    ) -> CachedJudge<'a, V> {
+    ) -> CachedJudge<'a> {
         CachedJudge {
-            inner,
+            inner: ExactValidator::new(enc, fd_mode),
             cache,
             enc,
             live,
@@ -364,8 +360,7 @@ impl<'a, V: OdValidator> CachedJudge<'a, V> {
     /// Anything else escalates to real partition work — a recount when the
     /// entry has burned a witness search before and the delta is small, a
     /// fresh witness search otherwise. Escalations are returned (not run) so
-    /// `judge_batch` can shard them across the executor's workers; the
-    /// single-task path runs them inline.
+    /// `judge_batch` can map them over the executor's workers.
     fn classify_deleted(
         &mut self,
         od: CanonicalOd,
@@ -446,9 +441,9 @@ impl<'a, V: OdValidator> CachedJudge<'a, V> {
     }
 
     /// Folds one escalation's partition-work result into the cache and
-    /// counters. Called sequentially in task order regardless of how the
-    /// work itself was sharded, so the judge's observable state stays
-    /// independent of the thread count.
+    /// counters. Called sequentially in task order whatever worker ran the
+    /// work itself, so the judge's observable state stays independent of
+    /// the thread count.
     fn apply_escalation(
         &mut self,
         od: CanonicalOd,
@@ -488,91 +483,11 @@ impl<'a, V: OdValidator> CachedJudge<'a, V> {
             }
         }
     }
-
-    /// Resolves one delete-touched `Invalid` candidate end to end: cheap
-    /// certificates, then any escalation inline. The single-task entry
-    /// points and the batch path share this exact classification and
-    /// application logic — only the *scheduling* of escalated work differs
-    /// (inline here, sharded in `judge_batch`) — so the two paths cannot
-    /// drift.
-    fn resolve_deleted(
-        &mut self,
-        od: CanonicalOd,
-        entry: InvalidEntry,
-        task: &ValidationTask<'_>,
-    ) -> bool {
-        match self.classify_deleted(od, entry, ctx_of(task)) {
-            Ok(verdict) => verdict,
-            Err(kind) => {
-                let esc = Escalation { at: 0, task: *task, od, entry, kind };
-                let outcome = run_escalation(&*self.inner, self.enc, &esc, &mut self.pools[0]);
-                self.apply_escalation(od, entry, outcome)
-            }
-        }
-    }
-
-    /// The full decision table for one candidate. Both single-task entry
-    /// points funnel through here, and the batch prefix loop mirrors it
-    /// case for case (with escalations deferred for sharding).
-    fn judge(
-        &mut self,
-        od: CanonicalOd,
-        task: &ValidationTask<'_>,
-        stats: &mut LevelStats,
-    ) -> bool {
-        let prior = self.cache.get(&od).copied();
-        match prior {
-            Some(CachedVerdict::Invalid(entry)) => {
-                if self.delete_touched(od.context().bits()) {
-                    self.resolve_deleted(od, entry, task)
-                } else {
-                    self.counters.skipped_false += 1;
-                    false
-                }
-            }
-            Some(CachedVerdict::Valid) if !self.is_dirty(od.context().bits()) => {
-                self.counters.skipped_clean += 1;
-                true
-            }
-            _ => {
-                let verdict = match *task {
-                    ValidationTask::Constancy { rhs, parent, node, .. } => {
-                        OdValidator::constancy(self.inner, parent, node, rhs, stats)
-                    }
-                    ValidationTask::OrderCompat { ctx_set, a, b, ctx } => {
-                        OdValidator::order_compat(self.inner, ctx, ctx_set.bits() as usize, a, b, stats)
-                    }
-                };
-                self.counters.revalidated += 1;
-                if prior == Some(CachedVerdict::Valid) && !verdict {
-                    self.counters.verdicts_flipped += 1;
-                }
-                self.cache.insert(od, CachedVerdict::from_bool(verdict));
-                self.judged.insert(od);
-                verdict
-            }
-        }
-    }
 }
 
 /// Whether a cached witness pair is still fully live.
 fn witness_alive(witness: Option<(u32, u32)>, live: &[bool]) -> bool {
     witness.is_some_and(|(s, t)| live[s as usize] && live[t as usize])
-}
-
-/// Searches the context partition for one violating pair of `od` —
-/// early-exit, `τ`-free (the swap side uses the sort-then-sweep finder).
-fn find_witness(
-    od: &CanonicalOd,
-    ctx: &StrippedPartition,
-    enc: &EncodedRelation,
-) -> Option<(u32, u32)> {
-    match *od {
-        CanonicalOd::Constancy { rhs, .. } => find_constancy_violation(ctx, enc.codes(rhs)),
-        CanonicalOd::OrderCompat { a, b, .. } => {
-            find_swap_sweep(ctx.classes(), enc.codes(a), enc.codes(b))
-        }
-    }
 }
 
 /// The violating pairs of `od` inside a delete's touched classes, before
@@ -639,13 +554,13 @@ fn ctx_of<'p>(task: &ValidationTask<'p>) -> &'p StrippedPartition {
     }
 }
 
-impl<V: OdValidator + Sync> OdJudge for CachedJudge<'_, V> {
+impl OdJudge for CachedJudge<'_> {
     /// Batch judging with the cache consulted up front: resolved verdicts
     /// never reach the validator, delete-pass delta counts are applied
     /// sequentially (they are `O(touched)` each), and the two expensive
     /// remainders — delete-pass **escalations** (witness searches and
     /// recounts that survived the cheap certificates) and the unresolved
-    /// candidates — are each sharded across the executor's workers. Cache
+    /// candidates — are each one map over the executor's workers. Cache
     /// updates and counters are applied sequentially in task order, so the
     /// judge's observable state is independent of the thread count.
     fn judge_batch(
@@ -701,31 +616,20 @@ impl<V: OdValidator + Sync> OdJudge for CachedJudge<'_, V> {
                 }
             }
         }
-        if exec.is_parallel() && escalations.len() >= 2 {
-            // Sharded escalation phase. The searches are pure functions of
-            // their task, so running them on workers and folding outcomes
-            // in task order yields the exact cache the inline path would.
-            // The executor polls `cancel` between work items.
-            let (inner, enc) = (&*self.inner, self.enc);
-            let outcomes = exec.try_map_with(
-                &mut self.pools,
-                EscalationScratch::new,
-                &escalations,
-                cancel,
-                |scratch, _i, esc| run_escalation(inner, enc, esc, scratch),
-            )?;
-            for (esc, outcome) in escalations.iter().zip(outcomes) {
-                verdicts[esc.at] = Some(self.apply_escalation(esc.od, esc.entry, outcome));
-            }
-        } else {
-            // Inline, with a bounded-latency cancel check per escalation —
-            // each item can be a long early-exit scan, so once per item
-            // (not once per 64) is the right granularity here.
-            for esc in &escalations {
-                cancel.check()?;
-                let outcome = run_escalation(&*self.inner, self.enc, esc, &mut self.pools[0]);
-                verdicts[esc.at] = Some(self.apply_escalation(esc.od, esc.entry, outcome));
-            }
+        // The escalations are pure functions of their task, so folding
+        // their outcomes in task order yields the same cache at every
+        // thread count. Each can be a long scan; the executor polls
+        // `cancel` before every item.
+        let (inner, enc) = (&self.inner, self.enc);
+        let outcomes = exec.try_map_with(
+            &mut self.pools,
+            EscalationScratch::new,
+            &escalations,
+            cancel,
+            |scratch, _i, esc| run_escalation(inner, enc, esc, scratch),
+        )?;
+        for (esc, outcome) in escalations.iter().zip(outcomes) {
+            verdicts[esc.at] = Some(self.apply_escalation(esc.od, esc.entry, outcome));
         }
         let fresh = self.inner.validate_batch(&unresolved, exec, cancel, stats)?;
         for (&i, verdict) in unresolved_at.iter().zip(fresh) {
@@ -742,30 +646,6 @@ impl<V: OdValidator + Sync> OdJudge for CachedJudge<'_, V> {
             .into_iter()
             .map(|v| v.expect("every task resolved or validated"))
             .collect())
-    }
-
-    fn constancy(
-        &mut self,
-        parent_set: AttrSet,
-        rhs: AttrId,
-        parent: &StrippedPartition,
-        node: &StrippedPartition,
-        stats: &mut LevelStats,
-    ) -> bool {
-        let task = ValidationTask::Constancy { parent_set, rhs, parent, node };
-        self.judge(CanonicalOd::constancy(parent_set, rhs), &task, stats)
-    }
-
-    fn order_compat(
-        &mut self,
-        ctx_set: AttrSet,
-        a: AttrId,
-        b: AttrId,
-        ctx: &StrippedPartition,
-        stats: &mut LevelStats,
-    ) -> bool {
-        let task = ValidationTask::OrderCompat { ctx_set, a, b, ctx };
-        self.judge(CanonicalOd::order_compat(ctx_set, a, b), &task, stats)
     }
 }
 

@@ -39,8 +39,8 @@ pub struct BatchCounters {
     pub verdicts_revived: usize,
     /// Delete-pass entries that escalated to a fresh witness search (the
     /// cheap certificates — liveness probe, count delta — all failed).
-    /// These searches are sharded across the executor's workers in a batch;
-    /// a subset of [`BatchCounters::revalidated`].
+    /// Each batch runs them as one map over the executor's workers; a
+    /// subset of [`BatchCounters::revalidated`].
     pub escalated_searches: usize,
     /// Cache entries dropped because the pass could have changed them but
     /// no retained state could prove otherwise (context evicted or not in

@@ -41,14 +41,7 @@ fn class_is_constant(class: &[u32], codes: &[u32]) -> bool {
 /// Superkey contexts (empty stripped partition) are trivially valid — the
 /// key-pruning shortcut of Lemma 12.
 pub fn check_constancy(ctx: &StrippedPartition, codes_a: &[u32]) -> bool {
-    check_constancy_classes(ctx.classes(), codes_a)
-}
-
-/// [`check_constancy`] over a class view. Classes are independent, so a
-/// caller may shard a large partition's classes across worker threads (via
-/// [`Classes::slice`]) and AND the per-shard results.
-pub fn check_constancy_classes(classes: Classes<'_>, codes_a: &[u32]) -> bool {
-    classes.iter().all(|class| class_is_constant(class, codes_a))
+    ctx.classes().iter().all(|class| class_is_constant(class, codes_a))
 }
 
 /// Like [`check_constancy`] but returns a witness pair `(s, t)` with
@@ -111,27 +104,16 @@ pub fn find_swap(
 /// classes is cheap, and most checks fail early in some class, while the
 /// τ-scan walks every class at once in `A`-order; only classes of more
 /// than about 1024 rows make its presorted walk pay. `ExactValidator` in
-/// `fastod` picks the kernel by that rule.
+/// `fastod` picks the kernel by that rule, and judges each check whole on
+/// one worker.
 pub fn check_order_compat_sweep(
     ctx: &StrippedPartition,
     codes_a: &[u32],
     codes_b: &[u32],
     scratch: &mut SwapScratch,
 ) -> bool {
-    check_order_compat_sweep_classes(ctx.classes(), codes_a, codes_b, scratch)
-}
-
-/// [`check_order_compat_sweep`] over a class view, for sharding a single
-/// large context's classes across worker threads via [`Classes::slice`]
-/// (classes are independent: a swap never crosses class boundaries).
-pub fn check_order_compat_sweep_classes(
-    classes: Classes<'_>,
-    codes_a: &[u32],
-    codes_b: &[u32],
-    scratch: &mut SwapScratch,
-) -> bool {
     let pairs = &mut scratch.pairs;
-    classes.iter().all(|class| {
+    ctx.classes().iter().all(|class| {
         pairs.clear();
         pairs.extend(
             class
@@ -349,30 +331,6 @@ mod tests {
             }
         }
         fast
-    }
-
-    #[test]
-    fn sweep_shards_agree_with_whole_partition() {
-        // Sharding the classes across "workers" and ANDing per-shard results
-        // must equal the whole-partition verdict.
-        let ctx = StrippedPartition::from_classes(
-            8,
-            vec![vec![0, 1, 2], vec![3, 4], vec![5, 6, 7]],
-        );
-        let a = vec![0, 1, 2, 0, 1, 2, 0, 1];
-        let b = vec![0, 1, 2, 1, 0, 2, 2, 1];
-        let mut scratch = SwapScratch::new();
-        let whole = check_order_compat_sweep(&ctx, &a, &b, &mut scratch);
-        let sharded = (0..ctx.n_classes()).all(|i| {
-            check_order_compat_sweep_classes(ctx.classes().slice(i..i + 1), &a, &b, &mut scratch)
-        });
-        assert_eq!(whole, sharded);
-        let whole_const = check_constancy(&ctx, &b);
-        let sharded_const = (0..ctx.n_classes()).step_by(2).all(|i| {
-            let hi = (i + 2).min(ctx.n_classes());
-            check_constancy_classes(ctx.classes().slice(i..hi), &b)
-        });
-        assert_eq!(whole_const, sharded_const);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   discarded (Lemma 14: singletons cannot falsify any canonical OD),
 //!   stored **flat** in CSR form (one contiguous row buffer + class
 //!   offsets) so every scan is a linear walk over contiguous memory —
-//!   see [`Classes`] for the borrowed view consumers iterate/shard;
+//!   see [`Classes`] for the borrowed view consumers iterate;
 //! * linear-time **refinement** `Π*_{X ∪ {A}}` of a partition by one code
 //!   column ([`StrippedPartition::refine`]) and the general partition
 //!   **product** `Π_X = Π_Y · Π_Z`, both with reusable scratch space, so
@@ -42,8 +42,8 @@ mod sorted;
 mod stripped;
 
 pub use checks::{
-    check_constancy, check_constancy_classes, check_order_compat, check_order_compat_sweep,
-    check_order_compat_sweep_classes, find_constancy_violation, find_swap, find_swap_sweep,
+    check_constancy, check_order_compat, check_order_compat_sweep, find_constancy_violation,
+    find_swap, find_swap_sweep,
 };
 pub use counts::{
     count_constancy_violations, count_constancy_violations_rows, count_swap_violations,

@@ -74,10 +74,7 @@ impl RemoveDelta {
 /// A borrowed view of a partition's equivalence classes in CSR form: class
 /// `i` is the contiguous row-id slice `rows[offsets[i]..offsets[i+1]]`.
 ///
-/// The view is `Copy` and cheap to slice ([`Classes::slice`]), which is how
-/// validators shard one large partition's classes across worker threads
-/// without touching the underlying buffers. Offsets are absolute into the
-/// owning partition's row buffer, so a sub-view indexes the same memory.
+/// The view is `Copy` and borrows the owning partition's buffers.
 #[derive(Clone, Copy, Debug)]
 pub struct Classes<'a> {
     rows: &'a [u32],
@@ -104,15 +101,7 @@ impl<'a> Classes<'a> {
 
     /// Total rows covered by the classes in this view.
     pub fn covered_rows(&self) -> usize {
-        (self.offsets[self.offsets.len() - 1] - self.offsets[0]) as usize
-    }
-
-    /// A sub-view over classes `range.start..range.end` (same buffers).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> Classes<'a> {
-        Classes {
-            rows: self.rows,
-            offsets: &self.offsets[range.start..=range.end],
-        }
+        self.offsets[self.offsets.len() - 1] as usize
     }
 
     /// Iterates the classes as contiguous slices. Takes the (Copy) view by
@@ -1043,10 +1032,6 @@ mod tests {
         assert_eq!(view.get(1), &[4, 5]);
         assert_eq!(p.class(1), &[4, 5]);
         assert_eq!(view.covered_rows(), 5);
-        let tail = view.slice(1..2);
-        assert_eq!(tail.len(), 1);
-        assert_eq!(tail.get(0), &[4, 5]);
-        assert_eq!(tail.covered_rows(), 2);
         let collected: Vec<&[u32]> = view.into_iter().collect();
         assert_eq!(collected, vec![&[0u32, 1, 2][..], &[4, 5][..]]);
         assert_eq!(view.iter().count(), 2);

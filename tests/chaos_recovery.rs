@@ -123,11 +123,13 @@ fn check_fault_then_recover(rows: usize, max_card: u32, seed: u64, threads: usiz
     let session = server.open("prop", &base).unwrap();
     let epoch_before = session.epoch();
 
-    // Arm a pass-killing failpoint (panic — the harshest action). The two
-    // engine-thread sites are hit on every pass; the executor-worker site
-    // is only reachable when a batch actually shards, so its containment
-    // is pinned by the executor's own unit tests and the seeded corpus.
-    let sites = [faultkit::INCR_REFRESH, faultkit::INCR_JUDGE_BATCH];
+    // Arm a pass-killing failpoint (panic — the harshest action). All
+    // three sites are hit on every append pass: the two engine-thread
+    // sites directly, and the executor-worker site by every worker of
+    // every executor map, one-worker maps included. The judge maps its
+    // batch through the validator even when no task is left to validate,
+    // so the site is reached at every thread count.
+    let sites = [faultkit::INCR_REFRESH, faultkit::INCR_JUDGE_BATCH, faultkit::EXECUTOR_WORKER];
     let site = sites[site_ix % sites.len()];
     let guard = faultkit::arm(faultkit::FaultPlan::new().rule(site, 0, faultkit::FaultAction::Panic));
 
@@ -190,7 +192,7 @@ proptest! {
         rows in 6usize..24,
         max_card in 2u32..5,
         seed in any::<u64>(),
-        site_ix in 0usize..2,
+        site_ix in 0usize..3,
     ) {
         for threads in [1usize, 2, 4] {
             check_fault_then_recover(rows, max_card, seed, threads, site_ix);

@@ -197,6 +197,41 @@ fn maintenance_pass_children_cover_the_pass() {
     });
 }
 
+/// The direct children of `maintenance_pass` tile it: each opens at the
+/// instant the previous one closed, so their durations sum to the pass's
+/// to the nanosecond, however the engine thread was scheduled.
+#[test]
+fn maintenance_pass_children_tile_the_pass() {
+    let rel = fastod_suite::datagen::flight_like(500, 6, 0x0B61);
+    let obs = Obs::enabled();
+    let cfg = DiscoveryConfig::default().with_obs(obs.clone());
+    let mut engine = IncrementalDiscovery::with_config(&rel.head(400), cfg).unwrap();
+    let total_ns = |snap: &MetricsSnapshot, name: &str| snap.span(name).map_or(0, |s| s.total_ns);
+    let children = ["remove_rows", "level1", "level", "advance_snapshot"];
+    let mut check = |pass: &str, run: &mut dyn FnMut(&mut IncrementalDiscovery)| {
+        let before = obs.snapshot();
+        run(&mut engine);
+        let after = obs.snapshot();
+        let delta = |name: &str| total_ns(&after, name) - total_ns(&before, name);
+        let covered: u64 = children.iter().map(|&name| delta(name)).sum();
+        assert_eq!(covered, delta("maintenance_pass"), "{pass} pass");
+    };
+    check("append", &mut |engine| {
+        let fresh: Vec<usize> = (400..450).collect();
+        engine.push_batch(&rel.select_rows(&fresh)).unwrap();
+    });
+    check("delete", &mut |engine| {
+        let deleted: Vec<usize> = (0..400).step_by(9).collect();
+        engine.delete_rows(&deleted).unwrap();
+    });
+    check("update", &mut |engine| {
+        // Rows `1 mod 9`, which the delete pass kept.
+        let updated: Vec<usize> = (1..400).step_by(9).collect();
+        let fresh: Vec<usize> = (450..450 + updated.len()).collect();
+        engine.update_rows(&updated, &rel.select_rows(&fresh)).unwrap();
+    });
+}
+
 /// One-shot discovery accounts for its own time as well: level 1 and the
 /// lattice levels cover at least 95% of `discover`, at one and two
 /// threads, on a relation long enough that level 1 is a large share of a
