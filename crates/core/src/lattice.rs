@@ -13,19 +13,21 @@ use std::sync::{Arc, Mutex};
 /// stripped partition `Π*_X`, candidate sets `C⁺c(X)` / `C⁺s(X)` and the
 /// attributes outside `X` that `X` is known to determine.
 pub struct Node {
-    /// The stripped partition `Π*_X`. One-shot generation shares it with
-    /// a parent whose partition a known FD makes equal to it (see
-    /// [`calculate_next_level_parallel`]); a caller that mutates it goes
-    /// through `Arc::make_mut`, which copies only a shared one.
+    /// The stripped partition `Π*_X`. Generation shares it with a parent
+    /// whose partition a known FD makes equal to it (see
+    /// [`generate_level`]); a caller that mutates it goes through
+    /// `Arc::make_mut`, which copies only a shared one.
     pub partition: Arc<StrippedPartition>,
     /// Candidate attributes `C⁺c(X)` (Definition 7).
     pub cc: AttrSet,
     /// Candidate pairs `C⁺s(X)` (Definition 8).
     pub cs: PairSet,
     /// Attributes `A ∉ X` for which `X: [] ↦ A` is known to hold, learned
-    /// from partition sizes during one-shot generation. Empty in every
-    /// level the incremental engine builds: a mutation can break an FD.
-    /// Generation trusts it, so only this crate sets it.
+    /// from partition sizes by the [`generate_level`] call that built the
+    /// node, so they hold for the rows its partition covers. A mutation can
+    /// break an FD, so the incremental engine re-learns them every pass and
+    /// never carries a node's facts into the next one. Empty at levels 0
+    /// and 1. Generation trusts it, so only this crate sets it.
     pub(crate) determines: AttrSet,
 }
 
@@ -38,7 +40,11 @@ impl Node {
 
     /// A node over a possibly shared partition, knowing it determines
     /// `determines`.
-    fn sharing(partition: Arc<StrippedPartition>, determines: AttrSet, n_attrs: usize) -> Node {
+    pub(crate) fn sharing(
+        partition: Arc<StrippedPartition>,
+        determines: AttrSet,
+        n_attrs: usize,
+    ) -> Node {
         Node {
             partition,
             cc: AttrSet::EMPTY,
@@ -60,7 +66,7 @@ impl Node {
 /// copied, and the last level that holds them frees them. [`Level::new`],
 /// [`Level::default`] and the level-0 builders carry no relation, nor do
 /// the levels the incremental engine builds: it passes its own encoding
-/// to [`run_joins`].
+/// to [`generate_level`].
 #[derive(Default)]
 pub struct Level {
     nodes: HashMap<u64, Node>,
@@ -155,23 +161,9 @@ pub fn sorted_keys(level: &Level) -> Vec<u64> {
 }
 
 /// `calculateNextLevel(L_l)` — Algorithm 2 over the relation `level`
-/// carries. The returned level carries it too.
-///
-/// A child `X = P ∪ {a}` whose parent `P` is known to determine `a` (a
-/// fact the node carries, learned as below) has `Π*_X = Π*_P`, so it
-/// shares that parent's partition: one `Arc` clone, no row read. Every
-/// other child is a [`JoinAction::Product`] of the plan [`run_joins`]
-/// runs, which refines the parent covering the fewest rows. The
-/// `partition.shared` counter counts the shared children,
-/// `partition.products` the refined ones.
-///
-/// Facts come for free from the partitions' sizes. A child refines each
-/// of its parents, so it has the partition of parent `P = X ∖ {b}` iff
-/// it has as many covered rows and classes, which is the error test
-/// `e(P) = e(X)` that validation applies to `P: [] ↦ b`. Such a parent
-/// determines `b`, and by Augmentation-I so does every superset of it:
-/// each child inherits the facts of its parents, both those they knew
-/// and those the level's children proved about them.
+/// carries: [`generate_level`] with a plan that refines every child it does
+/// not share ([`JoinAction::Product`]). The returned level carries the
+/// relation too.
 ///
 /// `pool` holds one [`ProductScratch`] arena per worker and persists across
 /// calls — the lattice driver passes the same pool for every level, so the
@@ -195,32 +187,87 @@ pub fn calculate_next_level_parallel(
         "calculate_next_level_parallel needs a level that carries its relation \
          (built by build_level1, build_level1_parallel or this function)",
     );
+    let product = |_, _, _| JoinAction::Product;
+    let (mut next, _) = generate_level(level, enc, n_attrs, product, false, exec, pool, cancel)?;
+    next.relation = Some(enc.clone());
+    Ok(next)
+}
+
+/// Generates the children of `level` (Algorithm 2), whose partitions cover
+/// `enc`: one child per [`candidate_joins`] entry `(X, Y, Z)`, returned as
+/// the next level and, in join order, how each child got its partition.
+/// One-shot discovery and the incremental engine both generate through it.
+///
+/// A child `X = P ∪ {a}` whose parent `P` is known to determine `a` (a
+/// fact the node carries, learned as below) has `Π*_X = Π*_P`, so it
+/// shares that parent's partition: one `Arc` clone, no row read
+/// ([`Generated::Shared`]). For every other child `plan(X, Y, Z)` picks a
+/// [`JoinAction`], called in join order. Products and absorbs run on
+/// `exec`'s workers, each with one [`ProductScratch`] from `pool`; reuses
+/// only bump a row count, inline. The children come back in join order, so
+/// whatever the caller applies from them is independent of the thread
+/// count. The `partition.shared` counter counts the shared children,
+/// `partition.products` the refined ones.
+///
+/// With `caller_heap`, a partition that a spawned worker built, or grew by
+/// absorbing, is copied into the calling thread's heap
+/// ([`StrippedPartition::reallocated`]; capacities and so
+/// [`StrippedPartition::memory_bytes`] are kept). Callers that retain the
+/// level across passes set it: glibc serves each thread from its own
+/// arena, and a retained partition would pin memory in a worker's arena.
+///
+/// Facts come for free from the partitions' sizes. A child refines each
+/// of its parents, so it has the partition of parent `P = X ∖ {b}` iff
+/// it has as many covered rows and classes, which is the error test
+/// `e(P) = e(X)` that validation applies to `P: [] ↦ b`. Such a parent
+/// determines `b`, and by Augmentation-I so does every superset of it:
+/// each child inherits the facts of its parents, both those they knew
+/// and those the level's children proved about them. The facts hold for
+/// the rows the partitions cover now: they are learned from this call's
+/// children, and a level built some other way carries none.
+///
+/// # Errors
+/// [`PassError::Cancelled`] when `cancel` fires, and
+/// [`PassError::Panicked`] when a worker panics; the partitions the plan
+/// carried are dropped then.
+#[allow(clippy::too_many_arguments)]
+pub fn generate_level(
+    level: &Level,
+    enc: &EncodedRelation,
+    n_attrs: usize,
+    mut plan: impl FnMut(AttrSet, AttrSet, AttrSet) -> JoinAction,
+    caller_heap: bool,
+    exec: &Executor,
+    pool: &mut Vec<ProductScratch>,
+    cancel: &CancelToken,
+) -> Result<(Level, Vec<(AttrSet, Generated)>), PassError> {
     cancel.check()?;
     let joins = candidate_joins(level);
-    let shared: Vec<Option<Arc<StrippedPartition>>> =
-        joins.iter().map(|&(x, _, _)| known_equal_parent(level, x).cloned()).collect();
-    let refined: Vec<(AttrSet, AttrSet, AttrSet)> = joins
+    let sharing: Vec<Option<AttrSet>> =
+        joins.iter().map(|&(x, _, _)| known_equal_parent(level, x)).collect();
+    let (planned, actions): (Vec<AttrSet>, Vec<JoinAction>) = joins
         .iter()
-        .zip(&shared)
-        .filter_map(|(&join, share)| share.is_none().then_some(join))
-        .collect();
-    let actions = refined.iter().map(|_| JoinAction::Product).collect();
+        .zip(&sharing)
+        .filter(|(_, share)| share.is_none())
+        .map(|(&(x, y, z), _)| (x, plan(x, y, z)))
+        .unzip();
     let mut built =
-        run_joins(level, enc, &refined, actions, false, exec, pool, cancel)?.into_iter();
-    exec.obs().add("partition.shared", (joins.len() - refined.len()) as u64);
-    let children: Vec<(AttrSet, Arc<StrippedPartition>)> = joins
+        run_joins(level, enc, &planned, actions, caller_heap, exec, pool, cancel)?.into_iter();
+    exec.obs().add("partition.shared", (joins.len() - planned.len()) as u64);
+    let children: Vec<(AttrSet, Arc<StrippedPartition>, Generated)> = joins
         .iter()
-        .zip(shared)
-        .map(|(&(x, _, _), share)| {
-            let partition = share.unwrap_or_else(|| {
-                Arc::new(built.next().expect("one result per refined join").into_partition())
-            });
-            (x, partition)
+        .zip(sharing)
+        .map(|(&(x, _, _), share)| match share {
+            Some(p) => (x, Arc::clone(&level[&p.bits()].partition), Generated::Shared(p)),
+            None => {
+                let (partition, generated) = built.next().expect("one result per planned join");
+                (x, Arc::new(partition), generated)
+            }
         })
         .collect();
     // The FDs this level's children prove about their parents.
     let mut proven: HashMap<u64, AttrSet> = HashMap::new();
-    for (x, partition) in &children {
+    for (x, partition, _) in &children {
         for (b, p) in x.parents() {
             let parent = &level[&p.bits()].partition;
             if parent.covered_rows() == partition.covered_rows()
@@ -232,96 +279,83 @@ pub fn calculate_next_level_parallel(
         }
     }
     let mut next = Level::with_capacity(children.len());
-    next.relation = Some(enc.clone());
-    for (x, partition) in children {
+    let mut generated = Vec::with_capacity(children.len());
+    for (x, partition, how) in children {
         let determines = x.parents().fold(AttrSet::EMPTY, |facts, (_, p)| {
             let proven = proven.get(&p.bits()).copied().unwrap_or_default();
             facts.union(level[&p.bits()].determines).union(proven)
         });
         next.insert(x.bits(), Node::sharing(partition, determines.difference(x), n_attrs));
+        generated.push((x, how));
     }
-    Ok(next)
+    Ok((next, generated))
 }
 
-/// The partition of the first parent `X ∖ {a}` of `X` known to determine
-/// `a`, which is `Π*_X`.
-fn known_equal_parent(level: &Level, x: AttrSet) -> Option<&Arc<StrippedPartition>> {
-    x.parents().find_map(|(a, p)| {
-        let parent = &level[&p.bits()];
-        parent.determines.contains(a).then_some(&parent.partition)
-    })
+/// The first parent `X ∖ {a}` of `X` known to determine `a`, whose
+/// partition is `Π*_X`.
+fn known_equal_parent(level: &Level, x: AttrSet) -> Option<AttrSet> {
+    x.parents()
+        .find_map(|(a, p)| level[&p.bits()].determines.contains(a).then_some(p))
 }
 
-/// How generation obtains the partition of one child `X = Y ∪ Z` of a
-/// [`candidate_joins`] entry `(X, Y, Z)`. A generation plan lists one
-/// action per join, in join order.
+/// The parent `X ∖ {a}` of `X` that covers the fewest rows (the lowest bits
+/// on a tie), with the attribute `a` it lacks. Splitting a parent's classes
+/// costs one key read per covered row, so generation splits this one.
+fn fewest_rows_parent(level: &Level, x: AttrSet) -> (AttrId, AttrSet) {
+    let covered = |p: AttrSet| level[&p.bits()].partition.covered_rows();
+    x.parents()
+        .min_by_key(|&(_, p)| (covered(p), p.bits()))
+        .expect("a child has parents")
+}
+
+/// How generation obtains the partition of one child `X` that shares no
+/// parent's partition. A generation plan picks one per such child.
 pub enum JoinAction {
     /// `Π*_X` from one of its `|X|` parents, all of which the level holds:
-    /// the parent `X ∖ {a}` that covers the fewest rows (the lowest bits on
-    /// a tie), refined by `a`'s code column
+    /// the fewest-rows parent `X ∖ {a}` refined by `a`'s code column
     /// ([`StrippedPartition::refine`]).
     Product,
     /// A retained `Π*_X` over fewer rows absorbs the appended ones
-    /// ([`StrippedPartition::absorb_append`]): the classes of `Π*_Z` that
-    /// gained a row are re-split by the code column of the attribute in
-    /// `Y ∖ Z`.
+    /// ([`StrippedPartition::absorb_append`]): the classes of the
+    /// fewest-rows parent `X ∖ {a}` that gained a row are re-split by
+    /// `a`'s code column.
     Absorb(StrippedPartition),
     /// A retained `Π*_X` the mutation provably left unchanged; only its
-    /// row count grows to the parents'.
+    /// row count grows to the relation's.
     Reuse(StrippedPartition),
 }
 
-/// What one [`JoinAction`] produced, in plan order.
-pub enum JoinResult {
-    /// The child refined from one of its parents.
-    Product(StrippedPartition),
-    /// The retained partition after absorbing, with its append delta.
-    Absorbed(StrippedPartition, AppendDelta),
-    /// The retained partition, unchanged.
-    Reused(StrippedPartition),
+/// How [`generate_level`] obtained one child's partition.
+pub enum Generated {
+    /// The partition of the parent `P`, which is known to determine the
+    /// attribute the child adds to it.
+    Shared(AttrSet),
+    /// Refined from a parent ([`JoinAction::Product`]).
+    Product,
+    /// A retained partition that absorbed the appended rows, with its
+    /// append delta ([`JoinAction::Absorb`]).
+    Absorbed(AppendDelta),
+    /// A retained partition, unchanged ([`JoinAction::Reuse`]).
+    Reused,
 }
 
-impl JoinResult {
-    /// The child's partition.
-    pub fn into_partition(self) -> StrippedPartition {
-        match self {
-            JoinResult::Product(p) | JoinResult::Absorbed(p, _) | JoinResult::Reused(p) => p,
-        }
-    }
-}
-
-/// Runs a generation plan over `level`: `actions[i]` builds the child of
-/// `joins[i]`, splitting parent classes by the code columns of `enc`, the
-/// relation the level's partitions cover. Products and absorbs run on
-/// `exec`'s workers, each worker with its own [`ProductScratch`] from
-/// `pool`; reuses only bump a row count, inline. The results come back in
-/// plan order, so whatever the caller applies from them is independent of
-/// the thread count.
-///
-/// With `caller_heap`, a partition that a spawned worker built, or grew
-/// by absorbing, is copied into the calling thread's heap before it is
-/// returned ([`StrippedPartition::reallocated`]; capacities and so
-/// [`StrippedPartition::memory_bytes`] are kept). Callers that retain the
-/// level across passes set it: glibc serves each thread from its own
-/// arena, and a retained partition would pin memory in a worker's arena.
-///
-/// # Errors
-/// [`PassError::Cancelled`] when `cancel` fires, and
-/// [`PassError::Panicked`] when a worker panics; no result is returned
-/// then, and the retained partitions the plan carried are dropped.
+/// Runs the plan [`generate_level`] made: `actions[i]` builds the partition
+/// of child `children[i]` from its fewest-rows parent, splitting classes by
+/// the code columns of `enc`. The results come back in plan order.
 #[allow(clippy::too_many_arguments)]
-pub fn run_joins(
+fn run_joins(
     level: &Level,
     enc: &EncodedRelation,
-    joins: &[(AttrSet, AttrSet, AttrSet)],
+    children: &[AttrSet],
     actions: Vec<JoinAction>,
     caller_heap: bool,
     exec: &Executor,
     pool: &mut Vec<ProductScratch>,
     cancel: &CancelToken,
-) -> Result<Vec<JoinResult>, PassError> {
-    debug_assert_eq!(joins.len(), actions.len());
-    let mut results: Vec<Option<JoinResult>> = Vec::with_capacity(joins.len());
+) -> Result<Vec<(StrippedPartition, Generated)>, PassError> {
+    debug_assert_eq!(children.len(), actions.len());
+    let mut results: Vec<Option<(StrippedPartition, Generated)>> =
+        Vec::with_capacity(children.len());
     // The executor shares its items by reference, so each worker moves its
     // action out of a slot of its own.
     let mut work: Vec<(usize, Mutex<Option<JoinAction>>)> = Vec::new();
@@ -329,8 +363,8 @@ pub fn run_joins(
     for (i, action) in actions.into_iter().enumerate() {
         match action {
             JoinAction::Reuse(mut partition) => {
-                partition.extend_rows(level[&joins[i].2.bits()].partition.n_rows());
-                results.push(Some(JoinResult::Reused(partition)));
+                partition.extend_rows(enc.n_rows());
+                results.push(Some((partition, Generated::Reused)));
             }
             action => {
                 products += u64::from(matches!(action, JoinAction::Product));
@@ -347,51 +381,34 @@ pub fn run_joins(
         &work,
         cancel,
         |scratch, _, (i, slot)| {
-            let (x, y, z) = joins[*i];
             let action = slot
                 .lock()
                 .expect("a slot is locked only to take its action")
                 .take()
                 .expect("each action runs once");
-            let column = |a: AttrId| (enc.codes(a), enc.cardinality(a));
+            let (a, p) = fewest_rows_parent(level, children[*i]);
+            let (codes, card) = (enc.codes(a), enc.cardinality(a));
+            let parent = &level[&p.bits()].partition;
             // Whether this worker allocated the result's buffers: a product
             // always, an absorb when it outgrew them.
-            let (join, allocated) = match action {
+            let (built, allocated) = match action {
                 JoinAction::Product => {
-                    // A refinement costs one key read per row of the
-                    // refined parent, so refine the one that covers fewest.
-                    let covered = |p: AttrSet| level[&p.bits()].partition.covered_rows();
-                    let (a, p) = x
-                        .parents()
-                        .min_by_key(|&(_, p)| (covered(p), p.bits()))
-                        .expect("a child has parents");
-                    let (codes, card) = column(a);
-                    let split = &level[&p.bits()].partition;
-                    (JoinResult::Product(split.refine(codes, card, scratch)), true)
+                    ((parent.refine(codes, card, scratch), Generated::Product), true)
                 }
                 JoinAction::Absorb(mut partition) => {
-                    // The classes of `Z` that gained a row, re-split by the
-                    // attribute `Y` adds to it.
-                    let parent = &level[&z.bits()].partition;
-                    let (codes, card) =
-                        column(y.difference(z).min_attr().expect("the parents differ"));
                     let bytes = partition.memory_bytes();
                     let delta = partition.absorb_append(parent, codes, card, scratch);
                     let grew = partition.memory_bytes() != bytes;
-                    (JoinResult::Absorbed(partition, delta), grew)
+                    ((partition, Generated::Absorbed(delta)), grew)
                 }
                 JoinAction::Reuse(_) => unreachable!("reuses run inline"),
             };
-            (join, allocated && std::thread::current().id() != caller)
+            (built, allocated && std::thread::current().id() != caller)
         },
     )?;
-    for ((i, _), (join, foreign)) in work.iter().zip(built) {
-        let copy = caller_heap && foreign;
-        results[*i] = Some(match join {
-            JoinResult::Product(p) if copy => JoinResult::Product(p.reallocated()),
-            JoinResult::Absorbed(p, delta) if copy => JoinResult::Absorbed(p.reallocated(), delta),
-            join => join,
-        });
+    for ((i, _), ((partition, generated), foreign)) in work.iter().zip(built) {
+        let partition = if caller_heap && foreign { partition.reallocated() } else { partition };
+        results[*i] = Some((partition, generated));
     }
     Ok(results.into_iter().map(|r| r.expect("every join built")).collect())
 }
@@ -638,7 +655,9 @@ mod tests {
     }
 
     /// A plan mixing absorbs, products and reuses builds the same level as
-    /// the all-product plan, at every thread count.
+    /// the all-product plan, at every thread count. The absorb goes through
+    /// the fewest-rows parent `{a}`, which is not the generating parent
+    /// `Z = {b}` of the join `({a, b}, {a}, {b})`.
     #[test]
     fn mixed_plan_equals_products() {
         // Rows 5..8 are the tail: they join classes of {a, b} and stay
@@ -654,36 +673,32 @@ mod tests {
         let expected = next_level(&l1, &CancelToken::never()).unwrap();
         let retained =
             next_level(&build_level1(&rel.head(5).encode()), &CancelToken::never()).unwrap();
-        // Joins {a,b}, {a,c}, {b,c}: absorb, product, reuse.
         let joins = candidate_joins(&l1);
         assert_eq!(joins.len(), 3);
+        assert_eq!(fewest_rows_parent(&l1, joins[0].0), (1, AttrSet::singleton(0)));
         let mut bytes: Vec<Vec<usize>> = Vec::new();
         for threads in [1, 2] {
+            // Joins {a,b}, {a,c}, {b,c}: absorb, product, reuse.
             let taken = |x: AttrSet| StrippedPartition::clone(&retained[&x.bits()].partition);
-            let actions = vec![
+            let mut actions = vec![
                 JoinAction::Absorb(taken(joins[0].0)),
                 JoinAction::Product,
                 JoinAction::Reuse(taken(joins[2].0)),
-            ];
+            ]
+            .into_iter();
+            let plan = |_, _, _| actions.next().expect("one action per join");
             let exec = Executor::new(threads);
-            let built = run_joins(
-                &l1,
-                &enc,
-                &joins,
-                actions,
-                true,
-                &exec,
-                &mut Vec::new(),
-                &CancelToken::never(),
-            )
-            .unwrap();
-            assert!(matches!(&built[0], JoinResult::Absorbed(_, delta) if delta.is_dirty()));
-            assert!(matches!(built[1], JoinResult::Product(_)));
-            assert!(matches!(built[2], JoinResult::Reused(_)));
+            let cancel = CancelToken::never();
+            let (next, generated) =
+                generate_level(&l1, &enc, 3, plan, true, &exec, &mut Vec::new(), &cancel).unwrap();
+            assert!(matches!(&generated[0].1, Generated::Absorbed(delta) if delta.is_dirty()));
+            assert!(matches!(generated[1].1, Generated::Product));
+            assert!(matches!(generated[2].1, Generated::Reused));
             let mut sizes = Vec::new();
-            for (&(x, _, _), join) in joins.iter().zip(built) {
-                let partition = join.into_partition();
-                assert_eq!(partition, *expected[&x.bits()].partition, "threads={threads}");
+            for (&(x, _, _), (child, _)) in joins.iter().zip(&generated) {
+                assert_eq!(*child, x);
+                let partition = &next[&x.bits()].partition;
+                assert_eq!(**partition, *expected[&x.bits()].partition, "threads={threads}");
                 sizes.push(partition.memory_bytes());
             }
             bytes.push(sizes);

@@ -10,10 +10,12 @@
 //!
 //! * [`Node`], [`Level`], [`build_level0`], [`build_level1`] — lattice
 //!   construction;
-//! * [`candidate_joins`], [`JoinAction`], [`run_joins`] — generation as a
-//!   plan (one product, absorb or reuse per join, in join order) run on
-//!   the executor, every product a refinement of one parent; the
-//!   all-product plan is [`calculate_next_level_parallel`];
+//! * [`candidate_joins`], [`JoinAction`], [`generate_level`] — generation:
+//!   a child a known FD makes equal to a parent shares that parent's
+//!   partition, and every other child runs the caller's plan (one product,
+//!   absorb or reuse each, in join order) on the executor, every product a
+//!   refinement of one parent; the all-product plan is
+//!   [`calculate_next_level_parallel`];
 //! * [`compute_candidate_sets`] — Algorithm 3 lines 1–8 (`C⁺c`/`C⁺s`);
 //! * [`validate_level`] — Algorithm 3 lines 9–24, generic over an
 //!   [`OdJudge`] so verdicts can be cached/memoized externally;
@@ -27,8 +29,8 @@
 
 pub use crate::lattice::{
     build_level0, build_level0_masked, build_level1, build_level1_parallel,
-    calculate_next_level_parallel, candidate_joins, run_joins, sorted_keys, JoinAction, JoinResult,
-    Level, Node,
+    calculate_next_level_parallel, candidate_joins, generate_level, sorted_keys, Generated,
+    JoinAction, Level, Node,
 };
 use crate::pairset::PairSet;
 use crate::parallel::Executor;
@@ -38,7 +40,7 @@ use crate::{CancelToken, PassError};
 use fastod_partition::{RemoveDelta, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet};
 use fastod_theory::{CanonicalOd, OdSet};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
 
 /// The pure per-node half of `computeODs(L_l)` lines 1–8: `C⁺c(X)` and
@@ -261,24 +263,38 @@ fn retained(mut levels: Vec<Level>) -> Vec<Level> {
 /// nodes out ([`DiscoverySnapshot::take_node`]) as they rebuild each level,
 /// and store the rebuilt levels back.
 ///
+/// # Shared partitions
+///
+/// Nodes of the retained levels may hold one partition together: a child
+/// that [`generate_level`] gave the partition of a parent a known FD makes
+/// equal to it. A mutation can break that FD, so a pass first
+/// [releases](DiscoverySnapshot::release_shared) every such *sharer*: each
+/// partition is then held by one node, its *holder*, and is mutated in
+/// place without a copy. The pass re-learns the facts from its own
+/// partitions and shares again where they still hold.
+///
 /// # Memory budgeting
 ///
-/// Retained partitions are byte-accounted (the CSR layout makes a node's
-/// cost exactly `4 · (rows.capacity() + offsets.capacity())`, see
-/// [`fastod_partition::StrippedPartition::memory_bytes`]). When a budget is
-/// set ([`DiscoverySnapshot::set_budget`], wired from
+/// Retained partitions are byte-accounted (the CSR layout makes a
+/// partition's cost exactly `4 · (rows.capacity() + offsets.capacity())`,
+/// see [`fastod_partition::StrippedPartition::memory_bytes`]), once per
+/// distinct partition, however many nodes hold it. When a budget is set
+/// ([`DiscoverySnapshot::set_budget`], wired from
 /// [`crate::DiscoveryConfig::partition_memory_budget`]),
-/// [`enforce_budget`](DiscoverySnapshot::enforce_budget) evicts whole nodes
-/// — least-recently-*reused* first — until the resident bytes fit. Eviction
-/// is always safe: a later pass that misses a node simply recomputes its
-/// partition (one refinement of a parent, or one counting sort at level 1),
-/// so the budget trades reuse for memory without ever changing results.
+/// [`enforce_budget`](DiscoverySnapshot::enforce_budget) evicts whole
+/// partitions — least-recently-*reused* first, each with every node that
+/// holds it — until the resident bytes fit. Eviction is always safe: a
+/// later pass that misses a node simply recomputes its partition (one
+/// refinement of a parent, or one counting sort at level 1), so the budget
+/// trades reuse for memory without ever changing results.
 ///
 /// Recency is tracked per `(level, bits)` key across passes: taking a node
-/// via `take_node` (to reuse it, or to absorb appended rows into it) stamps
+/// via `take_node` (to reuse it, or to absorb appended rows into it) or
+/// sharing a parent's partition ([`DiscoverySnapshot::note_shared`]) stamps
 /// it with the current pass, while a node that had to be *recomputed* (its
 /// retained copy was evicted) inherits its old stamp — regions whose
-/// retained partitions keep getting evicted stay cold and go first.
+/// retained partitions keep getting evicted stay cold and go first. A
+/// partition is as recent as its most recently stamped holder.
 #[derive(Default)]
 pub struct DiscoverySnapshot {
     levels: Vec<Level>,
@@ -287,7 +303,8 @@ pub struct DiscoverySnapshot {
     pass: u64,
     /// `(level, bits)` → pass in which the node's partition was last reused.
     last_reuse: HashMap<(u32, u64), u64>,
-    /// Keys handed out by `take_node` since this snapshot was built.
+    /// Keys handed out by `take_node`, or noted as shared, since this
+    /// snapshot was built.
     taken: Vec<(u32, u64)>,
     /// Partition byte cap; `None` retains everything.
     budget: Option<usize>,
@@ -351,13 +368,30 @@ impl DiscoverySnapshot {
         snap
     }
 
-    /// Every `(level, bits)` key currently present.
+    /// Every `(level, bits)` key currently present, in ascending order.
     fn keys(&self) -> Vec<(u32, u64)> {
         self.levels
             .iter()
             .enumerate()
-            .flat_map(|(l, level)| level.keys().map(move |&bits| (l as u32, bits)))
+            .flat_map(|(l, level)| sorted_keys(level).into_iter().map(move |bits| (l as u32, bits)))
             .collect()
+    }
+
+    /// The keys in ascending order, grouped by the partition they hold: one
+    /// group per distinct partition, its first key the group's *holder*.
+    /// Groups are in the order of their holders.
+    fn holder_groups(&self) -> Vec<Vec<(u32, u64)>> {
+        let mut groups: Vec<Vec<(u32, u64)>> = Vec::new();
+        let mut group_of: HashMap<*const StrippedPartition, usize> = HashMap::new();
+        for (l, bits) in self.keys() {
+            let partition = Arc::as_ptr(&self.levels[l as usize][&bits].partition);
+            let g = *group_of.entry(partition).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[g].push((l, bits));
+        }
+        groups
     }
 
     /// Row count of the relation the snapshot was computed over.
@@ -394,8 +428,43 @@ impl DiscoverySnapshot {
         Some(node)
     }
 
+    /// Records that the pass gave the node of `bits` a parent's partition:
+    /// the key counts as *reused* for LRU accounting in the successor
+    /// snapshot, and the node's retained partition, if any, is dropped.
+    pub fn note_shared(&mut self, level: usize, bits: u64) {
+        if let Some(nodes) = self.levels.get_mut(level) {
+            nodes.remove(&bits);
+        }
+        self.taken.push((level as u32, bits));
+    }
+
+    /// Removes every node whose partition a node earlier in `(level, bits)`
+    /// order also holds, and returns each removed *sharer*'s bits with its
+    /// *holder*'s (the earliest node holding the partition).
+    ///
+    /// Afterwards every retained partition has one holder, so the mutation
+    /// sites of a pass — [`remove_rows`](DiscoverySnapshot::remove_rows),
+    /// the level-1 appends, the absorb and reuse plans — copy nothing, and
+    /// each distinct partition is compacted once. A sharer's partition
+    /// equaled its holder's, so the holder's [`RemoveDelta`] is the
+    /// sharer's too. A released node keeps its recency stamp: if the pass
+    /// must recompute it, because its FD broke, it inherits that stamp.
+    pub fn release_shared(&mut self) -> Vec<(u64, u64)> {
+        let mut released = Vec::new();
+        for group in self.holder_groups() {
+            let (_, holder) = group[0];
+            for &(l, bits) in &group[1..] {
+                self.levels[l as usize].remove(&bits);
+                released.push((bits, holder));
+            }
+        }
+        released
+    }
+
     /// Applies a batch of row deletions to **every** retained partition, in
-    /// place, returning per node the classes the deletion touched.
+    /// place, returning per node the classes the deletion touched. Called
+    /// after [`release_shared`](DiscoverySnapshot::release_shared), it
+    /// compacts each distinct partition once and copies none.
     ///
     /// Deleting tuples never merges or splits surviving equivalence
     /// classes, so `Π*_X(r ∖ D)` is obtained from the retained `Π*_X(r)` by
@@ -412,8 +481,9 @@ impl DiscoverySnapshot {
     /// The nodes are independent, so the compaction is a map on `exec`
     /// over the retained nodes in ascending bits order, with one deletion
     /// mask shared by every worker. Compaction allocates nothing, so the
-    /// retained buffers stay where they were allocated. `cancel` is the
-    /// pass's token.
+    /// retained buffers stay where they were allocated. A partition that
+    /// several nodes still hold is copied for all of them but one
+    /// (`Arc::make_mut`). `cancel` is the pass's token.
     ///
     /// `deleted` must be sorted ascending.
     ///
@@ -427,7 +497,7 @@ impl DiscoverySnapshot {
         deleted: &[u32],
         exec: &Executor,
         cancel: &CancelToken,
-    ) -> Result<HashMap<u64, RemoveDelta>, PassError> {
+    ) -> Result<HashMap<u64, Arc<RemoveDelta>>, PassError> {
         // One mask shared by every node: membership probes become single
         // indexed reads instead of per-row binary searches.
         let mut mask = vec![false; self.n_rows];
@@ -448,7 +518,7 @@ impl DiscoverySnapshot {
                 .expect("each node is locked once")
                 .remove_rows_masked(&mask)
         })?;
-        Ok(nodes.iter().map(|&(bits, _)| bits).zip(deltas).collect())
+        Ok(nodes.iter().map(|&(bits, _)| bits).zip(deltas.into_iter().map(Arc::new)).collect())
     }
 
     /// Sets (or clears) the partition byte budget. The cap is enforced on
@@ -463,12 +533,15 @@ impl DiscoverySnapshot {
         self.budget
     }
 
-    /// Resident partition bytes across all retained nodes (CSR buffers
-    /// only; the accounting unit of the budget).
+    /// Resident partition bytes across all retained nodes, each distinct
+    /// partition counted once however many nodes hold it (CSR buffers only;
+    /// the accounting unit of the budget).
     pub fn partition_bytes(&self) -> usize {
+        let mut seen = HashSet::new();
         self.levels
             .iter()
-            .flat_map(|level| level.values())
+            .flat_map(Level::values)
+            .filter(|node| seen.insert(Arc::as_ptr(&node.partition)))
             .map(|node| node.partition.memory_bytes())
             .sum()
     }
@@ -479,11 +552,13 @@ impl DiscoverySnapshot {
         self.evicted
     }
 
-    /// Evicts nodes until [`partition_bytes`](DiscoverySnapshot::partition_bytes)
-    /// fits the budget, returning how many were dropped. Order: stalest
-    /// `last_reuse` stamp first; ties broken deepest level first (a deep
-    /// node is one cheap refinement of a parent away), then ascending bits
-    /// — fully deterministic.
+    /// Evicts partitions, each with every node that holds it, until
+    /// [`partition_bytes`](DiscoverySnapshot::partition_bytes) fits the
+    /// budget, returning how many nodes were dropped. Order: stalest
+    /// partition first, a partition being as recent as the most recent
+    /// `last_reuse` stamp among its holders; ties broken by the first
+    /// holder, deepest level first (a deep node is one cheap refinement of
+    /// a parent away), then ascending bits — fully deterministic.
     pub fn enforce_budget(&mut self) -> usize {
         let Some(budget) = self.budget else {
             return 0;
@@ -492,26 +567,26 @@ impl DiscoverySnapshot {
         if resident <= budget {
             return 0;
         }
-        let mut order: Vec<(u64, std::cmp::Reverse<u32>, u64)> = self
-            .keys()
-            .into_iter()
-            .map(|(l, bits)| {
-                let stamp = self.last_reuse.get(&(l, bits)).copied().unwrap_or(0);
-                (stamp, std::cmp::Reverse(l), bits)
-            })
-            .collect();
-        order.sort_unstable();
+        let mut groups = self.holder_groups();
+        groups.sort_unstable_by_key(|group| {
+            let stamp = |key| self.last_reuse.get(key).copied().unwrap_or(0);
+            let recent = group.iter().map(stamp).max().expect("a group has a holder");
+            let (l, bits) = group[0];
+            (recent, std::cmp::Reverse(l), bits)
+        });
         let mut dropped = 0;
-        for (_, std::cmp::Reverse(l), bits) in order {
+        for group in groups {
             if resident <= budget {
                 break;
             }
-            let node = self.levels[l as usize]
-                .remove(&bits)
-                .expect("eviction key present");
-            resident -= node.partition.memory_bytes();
-            self.last_reuse.remove(&(l, bits));
-            dropped += 1;
+            for &(l, bits) in &group {
+                let node = self.levels[l as usize].remove(&bits).expect("eviction key present");
+                if (l, bits) == group[0] {
+                    resident -= node.partition.memory_bytes();
+                }
+                self.last_reuse.remove(&(l, bits));
+            }
+            dropped += group.len();
         }
         self.evicted += dropped;
         dropped
@@ -643,6 +718,74 @@ mod tests {
         snap.set_budget(Some(hot_bytes + level0_bytes));
         snap.enforce_budget();
         assert!(snap.node(1, hot_bits).is_some(), "hot node evicted");
+    }
+
+    /// Levels 0–2 of `enc()` in which `{yr, bin}` and `{bin, sal}` hold
+    /// `{bin}`'s partition, as generation shares a parent's partition along
+    /// an FD, and `{yr, sal}` holds its own.
+    fn shared_levels(enc: &EncodedRelation) -> Vec<Level> {
+        let l1 = build_level1(enc);
+        let bin = &l1[&AttrSet::singleton(1).bits()].partition;
+        let mut l2 = Level::new();
+        for x in [AttrSet::from_iter([0, 1]), AttrSet::from_iter([1, 2])] {
+            l2.insert(x.bits(), Node::sharing(Arc::clone(bin), AttrSet::EMPTY, 3));
+        }
+        let (yr, sal) = (AttrSet::singleton(0), AttrSet::singleton(2));
+        let yr_sal = l1[&yr.bits()].partition.product_simple(&l1[&sal.bits()].partition);
+        l2.insert(yr.union(sal).bits(), Node::new(yr_sal, 3));
+        vec![build_level0(enc.n_rows(), 3), l1, l2]
+    }
+
+    /// A partition that several nodes hold is charged once, compacted once
+    /// after its sharers are released, and evicted with all its holders; it
+    /// is as recent as its most recently reused holder.
+    #[test]
+    fn shared_partitions_count_once() {
+        let enc = enc();
+        let n = enc.n_rows();
+        let (bin, yr_bin, bin_sal) = (0b010u64, 0b011u64, 0b110u64);
+        let mut snap = DiscoverySnapshot::from_levels(shared_levels(&enc), n);
+        let per_node: usize =
+            snap.levels().iter().flat_map(Level::values).map(|n| n.partition.memory_bytes()).sum();
+        let bin_bytes = snap.node(1, bin).unwrap().partition.memory_bytes();
+        assert_eq!(snap.partition_bytes(), per_node - 2 * bin_bytes);
+
+        // The release leaves `{bin}` as the only holder of its partition.
+        assert_eq!(snap.release_shared(), vec![(yr_bin, bin), (bin_sal, bin)]);
+        assert_eq!(snap.n_nodes(), 5);
+        assert_eq!(snap.partition_bytes(), per_node - 2 * bin_bytes);
+        assert!(snap.release_shared().is_empty(), "one holder per partition");
+        let rows = |snap: &DiscoverySnapshot| snap.node(1, bin).unwrap().partition.raw_csr().0.as_ptr();
+        let before = rows(&snap);
+        snap.remove_rows(&[0], &Executor::new(1), &CancelToken::never()).unwrap();
+        assert_eq!(rows(&snap), before, "the holder is compacted in place");
+
+        // `{yr, bin}` shared `{bin}`'s partition in the pass that built the
+        // next snapshot, so the partition is the most recent: a budget that
+        // fits one partition keeps it, with both nodes that share it.
+        let mut old = DiscoverySnapshot::from_levels(shared_levels(&enc), n);
+        old.note_shared(2, yr_bin);
+        assert!(old.node(2, yr_bin).is_none(), "the retained copy is dropped");
+        let mut hot = DiscoverySnapshot::advanced_from(&old, shared_levels(&enc), n);
+        hot.set_budget(Some(bin_bytes));
+        assert_eq!(hot.enforce_budget(), 4);
+        assert_eq!(hot.partition_bytes(), bin_bytes);
+        for (l, bits) in [(1, bin), (2, yr_bin), (2, bin_sal)] {
+            assert!(hot.node(l, bits).is_some(), "{bits:#b} evicted");
+        }
+        // With every stamp equal the same budget evicts the partition, and
+        // every node that holds it goes with it.
+        let old = DiscoverySnapshot::from_levels(shared_levels(&enc), n);
+        let mut cold = DiscoverySnapshot::advanced_from(&old, shared_levels(&enc), n);
+        cold.set_budget(Some(bin_bytes));
+        cold.enforce_budget();
+        for (l, bits) in [(1, bin), (2, yr_bin), (2, bin_sal)] {
+            assert!(cold.node(l, bits).is_none(), "{bits:#b} kept");
+        }
+        cold.set_budget(Some(0));
+        cold.enforce_budget();
+        assert_eq!(cold.n_nodes(), 0);
+        assert_eq!(cold.evicted_nodes(), 7, "every node counts, sharers too");
     }
 
     #[test]

@@ -4,8 +4,8 @@ use crate::judge::{CachedJudge, CachedVerdict};
 use crate::stats::{BatchCounters, BatchReport, IncrementalStats};
 use fastod::parallel::Executor;
 use fastod::snapshot::{
-    build_level0_masked, candidate_joins, compute_candidate_sets_parallel, prune_level, run_joins,
-    validate_level, DiscoverySnapshot, JoinAction, JoinResult, Level, Node,
+    build_level0_masked, compute_candidate_sets_parallel, generate_level, prune_level,
+    validate_level, DiscoverySnapshot, Generated, JoinAction, Level, Node,
 };
 use fastod::{CancelToken, DiscoveryConfig, LevelStats, PassError};
 use fastod_faultkit as faultkit;
@@ -603,11 +603,14 @@ impl IncrementalDiscovery {
     /// reusing retained partitions and cached verdicts wherever the
     /// mutation provably cannot have changed them.
     ///
-    /// When the pass carries deletions it first makes every retained
-    /// partition absorb the tombstones in place
-    /// ([`DiscoverySnapshot::remove_rows`] — pure class compaction, no
-    /// products, mapped over the nodes on the executor), handing the
-    /// per-node touched-class deltas to the judge:
+    /// Every pass first releases the retained nodes that share a partition
+    /// ([`DiscoverySnapshot::release_shared`]), so each partition has one
+    /// holder and is mutated in place without a copy. When the pass carries
+    /// deletions it then makes every retained partition absorb the
+    /// tombstones in place ([`DiscoverySnapshot::remove_rows`] — pure class
+    /// compaction, no products, mapped over the nodes on the executor, each
+    /// distinct partition once), handing the per-node touched-class deltas
+    /// to the judge, a released sharer its holder's:
     /// cached-valid verdicts are binding under deletes, cached-invalid ones
     /// on untouched contexts too, and the rest settle by a witness-pair
     /// liveness probe or delta counting over exactly the touched classes
@@ -615,15 +618,18 @@ impl IncrementalDiscovery {
     /// the partition was evicted). Appended rows are then absorbed level by
     /// level — the two directions threaten disjoint verdict sets.
     ///
-    /// Each level is generated as plan → run → apply. The plan takes one
-    /// action per candidate join, in join order, from the parents' dirt:
-    /// a node without a retained partition (new, pruned earlier, or
-    /// evicted) is a parent product; a retained node with two dirty
-    /// parents absorbs the appended rows; any other retained node is
-    /// reused as is. [`run_joins`] runs the products and absorbs on the
-    /// executor with the engine's per-worker scratch pool, and the apply
-    /// step sets dirt and counters in join order, so the cover, the
-    /// verdict cache and the counters cannot depend on the thread count.
+    /// Each level is generated by [`generate_level`], as one-shot
+    /// discovery generates it. A child whose parent this pass's partitions
+    /// show to determine the attribute it adds shares that parent's
+    /// partition. The plan takes one action per other child, in join
+    /// order, from its generating parents' dirt: a node without a retained
+    /// partition (new, pruned earlier, evicted, or a released sharer) is a
+    /// product; a retained node with two dirty parents absorbs the appended
+    /// rows; any other retained node is reused as is. The products and
+    /// absorbs run on the executor with the engine's per-worker scratch
+    /// pool, and the apply step sets dirt and counters in join order, so
+    /// the cover, the verdict cache and the counters cannot depend on the
+    /// thread count.
     fn refresh(&mut self, pass: Pass<'_>, deadline: Option<Instant>) -> Result<BatchReport, PassError> {
         // Failpoint: one branch when unarmed. `Cancel` fails the pass like
         // a fired token; `Panic` unwinds to `run_pass`'s containment.
@@ -652,11 +658,19 @@ impl IncrementalDiscovery {
         // searches shard across the same executor the one-shot driver
         // uses; cache bookkeeping stays sequential.
         let exec = Executor::with_obs(self.config.threads, obs.clone());
+        // Facts are not carried across passes: an append can break an FD.
+        // The sharers go, and this pass shares again where its own
+        // partitions show the FD still holds.
+        let released = self.snapshot.release_shared();
         let deltas = if pass.deleted.is_empty() {
             None
         } else {
             let span = obs.span_from("remove_rows", &[], mark);
-            let deltas = self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?;
+            let mut deltas = self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?;
+            for (sharer, holder) in released {
+                let delta = Arc::clone(&deltas[&holder]);
+                deltas.insert(sharer, delta);
+            }
             mark = Instant::now();
             span.end_at(mark);
             Some(deltas)
@@ -766,57 +780,51 @@ impl IncrementalDiscovery {
                 let next = if reached_cap {
                     Level::new()
                 } else {
-                    let level = &levels[l];
                     // Plan. Deletes were already absorbed in place above.
                     // For appends: an appended row covered in X must be
                     // covered in every subset of X, so one clean generating
                     // parent certifies X clean and its retained partition
                     // is reused as is. With both parents dirty, the retained
                     // partition absorbs the appended rows by re-splitting
-                    // the parent classes that gained one.
-                    let joins = candidate_joins(level);
-                    let both_dirty: Vec<bool> = joins
-                        .iter()
-                        .map(|&(_, pi, pj)| judge.is_dirty(pi.bits()) && judge.is_dirty(pj.bits()))
-                        .collect();
-                    let actions: Vec<JoinAction> = joins
-                        .iter()
-                        .zip(&both_dirty)
-                        .map(|(&(x, _, _), &both_dirty)| match old.take_node(l + 1, x.bits()) {
+                    // the parent classes that gained one. The results are
+                    // retained, so their partitions come back in this
+                    // thread's heap.
+                    let plan = |x: AttrSet, y: AttrSet, z: AttrSet| {
+                        match old.take_node(l + 1, x.bits()) {
                             None => JoinAction::Product,
-                            Some(node) if both_dirty => {
+                            Some(node) if judge.is_dirty(y.bits()) && judge.is_dirty(z.bits()) => {
                                 JoinAction::Absorb(Arc::unwrap_or_clone(node.partition))
                             }
                             Some(node) => JoinAction::Reuse(Arc::unwrap_or_clone(node.partition)),
-                        })
-                        .collect();
-                    // Run. The results are retained, so their partitions
-                    // come back in this thread's heap.
+                        }
+                    };
                     let pool = &mut self.pool;
-                    let built =
-                        run_joins(level, enc, &joins, actions, true, &exec, pool, &cancel)?;
-                    // Apply, in join order. A product is dirty when both
-                    // parents are and it covers an appended row; an absorb
-                    // when its append delta says so.
-                    let mut next = Level::with_capacity(joins.len());
-                    let outcomes = joins.iter().zip(both_dirty).zip(built);
-                    for ((&(x, _, _), both_dirty), join) in outcomes {
-                        let dirty = match &join {
-                            JoinResult::Product(p) => {
-                                judge.counters.nodes_recomputed += 1;
-                                both_dirty && covers_appended_row(p, old_n)
+                    let (next, children) =
+                        generate_level(&levels[l], enc, n_attrs, plan, true, &exec, pool, &cancel)?;
+                    // Apply, in join order. A node is dirty when it covers
+                    // an appended row: a shared child when its parent is,
+                    // an absorb when its append delta says so.
+                    for (x, generated) in children {
+                        let dirty = match generated {
+                            Generated::Shared(p) => {
+                                judge.counters.nodes_shared += 1;
+                                old.note_shared(l + 1, x.bits());
+                                judge.is_dirty(p.bits())
                             }
-                            JoinResult::Absorbed(_, delta) => {
+                            Generated::Product => {
+                                judge.counters.nodes_recomputed += 1;
+                                appended > 0 && covers_appended_row(&next[&x.bits()].partition, old_n)
+                            }
+                            Generated::Absorbed(delta) => {
                                 judge.counters.partitions_appended += 1;
                                 delta.is_dirty()
                             }
-                            JoinResult::Reused(_) => {
+                            Generated::Reused => {
                                 judge.counters.nodes_reused += 1;
                                 false
                             }
                         };
                         judge.set_dirty(x.bits(), dirty);
-                        next.insert(x.bits(), Node::new(join.into_partition(), n_attrs));
                     }
                     next
                 };
@@ -904,6 +912,7 @@ fn covers_appended_row(p: &StrippedPartition, old_n: usize) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fastod::snapshot::sorted_keys;
     use fastod::{CancelToken, DiscoveryConfig, Fastod};
     use fastod_datagen::random_relation;
     use fastod_relation::RelationBuilder;
@@ -1146,29 +1155,90 @@ mod tests {
         assert_eq!(report.counters.nodes_recomputed, 0, "{:?}", report.counters);
     }
 
+    /// Every node of `snapshot` in `(level, bits)` order, with the first
+    /// node that holds its partition: itself for a holder, an earlier node
+    /// for a node that shares.
+    fn holders(snapshot: &DiscoverySnapshot) -> Vec<((usize, u64), (usize, u64))> {
+        let keys: Vec<(usize, u64)> = snapshot
+            .levels()
+            .iter()
+            .enumerate()
+            .flat_map(|(l, level)| sorted_keys(level).into_iter().map(move |bits| (l, bits)))
+            .collect();
+        let partition = |(l, bits): (usize, u64)| &snapshot.node(l, bits).unwrap().partition;
+        keys.iter()
+            .map(|&key| {
+                let holder = keys.iter().find(|&&k| Arc::ptr_eq(partition(k), partition(key)));
+                (key, *holder.unwrap())
+            })
+            .collect()
+    }
+
     #[test]
     fn append_pass_absorbs_into_retained_nodes() {
-        let n_attrs = 4;
-        let base = random_relation(40, n_attrs, 3, 7);
+        let n_attrs = 6;
+        let base = fastod_datagen::flight_like(40, n_attrs, 7);
         let mut engine = IncrementalDiscovery::new(&base);
-        let generated = engine.stats().totals.nodes_recomputed;
-        let levels = engine.snapshot().levels();
-        let retained: usize = levels.iter().skip(2).map(Level::len).sum();
-        assert!(retained > 0, "the base must retain nodes above level 1");
+        let initial = engine.stats().totals.clone();
+        let generated = initial.nodes_recomputed + initial.nodes_shared;
+        let deep: Vec<_> = holders(engine.snapshot()).into_iter().filter(|&((l, _), _)| l >= 2).collect();
+        let holding = deep.iter().filter(|(key, holder)| key == holder).count();
+        assert!(holding > 0, "the base must retain partitions above level 1");
+        assert!(deep.len() > holding, "some retained node must share");
         // Re-appended rows pair with their originals under every context,
-        // so every node turns dirty, yet no verdict changes and the pass
-        // regenerates the same lattice.
+        // so every node turns dirty, yet no FD breaks, no verdict changes
+        // and the pass regenerates the same lattice: the released sharers
+        // share again and every retained holder absorbs.
         let batch = base.select_rows(&[0, 5, 9]);
         let report = engine.push_batch(&batch).unwrap();
         let c = &report.counters;
-        assert_eq!(c.partitions_appended, n_attrs + retained, "{c:?}");
+        assert_eq!(c.partitions_appended, n_attrs + holding, "{c:?}");
         assert_eq!(c.nodes_reused, 0, "{c:?}");
+        assert_eq!(c.nodes_shared, initial.nodes_shared, "{c:?}");
         // Only the nodes the initial pass pruned have no retained partition.
-        assert_eq!(c.nodes_recomputed, generated - retained, "{c:?}");
+        assert_eq!(c.nodes_recomputed, initial.nodes_recomputed - holding, "{c:?}");
+        assert_eq!(holding + c.nodes_recomputed + c.nodes_shared, generated, "{c:?}");
         assert!(report.retired.is_empty() && report.promoted.is_empty());
         let mut concat = base.clone();
         concat.extend(&batch).unwrap();
         cover_matches_from_scratch(&engine, &concat);
+    }
+
+    /// A delete pass compacts each retained partition in place and copies
+    /// none. The release leaves one holder per partition, so every holder's
+    /// row buffer keeps its address through removal and reuse, and every
+    /// node that shared a partition before the pass shares its holder's
+    /// after it.
+    #[test]
+    fn delete_pass_copies_no_retained_partition() {
+        let base = fastod_datagen::flight_like(300, 8, 0x5EED);
+        let mut engine = IncrementalDiscovery::new(&base);
+        let rows = |engine: &IncrementalDiscovery, (l, bits): (usize, u64)| {
+            engine.snapshot().node(l, bits).unwrap().partition.raw_csr().0.as_ptr()
+        };
+        let before = holders(engine.snapshot());
+        let addresses: HashMap<(usize, u64), *const u32> =
+            before.iter().map(|&(key, _)| (key, rows(&engine, key))).collect();
+        let deleted: Vec<usize> = (0..300).step_by(11).collect();
+        let report = engine.delete_rows(&deleted).unwrap();
+        assert!(report.counters.nodes_shared > 0, "{:?}", report.counters);
+        let after: HashMap<(usize, u64), (usize, u64)> =
+            holders(engine.snapshot()).into_iter().collect();
+        let (mut holders_kept, mut sharers_kept) = (0, 0);
+        // Level 0 is rebuilt from the liveness mask every pass.
+        for (key, holder) in before.into_iter().filter(|&((l, _), _)| l >= 1) {
+            let Some(&now) = after.get(&key) else {
+                continue;
+            };
+            assert_eq!(now, holder, "{key:?} changed holders");
+            if key == holder {
+                assert_eq!(rows(&engine, key), addresses[&key], "{key:?}'s rows moved");
+                holders_kept += 1;
+            } else {
+                sharers_kept += 1;
+            }
+        }
+        assert!(holders_kept > 0 && sharers_kept > 0, "{holders_kept} holders, {sharers_kept} sharers");
     }
 
     #[test]

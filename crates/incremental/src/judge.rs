@@ -16,6 +16,7 @@ use fastod_relation::EncodedRelation;
 use fastod_theory::CanonicalOd;
 use std::collections::{HashMap, HashSet};
 use std::num::NonZeroU64;
+use std::sync::Arc;
 
 /// One cached verdict with violation-count bookkeeping — the state machine
 /// `valid ⇄ invalid` of the mutable cache.
@@ -139,10 +140,11 @@ pub(crate) struct CachedJudge<'a> {
     /// Liveness mask over physical rows — certifies cached witnesses.
     live: &'a [bool],
     /// Per-node touched-class deltas from `DiscoverySnapshot::remove_rows`,
-    /// keyed by attribute-set bits, when the pass deleted rows. A context
-    /// absent from the map was not retained (evicted or never generated)
-    /// and falls back to full revalidation.
-    deltas: Option<HashMap<u64, RemoveDelta>>,
+    /// keyed by attribute-set bits, when the pass deleted rows. Nodes that
+    /// held one partition hold one delta. A context absent from the map was
+    /// not retained (evicted or never generated) and falls back to full
+    /// revalidation.
+    deltas: Option<HashMap<u64, Arc<RemoveDelta>>>,
     /// Whether the pass appended rows (drives `Valid`-entry hygiene).
     has_appends: bool,
     /// Append-dirtiness per lattice node (attribute-set bits): whether the
@@ -240,7 +242,7 @@ impl<'a> CachedJudge<'a> {
         fd_mode: FdCheckMode,
         cache: &'a mut HashMap<CanonicalOd, CachedVerdict>,
         live: &'a [bool],
-        deltas: Option<HashMap<u64, RemoveDelta>>,
+        deltas: Option<HashMap<u64, Arc<RemoveDelta>>>,
         has_appends: bool,
     ) -> CachedJudge<'a> {
         CachedJudge {
@@ -265,7 +267,7 @@ impl<'a> CachedJudge<'a> {
     fn delete_touched(&self, bits: u64) -> bool {
         match &self.deltas {
             None => false,
-            Some(map) => map.get(&bits).is_none_or(RemoveDelta::is_dirty),
+            Some(map) => map.get(&bits).is_none_or(|delta| delta.is_dirty()),
         }
     }
 
@@ -320,7 +322,7 @@ impl<'a> CachedJudge<'a> {
         let deltas = &*deltas;
         let delete_touched = |bits: u64| match deltas {
             None => false,
-            Some(map) => map.get(&bits).is_none_or(RemoveDelta::is_dirty),
+            Some(map) => map.get(&bits).is_none_or(|delta| delta.is_dirty()),
         };
         cache.retain(|od, verdict| {
             let bits = od.context().bits();

@@ -78,7 +78,11 @@
 //!   (`StrippedPartition::remove_rows`): `Π*_X(r ∖ D)` needs no product.
 //!   So **every** retained node absorbs every mutation in place, and only
 //!   nodes without a retained partition (new, pruned earlier, or
-//!   budget-evicted) are computed as products;
+//!   budget-evicted) are computed as products. A node whose parent the
+//!   pass's own partitions show to determine the attribute it adds holds
+//!   that parent's partition, as in one-shot generation; every pass first
+//!   releases those sharers, so each shared partition absorbs a mutation
+//!   once and is never copied, and shares again where the FD still holds;
 //! * **validations** — appends: cached-invalid candidates are skipped
 //!   outright, cached-valid ones on clean contexts too, the rest
 //!   re-validate. Deletes: cached-valid candidates are skipped outright,

@@ -50,11 +50,16 @@ pub struct BatchCounters {
     /// bump (clean nodes).
     pub nodes_reused: usize,
     /// Lattice nodes with no retained partition (new, pruned in an earlier
-    /// pass, or evicted), computed as a parent product.
+    /// pass, evicted, or a released sharer whose FD broke), computed as a
+    /// parent product.
     pub nodes_recomputed: usize,
+    /// Lattice nodes given the partition of a parent that this pass's
+    /// partitions show to determine the attribute they add: no rows read.
+    /// Every generated node is shared, recomputed, reused or absorbing.
+    pub nodes_shared: usize,
     /// Retained partitions that absorbed appended rows in place: every
-    /// level-1 partition of an append pass, plus every deeper node whose
-    /// two parents the batch made dirty.
+    /// retained level-1 partition of an append pass, plus every deeper
+    /// retained node whose two generating parents the batch made dirty.
     pub partitions_appended: usize,
     /// Nodes marked dirty — contexts the batch can actually have broken.
     pub dirty_nodes: usize,
@@ -67,7 +72,7 @@ impl BatchCounters {
     /// Every counter as a `(name, value)` pair, in declaration order — the
     /// single source for [`BatchCounters::export_counters`] and the
     /// [`Display`](fmt::Display) render.
-    pub fn fields(&self) -> [(&'static str, usize); 15] {
+    pub fn fields(&self) -> [(&'static str, usize); 16] {
         [
             ("skipped_false", self.skipped_false),
             ("skipped_clean", self.skipped_clean),
@@ -81,6 +86,7 @@ impl BatchCounters {
             ("entries_dropped", self.entries_dropped),
             ("nodes_reused", self.nodes_reused),
             ("nodes_recomputed", self.nodes_recomputed),
+            ("nodes_shared", self.nodes_shared),
             ("partitions_appended", self.partitions_appended),
             ("dirty_nodes", self.dirty_nodes),
             ("nodes_evicted", self.nodes_evicted),
@@ -112,6 +118,7 @@ impl BatchCounters {
         self.entries_dropped += other.entries_dropped;
         self.nodes_reused += other.nodes_reused;
         self.nodes_recomputed += other.nodes_recomputed;
+        self.nodes_shared += other.nodes_shared;
         self.partitions_appended += other.partitions_appended;
         self.dirty_nodes += other.dirty_nodes;
         self.nodes_evicted += other.nodes_evicted;

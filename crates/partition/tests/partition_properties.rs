@@ -274,12 +274,23 @@ proptest! {
         for class in absorbed.classes() {
             prop_assert!(class.is_sorted(), "{:?}", class);
         }
+        // Any parent serves: through `X ∖ {col 0}`, re-splitting by column
+        // 0, the partition is the same and keeps rows ascending.
+        let mut through_other = before.clone();
+        let other_delta = through_other.absorb_append(&other, &cols[0], dense(&cols[0]), &mut scratch);
+        prop_assert_eq!(&through_other, &fresh);
+        for class in through_other.classes() {
+            prop_assert!(class.is_sorted(), "{:?}", class);
+        }
+        let mut other_covered = other_delta.new_covered;
+        other_covered.sort_unstable();
         let mut covered: Vec<u32> = fresh.classes().iter().flatten().copied()
             .filter(|&row| row as usize >= old_n).collect();
         covered.sort_unstable();
         let mut got = delta.new_covered.clone();
         got.sort_unstable();
         prop_assert_eq!(&got, &covered);
+        prop_assert_eq!(&other_covered, &covered);
         prop_assert_eq!(delta.is_dirty(), !covered.is_empty());
         let gained = |class: &[u32]| class.last().is_some_and(|&row| row as usize >= old_n);
         if tail == 1 {

@@ -221,6 +221,7 @@ fn budgeted_stream_stays_equivalent() {
             .with_threads(threads)
             .with_partition_memory_budget(budget);
         let mut engine = IncrementalDiscovery::with_config(&base, cfg).unwrap();
+        let initial_shares = engine.stats().totals.nodes_shared;
         let mut concat = base.clone();
         for b in 0..6u64 {
             let batch = fastod_suite::datagen::flight_like(10, 8, 0x1000 + b);
@@ -235,6 +236,7 @@ fn budgeted_stream_stays_equivalent() {
         }
         let totals = &engine.stats().totals;
         assert!(totals.nodes_evicted > 0, "budget never evicted: {totals:?}");
+        assert!(totals.nodes_shared > initial_shares, "no pass shared a partition: {totals:?}");
     }
 }
 
@@ -291,6 +293,8 @@ fn budgeted_mutations_stay_equivalent() {
         }
         let totals = &engine.stats().totals;
         assert!(totals.nodes_evicted > 0, "budget never evicted: {totals:?}");
+        let shares: usize = counters.iter().map(|c| c.nodes_shared).sum();
+        assert!(shares > 0, "no pass shared a partition: {totals:?}");
         // Starvation forces the full-validation fallback (evicted contexts
         // re-validate instead of delta-counting) *and* the cheap
         // certificates (witness probes / delta counts) still fire where
@@ -509,6 +513,143 @@ proptest! {
             prop_assert_eq!(sequential.cached_verdicts(), sharded.cached_verdicts());
         }
         prop_assert_eq!(&sequential.stats().totals, &sharded.stats().totals);
+    }
+}
+
+/// A row of a table whose derived columns make FDs: `a`, `d`, the copy
+/// `b = a`, `c = a / 2`, `e = (3a + d) % 5`, then free low-cardinality
+/// columns up to `width`.
+fn derived_row(next: &mut impl FnMut() -> u64, width: usize) -> Vec<i64> {
+    let a = (next() % 6) as i64;
+    let d = (next() % 4) as i64;
+    let mut row = vec![a, d, a, a / 2, (3 * a + d) % 5];
+    while row.len() < width {
+        row.push((next() % 3) as i64);
+    }
+    row
+}
+
+/// A random live row with one derived cell moved to a fresh value, which
+/// breaks the FD that derives it, and the free columns drawn anew.
+fn perturbed_copy(next: &mut impl FnMut() -> u64, rows: &[Vec<i64>], live: &[usize]) -> Vec<i64> {
+    let mut row = rows[live[(next() % live.len() as u64) as usize]].clone();
+    row[2 + (next() % 3) as usize] += 10;
+    for cell in &mut row[5..] {
+        *cell = (next() % 3) as i64;
+    }
+    row
+}
+
+fn relation_of(rows: &[Vec<i64>], width: usize) -> Relation {
+    (0..width)
+        .fold(RelationBuilder::new(), |builder, col| {
+            builder.column_i64(&format!("c{col}"), rows.iter().map(|row| row[col]).collect())
+        })
+        .build()
+        .unwrap()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Appends and updates that break FDs the engine shares partitions
+    /// along, and deletes that restore them. Every append pass and every
+    /// other update copies a live row with one derived cell perturbed,
+    /// which breaks `a → b`, `a → c` or `ad → e`; every third pass deletes
+    /// the perturbed rows. After every mutation, at 1, 2 and 4 threads, the
+    /// cover equals from-scratch discovery on the survivors and the verdict
+    /// caches are identical; the whole run repeats under a budget of half
+    /// the initial footprint. Nodes must have shared partitions, a verdict
+    /// must have flipped and one must have revived.
+    #[test]
+    fn fd_breaking_mutations_stay_equivalent(
+        width in 6usize..=8,
+        base_rows in 12usize..=24,
+        seed in any::<u64>(),
+    ) {
+        let mut s = seed | 1;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let mut rows: Vec<Vec<i64>> = (0..base_rows).map(|_| derived_row(&mut next, width)).collect();
+        let base = relation_of(&rows, width);
+        let footprint = IncrementalDiscovery::new(&base).snapshot().partition_bytes();
+        let engines = |budget: Option<usize>| -> Vec<IncrementalDiscovery> {
+            [1usize, 2, 4]
+                .into_iter()
+                .map(|threads| {
+                    let mut cfg = DiscoveryConfig::default().with_threads(threads);
+                    cfg.partition_memory_budget = budget;
+                    IncrementalDiscovery::with_config(&base, cfg).unwrap()
+                })
+                .collect()
+        };
+        let mut runs = [engines(None), engines(Some(footprint / 2))];
+        let mut perturbed = vec![false; base_rows];
+        let mut live: Vec<usize> = (0..base_rows).collect();
+        for step in 0..9usize {
+            let before = rows.len();
+            match step % 3 {
+                0 => {
+                    let mut batch = vec![perturbed_copy(&mut next, &rows, &live)];
+                    for _ in 0..next() % 3 {
+                        batch.push(derived_row(&mut next, width));
+                    }
+                    let batch_rel = relation_of(&batch, width);
+                    for engine in runs.iter_mut().flatten() {
+                        engine.push_batch(&batch_rel).unwrap();
+                    }
+                    perturbed.push(true);
+                    perturbed.extend(std::iter::repeat_n(false, batch.len() - 1));
+                    rows.extend(batch);
+                    live.extend(before..rows.len());
+                }
+                1 => {
+                    let victim = live[(next() % live.len() as u64) as usize];
+                    let broken = step % 6 == 1;
+                    let row = if broken {
+                        perturbed_copy(&mut next, &rows, &live)
+                    } else {
+                        derived_row(&mut next, width)
+                    };
+                    let replacement = relation_of(std::slice::from_ref(&row), width);
+                    for engine in runs.iter_mut().flatten() {
+                        engine.update_rows(&[victim], &replacement).unwrap();
+                    }
+                    live.retain(|&r| r != victim);
+                    live.push(before);
+                    rows.push(row);
+                    perturbed.push(broken);
+                }
+                _ => {
+                    let victims: Vec<usize> = live.iter().copied().filter(|&r| perturbed[r]).collect();
+                    for engine in runs.iter_mut().flatten() {
+                        engine.delete_rows(&victims).unwrap();
+                    }
+                    live.retain(|r| !victims.contains(r));
+                }
+            }
+            let survivors: Vec<Vec<i64>> = live.iter().map(|&r| rows[r].clone()).collect();
+            for engines in &runs {
+                assert_cover_matches(&engines[0], &relation_of(&survivors, width), step + 1);
+                for engine in &engines[1..] {
+                    prop_assert_eq!(engines[0].cover().sorted(), engine.cover().sorted());
+                    prop_assert!(
+                        engines[0].cached_verdicts() == engine.cached_verdicts(),
+                        "verdict caches differ across thread counts after step {}", step
+                    );
+                }
+            }
+        }
+        let totals = &runs[0][0].stats().totals;
+        prop_assert!(totals.nodes_shared > 0, "no node shared: {:?}", totals);
+        prop_assert!(totals.verdicts_flipped > 0, "no verdict flipped: {:?}", totals);
+        prop_assert!(totals.verdicts_revived > 0, "no verdict revived: {:?}", totals);
+        let budgeted = &runs[1][0].stats().totals;
+        prop_assert!(budgeted.nodes_evicted > 0, "the budget never evicted: {:?}", budgeted);
     }
 }
 

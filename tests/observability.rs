@@ -232,6 +232,78 @@ fn maintenance_pass_children_tile_the_pass() {
     });
 }
 
+/// A maintenance pass accounts for every child it generates: each is
+/// shared, recomputed, absorbed or reused, so for an append, a delete and
+/// an update pass the four counters sum to the `nodes` of the pass's
+/// `level` spans above level 1. The absorbs are `partitions_appended`
+/// minus the level-1 appends. The engine's shares and products also land in
+/// `partition.shared` and `partition.products`, as one-shot discovery's do.
+#[test]
+fn maintenance_pass_children_add_up() {
+    let trace_path = std::env::temp_dir().join(format!(
+        "fastod-observability-children-{}.jsonl",
+        std::process::id()
+    ));
+    let obs = Obs::to_file(&trace_path).expect("trace file created");
+    let rel = fastod_suite::datagen::flight_like(500, 6, 0x0B62);
+    let n_attrs = rel.n_attrs();
+    let cfg = DiscoveryConfig::default().with_obs(obs.clone());
+    let mut engine = IncrementalDiscovery::with_config(&rel.head(400), cfg).unwrap();
+    let counter = |snap: &MetricsSnapshot, name: &str| snap.counter(name).unwrap_or(0);
+    // Per pass: its name, counters, partition.shared and partition.products
+    // deltas, and how many level-1 partitions absorbed appended rows.
+    let mut passes = Vec::new();
+    let mut check = |pass: &'static str,
+                     level1_appends: usize,
+                     run: &mut dyn FnMut(&mut IncrementalDiscovery) -> BatchReport| {
+        let before = obs.snapshot();
+        let report = run(&mut engine);
+        let after = obs.snapshot();
+        let delta = |name: &str| counter(&after, name) - counter(&before, name);
+        let c = report.counters;
+        assert_eq!(delta("partition.shared"), c.nodes_shared as u64, "{pass} pass");
+        assert_eq!(delta("partition.products"), c.nodes_recomputed as u64, "{pass} pass");
+        let generated = c.nodes_shared + c.nodes_recomputed + c.nodes_reused
+            + c.partitions_appended
+            - level1_appends;
+        passes.push((pass, generated, c));
+    };
+    check("append", n_attrs, &mut |engine| {
+        let fresh: Vec<usize> = (400..450).collect();
+        engine.push_batch(&rel.select_rows(&fresh)).unwrap()
+    });
+    check("delete", 0, &mut |engine| {
+        let deleted: Vec<usize> = (0..400).step_by(9).collect();
+        engine.delete_rows(&deleted).unwrap()
+    });
+    check("update", n_attrs, &mut |engine| {
+        let updated: Vec<usize> = (1..400).step_by(9).collect();
+        let fresh: Vec<usize> = (450..450 + updated.len()).collect();
+        engine.update_rows(&updated, &rel.select_rows(&fresh)).unwrap()
+    });
+    obs.flush();
+    let text = std::fs::read_to_string(&trace_path).expect("trace readable");
+    let _ = std::fs::remove_file(&trace_path);
+    let events = parse_trace(&text);
+    let mut pass_spans: Vec<&TraceEvent> =
+        events.iter().filter(|e| e.name == "maintenance_pass").collect();
+    pass_spans.sort_by_key(|e| e.id);
+    // The first pass is the engine's initial build.
+    assert_eq!(pass_spans.len(), 1 + passes.len());
+    for (span, (pass, generated, c)) in pass_spans[1..].iter().zip(&passes) {
+        let children: u64 = events
+            .iter()
+            .filter(|e| e.name == "level" && e.parent == Some(span.id))
+            .filter(|e| e.field("level").is_some_and(|l| l >= 2))
+            .filter_map(|e| e.field("nodes"))
+            .sum();
+        assert!(children > 0, "{pass} pass generated no child");
+        assert_eq!(*generated as u64, children, "{pass} pass: {c:?}");
+    }
+    let shared: usize = passes.iter().map(|(_, _, c)| c.nodes_shared).sum();
+    assert!(shared > 0, "no pass shared a partition");
+}
+
 /// One-shot discovery accounts for its own time as well: level 1 and the
 /// lattice levels cover at least 95% of `discover`, at one and two
 /// threads, on a relation long enough that level 1 is a large share of a
