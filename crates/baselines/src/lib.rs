@@ -6,7 +6,7 @@
 //!   fragment must coincide with TANE's output.
 //! * [`order`] — **ORDER** (Langer & Naumann, VLDBJ 2016): list-based OD
 //!   discovery over the factorial list-containment lattice, re-implemented
-//!   from its published description (see DESIGN.md §2.4 for the documented
+//!   from its published description (see [`order`] for the documented
 //!   approximation). Its aggressive swap pruning makes it fast on swap-dense
 //!   data but **incomplete** — the central claim of §4.5/§5.3, reproduced by
 //!   Exp-3.

@@ -18,10 +18,10 @@
 //!   (`X': A ~ B`), constants (`[] ↦ Y` is not even representable: sides are
 //!   non-empty), and every OD repeating an attribute across sides.
 //!
-//! Known deviation from the original (documented in DESIGN.md §2.4): ORDER's
-//! cross-branch inheritance of swap-deadness is not replicated, so some
-//! candidates are re-validated rather than skipped; this affects constant
-//! factors only, never the output or the factorial candidate space.
+//! Known deviation from the original: ORDER's cross-branch inheritance of
+//! swap-deadness is not replicated, so some candidates are re-validated
+//! rather than skipped; this affects constant factors only, never the
+//! output or the factorial candidate space.
 
 use fastod::{CancelToken, PassError};
 use fastod_relation::{AttrId, EncodedRelation};

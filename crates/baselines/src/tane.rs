@@ -10,7 +10,7 @@
 //! Deviation from the original: TANE's superkey node deletion (with its
 //! special key-output step) is not implemented — nodes are deleted only when
 //! their candidate set empties. This changes running time slightly on
-//! key-heavy data, never the output (see DESIGN.md).
+//! key-heavy data, never the output.
 
 use fastod::{CancelToken, DiscoveryStats, LevelStats, PassError};
 use fastod_partition::{ProductScratch, StrippedPartition};

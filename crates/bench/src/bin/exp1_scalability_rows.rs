@@ -18,8 +18,8 @@
 
 use fastod_baselines::{Order, OrderConfig, Tane, TaneConfig};
 use fastod_bench::{
-    budget_from_env, fastod_thread_sweep_obs, obs_from_env, run_budgeted, sweep_speedup,
-    table::Table, thread_sweep_from_env, write_csv, Scale,
+    budget_from_env, fastod_thread_sweep, run_budgeted, sweep_speedup, table::Table,
+    thread_sweep_from_env, write_csv, Scale,
 };
 use fastod_datagen::{dbtesma_like, flight_like, ncvoter_like};
 use fastod_relation::Relation;
@@ -29,7 +29,6 @@ type Gen = Box<dyn Fn(usize) -> Relation>;
 fn main() {
     let scale = Scale::from_env();
     let budget = budget_from_env();
-    let obs = obs_from_env();
     let threads_sweep = thread_sweep_from_env();
     let n_attrs = 10;
     let datasets: Vec<(&str, Gen)> = vec![
@@ -60,9 +59,6 @@ fn main() {
         "TANE #FDs".to_string(),
     ]);
     let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    // Single-thread validation-phase ms at each dataset's largest row count,
-    // for the perf-smoke regression gate (results/exp1_validation.json).
-    let mut val_json: Vec<(String, f64)> = Vec::new();
     for ((name, gen), &max) in datasets.iter().zip(&max_rows) {
         let header_refs: Vec<&str> = header.iter().map(String::as_str).collect();
         let mut table = Table::new(&header_refs);
@@ -76,22 +72,8 @@ fn main() {
             let order = run_budgeted(budget, |t| {
                 Order::new(OrderConfig { cancel: t, ..Default::default() }).try_discover(&enc)
             });
-            let runs = fastod_thread_sweep_obs(
-                &enc,
-                &threads_sweep,
-                budget,
-                &format!("{name} |r|={n}"),
-                &obs,
-            );
-            if pct == 100 {
-                if let Some(val) = runs
-                    .iter()
-                    .find(|r| r.threads == 1)
-                    .and_then(|r| r.val_time)
-                {
-                    val_json.push((name.to_string(), val.as_secs_f64() * 1_000.0));
-                }
-            }
+            let runs =
+                fastod_thread_sweep(&enc, &threads_sweep, budget, &format!("{name} |r|={n}"));
             let fast_summary = runs
                 .iter()
                 .rev()
@@ -140,13 +122,5 @@ fn main() {
         ],
         &csv_rows,
     );
-    obs.flush();
-    fastod_bench::write_results_file(
-        "exp1_validation.json",
-        &fastod_bench::metrics_json(&val_json, &obs),
-    );
-    println!(
-        "(CSV written to results/exp1_scalability_rows.csv; metrics snapshot JSON to \
-         results/exp1_validation.json)"
-    );
+    println!("(CSV written to results/exp1_scalability_rows.csv)");
 }

@@ -1,11 +1,12 @@
 //! Experiment harness regenerating every table and figure of the paper's
-//! evaluation (§5). See DESIGN.md §3 for the experiment index.
+//! evaluation (§5). The README's "Running the experiments" lists what each
+//! of `exp1`–`exp7` reproduces.
 //!
 //! Each `exp*` binary prints the same rows/series the paper reports and
 //! writes a CSV copy under `results/`. Absolute numbers differ from the
 //! paper (different hardware, synthetic analogues of the datasets); the
 //! *shape* — who wins, scaling behaviour, crossovers — is the reproduction
-//! target, recorded in EXPERIMENTS.md.
+//! target.
 //!
 //! Environment knobs:
 //! * `FASTOD_SCALE` — `smoke` (seconds), `default`, or `paper` (full sizes);
@@ -14,7 +15,6 @@
 //!   paper's "* 5h" markers.
 
 use fastod::{CancelToken, DiscoveryConfig, Fastod, PassError};
-use fastod_obs::{MetricsSnapshot, Obs};
 use fastod_relation::EncodedRelation;
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -188,29 +188,12 @@ pub fn fastod_thread_sweep(
     budget: Duration,
     label: &str,
 ) -> Vec<ThreadRun> {
-    fastod_thread_sweep_obs(enc, sweep, budget, label, &Obs::disabled())
-}
-
-/// [`fastod_thread_sweep`] with an observability recorder attached to every
-/// run (spans/counters from all thread counts aggregate into one recorder).
-pub fn fastod_thread_sweep_obs(
-    enc: &EncodedRelation,
-    sweep: &[usize],
-    budget: Duration,
-    label: &str,
-    obs: &Obs,
-) -> Vec<ThreadRun> {
     let mut runs = Vec::with_capacity(sweep.len());
     let mut reference_cover: Option<Vec<fastod_theory::CanonicalOd>> = None;
     for &threads in sweep {
         let outcome = run_budgeted(budget, |t| {
-            Fastod::new(
-                DiscoveryConfig::default()
-                    .with_cancel(t)
-                    .with_threads(threads)
-                    .with_obs(obs.clone()),
-            )
-            .try_discover(enc)
+            Fastod::new(DiscoveryConfig::default().with_cancel(t).with_threads(threads))
+                .try_discover(enc)
         });
         let mut summary = "—".to_string();
         if let Some(r) = outcome.value() {
@@ -257,87 +240,10 @@ pub fn write_csv(name: &str, header: &[&str], rows: &[Vec<String>]) {
     for row in rows {
         let _ = writeln!(body, "{}", row.join(","));
     }
-    write_results_file(&format!("{name}.csv"), &body);
-}
-
-/// Renders single-thread validation-phase times as the flat JSON object the
-/// perf-smoke gate consumes: `{"flight": 138.2, "ncvoter": ...}` (ms).
-pub fn validation_json(entries: &[(String, f64)]) -> String {
-    let mut out = String::from("{\n");
-    for (i, (name, ms)) in entries.iter().enumerate() {
-        let comma = if i + 1 < entries.len() { "," } else { "" };
-        let _ = writeln!(out, "  \"{name}\": {ms:.3}{comma}");
-    }
-    out.push_str("}\n");
-    out
-}
-
-/// Parses the flat `{"name": ms, ...}` JSON written by [`validation_json`].
-/// Deliberately minimal (no external JSON dependency in the offline build):
-/// accepts exactly the shape this suite writes — string keys, numeric
-/// values, no nesting.
-pub fn parse_validation_json(text: &str) -> Vec<(String, f64)> {
-    let mut out = Vec::new();
-    for part in text.trim().trim_start_matches('{').trim_end_matches('}').split(',') {
-        let Some((key, value)) = part.split_once(':') else {
-            continue;
-        };
-        let key = key.trim().trim_matches('"');
-        if key.is_empty() {
-            continue;
-        }
-        if let Ok(ms) = value.trim().parse::<f64>() {
-            out.push((key.to_string(), ms));
-        }
-    }
-    out
-}
-
-/// The recorder for an `exp*` run: a JSONL trace sink when `FASTOD_TRACE`
-/// names a file (the weekly perf job sets it on one run and uploads the
-/// trace as an artifact), else the free no-op.
-pub fn obs_from_env() -> Obs {
-    match std::env::var("FASTOD_TRACE") {
-        Ok(path) if !path.is_empty() => Obs::to_file(&path).unwrap_or_else(|e| {
-            eprintln!("warning: could not create trace file {path}: {e}");
-            Obs::disabled()
-        }),
-        _ => Obs::disabled(),
-    }
-}
-
-/// Renders the unified [`MetricsSnapshot`] JSON for an `exp*` results file:
-/// the gate gauges (bare names, values exactly as measured — the perf gate
-/// compares them key-for-key against the committed baseline) plus whatever
-/// the run's recorder aggregated; counters/histograms/spans ride along for
-/// context without being gated.
-pub fn metrics_json(gauges: &[(String, f64)], obs: &Obs) -> String {
-    let mut snapshot = obs.snapshot();
-    for (name, ms) in gauges {
-        snapshot.set_gauge(name.clone(), *ms);
-    }
-    snapshot.to_json()
-}
-
-/// Parses a perf-gate metrics file: the unified [`MetricsSnapshot`] JSON
-/// (schema-marked `fastod.metrics.v1`, flattened via
-/// [`MetricsSnapshot::flat_metrics`]) or — for files predating the snapshot
-/// format, like the committed baseline — the flat `{"name": ms}` shape via
-/// [`parse_validation_json`]. Gauge names are identical in both, so old and
-/// new files compare key-for-key.
-pub fn parse_metrics_json(text: &str) -> Vec<(String, f64)> {
-    match MetricsSnapshot::parse_json(text) {
-        Some(snapshot) => snapshot.flat_metrics(),
-        None => parse_validation_json(text),
-    }
-}
-
-/// Writes an arbitrary artifact (e.g. a JSON summary for the scheduled perf
-/// job) under `results/`, creating the directory. Non-fatal on failure.
-pub fn write_results_file(file_name: &str, contents: &str) {
     let dir = std::path::Path::new("results");
+    let file_name = format!("{name}.csv");
     if let Err(e) =
-        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(dir.join(file_name), contents))
+        std::fs::create_dir_all(dir).and_then(|()| std::fs::write(dir.join(&file_name), body))
     {
         eprintln!("warning: could not write results/{file_name}: {e}");
     }
@@ -364,37 +270,6 @@ mod tests {
         assert!(out.value().is_none());
         assert!(out.time_str().starts_with("*>"));
         assert_eq!(out.annotate(|v| v.to_string()), "—");
-    }
-
-    #[test]
-    fn validation_json_round_trips() {
-        let entries = vec![
-            ("flight".to_string(), 138.25),
-            ("ncvoter".to_string(), 1090.0),
-            ("dbtesma".to_string(), 80.5),
-        ];
-        let text = validation_json(&entries);
-        let parsed = parse_validation_json(&text);
-        assert_eq!(parsed.len(), 3);
-        for ((n1, v1), (n2, v2)) in entries.iter().zip(&parsed) {
-            assert_eq!(n1, n2);
-            assert!((v1 - v2).abs() < 1e-3, "{n1}: {v1} vs {v2}");
-        }
-        assert!(parse_validation_json("{}").is_empty());
-        assert!(parse_validation_json("not json at all").is_empty());
-    }
-
-    #[test]
-    fn metrics_json_reads_both_formats() {
-        // The unified snapshot format...
-        let mut snap = MetricsSnapshot::default();
-        snap.set_gauge("flight", 77.5);
-        let flat = parse_metrics_json(&snap.to_json());
-        assert_eq!(flat, vec![("flight".to_string(), 77.5)]);
-        // ...and the historical flat baseline shape.
-        let flat = parse_metrics_json("{\n  \"flight\": 77.060\n}");
-        assert_eq!(flat.len(), 1);
-        assert_eq!(flat[0].0, "flight");
     }
 
     #[test]

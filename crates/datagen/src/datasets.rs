@@ -3,7 +3,8 @@
 //! Each generator documents the paper-observed property it is engineered to
 //! preserve. Absolute OD counts will differ from the originals — the
 //! harness reproduces the *shape* of the experiments (who wins, scaling
-//! behaviour, crossovers), as recorded in EXPERIMENTS.md.
+//! behaviour, crossovers); the README's "Running the experiments" lists
+//! what each experiment reproduces.
 
 use crate::generator::{ColumnSpec, TableSpec};
 use fastod_relation::{Date, Relation, RelationBuilder};

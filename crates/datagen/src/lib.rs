@@ -6,7 +6,8 @@
 //! analogues*: generators whose column structure reproduces the
 //! discovery-relevant properties the experiments depend on — constants,
 //! surrogate keys, FD clusters, monotone-correlated pairs, swap density —
-//! rather than the raw bytes. DESIGN.md §2.6 documents each substitution.
+//! rather than the raw bytes. Each generator in [`datasets`] documents the
+//! property it preserves.
 //!
 //! The building blocks live in [`generator`] ([`ColumnSpec`] / [`TableSpec`]):
 //! a small workload-description language from which all named datasets are

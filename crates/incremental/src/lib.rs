@@ -94,9 +94,10 @@
 //!
 //! The retained lattice ([`fastod::snapshot::DiscoverySnapshot`]) trades
 //! memory — every post-prune node's partition stays resident, under an
-//! optional byte budget — for exactly this locality. `exp8_incremental` and
-//! `exp9_mutations` in `fastod-bench` measure the win against from-scratch
-//! re-discovery per batch.
+//! optional byte budget — for exactly this locality. perfbench's
+//! `maintain` workload (`BENCHMARK.json`) times maintenance passes, and its
+//! traced `incremental.vs_scratch` compares them with from-scratch
+//! re-discovery.
 //!
 //! # Example
 //!

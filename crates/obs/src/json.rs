@@ -1,9 +1,10 @@
-//! A minimal JSON reader/writer for the snapshot and trace formats.
+//! A minimal JSON reader/writer for the JSONL trace format and the
+//! `fastod.check.v1` report (`fastod-theory`'s `CheckReport`).
 //!
 //! The offline workspace has no `serde`; this is a small recursive-descent
 //! parser covering the full JSON grammar (objects, arrays, strings with the
 //! standard escapes, numbers, booleans, null) — enough to round-trip
-//! everything this crate emits plus the historical flat perf-gate files.
+//! everything the suite emits.
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]

@@ -30,8 +30,7 @@
 //!   lock-free and allocation-free.
 //!
 //! [`Obs::snapshot`] aggregates everything into a [`MetricsSnapshot`],
-//! whose JSON form (`fastod.metrics.v1`) is shared by `fastod stats`,
-//! `Session::metrics()` and the `exp*` benchmark emitters.
+//! the shape `fastod stats` and `Session::metrics()` both print.
 //!
 //! ## Quickstart
 //!

@@ -1,25 +1,11 @@
-//! Aggregated metrics snapshots and their unified JSON format.
+//! Aggregated metrics snapshots.
 //!
-//! Every surface of the suite — `Session::metrics()`, `fastod stats`, the
-//! `exp*` benchmark binaries — reports the same [`MetricsSnapshot`] shape,
-//! and the perf-smoke gate consumes its JSON directly. The format is
-//! versioned by the top-level `"schema"` marker ([`MetricsSnapshot::SCHEMA`]);
-//! consumers that find no marker fall back to the historical flat
-//! `{"name": ms}` files, so committed baselines keep working.
-//!
-//! ```json
-//! {
-//!   "schema": "fastod.metrics.v1",
-//!   "gauges":     {"flight": 77.06},
-//!   "counters":   {"discovery.fd_checks": 1234},
-//!   "histograms": {"serve.read_ns": {"count": 9, "p50": 120, "p95": 240,
-//!                                    "p99": 240, "max": 251, "mean": 130.4}},
-//!   "spans":      {"validate_level": {"count": 6, "total_ns": 12345678}}
-//! }
-//! ```
+//! `Session::metrics()`, `fastod stats` and `fastod serve --verbose` all
+//! report the same [`MetricsSnapshot`] shape: gauges, counters, histogram
+//! summaries and span totals, printed by [`MetricsSnapshot::render`] and
+//! read one entry at a time through its getters.
 
 use crate::histogram::HistogramSummary;
-use crate::json::{escape, parse, Json};
 use std::fmt::Write as _;
 
 /// Per-name span aggregate carried by a snapshot.
@@ -35,11 +21,10 @@ pub struct SpanSummary {
 /// gauges, monotonic counters, histogram summaries and span totals.
 ///
 /// Sections are kept sorted by name (the recorder's registries are ordered
-/// maps), so two snapshots of the same state render and serialize
-/// identically.
+/// maps), so two snapshots of the same state render identically.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
-    /// Free-form point-in-time values (e.g. the perf-gate milliseconds).
+    /// Free-form point-in-time values (e.g. `relation.peak_bytes`).
     pub gauges: Vec<(String, f64)>,
     /// Monotonic counter totals.
     pub counters: Vec<(String, u64)>,
@@ -50,10 +35,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// The versioned format marker emitted at the top of every snapshot
-    /// JSON document.
-    pub const SCHEMA: &'static str = "fastod.metrics.v1";
-
     /// Whether nothing was recorded.
     pub fn is_empty(&self) -> bool {
         self.gauges.is_empty()
@@ -82,184 +63,10 @@ impl MetricsSnapshot {
         self.spans.iter().find(|(n, _)| n == name).map(|(_, s)| s)
     }
 
-    /// Sets a gauge, replacing an existing value of the same name.
-    pub fn set_gauge(&mut self, name: impl Into<String>, value: f64) {
-        let name = name.into();
-        match self.gauges.iter_mut().find(|(n, _)| *n == name) {
-            Some(entry) => entry.1 = value,
-            None => {
-                self.gauges.push((name, value));
-                self.gauges.sort_by(|a, b| a.0.cmp(&b.0));
-            }
-        }
-    }
-
-    /// Folds another snapshot into this one: counters and span aggregates
-    /// **sum**; gauges and histogram summaries **replace** on name collision
-    /// (percentile summaries cannot be combined exactly — merge the live
-    /// [`crate::LogHistogram`]s instead when exactness matters).
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        for (name, v) in &other.counters {
-            match self.counters.iter_mut().find(|(n, _)| n == name) {
-                Some(entry) => entry.1 += v,
-                None => self.counters.push((name.clone(), *v)),
-            }
-        }
-        for (name, s) in &other.spans {
-            match self.spans.iter_mut().find(|(n, _)| n == name) {
-                Some(entry) => {
-                    entry.1.count += s.count;
-                    entry.1.total_ns += s.total_ns;
-                }
-                None => self.spans.push((name.clone(), s.clone())),
-            }
-        }
-        for (name, v) in &other.gauges {
-            self.set_gauge(name.clone(), *v);
-        }
-        for (name, h) in &other.histograms {
-            match self.histograms.iter_mut().find(|(n, _)| n == name) {
-                Some(entry) => entry.1 = h.clone(),
-                None => self.histograms.push((name.clone(), h.clone())),
-            }
-        }
-        self.counters.sort_by(|a, b| a.0.cmp(&b.0));
-        self.spans.sort_by(|a, b| a.0.cmp(&b.0));
-        self.histograms.sort_by(|a, b| a.0.cmp(&b.0));
-    }
-
-    /// Serializes to the versioned snapshot JSON
-    /// (`{schema, gauges, counters, histograms, spans}`; histogram entries
-    /// carry `count`/`p50`/`p95`/`p99`/`max`/`mean`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "{{");
-        let _ = writeln!(out, "  \"schema\": \"{}\",", Self::SCHEMA);
-        let _ = writeln!(out, "  \"gauges\": {{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            let sep = if i + 1 < self.gauges.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{}\": {v:.3}{sep}", escape(name));
-        }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"counters\": {{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            let sep = if i + 1 < self.counters.len() { "," } else { "" };
-            let _ = writeln!(out, "    \"{}\": {v}{sep}", escape(name));
-        }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"histograms\": {{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            let sep = if i + 1 < self.histograms.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"count\": {}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \
-                 \"max\": {}, \"mean\": {:.3}}}{sep}",
-                escape(name),
-                h.count,
-                h.p50,
-                h.p95,
-                h.p99,
-                h.max,
-                h.mean
-            );
-        }
-        let _ = writeln!(out, "  }},");
-        let _ = writeln!(out, "  \"spans\": {{");
-        for (i, (name, s)) in self.spans.iter().enumerate() {
-            let sep = if i + 1 < self.spans.len() { "," } else { "" };
-            let _ = writeln!(
-                out,
-                "    \"{}\": {{\"count\": {}, \"total_ns\": {}}}{sep}",
-                escape(name),
-                s.count,
-                s.total_ns
-            );
-        }
-        let _ = writeln!(out, "  }}");
-        out.push_str("}\n");
-        out
-    }
-
-    /// Parses a snapshot JSON document. Returns `None` when the text is not
-    /// valid JSON or lacks the [`MetricsSnapshot::SCHEMA`] marker — the
-    /// caller can then fall back to the historical flat format.
-    pub fn parse_json(text: &str) -> Option<MetricsSnapshot> {
-        let doc = parse(text)?;
-        if doc.get("schema")?.as_str() != Some(Self::SCHEMA) {
-            return None;
-        }
-        let num = |v: &Json, key: &str| v.get(key).and_then(Json::as_f64);
-        let mut snap = MetricsSnapshot::default();
-        if let Some(entries) = doc.get("gauges").and_then(Json::entries) {
-            for (name, v) in entries {
-                if let Some(x) = v.as_f64() {
-                    snap.gauges.push((name.clone(), x));
-                }
-            }
-        }
-        if let Some(entries) = doc.get("counters").and_then(Json::entries) {
-            for (name, v) in entries {
-                if let Some(x) = v.as_f64() {
-                    snap.counters.push((name.clone(), x as u64));
-                }
-            }
-        }
-        if let Some(entries) = doc.get("histograms").and_then(Json::entries) {
-            for (name, v) in entries {
-                snap.histograms.push((
-                    name.clone(),
-                    HistogramSummary {
-                        count: num(v, "count")? as u64,
-                        p50: num(v, "p50")? as u64,
-                        p95: num(v, "p95")? as u64,
-                        p99: num(v, "p99")? as u64,
-                        max: num(v, "max")? as u64,
-                        mean: num(v, "mean")?,
-                    },
-                ));
-            }
-        }
-        if let Some(entries) = doc.get("spans").and_then(Json::entries) {
-            for (name, v) in entries {
-                snap.spans.push((
-                    name.clone(),
-                    SpanSummary {
-                        count: num(v, "count")? as u64,
-                        total_ns: num(v, "total_ns")? as u64,
-                    },
-                ));
-            }
-        }
-        Some(snap)
-    }
-
-    /// Flattens the snapshot to `(name, value)` pairs for threshold gates:
-    /// gauges keep their bare names (so committed flat baselines stay
-    /// comparable), counters get a `counter.` prefix, histograms expand to
-    /// `hist.<name>.{p50,p95,p99,max}`, spans to
-    /// `span.<name>.{count,total_ms}`.
-    pub fn flat_metrics(&self) -> Vec<(String, f64)> {
-        let mut out: Vec<(String, f64)> = self.gauges.clone();
-        for (name, v) in &self.counters {
-            out.push((format!("counter.{name}"), *v as f64));
-        }
-        for (name, h) in &self.histograms {
-            out.push((format!("hist.{name}.p50"), h.p50 as f64));
-            out.push((format!("hist.{name}.p95"), h.p95 as f64));
-            out.push((format!("hist.{name}.p99"), h.p99 as f64));
-            out.push((format!("hist.{name}.max"), h.max as f64));
-        }
-        for (name, s) in &self.spans {
-            out.push((format!("span.{name}.count"), s.count as f64));
-            out.push((format!("span.{name}.total_ms"), s.total_ns as f64 / 1e6));
-        }
-        out
-    }
-
     /// Renders an aligned, human-readable table (the `fastod stats` view).
     pub fn render(&self) -> String {
         let mut out = String::new();
-        let _ = writeln!(out, "== metrics snapshot ({}) ==", Self::SCHEMA);
+        let _ = writeln!(out, "== metrics snapshot ==");
         if self.is_empty() {
             let _ = writeln!(out, "(nothing recorded)");
             return out;
@@ -346,61 +153,11 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trips() {
-        let snap = sample();
-        let text = snap.to_json();
-        assert!(text.contains(MetricsSnapshot::SCHEMA));
-        let back = MetricsSnapshot::parse_json(&text).unwrap();
-        assert_eq!(back.gauge("flight"), Some(77.06));
-        assert_eq!(back.counter("discovery.fd_checks"), Some(1234));
-        assert_eq!(back.histogram("serve.read_ns").unwrap().p99, 240);
-        assert_eq!(back.span("validate_level").unwrap().total_ns, 12_345_678);
-    }
-
-    #[test]
-    fn parse_rejects_flat_and_garbage() {
-        assert!(MetricsSnapshot::parse_json("{\"flight\": 77.0}").is_none());
-        assert!(MetricsSnapshot::parse_json("not json").is_none());
-        assert!(MetricsSnapshot::parse_json("{\"schema\": \"other.v9\"}").is_none());
-    }
-
-    #[test]
-    fn flat_metrics_keeps_gauges_bare() {
-        let flat = sample().flat_metrics();
-        let get = |n: &str| flat.iter().find(|(k, _)| k == n).map(|&(_, v)| v);
-        assert_eq!(get("flight"), Some(77.06));
-        assert_eq!(get("counter.discovery.fd_checks"), Some(1234.0));
-        assert_eq!(get("hist.serve.read_ns.p99"), Some(240.0));
-        assert_eq!(get("span.validate_level.count"), Some(6.0));
-    }
-
-    #[test]
-    fn merge_sums_counters_and_spans() {
-        let mut a = sample();
-        let b = sample();
-        a.merge(&b);
-        assert_eq!(a.counter("discovery.fd_checks"), Some(2468));
-        assert_eq!(a.span("validate_level").unwrap().count, 12);
-        // Gauges and histogram summaries replace, not sum.
-        assert_eq!(a.gauge("flight"), Some(77.06));
-        assert_eq!(a.histogram("serve.read_ns").unwrap().count, 9);
-    }
-
-    #[test]
     fn render_mentions_every_section() {
         let text = sample().render();
         for needle in ["flight", "discovery.fd_checks", "serve.read_ns", "validate_level"] {
             assert!(text.contains(needle), "missing {needle} in:\n{text}");
         }
         assert!(MetricsSnapshot::default().render().contains("nothing recorded"));
-    }
-
-    #[test]
-    fn set_gauge_replaces() {
-        let mut snap = MetricsSnapshot::default();
-        snap.set_gauge("x", 1.0);
-        snap.set_gauge("x", 2.0);
-        assert_eq!(snap.gauges.len(), 1);
-        assert_eq!(snap.gauge("x"), Some(2.0));
     }
 }

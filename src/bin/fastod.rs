@@ -365,9 +365,8 @@ fn run_check(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &O
 /// the rest stream in as append batches and are then deleted again in
 /// waves, while `--readers` threads hammer the published snapshot with
 /// lock-free cover queries. Prints maintenance-pass and read-latency
-/// summaries — the CLI face of the `exp10_serving` benchmark. Read
-/// percentiles come from a shared streaming [`LogHistogram`] (no per-read
-/// allocation, no end-of-run sort).
+/// summaries. Read percentiles come from a shared streaming
+/// [`LogHistogram`] (no per-read allocation, no end-of-run sort).
 fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
     use std::sync::atomic::{AtomicBool, Ordering};
 

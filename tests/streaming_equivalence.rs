@@ -236,6 +236,73 @@ fn file_streaming_matches_file_one_shot() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Deletes the file at its path when dropped, so a failed assertion leaves
+/// no generated CSV behind.
+struct RemoveOnDrop(std::path::PathBuf);
+
+impl Drop for RemoveOnDrop {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
+/// One million rows of a warehouse-shaped table (a sequence key,
+/// categoricals of 200 and 50k values, a monotone plateau, a
+/// low-cardinality float and a low-cardinality string), about 40 MB of CSV,
+/// streamed and read one-shot from the same file. The streamed codes,
+/// cardinalities and level-2 cover equal the one-shot reader's, and the
+/// streamed ingest's modelled peak stays under a fixed 256 MiB, which a
+/// reader that held O(rows) values would exceed. Ignored in the default
+/// run (it takes seconds in release, tens of seconds in debug); CI's
+/// `scale-smoke` job runs it in release with `--include-ignored`.
+#[test]
+#[ignore = "1M-row table; run in release with --include-ignored"]
+fn million_row_stream_matches_one_shot_under_256_mib() {
+    const ROWS: u64 = 1_000_000;
+    let path = std::env::temp_dir().join(format!(
+        "fastod_stream_1m_{}_{:?}.csv",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    let _cleanup = RemoveOnDrop(path.clone());
+    let mut text = String::from("seq,cat8,cat16,plateau,fval,tag\n");
+    for i in 0..ROWS {
+        text.push_str(&format!(
+            "{},{},{},{},{:.1},tag{:02}\n",
+            i,
+            i.wrapping_mul(2_654_435_761) % 200,
+            i.wrapping_mul(40_503) % 50_000,
+            i / 1000,
+            (i % 37) as f64 * 0.3,
+            i % 23,
+        ));
+    }
+    std::fs::write(&path, text).unwrap();
+
+    let streamed =
+        read_csv_stream(std::fs::File::open(&path).unwrap(), CsvOptions::with_header()).unwrap();
+    let one = fastod_suite::relation::csv::read_csv_file_opts(&path, CsvOptions::with_header())
+        .unwrap()
+        .encode();
+    let enc = &streamed.encoded;
+    assert_eq!((enc.n_rows(), enc.n_attrs()), (ROWS as usize, 6));
+    assert_eq!(one.n_rows(), enc.n_rows());
+    for a in 0..one.n_attrs() {
+        assert_eq!(enc.cardinality(a), one.cardinality(a), "attr {a} cardinality");
+        assert!(enc.codes(a) == one.codes(a), "attr {a} codes differ");
+    }
+    let cover = |e: &EncodedRelation| {
+        let cfg = DiscoveryConfig::default().with_threads(4).with_max_level(2);
+        Fastod::new(cfg).discover(e).ods.sorted()
+    };
+    assert_eq!(cover(enc), cover(&one), "streamed vs one-shot level-2 covers");
+    assert!(
+        streamed.peak_bytes < 256 << 20,
+        "streamed ingest peak {} bytes is over 256 MiB",
+        streamed.peak_bytes
+    );
+}
+
 /// The streamed code columns are exactly one `u32` per row, so the
 /// encoded bytes that `StreamedCsv::peak_bytes` counts are `4 · rows ·
 /// attrs`, with no slack from growth.
