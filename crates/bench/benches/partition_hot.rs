@@ -26,8 +26,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fastod_datagen::{flight_like, ncvoter_like};
 use fastod_obs::Obs;
 use fastod_partition::{
-    check_constancy, check_order_compat, check_order_compat_sweep, ProductScratch, SortedColumn,
-    StrippedPartition, SwapScratch,
+    holds, tau_scan, OdCodes, ProductScratch, SortedColumn, StrippedPartition, SwapScratch,
 };
 
 fn bench_partition_hot(c: &mut Criterion) {
@@ -61,16 +60,10 @@ fn bench_partition_hot(c: &mut Criterion) {
     let carrier = (enc.codes(5), enc.cardinality(5));
     bench_refine(&mut group, "csr_refine_20k", &p_orig, carrier, &p_carrier);
 
+    let day_tax = OdCodes::Order(enc.codes(2), enc.codes(8));
     group.bench_function("swap_sweep_20k", |b| {
         let mut scratch = SwapScratch::new();
-        b.iter(|| {
-            check_order_compat_sweep(
-                black_box(&p_carrier),
-                enc.codes(2),
-                enc.codes(8),
-                &mut scratch,
-            )
-        })
+        b.iter(|| holds(black_box(&p_carrier).classes(), day_tax, &mut scratch))
     });
 
     // A product whose split operand is mostly 2- and 3-row classes, as at
@@ -117,25 +110,29 @@ fn bench_partition_hot(c: &mut Criterion) {
     // τ-scan loads its class map on every check (no context token).
     let (year, a_codes) = (enc.codes(0), enc.codes(flight_num));
     let tau_flight = SortedColumn::build(a_codes, enc.cardinality(flight_num));
+    let flight_year = OdCodes::Order(a_codes, year);
     for (name, ctx) in [("small", &p_carrier_flight), ("large", &p_carrier)] {
-        assert!(check_order_compat_sweep(
-            ctx,
-            a_codes,
-            year,
-            &mut SwapScratch::new()
-        ));
+        assert!(holds(ctx.classes(), flight_year, &mut SwapScratch::new()));
         group.bench_function(format!("swap_sweep_{name}_classes"), |b| {
             let mut scratch = SwapScratch::new();
-            b.iter(|| check_order_compat_sweep(black_box(ctx), a_codes, year, &mut scratch))
+            b.iter(|| holds(black_box(ctx).classes(), flight_year, &mut scratch))
         });
         group.bench_function(format!("swap_tau_{name}_classes"), |b| {
             let mut scratch = SwapScratch::new();
-            b.iter(|| check_order_compat(black_box(ctx), &tau_flight, year, &mut scratch, None))
+            b.iter(|| tau_scan(black_box(ctx), &tau_flight, year, &mut scratch, None))
         });
     }
 
     group.bench_function("constancy_sweep_20k", |b| {
-        b.iter(|| check_constancy(black_box(&p_carrier), black_box(enc.codes(7))))
+        let mut scratch = SwapScratch::new();
+        let orig = OdCodes::Constancy(enc.codes(7));
+        b.iter(|| {
+            holds(
+                black_box(&p_carrier).classes(),
+                black_box(orig),
+                &mut scratch,
+            )
+        })
     });
 
     // Observability overhead guards: the same two hottest operations with a
@@ -162,12 +159,7 @@ fn bench_partition_hot(c: &mut Criterion) {
         b.iter(|| {
             let _span = obs.span("swap_sweep");
             counter.incr();
-            check_order_compat_sweep(
-                black_box(&p_carrier),
-                enc.codes(2),
-                enc.codes(8),
-                &mut scratch,
-            )
+            holds(black_box(&p_carrier).classes(), day_tax, &mut scratch)
         })
     });
 

@@ -5,8 +5,7 @@
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use fastod_datagen::flight_like;
 use fastod_partition::{
-    check_constancy, check_order_compat, ProductScratch, SortedColumn, StrippedPartition,
-    SwapScratch,
+    holds, tau_scan, OdCodes, ProductScratch, SortedColumn, StrippedPartition, SwapScratch,
 };
 
 fn bench_partitions(c: &mut Criterion) {
@@ -28,7 +27,15 @@ fn bench_partitions(c: &mut Criterion) {
     });
 
     group.bench_function("constancy_scan_10k", |b| {
-        b.iter(|| check_constancy(black_box(&p_carrier), black_box(enc.codes(7))))
+        let mut scratch = SwapScratch::new();
+        let orig = OdCodes::Constancy(enc.codes(7));
+        b.iter(|| {
+            holds(
+                black_box(&p_carrier).classes(),
+                black_box(orig),
+                &mut scratch,
+            )
+        })
     });
 
     group.bench_function("error_rate_check", |b| {
@@ -39,7 +46,7 @@ fn bench_partitions(c: &mut Criterion) {
     group.bench_function("swap_scan_10k", |b| {
         let mut scratch = SwapScratch::new();
         b.iter(|| {
-            check_order_compat(
+            tau_scan(
                 black_box(&p_carrier),
                 &tau_day,
                 enc.codes(8),

@@ -4,23 +4,21 @@
 //! plus two additions over the paper: a per-class **sort-then-sweep** swap
 //! check used when a context's classes average at most 1024 rows, which at
 //! deep lattice levels is nearly every context (see
-//! [`fastod_partition::check_order_compat_sweep`]), and a **batched** entry
+//! [`fastod_partition::holds`]), and a **batched** entry
 //! point ([`OdValidator::validate_batch`]) that judges a whole lattice
 //! level's candidates as one map over the worker threads of a
 //! [`crate::parallel::Executor`] (on the calling thread at one thread),
 //! one task per item at every thread count. The approximate validator
-//! implements the §7 extension via removal-based error measures (both
-//! monotone under context refinement, so the candidate machinery stays
-//! sound).
+//! implements the §7 extension via the removal size
+//! ([`fastod_partition::removal_size`]), which is monotone under context
+//! refinement, so the candidate machinery stays sound.
 
 use crate::config::FdCheckMode;
 use crate::parallel::Executor;
 use crate::stats::LevelStats;
 use crate::{CancelToken, PassError};
 use fastod_partition::{
-    check_constancy, check_order_compat, check_order_compat_sweep, constancy_removal_error,
-    find_constancy_violation, find_swap, find_swap_sweep, swap_removal_error, SortedColumn,
-    StrippedPartition, SwapScratch,
+    holds, removal_size, tau_scan, witnesses, OdCodes, SortedColumn, StrippedPartition, SwapScratch,
 };
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::sync::OnceLock;
@@ -244,28 +242,30 @@ impl<'a> ExactValidator<'a> {
     /// deletions, since a violating pair stays violating until one of its
     /// rows is deleted. The kernel choice is the boolean check's
     /// (sort-then-sweep on small-class contexts, the early-exit `τ`-scan
-    /// otherwise), and the result is a pure function of the task, so a map
-    /// of searches finds the same pairs at every thread count (workers
-    /// build the `τ_A` cache racily but idempotently).
+    /// otherwise; constancy takes the split scan), and the result is a pure
+    /// function of the task, so a map of searches finds the same pairs at
+    /// every thread count (workers build the `τ_A` cache racily but
+    /// idempotently).
     pub fn find_violation(
         &self,
         task: &ValidationTask<'_>,
         scratch: &mut SwapScratch,
     ) -> Option<(u32, u32)> {
         let enc = self.enc;
-        match *task {
+        let (classes, od) = match *task {
             ValidationTask::Constancy { rhs, parent, .. } => {
-                find_constancy_violation(parent, enc.codes(rhs))
+                (parent.classes(), OdCodes::Constancy(enc.codes(rhs)))
             }
             ValidationTask::OrderCompat { a, b, ctx, .. } if sweeps(ctx) => {
-                find_swap_sweep(ctx.classes(), enc.codes(a), enc.codes(b))
+                (ctx.classes(), OdCodes::Order(enc.codes(a), enc.codes(b)))
             }
             ValidationTask::OrderCompat { a, b, ctx, .. } => {
                 let tau = self.taus[a]
                     .get_or_init(|| SortedColumn::build(enc.codes(a), enc.cardinality(a)));
-                find_swap(ctx, tau, enc.codes(b), scratch)
+                return tau_scan(ctx, tau, enc.codes(b), scratch, None);
             }
-        }
+        };
+        witnesses(classes, od, 1, scratch).first().copied()
     }
 }
 
@@ -274,13 +274,14 @@ impl<'a> ExactValidator<'a> {
 fn exact_constancy(
     enc: &EncodedRelation,
     fd_mode: FdCheckMode,
+    scratch: &mut SwapScratch,
     parent: &StrippedPartition,
     node: &StrippedPartition,
     a: AttrId,
 ) -> bool {
     match fd_mode {
         FdCheckMode::ErrorRate => parent.error() == node.error(),
-        FdCheckMode::Scan => check_constancy(parent, enc.codes(a)),
+        FdCheckMode::Scan => holds(parent.classes(), OdCodes::Constancy(enc.codes(a)), scratch),
     }
 }
 
@@ -297,10 +298,11 @@ fn exact_order_compat(
     b: AttrId,
 ) -> bool {
     if sweeps(ctx) {
-        return check_order_compat_sweep(ctx, enc.codes(a), enc.codes(b), scratch);
+        let od = OdCodes::Order(enc.codes(a), enc.codes(b));
+        return holds(ctx.classes(), od, scratch);
     }
     let tau = taus[a].get_or_init(|| SortedColumn::build(enc.codes(a), enc.cardinality(a)));
-    check_order_compat(ctx, tau, enc.codes(b), scratch, Some(token))
+    tau_scan(ctx, tau, enc.codes(b), scratch, Some(token)).is_none()
 }
 
 impl OdValidator for ExactValidator<'_> {
@@ -317,7 +319,7 @@ impl OdValidator for ExactValidator<'_> {
             return true;
         }
         stats.fd_checks += 1;
-        exact_constancy(self.enc, self.fd_mode, parent, node, a)
+        exact_constancy(self.enc, self.fd_mode, &mut self.pools[0], parent, node, a)
     }
 
     fn order_compat(
@@ -349,7 +351,8 @@ impl OdValidator for ExactValidator<'_> {
             cancel,
             |scratch, _i, task| match *task {
                 ValidationTask::Constancy { rhs, parent, node, .. } => {
-                    parent.is_superkey() || exact_constancy(enc, fd_mode, parent, node, rhs)
+                    parent.is_superkey()
+                        || exact_constancy(enc, fd_mode, scratch, parent, node, rhs)
                 }
                 ValidationTask::OrderCompat { ctx_set, a, b, ctx } => {
                     exact_order_compat(enc, taus, scratch, ctx, ctx_set.bits() as usize, a, b)
@@ -378,9 +381,9 @@ fn count_order_kernels(tasks: &[ValidationTask<'_>], exec: &Executor) {
 }
 
 /// Approximate validation: an OD is accepted when at most `max_remove` rows
-/// must be deleted for it to hold exactly. The removal-error kernels get
-/// `max_remove` as their cap, so a check stops as soon as the OD is known
-/// to be over budget.
+/// must be deleted for it to hold exactly. The removal-size kernel gets
+/// `max_remove` as its cap, so a check stops as soon as the OD is known to
+/// be over budget.
 pub struct ApproxValidator<'a> {
     enc: &'a EncodedRelation,
     max_remove: usize,
@@ -412,8 +415,8 @@ impl OdValidator for ApproxValidator<'_> {
             return true;
         }
         stats.fd_checks += 1;
-        let cap = self.max_remove;
-        constancy_removal_error(parent, self.enc.codes(a), cap, &mut self.pools[0]) <= cap
+        let od = OdCodes::Constancy(self.enc.codes(a));
+        removal_size(parent.classes(), od, self.max_remove, &mut self.pools[0]) <= self.max_remove
     }
 
     fn order_compat(
@@ -425,8 +428,8 @@ impl OdValidator for ApproxValidator<'_> {
         stats: &mut LevelStats,
     ) -> bool {
         stats.swap_checks += 1;
-        let (codes_a, codes_b, cap) = (self.enc.codes(a), self.enc.codes(b), self.max_remove);
-        swap_removal_error(ctx, codes_a, codes_b, cap, &mut self.pools[0]) <= cap
+        let od = OdCodes::Order(self.enc.codes(a), self.enc.codes(b));
+        removal_size(ctx.classes(), od, self.max_remove, &mut self.pools[0]) <= self.max_remove
     }
 
     fn validate_batch(
@@ -445,11 +448,12 @@ impl OdValidator for ApproxValidator<'_> {
             cancel,
             |scratch, _i, task| match *task {
                 ValidationTask::Constancy { rhs, parent, .. } => {
-                    parent.is_superkey()
-                        || constancy_removal_error(parent, enc.codes(rhs), cap, scratch) <= cap
+                    let od = OdCodes::Constancy(enc.codes(rhs));
+                    parent.is_superkey() || removal_size(parent.classes(), od, cap, scratch) <= cap
                 }
                 ValidationTask::OrderCompat { a, b, ctx, .. } => {
-                    swap_removal_error(ctx, enc.codes(a), enc.codes(b), cap, scratch) <= cap
+                    let od = OdCodes::Order(enc.codes(a), enc.codes(b));
+                    removal_size(ctx.classes(), od, cap, scratch) <= cap
                 }
             },
         )

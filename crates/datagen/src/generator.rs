@@ -348,13 +348,11 @@ mod tests {
         ));
         // ...but the removal error is small (≈ 2%).
         let ctx = fastod_partition::StrippedPartition::unit(500);
-        let mut scratch = fastod_partition::SwapScratch::new();
-        let err = fastod_partition::swap_removal_error(
-            &ctx,
-            enc.codes(0),
-            enc.codes(1),
+        let err = fastod_partition::removal_size(
+            ctx.classes(),
+            fastod_partition::OdCodes::Order(enc.codes(0), enc.codes(1)),
             usize::MAX,
-            &mut scratch,
+            &mut fastod_partition::SwapScratch::new(),
         );
         assert!(err > 0 && err < 50, "err = {err}");
     }

@@ -846,6 +846,11 @@ impl IncrementalDiscovery {
         judge.finish_pass();
         let mut counters = judge.counters.clone();
         drop(judge);
+        // Level 0 is not retained: every pass rebuilds it from the liveness
+        // mask, and a delete would compact its one all-rows class only to
+        // report a truncated delta, which the judge reads as a missing one.
+        // Index 0 stays, empty, so level indices do not shift.
+        levels[0] = Level::new();
         // Successor snapshot: nodes taken from the old one (reused or
         // absorbing) stamped hot, products keep their old recency, then the
         // byte budget (if any) evicts the coldest partitions — they will be
@@ -1239,6 +1244,28 @@ mod tests {
             }
         }
         assert!(holders_kept > 0 && sharers_kept > 0, "{holders_kept} holders, {sharers_kept} sharers");
+    }
+
+    /// Level 0 is rebuilt from the liveness mask every pass, so no snapshot
+    /// retains it: a delete pass compacts no unit partition, and its delta
+    /// map has no `{}` key, which the judge reads as a touched context with
+    /// no exact delta.
+    #[test]
+    fn snapshot_retains_no_level_0() {
+        let base = fastod_datagen::flight_like(60, 5, 0x5EED);
+        let mut engine = IncrementalDiscovery::new(&base);
+        let unit = AttrSet::EMPTY.bits();
+        engine.delete_rows(&[0, 7, 13]).unwrap();
+        let snapshot = engine.snapshot();
+        assert!(snapshot.levels()[0].is_empty() && snapshot.node(0, unit).is_none());
+        assert!(snapshot.node(1, AttrSet::singleton(0).bits()).is_some());
+        // The delta map the next delete pass hands its judge.
+        engine.snapshot.release_shared();
+        let deltas = engine
+            .snapshot
+            .remove_rows(&[1, 2], &Executor::new(1), &CancelToken::never())
+            .unwrap();
+        assert!(!deltas.is_empty() && !deltas.contains_key(&unit));
     }
 
     #[test]

@@ -8,10 +8,7 @@ use fastod::{
     ValidationTask,
 };
 use fastod_faultkit as faultkit;
-use fastod_partition::{
-    count_constancy_violations, count_constancy_violations_rows, count_swap_violations,
-    count_swap_violations_rows, CountScratch, RemoveDelta, StrippedPartition, SwapScratch,
-};
+use fastod_partition::{count_violations, RemoveDelta, StrippedPartition, SwapScratch};
 use fastod_relation::EncodedRelation;
 use fastod_theory::CanonicalOd;
 use std::collections::{HashMap, HashSet};
@@ -142,8 +139,8 @@ pub(crate) struct CachedJudge<'a> {
     /// Per-node touched-class deltas from `DiscoverySnapshot::remove_rows`,
     /// keyed by attribute-set bits, when the pass deleted rows. Nodes that
     /// held one partition hold one delta. A context absent from the map was
-    /// not retained (evicted or never generated) and falls back to full
-    /// revalidation.
+    /// not retained (level 0, evicted or never generated) and falls back to
+    /// full revalidation.
     deltas: Option<HashMap<u64, Arc<RemoveDelta>>>,
     /// Whether the pass appended rows (drives `Valid`-entry hygiene).
     has_appends: bool,
@@ -154,26 +151,10 @@ pub(crate) struct CachedJudge<'a> {
     /// this pass — consulted by the post-pass hygiene to decide which
     /// entries are still anchored.
     judged: HashSet<CanonicalOd>,
-    scratch: CountScratch,
-    /// Per-worker scratch arenas for the escalation map.
-    pools: Vec<EscalationScratch>,
+    /// Per-worker scratch arenas for the escalation map; the first also
+    /// serves the delta counts, which run on the calling thread.
+    pools: Vec<SwapScratch>,
     pub(crate) counters: BatchCounters,
-}
-
-/// Per-worker scratch for escalated delete-pass work: a swap arena for the
-/// witness searches and a count arena for the recounts.
-struct EscalationScratch {
-    swap: SwapScratch,
-    count: CountScratch,
-}
-
-impl EscalationScratch {
-    fn new() -> EscalationScratch {
-        EscalationScratch {
-            swap: SwapScratch::new(),
-            count: CountScratch::new(),
-        }
-    }
 }
 
 /// Why a delete-touched `Invalid` entry could not be resolved by a cheap
@@ -219,17 +200,16 @@ fn run_escalation(
     inner: &ExactValidator<'_>,
     enc: &EncodedRelation,
     esc: &Escalation<'_>,
-    scratch: &mut EscalationScratch,
+    scratch: &mut SwapScratch,
 ) -> EscalationOutcome {
     match esc.kind {
-        EscalationKind::Recount => EscalationOutcome::Count(full_violations(
-            &esc.od,
-            ctx_of(&esc.task),
-            enc,
-            &mut scratch.count,
+        EscalationKind::Recount => EscalationOutcome::Count(count_violations(
+            ctx_of(&esc.task).classes(),
+            esc.od.codes(enc),
+            scratch,
         )),
         EscalationKind::Search => {
-            EscalationOutcome::Witness(inner.find_violation(&esc.task, &mut scratch.swap))
+            EscalationOutcome::Witness(inner.find_violation(&esc.task, scratch))
         }
     }
 }
@@ -254,8 +234,7 @@ impl<'a> CachedJudge<'a> {
             has_appends,
             dirty: HashMap::new(),
             judged: HashSet::new(),
-            scratch: CountScratch::new(),
-            pools: vec![EscalationScratch::new()],
+            pools: vec![SwapScratch::new()],
             counters: BatchCounters::default(),
         }
     }
@@ -389,7 +368,7 @@ impl<'a> CachedJudge<'a> {
         self.judged.insert(od);
         let alive = witness_alive(entry.witness, self.live);
         if let (Some(count), Some(delta), true) = (entry.violations, delta, cheap) {
-            let (removed, remaining) = delta_violations(&od, delta, self.enc, &mut self.scratch);
+            let (removed, remaining) = delta_violations(&od, delta, self.enc, &mut self.pools[0]);
             let updated = (count.get() + remaining)
                 .checked_sub(removed)
                 .expect("touched-class violations cannot exceed the exact total");
@@ -498,41 +477,13 @@ fn delta_violations(
     od: &CanonicalOd,
     delta: &RemoveDelta,
     enc: &EncodedRelation,
-    scratch: &mut CountScratch,
+    scratch: &mut SwapScratch,
 ) -> (u64, u64) {
-    let (mut removed, mut remaining) = (0u64, 0u64);
-    for class in &delta.touched {
-        match *od {
-            CanonicalOd::Constancy { rhs, .. } => {
-                let codes = enc.codes(rhs);
-                removed += count_constancy_violations_rows(&class.old, codes, scratch);
-                remaining += count_constancy_violations_rows(&class.new, codes, scratch);
-            }
-            CanonicalOd::OrderCompat { a, b, .. } => {
-                let (ca, cb) = (enc.codes(a), enc.codes(b));
-                removed += count_swap_violations_rows(&class.old, ca, cb, scratch);
-                remaining += count_swap_violations_rows(&class.new, ca, cb, scratch);
-            }
-        }
-    }
-    (removed, remaining)
-}
-
-/// The total violating pairs of `od` over its (current) context partition.
-fn full_violations(
-    od: &CanonicalOd,
-    ctx: &StrippedPartition,
-    enc: &EncodedRelation,
-    scratch: &mut CountScratch,
-) -> u64 {
-    match *od {
-        CanonicalOd::Constancy { rhs, .. } => {
-            count_constancy_violations(ctx.classes(), enc.codes(rhs), scratch)
-        }
-        CanonicalOd::OrderCompat { a, b, .. } => {
-            count_swap_violations(ctx.classes(), enc.codes(a), enc.codes(b), scratch)
-        }
-    }
+    let (touched, od) = (&delta.touched, od.codes(enc));
+    (
+        count_violations(touched.iter().map(|class| &class.old[..]), od, scratch),
+        count_violations(touched.iter().map(|class| &class.new[..]), od, scratch),
+    )
 }
 
 /// The canonical OD a task is asking about — the verdict cache's key.
@@ -625,7 +576,7 @@ impl OdJudge for CachedJudge<'_> {
         let (inner, enc) = (&self.inner, self.enc);
         let outcomes = exec.try_map_with(
             &mut self.pools,
-            EscalationScratch::new,
+            SwapScratch::new,
             &escalations,
             cancel,
             |scratch, _i, esc| run_escalation(inner, enc, esc, scratch),

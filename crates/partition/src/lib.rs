@@ -16,40 +16,35 @@
 //!   of being rebuilt from scratch;
 //! * [`SortedColumn`] — the sorted partition `τ_A` (all rows ordered by `A`),
 //!   built once per attribute with counting sort over dense-rank codes;
-//! * validation scans: [`check_constancy`] for `X: [] ↦ A` and
-//!   [`check_order_compat`] for `X: A ~ B` (the paper's single-scan swap
-//!   test), plus witness-returning variants for data cleaning;
-//! * removal-based error measures ([`constancy_removal_error`],
-//!   [`swap_removal_error`]) used by the approximate-OD extension, which
-//!   stop once the error is known to exceed the caller's budget;
+//! * one module of **class kernels** that answers every question asked of a
+//!   canonical OD over the classes of its context: the verdict
+//!   ([`holds`]), witness pairs ([`witnesses`]), the violating-pair count
+//!   ([`count_violations`]), the removal size under a cap
+//!   ([`removal_size`]), and the count, witnesses and removal rows at once
+//!   ([`report`]). Each sorts a class once per OD shape — `X: [] ↦ A` by
+//!   `A`, `X: A ~ B` by `(A, B)` — and makes one pass per question over it;
+//!   the paper's τ-scan ([`tau_scan`]) is the one other order kernel, for
+//!   contexts whose classes are large. The counts make cached verdicts
+//!   maintainable under deletions, and the capped removal size serves the
+//!   approximate-OD extension;
 //! * mutation support for the incremental engine:
 //!   [`StrippedPartition::remove_rows`] (exact in-place class compaction
-//!   reporting a touched-class [`RemoveDelta`]), tombstone-aware builders
+//!   reporting a touched-class [`RemoveDelta`], whose detached classes the
+//!   kernels count over) and tombstone-aware builders
 //!   ([`StrippedPartition::from_codes_masked`],
 //!   [`StrippedPartition::unit_masked`],
-//!   [`StrippedPartition::append_codes_masked`]), and exact violation
-//!   **counters** ([`count_constancy_violations`],
-//!   [`count_swap_violations`]) that make cached verdicts maintainable
-//!   under deletions.
+//!   [`StrippedPartition::append_codes_masked`]).
 
 #![deny(missing_docs)]
 
-mod checks;
-mod counts;
-mod errors;
+mod kernels;
 mod scratch;
 mod sorted;
 mod stripped;
 
-pub use checks::{
-    check_constancy, check_order_compat, check_order_compat_sweep, find_constancy_violation,
-    find_swap, find_swap_sweep,
+pub use kernels::{
+    count_violations, holds, removal_size, report, tau_scan, witnesses, ClassReport, OdCodes,
 };
-pub use counts::{
-    count_constancy_violations, count_constancy_violations_rows, count_swap_violations,
-    count_swap_violations_rows, CountScratch,
-};
-pub use errors::{constancy_removal_error, swap_removal_error};
-pub use scratch::{ClassMap, ProductScratch, SwapScratch};
+pub use scratch::{ProductScratch, SwapScratch};
 pub use sorted::SortedColumn;
 pub use stripped::{AppendDelta, Classes, ClassesIter, RemoveDelta, StrippedPartition, TouchedClass};

@@ -14,8 +14,8 @@ use crate::StrippedPartition;
 /// persists across calls: a `ClassSplitter` with its CSR output buffers,
 /// which the caller copies out at exact size, and one slot per row. Only
 /// the product and the absorb use the slots; a refinement never grows
-/// them. A slot packs `epoch << 32 | class`, as [`ClassMap`] does, so a
-/// probed row costs one read, and a stale epoch means the row was not
+/// them. A slot packs `epoch << 32 | class`, as the τ-scan's class map
+/// does, so a probed row costs one read, and a stale epoch means the row was not
 /// stamped in this call. Zero per-class allocations, ever.
 #[derive(Default)]
 pub struct ProductScratch {
@@ -206,21 +206,15 @@ impl ClassSplitter {
 /// (`epoch << 32 | class`), so the τ-scan's membership probe costs a single
 /// random memory read instead of separate stamp + class lookups.
 #[derive(Default)]
-pub struct ClassMap {
+pub(crate) struct ClassMap {
     /// `epoch << 32 | class` per row; stale epochs mean "not covered".
     entries: Vec<u64>,
     epoch: u32,
-    n_classes: usize,
 }
 
 impl ClassMap {
-    /// Creates an empty map; buffers grow on first use.
-    pub fn new() -> ClassMap {
-        ClassMap::default()
-    }
-
     /// Loads the mapping for `partition`.
-    pub fn assign(&mut self, partition: &StrippedPartition) {
+    pub(crate) fn assign(&mut self, partition: &StrippedPartition) {
         let n = partition.n_rows();
         if self.entries.len() < n {
             self.entries.resize(n, 0);
@@ -237,13 +231,12 @@ impl ClassMap {
                 self.entries[row as usize] = entry;
             }
         }
-        self.n_classes = partition.n_classes();
     }
 
     /// The class index of `row`, or `None` if the row is in a singleton
     /// class (stripped away).
     #[inline]
-    pub fn class_of(&self, row: u32) -> Option<u32> {
+    pub(crate) fn class_of(&self, row: u32) -> Option<u32> {
         let entry = self.entries[row as usize];
         if (entry >> 32) as u32 == self.epoch {
             Some(entry as u32)
@@ -251,15 +244,10 @@ impl ClassMap {
             None
         }
     }
-
-    /// Number of classes in the currently assigned partition.
-    pub fn n_classes(&self) -> usize {
-        self.n_classes
-    }
 }
 
 /// Per-class running state for the run-structured swap scan
-/// (see [`crate::check_order_compat`]).
+/// (see [`crate::tau_scan`]).
 #[derive(Clone, Copy)]
 pub(crate) struct SwapState {
     /// Max `B`-code within the current `A`-run (valid while `in_run`).
@@ -283,10 +271,10 @@ impl Default for SwapState {
     }
 }
 
-/// Scratch space for swap checks: one per-class run state, plus a
-/// [`ClassMap`]. Reused across checks that share a context partition. The
-/// removal-error kernels ([`crate::constancy_removal_error`],
-/// [`crate::swap_removal_error`]) keep their per-class buffers here too.
+/// Scratch space for every OD kernel: the τ-scan's class map and per-class
+/// run states, reused across checks that share a context partition, and
+/// the class kernels' sort, merge and patience buffers (see
+/// [`crate::holds`]).
 ///
 /// Validators keep one `SwapScratch` per worker thread for the whole
 /// discovery run, so the buffers grown at one lattice level are reused at
@@ -300,15 +288,23 @@ pub struct SwapScratch {
     /// Classes touched by the current `A`-run (their run maxima get folded
     /// into `prev_max` when the run ends).
     pub(crate) run_touched: Vec<u32>,
-    /// `(A, B)` code pairs of one class, for the sort-then-sweep check and
-    /// the swap removal error.
-    pub(crate) pairs: Vec<(u32, u32)>,
-    /// Patience-sort tails of the swap removal error's LNDS scan.
-    pub(crate) tails: Vec<u32>,
-    /// `A`-codes of one class, for the constancy removal error.
-    pub(crate) codes: Vec<u32>,
     /// Whether `class_map` currently holds the partition given by this token.
     loaded_for: Option<usize>,
+    /// One constancy class's sorted `A` codes.
+    pub(crate) codes: Vec<u32>,
+    /// One order class's sorted `(A, B)` codes, packed as `A << 32 | B`.
+    pub(crate) pairs: Vec<u64>,
+    /// One order class's sorted `(A, B, row)` keys, packed as
+    /// `A << 64 | B << 32 | row`, when rows are answered.
+    pub(crate) triples: Vec<u128>,
+    /// The inversion count's merge-sort buffers.
+    pub(crate) vals: Vec<u32>,
+    pub(crate) tmp: Vec<u32>,
+    /// The patience sort's tails, the elements ending them, and each
+    /// element's predecessor.
+    pub(crate) tails: Vec<u32>,
+    pub(crate) tail_at: Vec<u32>,
+    pub(crate) links: Vec<u32>,
 }
 
 impl SwapScratch {
@@ -347,13 +343,12 @@ mod tests {
     #[test]
     fn class_map_assigns_and_resets() {
         let p = StrippedPartition::from_classes(5, vec![vec![0, 2], vec![3, 4]]);
-        let mut cm = ClassMap::new();
+        let mut cm = ClassMap::default();
         cm.assign(&p);
         assert_eq!(cm.class_of(0), Some(0));
         assert_eq!(cm.class_of(2), Some(0));
         assert_eq!(cm.class_of(3), Some(1));
         assert_eq!(cm.class_of(1), None);
-        assert_eq!(cm.n_classes(), 2);
 
         let q = StrippedPartition::from_classes(5, vec![vec![1, 4]]);
         cm.assign(&q);
@@ -364,8 +359,10 @@ mod tests {
     #[test]
     fn epoch_wraparound_is_safe() {
         let p = StrippedPartition::from_classes(2, vec![vec![0, 1]]);
-        let mut cm = ClassMap::new();
-        cm.epoch = u32::MAX - 1;
+        let mut cm = ClassMap {
+            epoch: u32::MAX - 1,
+            ..ClassMap::default()
+        };
         cm.assign(&p); // epoch -> MAX
         assert_eq!(cm.class_of(0), Some(0));
         cm.assign(&p); // wraps: stamps reset

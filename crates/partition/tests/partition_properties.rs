@@ -1,11 +1,11 @@
 //! Property-based tests for the partition substrate: products against
-//! ground-truth grouping, refinements against products, swap scans against
-//! the naive pairwise oracle, error-measure consistency, and superkey
+//! ground-truth grouping, refinements against products, every class kernel
+//! and the τ-scan against the naive pairwise oracle, and superkey
 //! behaviour — on random codes.
 
 use fastod_partition::{
-    check_constancy, check_order_compat, constancy_removal_error, swap_removal_error,
-    SortedColumn, StrippedPartition, SwapScratch,
+    count_violations, holds, removal_size, report, tau_scan, witnesses, OdCodes, SortedColumn,
+    StrippedPartition, SwapScratch,
 };
 use proptest::prelude::*;
 
@@ -28,16 +28,35 @@ fn partition_naive(codes: &[u32]) -> Vec<Vec<u32>> {
     classes
 }
 
+/// Whether `(s, t)` violates the OD, oriented as the kernels report it: a
+/// split differs on `A`, a swap has `s ≺_A t` and `t ≺_B s`.
+fn violates(od: OdCodes<'_>, s: u32, t: u32) -> bool {
+    let (s, t) = (s as usize, t as usize);
+    match od {
+        OdCodes::Constancy(a) => a[s] != a[t],
+        OdCodes::Order(a, b) => a[s] < a[t] && b[s] > b[t],
+    }
+}
+
+/// Naive pair scan: every violating pair of rows inside one class, each
+/// unordered pair once.
+fn violating_pairs(classes: &[Vec<u32>], od: OdCodes<'_>) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    for class in classes {
+        for (i, &s) in class.iter().enumerate() {
+            for &t in &class[i + 1..] {
+                if violates(od, s, t) || violates(od, t, s) {
+                    out.push((s, t));
+                }
+            }
+        }
+    }
+    out
+}
+
 /// Naive pairwise swap oracle within context classes.
 fn has_swap_naive(ctx: &StrippedPartition, a: &[u32], b: &[u32]) -> bool {
-    ctx.classes().iter().any(|class| {
-        class.iter().enumerate().any(|(i, &s)| {
-            class[i + 1..].iter().any(|&t| {
-                let (s, t) = (s as usize, t as usize);
-                (a[s] < a[t] && b[s] > b[t]) || (a[s] > a[t] && b[s] < b[t])
-            })
-        })
-    })
+    !violating_pairs(&ctx.normalized(), OdCodes::Order(a, b)).is_empty()
 }
 
 fn dense(codes: &[u32]) -> u32 {
@@ -175,41 +194,85 @@ proptest! {
         let ctx = StrippedPartition::from_codes(&ctx_codes, dense(&ctx_codes));
         let tau = SortedColumn::build(&a, dense(&a));
         let mut scratch = SwapScratch::new();
-        let compatible = check_order_compat(&ctx, &tau, &b, &mut scratch, None);
+        let compatible = tau_scan(&ctx, &tau, &b, &mut scratch, None).is_none();
         prop_assert_eq!(compatible, !has_swap_naive(&ctx, &a, &b));
     }
 
+    /// Every answer of both OD shapes' class kernels against the naive pair
+    /// scan, on random contexts (the unit context included) and code
+    /// columns, through one scratch that early exits leave dirty.
     #[test]
-    fn error_measures_agree_with_validity(
-        (ctx_codes, a, b) in (2usize..=25).prop_flat_map(|n| {
-            (arb_codes(n, 3), arb_codes(n, 4), arb_codes(n, 4))
+    fn class_kernels_match_naive_pair_scan(
+        (ctx_codes, a, b) in (2usize..=25, 1u32..=4).prop_flat_map(|(n, k)| {
+            (arb_codes(n, k), arb_codes(n, 4), arb_codes(n, 4))
         })
     ) {
         let ctx = StrippedPartition::from_codes(&ctx_codes, dense(&ctx_codes));
-        let mut scratch = SwapScratch::new();
-        let c_err = constancy_removal_error(&ctx, &a, usize::MAX, &mut scratch);
-        let s_err = swap_removal_error(&ctx, &a, &b, usize::MAX, &mut scratch);
-        // Constancy error is zero iff the constancy scan passes.
-        prop_assert_eq!(c_err == 0, check_constancy(&ctx, &a));
-        // Swap error is zero iff the swap scan passes.
+        let classes = ctx.normalized();
         let tau = SortedColumn::build(&a, dense(&a));
-        prop_assert_eq!(
-            s_err == 0,
-            check_order_compat(&ctx, &tau, &b, &mut scratch, None)
-        );
-        // Capped: min(err, cap + 1) at every cap, through the one scratch
-        // reused across all calls (early exits leave its buffers dirty).
-        for cap in 0..=c_err + 1 {
-            prop_assert_eq!(
-                constancy_removal_error(&ctx, &a, cap, &mut scratch),
-                c_err.min(cap + 1)
-            );
-        }
-        for cap in 0..=s_err + 1 {
-            prop_assert_eq!(
-                swap_removal_error(&ctx, &a, &b, cap, &mut scratch),
-                s_err.min(cap + 1)
-            );
+        let mut scratch = SwapScratch::new();
+        for od in [OdCodes::Constancy(&a), OdCodes::Order(&a, &b)] {
+            let pairs = violating_pairs(&classes, od);
+            let verdict = pairs.is_empty();
+            prop_assert_eq!(holds(ctx.classes(), od, &mut scratch), verdict);
+            prop_assert_eq!(count_violations(ctx.classes(), od, &mut scratch), pairs.len() as u64);
+
+            // Witnesses: genuine, within one class, each violating row once
+            // as `t` (splits: rows off the first row's code; swaps: rows
+            // with a smaller-A, larger-B partner), capped lists prefixes.
+            let all = witnesses(ctx.classes(), od, usize::MAX, &mut scratch);
+            prop_assert_eq!(all.is_empty(), verdict);
+            let class_of = |row: u32| classes.iter().position(|c| c.contains(&row));
+            let mut expected_t: Vec<u32> = Vec::new();
+            for class in &classes {
+                expected_t.extend(class.iter().copied().filter(|&t| match od {
+                    OdCodes::Constancy(_) => violates(od, class[0], t),
+                    OdCodes::Order(..) => class.iter().any(|&s| violates(od, s, t)),
+                }));
+            }
+            let mut got_t: Vec<u32> = all.iter().map(|&(_, t)| t).collect();
+            got_t.sort_unstable();
+            expected_t.sort_unstable();
+            prop_assert_eq!(got_t, expected_t);
+            for &(s, t) in &all {
+                prop_assert!(violates(od, s, t), "bogus witness ({}, {})", s, t);
+                prop_assert!(class_of(s).is_some() && class_of(s) == class_of(t));
+            }
+            for limit in 0..=all.len() + 1 {
+                let capped = witnesses(ctx.classes(), od, limit, &mut scratch);
+                prop_assert_eq!(&capped[..], &all[..limit.min(all.len())]);
+            }
+
+            // Removal size: min(uncapped, cap + 1) at every cap, zero iff
+            // the OD holds.
+            let size = removal_size(ctx.classes(), od, usize::MAX, &mut scratch);
+            prop_assert_eq!(size == 0, verdict);
+            for cap in 0..=size + 1 {
+                prop_assert_eq!(removal_size(ctx.classes(), od, cap, &mut scratch), size.min(cap + 1));
+            }
+
+            // The report: the same count and witnesses, and removal rows of
+            // the uncapped size that leave no violating pair.
+            for limit in [0, 1, 3, usize::MAX] {
+                let r = report(ctx.classes(), od, limit, &mut scratch);
+                prop_assert_eq!(r.violations, pairs.len() as u64);
+                prop_assert_eq!(&r.witnesses[..], &all[..limit.min(all.len())]);
+                prop_assert_eq!(r.removal_rows.len(), size);
+                prop_assert!(r.removal_rows.windows(2).all(|w| w[0] < w[1]));
+                let kept = |row: &u32| r.removal_rows.binary_search(row).is_err();
+                let survivors: Vec<Vec<u32>> =
+                    classes.iter().map(|c| c.iter().copied().filter(kept).collect()).collect();
+                prop_assert!(violating_pairs(&survivors, od).is_empty());
+            }
+
+            // The τ-scan agrees, and its witness is genuine.
+            if let OdCodes::Order(_, b) = od {
+                let hit = tau_scan(&ctx, &tau, b, &mut scratch, None);
+                prop_assert_eq!(hit.is_none(), verdict);
+                if let Some((s, t)) = hit {
+                    prop_assert!(violates(od, s, t) && class_of(s) == class_of(t));
+                }
+            }
         }
     }
 
@@ -221,7 +284,8 @@ proptest! {
         let pa = StrippedPartition::from_codes(&a, dense(&a));
         let pb = StrippedPartition::from_codes(&b, dense(&b));
         let pab = pa.product_simple(&pb);
-        prop_assert_eq!(pa.error() == pab.error(), check_constancy(&pa, &b));
+        let fd = holds(pa.classes(), OdCodes::Constancy(&b), &mut SwapScratch::new());
+        prop_assert_eq!(pa.error() == pab.error(), fd);
     }
 
     #[test]

@@ -259,10 +259,9 @@ impl SubsetIndex {
 /// split pairs for constancy, swap pairs for order compatibility.
 ///
 /// Quadratic in rows and independent of the partition machinery; it pins
-/// the sub-quadratic counters in `fastod-partition`
-/// (`count_constancy_violations`, `count_swap_violations`) that the
-/// incremental engine's delete-time delta-validation relies on. Zero iff
-/// the OD holds.
+/// the sub-quadratic counter in `fastod-partition` (`count_violations`)
+/// that the incremental engine's delete-time delta-validation relies on.
+/// Zero iff the OD holds.
 pub fn oracle_violation_count(enc: &EncodedRelation, od: &CanonicalOd) -> u64 {
     let n = enc.n_rows();
     let mut count = 0u64;

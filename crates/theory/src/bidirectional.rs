@@ -14,7 +14,7 @@
 
 use crate::canonical::CanonicalOd;
 use crate::validate::build_partition;
-use fastod_partition::{check_order_compat, SortedColumn, StrippedPartition, SwapScratch};
+use fastod_partition::{tau_scan, SortedColumn, StrippedPartition, SwapScratch};
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 
 /// Relative sort polarity of an attribute pair.
@@ -95,13 +95,14 @@ pub fn bidi_ocd_holds_with(
     let codes_a = enc.codes(od.a);
     let tau_a = SortedColumn::build(codes_a, enc.cardinality(od.a));
     let mut scratch = SwapScratch::new();
-    match od.polarity {
-        Polarity::Same => check_order_compat(ctx, &tau_a, enc.codes(od.b), &mut scratch, None),
+    let swap = match od.polarity {
+        Polarity::Same => tau_scan(ctx, &tau_a, enc.codes(od.b), &mut scratch, None),
         Polarity::Opposite => {
             let rev_b = reversed_codes(enc.codes(od.b), enc.cardinality(od.b));
-            check_order_compat(ctx, &tau_a, &rev_b, &mut scratch, None)
+            tau_scan(ctx, &tau_a, &rev_b, &mut scratch, None)
         }
-    }
+    };
+    swap.is_none()
 }
 
 /// Exhaustively discovers minimal bidirectional OCDs with context size up to

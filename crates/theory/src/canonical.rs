@@ -8,7 +8,8 @@
 //! * **order compatibility** `X: A ~ B` — no swap between `A` and `B` within
 //!   any class of `X` (the OCD fragment).
 
-use fastod_relation::{AttrId, AttrSet};
+use fastod_partition::OdCodes;
+use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::collections::HashSet;
 use std::fmt;
 
@@ -52,6 +53,15 @@ impl CanonicalOd {
         match *self {
             CanonicalOd::Constancy { context, .. } => context,
             CanonicalOd::OrderCompat { context, .. } => context,
+        }
+    }
+
+    /// The code columns of `enc` that the partition kernels read for this
+    /// OD: `A`'s for `X: [] ↦ A`, `A`'s and `B`'s for `X: A ~ B`.
+    pub fn codes<'e>(&self, enc: &'e EncodedRelation) -> OdCodes<'e> {
+        match *self {
+            CanonicalOd::Constancy { rhs, .. } => OdCodes::Constancy(enc.codes(rhs)),
+            CanonicalOd::OrderCompat { a, b, .. } => OdCodes::Order(enc.codes(a), enc.codes(b)),
         }
     }
 

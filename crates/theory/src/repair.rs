@@ -17,17 +17,19 @@
 //!   subsequence of the `B` sequence, found in `O(k log k)` by patience
 //!   sorting; the removal set is its complement.
 //!
+//! One rule costs one sort per context class: the partition crate's
+//! [`fastod_partition::report`] sorts each class once and derives the
+//! exact count, the witnesses and the removal rows from it.
+//!
 //! [`CheckReport`] aggregates the per-rule results and serializes to a
 //! versioned JSON document (`fastod.check.v1`) that parses back losslessly —
 //! the machine surface behind `fastod check --json`.
 
 use crate::canonical::CanonicalOd;
 use crate::validate::build_partition;
-use crate::violations::{find_violations_in, Violation};
+use crate::violations::Violation;
 use fastod_obs::json::{escape, parse, Json};
-use fastod_partition::{
-    count_constancy_violations_rows, count_swap_violations_rows, CountScratch, StrippedPartition,
-};
+use fastod_partition::{count_violations, report, ClassReport, StrippedPartition, SwapScratch};
 use fastod_relation::{AttrSet, EncodedRelation};
 
 /// The check result for one canonical OD.
@@ -59,114 +61,34 @@ pub struct CheckReport {
 /// `witness_limit` witness pairs, and the minimal removal set.
 pub fn check_od(enc: &EncodedRelation, od: &CanonicalOd, witness_limit: usize) -> RuleCheck {
     let ctx = build_partition(enc, od.context());
-    check_in(enc, od, &ctx, witness_limit, &mut CountScratch::new())
+    check_in(enc, od, &ctx, witness_limit, &mut SwapScratch::new())
 }
 
-/// [`check_od`] over `ctx = Π*_{od.context()}`, which the caller has built:
-/// the count/removal pass and the witness scan share it.
+/// [`check_od`] over `ctx = Π*_{od.context()}`, which the caller has built.
+/// The witnesses are [`crate::find_violations`]'s, capped at
+/// `witness_limit`.
 fn check_in(
     enc: &EncodedRelation,
     od: &CanonicalOd,
     ctx: &StrippedPartition,
     witness_limit: usize,
-    scratch: &mut CountScratch,
+    scratch: &mut SwapScratch,
 ) -> RuleCheck {
-    let mut violations = 0u64;
-    let mut removal_rows: Vec<u32> = Vec::new();
-    match *od {
-        _ if od.is_trivial() => {}
-        CanonicalOd::Constancy { rhs, .. } => {
-            let codes = enc.codes(rhs);
-            for class in ctx.classes() {
-                violations += count_constancy_violations_rows(class, codes, scratch);
-                constancy_removal(class, codes, &mut removal_rows);
-            }
-        }
-        CanonicalOd::OrderCompat { a, b, .. } => {
-            let codes_a = enc.codes(a);
-            let codes_b = enc.codes(b);
-            for class in ctx.classes() {
-                violations += count_swap_violations_rows(class, codes_a, codes_b, scratch);
-                swap_removal(class, codes_a, codes_b, &mut removal_rows);
-            }
-        }
-    }
-    removal_rows.sort_unstable();
+    let found = if od.is_trivial() {
+        ClassReport::default()
+    } else {
+        report(ctx.classes(), od.codes(enc), witness_limit, scratch)
+    };
     RuleCheck {
         od: *od,
-        holds: violations == 0,
-        violations,
-        witnesses: find_violations_in(enc, od, ctx, witness_limit),
-        removal_rows,
-    }
-}
-
-/// Appends the minimal removal for one constancy class: every row not
-/// carrying the most frequent `A`-code (smallest code wins ties).
-fn constancy_removal(class: &[u32], codes: &[u32], out: &mut Vec<u32>) {
-    let mut sorted: Vec<(u32, u32)> =
-        class.iter().map(|&row| (codes[row as usize], row)).collect();
-    sorted.sort_unstable();
-    // Find the longest equal-code run; first (smallest-code) run wins ties.
-    let (mut best_start, mut best_len) = (0usize, 0usize);
-    let mut run_start = 0usize;
-    for i in 0..=sorted.len() {
-        if i == sorted.len() || sorted[i].0 != sorted[run_start].0 {
-            if i - run_start > best_len {
-                best_start = run_start;
-                best_len = i - run_start;
-            }
-            run_start = i;
-        }
-    }
-    for (i, &(_, row)) in sorted.iter().enumerate() {
-        if i < best_start || i >= best_start + best_len {
-            out.push(row);
-        }
-    }
-}
-
-/// Appends the minimal removal for one order-compat class: the complement of
-/// the longest non-decreasing `B`-subsequence after `(A asc, B asc)` sort.
-fn swap_removal(class: &[u32], codes_a: &[u32], codes_b: &[u32], out: &mut Vec<u32>) {
-    let mut items: Vec<(u32, u32, u32)> = class
-        .iter()
-        .map(|&row| (codes_a[row as usize], codes_b[row as usize], row))
-        .collect();
-    items.sort_unstable();
-    if items.is_empty() {
-        return;
-    }
-    // Patience sorting with predecessor links. `tails[k]` is the item index
-    // ending the best (smallest-tail-B) non-decreasing subsequence of
-    // length k+1 seen so far.
-    let mut tails: Vec<usize> = Vec::new();
-    let mut prev: Vec<usize> = vec![usize::MAX; items.len()];
-    for i in 0..items.len() {
-        let b = items[i].1;
-        let pos = tails.partition_point(|&t| items[t].1 <= b);
-        if pos > 0 {
-            prev[i] = tails[pos - 1];
-        }
-        if pos == tails.len() {
-            tails.push(i);
-        } else {
-            tails[pos] = i;
-        }
-    }
-    let mut keep = vec![false; items.len()];
-    let mut cur = *tails.last().expect("non-empty class");
-    loop {
-        keep[cur] = true;
-        if prev[cur] == usize::MAX {
-            break;
-        }
-        cur = prev[cur];
-    }
-    for (i, &(_, _, row)) in items.iter().enumerate() {
-        if !keep[i] {
-            out.push(row);
-        }
+        holds: found.violations == 0,
+        violations: found.violations,
+        witnesses: found
+            .witnesses
+            .into_iter()
+            .map(|rows| Violation::of(od, rows))
+            .collect(),
+        removal_rows: found.removal_rows,
     }
 }
 
@@ -174,30 +96,18 @@ fn swap_removal(class: &[u32], codes_a: &[u32], codes_b: &[u32], out: &mut Vec<u
 /// `removed` (sorted or not). Zero means the removal set repairs the rule —
 /// the re-validation the check surface and its proptests assert.
 pub fn residual_violations(enc: &EncodedRelation, od: &CanonicalOd, removed: &[u32]) -> u64 {
-    let dead: std::collections::HashSet<u32> = removed.iter().copied().collect();
-    let mut scratch = CountScratch::new();
-    let ctx = build_partition(enc, od.context());
-    let mut survivors: Vec<u32> = Vec::new();
-    let mut total = 0u64;
-    for class in ctx.classes() {
-        survivors.clear();
-        survivors.extend(class.iter().filter(|r| !dead.contains(r)));
-        total += match *od {
-            CanonicalOd::Constancy { rhs, .. } => {
-                count_constancy_violations_rows(&survivors, enc.codes(rhs), &mut scratch)
-            }
-            CanonicalOd::OrderCompat { a, b, .. } => count_swap_violations_rows(
-                &survivors,
-                enc.codes(a),
-                enc.codes(b),
-                &mut scratch,
-            ),
-        };
-    }
     if od.is_trivial() {
         return 0;
     }
-    total
+    let mut dead = vec![false; enc.n_rows()];
+    for &row in removed {
+        if let Some(slot) = dead.get_mut(row as usize) {
+            *slot = true;
+        }
+    }
+    let mut ctx = build_partition(enc, od.context());
+    ctx.remove_rows_masked(&dead);
+    count_violations(ctx.classes(), od.codes(enc), &mut SwapScratch::new())
 }
 
 impl CheckReport {
@@ -214,7 +124,7 @@ impl CheckReport {
     ) -> CheckReport {
         let mut order: Vec<usize> = (0..ods.len()).collect();
         order.sort_by_key(|&i| ods[i].context());
-        let mut scratch = CountScratch::new();
+        let mut scratch = SwapScratch::new();
         let mut checked: Vec<(usize, RuleCheck)> = Vec::with_capacity(ods.len());
         for group in order.chunk_by(|&i, &j| ods[i].context() == ods[j].context()) {
             let ctx = build_partition(enc, ods[group[0]].context());
@@ -355,19 +265,7 @@ impl CheckReport {
                         let s = num(&st[0], "witness row")? as u32;
                         let t = num(&st[1], "witness row")? as u32;
                         // Witness structure is fully determined by the rule.
-                        out.push(match od {
-                            CanonicalOd::Constancy { context, rhs } => Violation::Split {
-                                rows: (s, t),
-                                context,
-                                attr: rhs,
-                            },
-                            CanonicalOd::OrderCompat { context, a, b } => Violation::Swap {
-                                rows: (s, t),
-                                context,
-                                a,
-                                b,
-                            },
-                        });
+                        out.push(Violation::of(&od, (s, t)));
                     }
                     out
                 }

@@ -10,8 +10,7 @@
 
 use crate::CanonicalOd;
 use fastod_partition::{
-    check_constancy, check_order_compat, ProductScratch, SortedColumn, StrippedPartition,
-    SwapScratch,
+    holds, tau_scan, ProductScratch, SortedColumn, StrippedPartition, SwapScratch,
 };
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 
@@ -35,12 +34,12 @@ pub fn canonical_od_holds(enc: &EncodedRelation, od: &CanonicalOd) -> bool {
         return true;
     }
     let ctx = build_partition(enc, od.context());
+    let mut scratch = SwapScratch::new();
     match *od {
-        CanonicalOd::Constancy { rhs, .. } => check_constancy(&ctx, enc.codes(rhs)),
+        CanonicalOd::Constancy { .. } => holds(ctx.classes(), od.codes(enc), &mut scratch),
         CanonicalOd::OrderCompat { a, b, .. } => {
             let tau = SortedColumn::build(enc.codes(a), enc.cardinality(a));
-            let mut scratch = SwapScratch::new();
-            check_order_compat(&ctx, &tau, enc.codes(b), &mut scratch, None)
+            tau_scan(&ctx, &tau, enc.codes(b), &mut scratch, None).is_none()
         }
     }
 }
@@ -86,25 +85,20 @@ pub fn all_valid_canonical_ods(enc: &EncodedRelation, max_context: usize) -> Vec
             continue;
         }
         let part = build_partition(enc, ctx);
+        let mut scratch = SwapScratch::new();
         for a in 0..r as AttrId {
             let od = CanonicalOd::constancy(ctx, a);
-            if !od.is_trivial() && check_constancy(&part, enc.codes(a)) {
+            if !od.is_trivial() && holds(part.classes(), od.codes(enc), &mut scratch) {
                 out.push(od);
             }
         }
-        let mut scratch = SwapScratch::new();
         for a in 0..r as AttrId {
             let tau = SortedColumn::build(enc.codes(a), enc.cardinality(a));
             for b in (a + 1)..r as AttrId {
                 let od = CanonicalOd::order_compat(ctx, a, b);
+                let token = Some(ctx.bits() as usize);
                 if !od.is_trivial()
-                    && check_order_compat(
-                        &part,
-                        &tau,
-                        enc.codes(b),
-                        &mut scratch,
-                        Some(ctx.bits() as usize),
-                    )
+                    && tau_scan(&part, &tau, enc.codes(b), &mut scratch, token).is_none()
                 {
                     out.push(od);
                 }

@@ -1,13 +1,15 @@
 //! Violation witnesses for data cleaning (paper §1.1: "their violations
 //! point out possible data errors").
 //!
-//! Given a canonical OD that *should* hold, these routines return the
+//! Given a canonical OD that *should* hold, [`find_violations`] returns the
 //! offending tuple pairs: **splits** for constancy ODs (Definition 4) and
-//! **swaps** for order-compatibility ODs (Definition 5).
+//! **swaps** for order-compatibility ODs (Definition 5). It builds the
+//! context partition and asks the partition crate's class kernel
+//! ([`fastod_partition::witnesses`]) for the pairs, class by class.
 
 use crate::canonical::CanonicalOd;
 use crate::validate::build_partition;
-use fastod_partition::{ClassMap, SortedColumn, StrippedPartition};
+use fastod_partition::{witnesses, SwapScratch};
 use fastod_relation::{AttrId, AttrSet, EncodedRelation, Relation};
 
 /// A single witnessed violation of a canonical OD.
@@ -38,6 +40,24 @@ pub enum Violation {
 }
 
 impl Violation {
+    /// The violation of `od` that the row pair `rows` witnesses: a split
+    /// for a constancy OD, a swap for an order-compatibility OD.
+    pub(crate) fn of(od: &CanonicalOd, rows: (u32, u32)) -> Violation {
+        match *od {
+            CanonicalOd::Constancy { context, rhs } => Violation::Split {
+                rows,
+                context,
+                attr: rhs,
+            },
+            CanonicalOd::OrderCompat { context, a, b } => Violation::Swap {
+                rows,
+                context,
+                a,
+                b,
+            },
+        }
+    }
+
     /// The offending row pair.
     pub fn rows(&self) -> (u32, u32) {
         match *self {
@@ -73,9 +93,18 @@ impl Violation {
 
 /// Finds up to `limit` violations of `od` on the instance.
 ///
-/// Returns an empty vector iff the OD holds. Splits are reported per
-/// context class against the class representative; swaps are reported by a
-/// τ-scan that keeps scanning after each hit.
+/// Returns an empty vector iff the OD holds. Violations come class by class,
+/// in the order of the context partition's classes, and a capped list is a
+/// prefix of the uncapped one:
+///
+/// * a constancy OD's splits pair the class's first row with each later row
+///   that differs from it on the attribute, in class order;
+/// * an order OD's swaps `(s, t)` take every row `t` whose `b` is below the
+///   largest `b` of the class's rows with a smaller `a`, in `(a, b, row)`
+///   order, and pair it with `s`, the smallest row holding that largest
+///   `b` in the earliest `a` that reaches it.
+///
+/// So every row appears at most once as the second row of a pair.
 pub fn find_violations(
     enc: &EncodedRelation,
     od: &CanonicalOd,
@@ -84,111 +113,11 @@ pub fn find_violations(
     if od.is_trivial() || limit == 0 {
         return Vec::new();
     }
-    find_violations_in(enc, od, &build_partition(enc, od.context()), limit)
-}
-
-/// [`find_violations`] over `ctx = Π*_{od.context()}`, which the caller has
-/// built (the check report shares one partition across a context's rules).
-pub(crate) fn find_violations_in(
-    enc: &EncodedRelation,
-    od: &CanonicalOd,
-    ctx: &StrippedPartition,
-    limit: usize,
-) -> Vec<Violation> {
-    if od.is_trivial() || limit == 0 {
-        return Vec::new();
-    }
-    let ctx_set = od.context();
-    let mut out = Vec::new();
-    match *od {
-        CanonicalOd::Constancy { rhs, .. } => {
-            let codes = enc.codes(rhs);
-            'outer: for class in ctx.classes() {
-                let rep = class[0];
-                let rep_code = codes[rep as usize];
-                for &row in &class[1..] {
-                    if codes[row as usize] != rep_code {
-                        out.push(Violation::Split {
-                            rows: (rep, row),
-                            context: ctx_set,
-                            attr: rhs,
-                        });
-                        if out.len() >= limit {
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-        }
-        CanonicalOd::OrderCompat { a, b, .. } => {
-            let tau = SortedColumn::build(enc.codes(a), enc.cardinality(a));
-            let codes_a = enc.codes(a);
-            let codes_b = enc.codes(b);
-            let mut cm = ClassMap::new();
-            cm.assign(ctx);
-            // Per-class run state, mirroring the partition crate's swap scan
-            // but collecting every violation instead of stopping at one.
-            #[derive(Clone, Copy)]
-            struct St {
-                last_a: u32,
-                run_max_b: u32,
-                run_max_row: u32,
-                prev_max_b: i64,
-                prev_max_row: u32,
-                init: bool,
-            }
-            let mut states = vec![
-                St {
-                    last_a: 0,
-                    run_max_b: 0,
-                    run_max_row: u32::MAX,
-                    prev_max_b: -1,
-                    prev_max_row: u32::MAX,
-                    init: false,
-                };
-                ctx.n_classes()
-            ];
-            'scan: for &row in tau.order() {
-                let Some(ci) = cm.class_of(row) else { continue };
-                let st = &mut states[ci as usize];
-                let ca = codes_a[row as usize];
-                let cb = codes_b[row as usize];
-                if !st.init {
-                    *st = St {
-                        last_a: ca,
-                        run_max_b: cb,
-                        run_max_row: row,
-                        prev_max_b: -1,
-                        prev_max_row: u32::MAX,
-                        init: true,
-                    };
-                } else if ca != st.last_a {
-                    if i64::from(st.run_max_b) > st.prev_max_b {
-                        st.prev_max_b = i64::from(st.run_max_b);
-                        st.prev_max_row = st.run_max_row;
-                    }
-                    st.last_a = ca;
-                    st.run_max_b = cb;
-                    st.run_max_row = row;
-                } else if cb > st.run_max_b {
-                    st.run_max_b = cb;
-                    st.run_max_row = row;
-                }
-                if i64::from(cb) < st.prev_max_b {
-                    out.push(Violation::Swap {
-                        rows: (st.prev_max_row, row),
-                        context: ctx_set,
-                        a,
-                        b,
-                    });
-                    if out.len() >= limit {
-                        break 'scan;
-                    }
-                }
-            }
-        }
-    }
-    out
+    let ctx = build_partition(enc, od.context());
+    witnesses(ctx.classes(), od.codes(enc), limit, &mut SwapScratch::new())
+        .into_iter()
+        .map(|rows| Violation::of(od, rows))
+        .collect()
 }
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! * every removal set *repairs*: re-validating on the surviving rows —
 //!   both through `residual_violations` and through a from-scratch
 //!   re-encode cross-checked with `oracle_violation_count` — yields zero;
-//! * approximate discovery's uncapped removal-error kernels count exactly
+//! * approximate discovery's uncapped removal-size kernel counts exactly
 //!   the rows of those minimal removal sets;
 //! * `CheckReport::run` equals `check_od` rule by rule, in input order;
 //! * a proptest band does all of the above for every near-valid OD that
@@ -15,7 +15,7 @@
 //! * the `fastod.check.v1` JSON document round-trips.
 
 use fastod_suite::discovery::{ApproxConfig, ApproxFastod};
-use fastod_suite::partition::{constancy_removal_error, swap_removal_error, SwapScratch};
+use fastod_suite::partition::{removal_size, SwapScratch};
 use fastod_suite::prelude::*;
 use fastod_suite::theory::{
     build_partition, check_od, find_violations, residual_violations, CheckReport,
@@ -57,19 +57,20 @@ fn assert_check_contract(rel: &Relation, enc: &EncodedRelation, od: &CanonicalOd
     assert!(check.witnesses.len() <= 4, "{od}: witness cap ignored");
     assert_eq!(check.witnesses.is_empty(), check.holds, "{od}: witnesses iff violated");
 
-    // Approximate discovery's removal-error kernel, uncapped, counts exactly
+    // Approximate discovery's removal-size kernel, uncapped, counts exactly
     // the rows of the minimal removal set.
     let ctx = build_partition(enc, od.context());
-    let mut scratch = SwapScratch::new();
-    let kernel = match *od {
-        CanonicalOd::Constancy { rhs, .. } => {
-            constancy_removal_error(&ctx, enc.codes(rhs), usize::MAX, &mut scratch)
-        }
-        CanonicalOd::OrderCompat { a, b, .. } => {
-            swap_removal_error(&ctx, enc.codes(a), enc.codes(b), usize::MAX, &mut scratch)
-        }
-    };
-    assert_eq!(kernel, check.removal_rows.len(), "{od}: removal-error kernel disagrees");
+    let kernel = removal_size(
+        ctx.classes(),
+        od.codes(enc),
+        usize::MAX,
+        &mut SwapScratch::new(),
+    );
+    assert_eq!(
+        kernel,
+        check.removal_rows.len(),
+        "{od}: removal-size kernel disagrees"
+    );
 
     // The removal set repairs the rule — checked two independent ways.
     assert_eq!(

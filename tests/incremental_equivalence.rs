@@ -14,9 +14,7 @@
 //! against the oracle's definitional pair scan.
 
 use fastod_suite::incremental::BatchCounters;
-use fastod_suite::partition::{
-    count_constancy_violations, count_swap_violations, CountScratch, StrippedPartition,
-};
+use fastod_suite::partition::{count_violations, StrippedPartition, SwapScratch};
 use fastod_suite::prelude::*;
 use fastod_testkit::{oracle_minimal_cover, oracle_violation_count};
 use proptest::prelude::*;
@@ -152,7 +150,7 @@ proptest! {
         let singles: Vec<StrippedPartition> = (0..n_attrs)
             .map(|a| StrippedPartition::from_codes(enc.codes(a), enc.cardinality(a)))
             .collect();
-        let mut scratch = CountScratch::new();
+        let mut scratch = SwapScratch::new();
         for ctx_mask in 0u64..(1 << n_attrs) {
             let ctx_set = AttrSet::from_bits(ctx_mask);
             let ctx = ctx_set
@@ -164,7 +162,7 @@ proptest! {
                 if !ctx_set.contains(a) {
                     let od = CanonicalOd::constancy(ctx_set, a);
                     prop_assert_eq!(
-                        count_constancy_violations(ctx.classes(), enc.codes(a), &mut scratch),
+                        count_violations(ctx.classes(), od.codes(&enc), &mut scratch),
                         oracle_violation_count(&enc, &od),
                         "{}", od
                     );
@@ -175,9 +173,7 @@ proptest! {
                     }
                     let od = CanonicalOd::order_compat(ctx_set, a, b);
                     prop_assert_eq!(
-                        count_swap_violations(
-                            ctx.classes(), enc.codes(a), enc.codes(b), &mut scratch,
-                        ),
+                        count_violations(ctx.classes(), od.codes(&enc), &mut scratch),
                         oracle_violation_count(&enc, &od),
                         "{}", od
                     );
