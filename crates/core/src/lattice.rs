@@ -3,7 +3,7 @@
 use crate::pairset::PairSet;
 use crate::parallel::Executor;
 use crate::{CancelToken, PassError};
-use fastod_partition::{AppendDelta, ProductScratch, StrippedPartition};
+use fastod_partition::{ProductScratch, StrippedPartition};
 use fastod_relation::{AttrId, AttrSet, EncodedRelation};
 use std::collections::HashMap;
 use std::ops::Index;
@@ -332,9 +332,12 @@ pub enum Generated {
     Shared(AttrSet),
     /// Refined from a parent ([`JoinAction::Product`]).
     Product,
-    /// A retained partition that absorbed the appended rows, with its
-    /// append delta ([`JoinAction::Absorb`]).
-    Absorbed(AppendDelta),
+    /// A retained partition that absorbed the appended rows
+    /// ([`JoinAction::Absorb`]).
+    Absorbed {
+        /// Whether an appended row joined a class.
+        dirty: bool,
+    },
     /// A retained partition, unchanged ([`JoinAction::Reuse`]).
     Reused,
 }
@@ -397,9 +400,9 @@ fn run_joins(
                 }
                 JoinAction::Absorb(mut partition) => {
                     let bytes = partition.memory_bytes();
-                    let delta = partition.absorb_append(parent, codes, card, scratch);
+                    let dirty = partition.absorb_append(parent, codes, card, scratch);
                     let grew = partition.memory_bytes() != bytes;
-                    ((partition, Generated::Absorbed(delta)), grew)
+                    ((partition, Generated::Absorbed { dirty }), grew)
                 }
                 JoinAction::Reuse(_) => unreachable!("reuses run inline"),
             };
@@ -691,7 +694,7 @@ mod tests {
             let cancel = CancelToken::never();
             let (next, generated) =
                 generate_level(&l1, &enc, 3, plan, true, &exec, &mut Vec::new(), &cancel).unwrap();
-            assert!(matches!(&generated[0].1, Generated::Absorbed(delta) if delta.is_dirty()));
+            assert!(matches!(generated[0].1, Generated::Absorbed { dirty: true }));
             assert!(matches!(generated[1].1, Generated::Product));
             assert!(matches!(generated[2].1, Generated::Reused));
             let mut sizes = Vec::new();

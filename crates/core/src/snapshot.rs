@@ -37,7 +37,7 @@ use crate::parallel::Executor;
 use crate::stats::LevelStats;
 use crate::validators::{OdJudge, ValidationTask};
 use crate::{CancelToken, PassError};
-use fastod_partition::{RemoveDelta, StrippedPartition};
+use fastod_partition::StrippedPartition;
 use fastod_relation::{AttrId, AttrSet};
 use fastod_theory::{CanonicalOd, OdSet};
 use std::collections::{HashMap, HashSet};
@@ -446,8 +446,9 @@ impl DiscoverySnapshot {
     /// sites of a pass — [`remove_rows`](DiscoverySnapshot::remove_rows),
     /// the level-1 appends, the absorb and reuse plans — copy nothing, and
     /// each distinct partition is compacted once. A sharer's partition
-    /// equaled its holder's, so the holder's [`RemoveDelta`] is the
-    /// sharer's too. A released node keeps its recency stamp: if the pass
+    /// equaled its holder's, so the holder's touched bit from
+    /// [`remove_rows`](DiscoverySnapshot::remove_rows) is the sharer's too.
+    /// A released node keeps its recency stamp: if the pass
     /// must recompute it, because its FD broke, it inherits that stamp.
     pub fn release_shared(&mut self) -> Vec<(u64, u64)> {
         let mut released = Vec::new();
@@ -462,9 +463,9 @@ impl DiscoverySnapshot {
     }
 
     /// Applies a batch of row deletions to **every** retained partition, in
-    /// place, returning per node the classes the deletion touched. Called
-    /// after [`release_shared`](DiscoverySnapshot::release_shared), it
-    /// compacts each distinct partition once and copies none.
+    /// place, returning per node whether the deletion touched a class.
+    /// Called after [`release_shared`](DiscoverySnapshot::release_shared),
+    /// it compacts each distinct partition once and copies none.
     ///
     /// Deleting tuples never merges or splits surviving equivalence
     /// classes, so `Π*_X(r ∖ D)` is obtained from the retained `Π*_X(r)` by
@@ -472,11 +473,10 @@ impl DiscoverySnapshot {
     /// ([`fastod_partition::StrippedPartition::remove_rows_masked`]) — no
     /// products, no counting sorts. The returned map is keyed by
     /// attribute-set bits (globally unique: the bits determine the level
-    /// via their popcount); a node with an **empty** [`RemoveDelta`] was
-    /// provably untouched (every deleted row was a singleton under it), and
-    /// a node *absent* from the map was not retained — evicted under the
-    /// memory budget or never generated — so a consumer must fall back to
-    /// full revalidation for verdicts on that context.
+    /// via their popcount); a node mapped to `false` was provably untouched
+    /// (every deleted row was a singleton under it), and a node *absent*
+    /// from the map was not retained — evicted under the memory budget or
+    /// never generated — so a consumer must treat its context as touched.
     ///
     /// The nodes are independent, so the compaction is a map on `exec`
     /// over the retained nodes in ascending bits order, with one deletion
@@ -497,7 +497,7 @@ impl DiscoverySnapshot {
         deleted: &[u32],
         exec: &Executor,
         cancel: &CancelToken,
-    ) -> Result<HashMap<u64, Arc<RemoveDelta>>, PassError> {
+    ) -> Result<HashMap<u64, bool>, PassError> {
         // One mask shared by every node: membership probes become single
         // indexed reads instead of per-row binary searches.
         let mut mask = vec![false; self.n_rows];
@@ -513,12 +513,12 @@ impl DiscoverySnapshot {
             .map(|(&bits, node)| (bits, Mutex::new(Arc::make_mut(&mut node.partition))))
             .collect();
         nodes.sort_unstable_by_key(|&(bits, _)| bits);
-        let deltas = exec.try_map_with(&mut Vec::new(), || (), &nodes, cancel, |(), _, (_, p)| {
+        let touched = exec.try_map_with(&mut Vec::new(), || (), &nodes, cancel, |(), _, (_, p)| {
             p.lock()
                 .expect("each node is locked once")
                 .remove_rows_masked(&mask)
         })?;
-        Ok(nodes.iter().map(|&(bits, _)| bits).zip(deltas.into_iter().map(Arc::new)).collect())
+        Ok(nodes.iter().map(|&(bits, _)| bits).zip(touched).collect())
     }
 
     /// Sets (or clears) the partition byte budget. The cap is enforced on
@@ -798,31 +798,39 @@ mod tests {
             snap.remove_rows(deleted, &Executor::new(threads), &CancelToken::never())
                 .unwrap()
         };
-        // Delete row 0 (year class {0,1,2} and the unit class lose it).
-        let deltas = remove(&mut snap, &[0], 1);
-        assert_eq!(deltas.len(), snap.n_nodes());
-        // The unit node's only class covers everything: touched copies
-        // would exceed the capture cap, so only the dirty flag survives.
-        let unit_delta = &deltas[&AttrSet::EMPTY.bits()];
-        assert!(unit_delta.is_dirty() && unit_delta.truncated);
-        // The bin node loses row 0 from one of its three 2-row classes —
-        // small enough relative to the partition to capture exactly.
-        let bin_delta = &deltas[&AttrSet::singleton(1).bits()];
-        assert!(bin_delta.is_exact());
-        assert_eq!(bin_delta.touched.len(), 1);
-        assert_eq!(bin_delta.touched[0].old, vec![0, 3]);
-        assert_eq!(bin_delta.touched[0].new, vec![3]);
+        let (unit, yr, bin, sal) = (
+            AttrSet::EMPTY.bits(),
+            AttrSet::singleton(0).bits(),
+            AttrSet::singleton(1).bits(),
+            AttrSet::singleton(2).bits(),
+        );
+        // Delete row 0: the unit class, yr's {0,1,2} and bin's {0,3} lose
+        // it; under sal, whose only class is {1,5}, it is a singleton.
+        let touched = remove(&mut snap, &[0], 1);
+        assert_eq!(
+            touched,
+            HashMap::from([(unit, true), (yr, true), (bin, true), (sal, false)])
+        );
         // Removal compacts in place without freeing the allocation, and the
         // budget charges the allocation — so resident bytes are unchanged
         // even though the covered rows shrank.
         assert_eq!(snap.partition_bytes(), bytes_before);
-        let unit = &snap.node(0, AttrSet::EMPTY.bits()).unwrap().partition;
-        assert_eq!(unit.covered_rows(), 5);
-        assert_eq!(unit.n_rows(), 6, "physical slots are stable");
-        // A second delete touching only singleton-covered nodes reports
-        // clean deltas for them.
-        let deltas = remove(&mut snap, &[5], 2);
-        assert!(deltas.values().any(|d| d.is_dirty()));
+        let partition = |snap: &DiscoverySnapshot, l: usize, bits: u64| {
+            snap.node(l, bits).unwrap().partition.normalized()
+        };
+        let unit_partition = &snap.node(0, unit).unwrap().partition;
+        assert_eq!(unit_partition.covered_rows(), 5);
+        assert_eq!(unit_partition.n_rows(), 6, "physical slots are stable");
+        assert_eq!(partition(&snap, 1, bin), vec![vec![1, 4], vec![2, 5]]);
+        assert_eq!(partition(&snap, 1, sal), vec![vec![1, 5]]);
+        // Row 5 is covered under every node, sal's {1,5} included, which
+        // the removal drops.
+        let touched = remove(&mut snap, &[5], 2);
+        assert_eq!(
+            touched,
+            HashMap::from([(unit, true), (yr, true), (bin, true), (sal, true)])
+        );
+        assert!(partition(&snap, 1, sal).is_empty());
     }
 
     #[test]

@@ -609,14 +609,13 @@ impl IncrementalDiscovery {
     /// deletions it then makes every retained partition absorb the
     /// tombstones in place ([`DiscoverySnapshot::remove_rows`] — pure class
     /// compaction, no products, mapped over the nodes on the executor, each
-    /// distinct partition once), handing the per-node touched-class deltas
-    /// to the judge, a released sharer its holder's:
+    /// distinct partition once), handing the judge one touched bit per
+    /// retained node, a released sharer its holder's:
     /// cached-valid verdicts are binding under deletes, cached-invalid ones
     /// on untouched contexts too, and the rest settle by a witness-pair
-    /// liveness probe or delta counting over exactly the touched classes
-    /// (falling back to an early-exit re-scan when the delta is large or
-    /// the partition was evicted). Appended rows are then absorbed level by
-    /// level — the two directions threaten disjoint verdict sets.
+    /// liveness probe or, when the pair died or the partition was evicted,
+    /// an early-exit witness search. Appended rows are then absorbed level
+    /// by level — the two directions threaten disjoint verdict sets.
     ///
     /// Each level is generated by [`generate_level`], as one-shot
     /// discovery generates it. A child whose parent this pass's partitions
@@ -662,18 +661,17 @@ impl IncrementalDiscovery {
         // The sharers go, and this pass shares again where its own
         // partitions show the FD still holds.
         let released = self.snapshot.release_shared();
-        let deltas = if pass.deleted.is_empty() {
+        let touched = if pass.deleted.is_empty() {
             None
         } else {
             let span = obs.span_from("remove_rows", &[], mark);
-            let mut deltas = self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?;
+            let mut touched = self.snapshot.remove_rows(pass.deleted, &exec, &cancel)?;
             for (sharer, holder) in released {
-                let delta = Arc::clone(&deltas[&holder]);
-                deltas.insert(sharer, delta);
+                touched.insert(sharer, touched[&holder]);
             }
             mark = Instant::now();
             span.end_at(mark);
-            Some(deltas)
+            Some(touched)
         };
         let enc = self.grow.encoded();
         let live = self.grow.live();
@@ -690,15 +688,15 @@ impl IncrementalDiscovery {
             self.config.fd_check,
             &mut self.cache,
             live,
-            deltas,
+            touched,
             appended > 0,
         );
         let mut m = OdSet::new();
 
         let mut levels: Vec<Level> = vec![build_level0_masked(live, n_attrs)];
         // The unit partition has one all-live-rows class: any append lands
-        // in it. (Delete dirt is tracked by the judge's per-node deltas,
-        // never by this append-dirt flag.)
+        // in it. (Delete dirt is tracked by the judge's per-node touched
+        // bits, never by this append-dirt flag.)
         judge.set_dirty(
             AttrSet::EMPTY.bits(),
             appended > 0 && self.grow.n_live() >= 2,
@@ -707,21 +705,21 @@ impl IncrementalDiscovery {
         if n_attrs > 0 {
             // Level 1: absorb the mutation into the retained
             // single-attribute partitions (already compacted by the
-            // snapshot-wide tombstone removal above); the per-partition
-            // append delta is the ground truth of append-dirtiness.
+            // snapshot-wide tombstone removal above); the append's dirty
+            // bit is the ground truth of append-dirtiness.
             let mut level1 = Level::with_capacity(n_attrs);
             for a in 0..n_attrs {
                 let bits = AttrSet::singleton(a).bits();
                 let (node, dirty) = match old.take_node(1, bits) {
                     Some(mut node) => {
                         if appended > 0 {
-                            let delta = Arc::make_mut(&mut node.partition).append_codes_masked(
+                            let dirty = Arc::make_mut(&mut node.partition).append_codes_masked(
                                 enc.codes(a),
                                 enc.cardinality(a),
                                 live,
                             );
                             judge.counters.partitions_appended += 1;
-                            (node, delta.is_dirty())
+                            (node, dirty)
                         } else {
                             (node, false)
                         }
@@ -803,7 +801,7 @@ impl IncrementalDiscovery {
                         generate_level(&levels[l], enc, n_attrs, plan, true, &exec, pool, &cancel)?;
                     // Apply, in join order. A node is dirty when it covers
                     // an appended row: a shared child when its parent is,
-                    // an absorb when its append delta says so.
+                    // an absorb when its dirty bit says so.
                     for (x, generated) in children {
                         let dirty = match generated {
                             Generated::Shared(p) => {
@@ -815,9 +813,9 @@ impl IncrementalDiscovery {
                                 judge.counters.nodes_recomputed += 1;
                                 appended > 0 && covers_appended_row(&next[&x.bits()].partition, old_n)
                             }
-                            Generated::Absorbed(delta) => {
+                            Generated::Absorbed { dirty } => {
                                 judge.counters.partitions_appended += 1;
-                                delta.is_dirty()
+                                dirty
                             }
                             Generated::Reused => {
                                 judge.counters.nodes_reused += 1;
@@ -840,15 +838,15 @@ impl IncrementalDiscovery {
         }
 
         let advance_span = obs.span_from("advance_snapshot", &[], mark);
-        // Post-pass cache hygiene — drop or degrade the entries this pass
-        // may have changed without re-anchoring; see the judge's
-        // finish_pass docs for the exact rules.
+        // Post-pass cache hygiene — drop the entries this pass may have
+        // changed without re-anchoring; see the judge's finish_pass docs
+        // for the exact rules.
         judge.finish_pass();
         let mut counters = judge.counters.clone();
         drop(judge);
         // Level 0 is not retained: every pass rebuilds it from the liveness
-        // mask, and a delete would compact its one all-rows class only to
-        // report a truncated delta, which the judge reads as a missing one.
+        // mask, and any delete would touch its one all-rows class, which is
+        // what the judge assumes of a context with no touched bit.
         // Index 0 stays, empty, so level indices do not shift.
         levels[0] = Level::new();
         // Successor snapshot: nodes taken from the old one (reused or
@@ -905,7 +903,7 @@ impl IncrementalDiscovery {
 /// Every partition the engine builds keeps class rows in ascending row-id
 /// order (`from_codes` counting sort, `refine` and `absorb_append`
 /// preserving the parent's order, `append_codes` pushing fresh — larger —
-/// ids at the tail, `remove_rows` compacting in place), so checking each
+/// ids at the tail, `remove_rows_masked` compacting in place), so checking each
 /// class's last element suffices: O(#classes), not O(covered rows).
 fn covers_appended_row(p: &StrippedPartition, old_n: usize) -> bool {
     p.classes().iter().any(|class| {
@@ -1015,12 +1013,11 @@ mod tests {
     }
 
     #[test]
-    fn delete_pass_uses_delta_counting() {
+    fn delete_pass_searches_dead_witnesses() {
         // g groups the rows into 4 classes of 6; c is constant within each
         // group (5s in group 0, 7s elsewhere — so {}: [] -> c stays false
         // throughout) except three outliers in the last group, which
-        // falsify {g}: [] -> c with all violations confined to one class —
-        // the regime where the witness → count → delta escalation engages.
+        // falsify {g}: [] -> c with all violations confined to one class.
         let g: Vec<i64> = (0..24).map(|i| i / 6).collect();
         let c: Vec<i64> = (0..24)
             .map(|i| match i {
@@ -1036,25 +1033,28 @@ mod tests {
             .unwrap();
         let mut engine = IncrementalDiscovery::new(&base);
         let gc = CanonicalOd::constancy(AttrSet::singleton(0), 1);
+        let cached = |engine: &IncrementalDiscovery| {
+            engine.cached_verdicts().into_iter().find(|&(od, _)| od == gc).map(|(_, v)| v)
+        };
+        // Validation caches the verdict without a witness.
         assert!(!engine.cover().contains(&gc));
+        assert_eq!(cached(&engine), Some(CachedVerdict::Invalid(None)));
 
-        // First delete kills the initial witness pair: a fresh witness is
-        // searched (no count yet — one death is not a pattern).
-        let r1 = engine.delete_rows(&[21]).unwrap();
-        assert!(r1.counters.revalidated > 0, "{:?}", r1.counters);
-        assert_eq!(r1.counters.recounted, 0, "{:?}", r1.counters);
-        // Second delete kills the fresh witness too: the touched class is
-        // small relative to the context, so the exact violation count is
-        // materialized.
-        let r2 = engine.delete_rows(&[22]).unwrap();
-        assert!(r2.counters.recounted > 0, "{:?}", r2.counters);
-        assert!(!engine.cover().contains(&gc));
-        // Third delete: the count is maintained by an O(touched) delta,
-        // reaches zero, and the OD revives without any partition re-scan.
-        let r3 = engine.delete_rows(&[23]).unwrap();
-        assert!(r3.counters.delta_revalidated > 0, "{:?}", r3.counters);
-        assert!(r3.counters.verdicts_revived > 0, "{:?}", r3.counters);
+        // Each delete touches gc's context and leaves it with no live
+        // witness, so a search over the compacted class {18, …, 23} finds
+        // a fresh pair: each outlier is split from the class's first row.
+        for (row, witness) in [(21, (18, 22)), (22, (18, 23))] {
+            let report = engine.delete_rows(&[row]).unwrap();
+            assert!(report.counters.escalated_searches > 0, "{:?}", report.counters);
+            assert!(!engine.cover().contains(&gc));
+            assert_eq!(cached(&engine), Some(CachedVerdict::Invalid(Some(witness))));
+        }
+        // The last outlier's delete kills the witness again, and the search
+        // finds none: the OD revives.
+        let report = engine.delete_rows(&[23]).unwrap();
+        assert!(report.counters.verdicts_revived > 0, "{:?}", report.counters);
         assert!(engine.cover().contains(&gc), "revived OD missing from cover");
+        assert_eq!(cached(&engine), Some(CachedVerdict::Valid));
         let survivors = RelationBuilder::new()
             .column_i64("g", (0..21).map(|i| i / 6).collect())
             .column_i64("c", (0..21).map(|i| if i < 6 { 5 } else { 7 }).collect())
@@ -1247,9 +1247,8 @@ mod tests {
     }
 
     /// Level 0 is rebuilt from the liveness mask every pass, so no snapshot
-    /// retains it: a delete pass compacts no unit partition, and its delta
-    /// map has no `{}` key, which the judge reads as a touched context with
-    /// no exact delta.
+    /// retains it: a delete pass compacts no unit partition, and its map of
+    /// touched bits has no `{}` key, which the judge reads as touched.
     #[test]
     fn snapshot_retains_no_level_0() {
         let base = fastod_datagen::flight_like(60, 5, 0x5EED);
@@ -1259,13 +1258,13 @@ mod tests {
         let snapshot = engine.snapshot();
         assert!(snapshot.levels()[0].is_empty() && snapshot.node(0, unit).is_none());
         assert!(snapshot.node(1, AttrSet::singleton(0).bits()).is_some());
-        // The delta map the next delete pass hands its judge.
+        // The touched bits the next delete pass hands its judge.
         engine.snapshot.release_shared();
-        let deltas = engine
+        let touched = engine
             .snapshot
             .remove_rows(&[1, 2], &Executor::new(1), &CancelToken::never())
             .unwrap();
-        assert!(!deltas.is_empty() && !deltas.contains_key(&unit));
+        assert!(!touched.is_empty() && !touched.contains_key(&unit));
     }
 
     #[test]

@@ -37,20 +37,18 @@
 //!   valid exactly when its *last* violating pair is deleted — which can
 //!   only happen in a context class that lost a row.
 //!
-//! The boolean verdict cache of the append-only engine leaned on the first
-//! direction alone ("`false` is forever"). Deletions break that, so the
-//! cache now does **violation-count bookkeeping** ([`CachedVerdict`]): an
-//! invalid verdict can carry the exact number of violating pairs, a delete
-//! pass *decrements* it by recounting only the touched classes
-//! (**delta-validation**), and the verdict revives the moment the count
-//! hits zero — no full re-scan. Alongside the count, an invalid entry can
-//! cache one concrete **witness pair**, which re-confirms falseness in
-//! O(1) for as long as both its rows stay live. Counts and witnesses are
-//! materialized lazily (boolean scans early-exit; the first deletes that
-//! need them pay one search or count) and counts degrade when appends make
-//! them stale. An update (delete + append) runs as **one** combined pass:
-//! each cached verdict is threatened by exactly one mutation direction, so
-//! the two monotonicity arguments compose per entry.
+//! The verdict cache ([`CachedVerdict`]) leans on both directions: under
+//! appends a cached `false` is binding, under deletes a cached `true` is.
+//! An invalid entry also caches one concrete **witness pair**, which
+//! re-confirms falseness in O(1) for as long as both its rows stay live,
+//! whatever else is deleted; when a delete kills it, an early-exit search
+//! over the compacted context finds a fresh pair, or finds none and the
+//! verdict revives. Witnesses are materialized lazily:
+//! boolean scans do not report one, so the first delete that touches a
+//! falsified entry's context pays one search. An update (delete + append)
+//! runs as **one** combined pass: each cached verdict is threatened by
+//! exactly one mutation direction, so the two monotonicity arguments
+//! compose per entry.
 //!
 //! The same two directions shape the *cover*: appends retire cover members
 //! by falsifying them (promoting previously-implied ODs into minimality),
@@ -75,7 +73,8 @@
 //!   retained partition absorbs the append by re-splitting just the parent
 //!   classes that gained a row (`StrippedPartition::absorb_append`).
 //!   Deletes are pure class compaction of the retained `Π*_X(r)`
-//!   (`StrippedPartition::remove_rows`): `Π*_X(r ∖ D)` needs no product.
+//!   (`StrippedPartition::remove_rows_masked`): `Π*_X(r ∖ D)` needs no
+//!   product.
 //!   So **every** retained node absorbs every mutation in place, and only
 //!   nodes without a retained partition (new, pruned earlier, or
 //!   budget-evicted) are computed as products. A node whose parent the
@@ -87,10 +86,9 @@
 //!   outright, cached-valid ones on clean contexts too, the rest
 //!   re-validate. Deletes: cached-valid candidates are skipped outright,
 //!   cached-invalid ones on untouched contexts too, and the rest settle by
-//!   the cheapest available certificate — a witness liveness probe (O(1)),
-//!   an exact-count delta over the touched classes (O(touched)), or an
-//!   early-exit witness search; contexts whose partition was evicted under
-//!   the memory budget fall back to that last, full-validation route.
+//!   a witness liveness probe (O(1)) or, when no live witness is cached,
+//!   an early-exit witness search; contexts whose partition was evicted
+//!   under the memory budget count as touched and take the same route.
 //!
 //! The retained lattice ([`fastod::snapshot::DiscoverySnapshot`]) trades
 //! memory — every post-prune node's partition stays resident, under an
@@ -135,5 +133,5 @@ mod judge;
 mod stats;
 
 pub use engine::{IncrementalDiscovery, IncrementalError};
-pub use judge::{CachedVerdict, InvalidEntry};
+pub use judge::CachedVerdict;
 pub use stats::{BatchCounters, BatchReport, IncrementalStats};

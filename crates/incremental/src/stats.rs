@@ -26,19 +26,17 @@ pub struct BatchCounters {
     /// **witness pair** (a violating pair stays violating until one of its
     /// rows is deleted).
     pub witness_skips: usize,
-    /// Cached `false` verdicts resolved by **delta counting** in a delete
-    /// pass: the violation count was adjusted by recounting only the
-    /// context classes the delete touched (the delta-validation win).
-    pub delta_revalidated: usize,
-    /// Cached `false` verdicts whose violation count had to be materialized
-    /// by one full count over the context partition (first delete touching
-    /// them, or a count degraded by an intervening append).
+    /// Always 0: the engine counts no violations, so no count is ever
+    /// materialized. The field remains only because the `maintain`
+    /// workload of the benchmark reads it; it is left out of
+    /// [`BatchCounters::fields`], the [`Display`](fmt::Display) render and
+    /// [`BatchCounters::export_counters`].
     pub recounted: usize,
     /// Cached verdicts that flipped `false → true` in a delete pass — ODs
     /// *revived* because their last violating pair was deleted.
     pub verdicts_revived: usize,
-    /// Delete-pass entries that escalated to a fresh witness search (the
-    /// cheap certificates — liveness probe, count delta — all failed).
+    /// Delete-pass entries on a touched context whose cached witness pair
+    /// was missing or dead, and which escalated to a fresh witness search.
     /// Each batch runs them as one map over the executor's workers; a
     /// subset of [`BatchCounters::revalidated`].
     pub escalated_searches: usize,
@@ -69,18 +67,17 @@ pub struct BatchCounters {
 }
 
 impl BatchCounters {
-    /// Every counter as a `(name, value)` pair, in declaration order — the
-    /// single source for [`BatchCounters::export_counters`] and the
+    /// Every counter but [`recounted`](BatchCounters::recounted) as a
+    /// `(name, value)` pair, in declaration order — the single source for
+    /// [`BatchCounters::export_counters`] and the
     /// [`Display`](fmt::Display) render.
-    pub fn fields(&self) -> [(&'static str, usize); 16] {
+    pub fn fields(&self) -> [(&'static str, usize); 14] {
         [
             ("skipped_false", self.skipped_false),
             ("skipped_clean", self.skipped_clean),
             ("revalidated", self.revalidated),
             ("verdicts_flipped", self.verdicts_flipped),
             ("witness_skips", self.witness_skips),
-            ("delta_revalidated", self.delta_revalidated),
-            ("recounted", self.recounted),
             ("verdicts_revived", self.verdicts_revived),
             ("escalated_searches", self.escalated_searches),
             ("entries_dropped", self.entries_dropped),
@@ -111,8 +108,6 @@ impl BatchCounters {
         self.revalidated += other.revalidated;
         self.verdicts_flipped += other.verdicts_flipped;
         self.witness_skips += other.witness_skips;
-        self.delta_revalidated += other.delta_revalidated;
-        self.recounted += other.recounted;
         self.verdicts_revived += other.verdicts_revived;
         self.escalated_searches += other.escalated_searches;
         self.entries_dropped += other.entries_dropped;

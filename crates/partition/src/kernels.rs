@@ -25,10 +25,9 @@
 //!   code (the smallest on ties).
 //!
 //! Every kernel takes the classes as row slices, so it runs over a
-//! partition's [`crate::Classes`] view or over detached class copies, such
-//! as a [`crate::RemoveDelta`]'s. The buffers live in a caller-owned
-//! [`SwapScratch`], so a validator running thousands of checks allocates
-//! nothing per check.
+//! partition's [`crate::Classes`] view and over detached class copies
+//! alike. The buffers live in a caller-owned [`SwapScratch`], so a
+//! validator running thousands of checks allocates nothing per check.
 //!
 //! The one other order kernel is the paper's τ-scan ([`tau_scan`]), which
 //! walks all rows in `A`-order once instead of sorting each class. It only

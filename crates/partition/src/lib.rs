@@ -24,13 +24,14 @@
 //!   ([`report`]). Each sorts a class once per OD shape — `X: [] ↦ A` by
 //!   `A`, `X: A ~ B` by `(A, B)` — and makes one pass per question over it;
 //!   the paper's τ-scan ([`tau_scan`]) is the one other order kernel, for
-//!   contexts whose classes are large. The counts make cached verdicts
-//!   maintainable under deletions, and the capped removal size serves the
-//!   approximate-OD extension;
+//!   contexts whose classes are large. The counts and the capped removal
+//!   size serve the check/repair surface and the approximate-OD extension;
 //! * mutation support for the incremental engine:
-//!   [`StrippedPartition::remove_rows`] (exact in-place class compaction
-//!   reporting a touched-class [`RemoveDelta`], whose detached classes the
-//!   kernels count over) and tombstone-aware builders
+//!   [`StrippedPartition::remove_rows_masked`] (exact in-place class
+//!   compaction reporting whether the delete touched a class),
+//!   [`StrippedPartition::append_codes`] and
+//!   [`StrippedPartition::absorb_append`] (reporting whether an appended
+//!   row joined a class) and tombstone-aware builders
 //!   ([`StrippedPartition::from_codes_masked`],
 //!   [`StrippedPartition::unit_masked`],
 //!   [`StrippedPartition::append_codes_masked`]).
@@ -47,4 +48,4 @@ pub use kernels::{
 };
 pub use scratch::{ProductScratch, SwapScratch};
 pub use sorted::SortedColumn;
-pub use stripped::{AppendDelta, Classes, ClassesIter, RemoveDelta, StrippedPartition, TouchedClass};
+pub use stripped::{Classes, ClassesIter, StrippedPartition};

@@ -2,75 +2,6 @@
 
 use crate::scratch::{slot_class, ProductScratch};
 
-/// Outcome of [`StrippedPartition::append_codes`]: `new_covered` drives the
-/// incremental engine's dirty-node tracking via [`AppendDelta::is_dirty`].
-#[derive(Clone, Debug, Default)]
-pub struct AppendDelta {
-    /// Appended rows that joined (or formed) a non-singleton class. Empty
-    /// means the partition is structurally unchanged — every new row is a
-    /// singleton — so no dependency with this context can have been broken.
-    pub new_covered: Vec<u32>,
-}
-
-impl AppendDelta {
-    /// Whether any appended row participates in a class — i.e. whether the
-    /// append can invalidate dependencies evaluated against this partition.
-    pub fn is_dirty(&self) -> bool {
-        !self.new_covered.is_empty()
-    }
-}
-
-/// One equivalence class touched by a [`StrippedPartition::remove_rows`]
-/// call: its membership before and after the deleted rows were taken out.
-///
-/// Both row lists are detached copies (ascending row ids), so they stay
-/// valid after the partition compacts — which is what lets the incremental
-/// engine recount an OD's violating pairs over exactly the touched classes
-/// (`old` minus `new` is the delete's contribution) without rescanning the
-/// untouched remainder of the partition.
-#[derive(Clone, Debug)]
-pub struct TouchedClass {
-    /// The class before the removal (still containing the deleted rows).
-    pub old: Vec<u32>,
-    /// The surviving rows. May have fewer than 2 entries, in which case the
-    /// class was dropped from the stripped partition (it no longer pairs
-    /// tuples) but the survivors are still reported here for delta counting.
-    pub new: Vec<u32>,
-}
-
-/// Outcome of [`StrippedPartition::remove_rows`]: the classes the deletion
-/// actually touched. Empty (and not truncated) means the partition is
-/// structurally unchanged — every deleted row was a singleton under this
-/// context — so no verdict evaluated against it can have changed.
-#[derive(Clone, Debug, Default)]
-pub struct RemoveDelta {
-    /// Before/after membership of every class that lost at least one row.
-    /// Capture stops (see [`RemoveDelta::truncated`]) once the copies grow
-    /// past half the partition's covered rows.
-    pub touched: Vec<TouchedClass>,
-    /// The delete touched more class rows than worth copying: `touched` is
-    /// incomplete and must not be used for delta counting — consumers fall
-    /// back to re-validation. (Above the cap a consumer would re-scan
-    /// anyway: delta counting only beats a scan when the touched region is
-    /// a small fraction of the partition.)
-    pub truncated: bool,
-}
-
-impl RemoveDelta {
-    /// Whether the removal touched any class — i.e. whether dependencies
-    /// evaluated against this partition can have changed verdict
-    /// (deletions can only flip `false → true`).
-    pub fn is_dirty(&self) -> bool {
-        self.truncated || !self.touched.is_empty()
-    }
-
-    /// Whether `touched` is the complete touched-class record, usable for
-    /// exact delta counting.
-    pub fn is_exact(&self) -> bool {
-        !self.truncated
-    }
-}
-
 /// A borrowed view of a partition's equivalence classes in CSR form: class
 /// `i` is the contiguous row-id slice `rows[offsets[i]..offsets[i+1]]`.
 ///
@@ -340,114 +271,77 @@ impl StrippedPartition {
         self.n_rows = n_rows;
     }
 
-    /// Removes the given rows from every class, compacting the CSR buffers
-    /// in place and dropping classes that fall below 2 members. This is the
-    /// **delete** counterpart of [`StrippedPartition::append_codes`], and it
-    /// is exact for *any* partition, not just level-1 ones:
+    /// Removes the rows `deleted` flags (`deleted[row]` true ⟺ delete
+    /// `row`) from every class, compacting the CSR buffers in place and
+    /// dropping classes that fall below 2 members. This is the **delete**
+    /// counterpart of [`StrippedPartition::append_codes`], and it is exact
+    /// for *any* partition, not just level-1 ones:
     /// `Π*_X(r ∖ D) = strip(Π*_X(r) ∖ D)` — deleting tuples never merges or
     /// splits surviving classes — so the incremental engine absorbs a delete
-    /// into every retained node without recomputing a single product.
+    /// into every retained node without recomputing a single product. The
+    /// mask is built once per delete and shared by every partition, so each
+    /// membership probe is a single indexed read.
     ///
-    /// `deleted` must be sorted ascending (debug-asserted); it becomes a
-    /// mask for [`StrippedPartition::remove_rows_masked`]. The physical row
-    /// count ([`StrippedPartition::n_rows`]) is unchanged — deleted rows
-    /// become tombstones in the owning relation, they do not shift ids.
-    /// O(1) reads of [`covered_rows`](StrippedPartition::covered_rows) /
+    /// The physical row count ([`StrippedPartition::n_rows`]) is unchanged —
+    /// deleted rows become tombstones in the owning relation, they do not
+    /// shift ids. O(1) reads of
+    /// [`covered_rows`](StrippedPartition::covered_rows) /
     /// [`error`](StrippedPartition::error) stay exact because compaction
     /// shrinks the flat row buffer itself.
     ///
-    /// The returned [`RemoveDelta`] carries before/after copies of exactly
-    /// the classes that lost rows (as long as those copies stay under half
-    /// the covered rows — see [`RemoveDelta::truncated`]); an untouched
-    /// partition returns an empty delta (checked with one scan, no
-    /// rebuild).
-    ///
-    /// ```
-    /// use fastod_partition::StrippedPartition;
-    ///
-    /// // Classes {0..=7} and {8, 9} over 10 rows.
-    /// let mut p = StrippedPartition::from_codes(&[0, 0, 0, 0, 0, 0, 0, 0, 1, 1], 2);
-    /// let delta = p.remove_rows(&[9]);
-    /// // Deleting one of {8, 9} shrinks the class below 2: it is dropped,
-    /// // but the surviving row is still reported for delta counting.
-    /// assert_eq!(p.normalized(), vec![vec![0, 1, 2, 3, 4, 5, 6, 7]]);
-    /// assert!(delta.is_exact());
-    /// assert_eq!(delta.touched.len(), 1);
-    /// assert_eq!(delta.touched[0].old, vec![8, 9]);
-    /// assert_eq!(delta.touched[0].new, vec![8]);
-    /// // Deleting from the big class touches more rows than delta
-    /// // consumers would use: the copies are skipped, only the flag is set.
-    /// let delta = p.remove_rows(&[0]);
-    /// assert!(delta.is_dirty() && delta.truncated && delta.touched.is_empty());
-    /// assert_eq!(p.normalized(), vec![vec![1, 2, 3, 4, 5, 6, 7]]);
-    /// ```
-    pub fn remove_rows(&mut self, deleted: &[u32]) -> RemoveDelta {
-        debug_assert!(deleted.is_sorted(), "deleted row ids must be ascending");
-        if deleted.is_empty() {
-            return RemoveDelta::default();
-        }
-        let mut mask = vec![false; self.n_rows];
-        for &row in deleted {
-            mask[row as usize] = true;
-        }
-        self.remove_rows_masked(&mask)
-    }
-
-    /// [`StrippedPartition::remove_rows`] with the deleted set supplied as a
-    /// mask over the physical rows (`deleted[row]` true ⟺ delete `row`).
-    /// The hot form for snapshot-wide removal: the caller builds the mask
-    /// once and every partition's membership probe is a single indexed read
-    /// instead of a binary search.
+    /// Returns whether the delete touched a class: `false` means every
+    /// deleted row was a singleton under `X`, so the partition is unchanged
+    /// and no verdict evaluated against it can have changed.
     ///
     /// One block-wise scan finds the deleted rows' positions in the row
     /// buffer, and a binary search on the class offsets finds their
     /// classes. Only those classes are rewritten: each run of untouched
     /// classes between them moves with one `copy_within` and one shift of
     /// its offsets.
-    pub fn remove_rows_masked(&mut self, deleted: &[bool]) -> RemoveDelta {
+    ///
+    /// ```
+    /// use fastod_partition::StrippedPartition;
+    ///
+    /// // Classes {0..=7} and {8, 9} over 10 rows, 10 a singleton.
+    /// let mut p = StrippedPartition::from_codes(&[0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 2], 3);
+    /// let mut deleted = vec![false; 11];
+    /// deleted[9] = true;
+    /// // Deleting one of {8, 9} shrinks the class below 2: it is dropped.
+    /// assert!(p.remove_rows_masked(&deleted));
+    /// assert_eq!(p.normalized(), vec![vec![0, 1, 2, 3, 4, 5, 6, 7]]);
+    /// // Deleting a singleton touches no class.
+    /// let mut deleted = vec![false; 11];
+    /// deleted[10] = true;
+    /// assert!(!p.remove_rows_masked(&deleted));
+    /// assert_eq!(p.normalized(), vec![vec![0, 1, 2, 3, 4, 5, 6, 7]]);
+    /// ```
+    pub fn remove_rows_masked(&mut self, deleted: &[bool]) -> bool {
         debug_assert_eq!(deleted.len(), self.n_rows);
         let hits = self.deleted_positions(deleted);
         if hits.is_empty() {
-            return RemoveDelta::default();
+            return false;
         }
-        // The touched classes, ascending, each with its number of deleted
-        // rows. Positions ascend, so each search starts at the last class.
-        let mut hit_classes: Vec<(usize, usize)> = Vec::new();
+        // The touched classes, ascending. Positions ascend, so each search
+        // starts at the last class.
+        let mut hit_classes: Vec<usize> = Vec::new();
         let mut ci = 0usize;
         for &pos in &hits {
             ci += self.class_offsets[ci + 1..].partition_point(|&end| end <= pos);
-            match hit_classes.last_mut() {
-                Some((last, n)) if *last == ci => *n += 1,
-                _ => hit_classes.push((ci, 1)),
+            if hit_classes.last() != Some(&ci) {
+                hit_classes.push(ci);
             }
         }
-        // Touched-class copies are only useful to delta-counting consumers,
-        // which give up once the touched region passes half the covered
-        // rows: past that, skip the copies and flag the delta as truncated.
-        let copied: usize = hit_classes
-            .iter()
-            .map(|&(ci, n)| {
-                let len = (self.class_offsets[ci + 1] - self.class_offsets[ci]) as usize;
-                2 * len - n
-            })
-            .sum();
-        let capture = copied <= self.rows.len() / 2;
-        let mut delta = RemoveDelta {
-            touched: Vec::with_capacity(if capture { hit_classes.len() } else { 0 }),
-            truncated: !capture,
-        };
         // Compact in place. The write cursors trail the read window, so a
         // class's rows and end offset are intact until it is read; its
         // start offset may not be, so `read` carries it.
         let mut cursor = Compaction { read: 0, write: 0, out_classes: 0 };
         // First class of the pending untouched run.
         let mut run_from = 0usize;
-        for &(ci, _) in &hit_classes {
+        for &ci in &hit_classes {
             self.move_class_run(run_from..ci, &mut cursor);
             run_from = ci + 1;
             let (lo, hi) = (cursor.read, self.class_offsets[ci + 1] as usize);
             cursor.read = hi;
-            let old = capture.then(|| self.rows[lo..hi].to_vec());
             let start = cursor.write;
             let mut write = start;
             for i in lo..hi {
@@ -456,12 +350,6 @@ impl StrippedPartition {
                     self.rows[write] = row;
                     write += 1;
                 }
-            }
-            if let Some(old) = old {
-                delta.touched.push(TouchedClass {
-                    old,
-                    new: self.rows[start..write].to_vec(),
-                });
             }
             if write - start >= 2 {
                 cursor.out_classes += 1;
@@ -472,7 +360,7 @@ impl StrippedPartition {
         self.move_class_run(run_from..self.n_classes(), &mut cursor);
         self.rows.truncate(cursor.write);
         self.class_offsets.truncate(cursor.out_classes + 1);
-        delta
+        true
     }
 
     /// Positions in the row buffer of the rows `deleted` flags, ascending.
@@ -529,10 +417,15 @@ impl StrippedPartition {
     /// sequential write (joining rows land at their class's tail, keeping
     /// classes in ascending row-id order).
     ///
+    /// Returns whether some appended row joined (or formed) a class: `false`
+    /// means every new row is a singleton, so the partition is structurally
+    /// unchanged and no dependency with this context can have been broken.
+    /// The incremental engine tracks dirty lattice nodes by this bit.
+    ///
     /// Cost: O(cardinality + covered rows + Δ), plus one O(old rows) scan
     /// only when some new row's code belongs to an old singleton or unseen
     /// code.
-    pub fn append_codes(&mut self, codes: &[u32], cardinality: u32) -> AppendDelta {
+    pub fn append_codes(&mut self, codes: &[u32], cardinality: u32) -> bool {
         self.append_codes_impl(codes, cardinality, None)
     }
 
@@ -543,12 +436,7 @@ impl StrippedPartition {
     /// appended rows (`self.n_rows()..codes.len()`) are always live, since a
     /// delete can only target rows that existed before the append, and
     /// `live` must already span the full new length.
-    pub fn append_codes_masked(
-        &mut self,
-        codes: &[u32],
-        cardinality: u32,
-        live: &[bool],
-    ) -> AppendDelta {
+    pub fn append_codes_masked(&mut self, codes: &[u32], cardinality: u32, live: &[bool]) -> bool {
         debug_assert_eq!(codes.len(), live.len());
         debug_assert!(live[self.n_rows..].iter().all(|&l| l), "appended rows must be live");
         self.append_codes_impl(codes, cardinality, Some(live))
@@ -559,15 +447,14 @@ impl StrippedPartition {
         codes: &[u32],
         cardinality: u32,
         live: Option<&[bool]>,
-    ) -> AppendDelta {
+    ) -> bool {
         let old_n = self.n_rows;
         let new_n = codes.len();
         debug_assert!(new_n >= old_n, "code column shrank");
         let card = cardinality as usize;
         debug_assert!(codes.iter().all(|&c| (c as usize) < card.max(1)));
-        let mut delta = AppendDelta::default();
         if new_n == old_n {
-            return delta;
+            return false;
         }
         let k = self.n_classes();
 
@@ -582,6 +469,7 @@ impl StrippedPartition {
         // First pass over the new rows: joiners counted per class, orphans
         // bucketed by code (flat `(group, row)` pairs — no per-class Vecs).
         let mut extra: Vec<u32> = vec![0; k];
+        let mut joiners = 0usize;
         let mut orphans: Vec<(u32, u32)> = Vec::new();
         let mut n_groups = 0u32;
         for (row, &code_u32) in codes.iter().enumerate().skip(old_n) {
@@ -589,7 +477,7 @@ impl StrippedPartition {
             let ci = class_idx[code];
             if ci != u32::MAX && (ci as usize) < k {
                 extra[ci as usize] += 1;
-                delta.new_covered.push(row as u32);
+                joiners += 1;
             } else {
                 if ci == u32::MAX {
                     class_idx[code] = k as u32 + n_groups;
@@ -630,7 +518,7 @@ impl StrippedPartition {
         // Rebuild the CSR buffers: old classes (plus their joiners at the
         // tail), then surviving orphan groups in first-encounter order.
         let surviving: u32 = group_size.iter().filter(|&&s| s >= 2).sum();
-        let grown = self.rows.len() + delta.new_covered.len() + surviving as usize;
+        let grown = self.rows.len() + joiners + surviving as usize;
         let mut rows = vec![0u32; grown];
         let mut class_offsets =
             Vec::with_capacity(k + 1 + group_size.iter().filter(|&&s| s >= 2).count());
@@ -675,21 +563,12 @@ impl StrippedPartition {
                 group_cursor[oi as usize] = cur + 1;
             }
         }
-        // Delta rows of surviving orphan groups, in group-major order (the
-        // written segments already hold them in the right order).
-        for (ci, w) in class_offsets.windows(2).enumerate().skip(k) {
-            debug_assert!(ci >= k);
-            for &row in &rows[w[0] as usize..w[1] as usize] {
-                if (row as usize) >= old_n {
-                    delta.new_covered.push(row);
-                }
-            }
-        }
         debug_assert_eq!(end as usize, grown);
         self.rows = rows;
         self.class_offsets = class_offsets;
         self.n_rows = new_n;
-        delta
+        // A surviving orphan group holds at least one appended row.
+        joiners > 0 || surviving > 0
     }
 
     /// Merges appended rows into the retained partition of a lattice node
@@ -719,8 +598,9 @@ impl StrippedPartition {
     /// first-encounter order.
     ///
     /// Cost: O(classes of both partitions + rows of the stamped parent
-    /// classes), plus moving kept classes over dropped ones. The returned
-    /// delta lists the appended rows now covered by a class.
+    /// classes), plus moving kept classes over dropped ones. Returns
+    /// whether some appended row is now covered by a class, as
+    /// [`append_codes`](StrippedPartition::append_codes) does.
     ///
     /// ```
     /// use fastod_partition::{ProductScratch, StrippedPartition};
@@ -733,10 +613,10 @@ impl StrippedPartition {
     /// let mut pga = pa_old.product_simple(&pg_old);
     /// assert_eq!(pga.normalized(), vec![vec![2, 3]]);
     /// let pg = StrippedPartition::from_codes(&g, 3);
-    /// let delta = pga.absorb_append(&pg, &a, 8, &mut ProductScratch::new());
+    /// let dirty = pga.absorb_append(&pg, &a, 8, &mut ProductScratch::new());
     /// // Row 4 joins row 1 under (g, a) = (0, 6); row 5 stays a singleton.
     /// assert_eq!(pga.normalized(), vec![vec![1, 4], vec![2, 3]]);
-    /// assert_eq!(delta.new_covered, vec![4]);
+    /// assert!(dirty);
     /// ```
     pub fn absorb_append(
         &mut self,
@@ -744,14 +624,14 @@ impl StrippedPartition {
         codes: &[u32],
         cardinality: u32,
         scratch: &mut ProductScratch,
-    ) -> AppendDelta {
+    ) -> bool {
         let old_n = self.n_rows;
         let new_n = parent.n_rows;
         debug_assert!(new_n >= old_n, "relations only grow");
         debug_assert_eq!(codes.len(), new_n);
         self.n_rows = new_n;
         if new_n == old_n {
-            return AppendDelta::default();
+            return false;
         }
         let gained = |class: &&[u32]| class.last().is_some_and(|&row| row as usize >= old_n);
         let epoch = scratch.begin(new_n, cardinality as usize);
@@ -792,14 +672,7 @@ impl StrippedPartition {
         self.rows.extend_from_slice(&split.rows);
         self.class_offsets.reserve_exact(split.offsets.len());
         self.class_offsets.extend_from_slice(&split.offsets);
-        let new_covered = split
-            .rows
-            .iter()
-            .copied()
-            .filter(|&row| row as usize >= old_n);
-        AppendDelta {
-            new_covered: new_covered.collect(),
-        }
+        split.rows.iter().any(|&row| row as usize >= old_n)
     }
 
     /// The non-singleton equivalence classes as a CSR view.
@@ -1179,25 +1052,20 @@ mod tests {
         let full: Vec<u32> = old_codes.iter().chain(new_codes).copied().collect();
         let card = full.iter().max().map_or(0, |&m| m + 1);
         let mut incr = StrippedPartition::from_codes(old_codes, card);
-        let delta = incr.append_codes(&full, card);
+        let dirty = incr.append_codes(&full, card);
         let fresh = StrippedPartition::from_codes(&full, card);
         assert_eq!(incr, fresh, "old={old_codes:?} new={new_codes:?}");
         // The CSR invariant survives the append: classes in row order.
         for class in incr.classes() {
             assert!(class.is_sorted(), "append broke row order: {class:?}");
         }
-        // Delta covers exactly the appended rows that are non-singletons now.
-        let mut expected: Vec<u32> = fresh
+        // Dirty iff some appended row is covered now.
+        let covered = fresh
             .classes()
             .iter()
             .flatten()
-            .copied()
-            .filter(|&r| (r as usize) >= old_codes.len())
-            .collect();
-        expected.sort_unstable();
-        let mut got = delta.new_covered.clone();
-        got.sort_unstable();
-        assert_eq!(got, expected);
+            .any(|&r| (r as usize) >= old_codes.len());
+        assert_eq!(dirty, covered, "old={old_codes:?} new={new_codes:?}");
     }
 
     #[test]
@@ -1222,12 +1090,10 @@ mod tests {
     fn append_codes_delta_dirtiness() {
         let mut p = StrippedPartition::from_codes(&[0, 0, 1], 4);
         // Singleton-only batch: clean.
-        let d = p.append_codes(&[0, 0, 1, 2, 3], 4);
-        assert!(!d.is_dirty());
+        assert!(!p.append_codes(&[0, 0, 1, 2, 3], 4));
         // Batch joining the {0,0} class: dirty.
-        let d = p.append_codes(&[0, 0, 1, 2, 3, 0], 4);
-        assert!(d.is_dirty());
-        assert_eq!(d.new_covered, vec![5]);
+        assert!(p.append_codes(&[0, 0, 1, 2, 3, 0], 4));
+        assert_eq!(p.normalized(), vec![vec![0, 1, 5]]);
     }
     #[test]
     fn append_codes_randomized_against_rebuild() {
@@ -1260,47 +1126,33 @@ mod tests {
         assert_eq!(p.product_simple(&u), p);
     }
 
+    /// The deletion mask over `n` rows that flags `deleted`.
+    fn mask(n: usize, deleted: &[u32]) -> Vec<bool> {
+        let mut mask = vec![false; n];
+        for &row in deleted {
+            mask[row as usize] = true;
+        }
+        mask
+    }
+
     /// Removing rows incrementally must agree with rebuilding the partition
     /// from the surviving (masked) codes.
     fn check_remove(codes: &[u32], deleted: &[u32]) {
         let card = codes.iter().max().map_or(0, |&m| m + 1);
         let mut incr = StrippedPartition::from_codes(codes, card);
         let before = incr.clone();
-        let delta = incr.remove_rows(deleted);
-        let live: Vec<bool> = (0..codes.len() as u32)
-            .map(|r| deleted.binary_search(&r).is_err())
-            .collect();
+        let deleted = mask(codes.len(), deleted);
+        let touched = incr.remove_rows_masked(&deleted);
+        let live: Vec<bool> = deleted.iter().map(|&d| !d).collect();
         let fresh = StrippedPartition::from_codes_masked(codes, card, &live);
         assert_eq!(incr, fresh, "codes={codes:?} deleted={deleted:?}");
         assert_eq!(incr.n_rows(), codes.len(), "physical slots must not shrink");
         for class in incr.classes() {
             assert!(class.is_sorted(), "removal broke row order: {class:?}");
         }
-        // The delta reports exactly the classes that lost a member, with
-        // consistent before/after membership — unless the touched volume
-        // passed the capture cap, in which case only the flag remains.
-        let lost_classes = before
-            .classes()
-            .iter()
-            .filter(|c| c.iter().any(|row| deleted.binary_search(row).is_ok()))
-            .count();
-        if delta.is_exact() {
-            assert_eq!(delta.touched.len(), lost_classes);
-            for t in &delta.touched {
-                let expect_new: Vec<u32> = t
-                    .old
-                    .iter()
-                    .copied()
-                    .filter(|row| deleted.binary_search(row).is_err())
-                    .collect();
-                assert_eq!(t.new, expect_new);
-                assert!(t.new.len() < t.old.len());
-            }
-        } else {
-            assert!(delta.touched.is_empty(), "truncated deltas carry no copies");
-            assert!(lost_classes > 0);
-        }
-        assert_eq!(delta.is_dirty(), lost_classes > 0);
+        // Touched iff some class lost a member.
+        let lost = before.classes().iter().flatten().any(|&row| deleted[row as usize]);
+        assert_eq!(touched, lost, "codes={codes:?} deleted={deleted:?}");
     }
 
     #[test]
@@ -1371,16 +1223,14 @@ mod tests {
         let mut p = StrippedPartition::from_codes_masked(&codes_old, 2, &live[..3]);
         assert!(p.is_superkey(), "rows 1 (dead) and 2 do not form a class");
         let full = vec![0u32, 1, 1, 1];
-        let delta = p.append_codes_masked(&full, 2, &live);
+        assert!(p.append_codes_masked(&full, 2, &live));
         assert_eq!(p.normalized(), vec![vec![2, 3]]);
-        assert_eq!(delta.new_covered, vec![3]);
         // A dead old singleton must not resurrect: append code 0 twice —
         // they pair with the live row 0, never with a tombstone.
         let mut q = StrippedPartition::from_codes_masked(&[0, 0], 1, &[true, false]);
         assert!(q.is_superkey());
-        let d = q.append_codes_masked(&[0, 0, 0], 1, &[true, false, true]);
+        assert!(q.append_codes_masked(&[0, 0, 0], 1, &[true, false, true]));
         assert_eq!(q.normalized(), vec![vec![0, 2]]);
-        assert_eq!(d.new_covered, vec![2]);
     }
 
     #[test]
@@ -1402,7 +1252,7 @@ mod tests {
         assert!(before >= (10 + 3) * 4);
         // Removal compacts in place: logical size shrinks, the allocation
         // does not — the budget must keep charging the allocation.
-        p.remove_rows(&[8, 9]);
+        assert!(p.remove_rows_masked(&mask(10, &[8, 9])));
         assert_eq!(p.covered_rows(), 8);
         assert_eq!(p.memory_bytes(), before);
         // A reallocated copy keeps the bytes the budget charges; a clone

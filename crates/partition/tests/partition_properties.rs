@@ -76,30 +76,19 @@ fn key_partition(cols: &[Vec<u32>], n: usize, deleted: &[bool]) -> StrippedParti
 }
 
 /// `remove_rows_masked` by definition: filter each class in order, drop
-/// classes under 2 rows. Returns the CSR buffers, the `(old, new)` copies
-/// of the touched classes and the truncation flag. Copies are skipped, and
-/// the delta flagged truncated, when they would hold more than half the
-/// covered rows.
-type RemoveReference = (Vec<u32>, Vec<u32>, Vec<(Vec<u32>, Vec<u32>)>, bool);
-
-fn remove_reference(p: &StrippedPartition, deleted: &[bool]) -> RemoveReference {
-    let (mut rows, mut offsets, mut touched) = (Vec::new(), vec![0u32], Vec::new());
+/// classes under 2 rows. Returns the CSR buffers and whether some class
+/// lost a row.
+fn remove_reference(p: &StrippedPartition, deleted: &[bool]) -> (Vec<u32>, Vec<u32>, bool) {
+    let (mut rows, mut offsets, mut touched) = (Vec::new(), vec![0u32], false);
     for class in p.classes() {
         let kept: Vec<u32> = class.iter().copied().filter(|&r| !deleted[r as usize]).collect();
-        if kept.len() < class.len() {
-            touched.push((class.to_vec(), kept.clone()));
-        }
+        touched |= kept.len() < class.len();
         if kept.len() >= 2 {
             rows.extend_from_slice(&kept);
             offsets.push(rows.len() as u32);
         }
     }
-    let copied: usize = touched.iter().map(|(old, new)| old.len() + new.len()).sum();
-    let truncated = copied > p.covered_rows() / 2;
-    if truncated {
-        touched.clear();
-    }
-    (rows, offsets, touched, truncated)
+    (rows, offsets, touched)
 }
 
 proptest! {
@@ -145,15 +134,11 @@ proptest! {
             3 => mask.fill(true),
             _ => mask = random,
         }
-        let (rows, offsets, touched, truncated) = remove_reference(&p, &mask);
+        let (rows, offsets, touched) = remove_reference(&p, &mask);
         let mut got = p.clone();
-        let delta = got.remove_rows_masked(&mask);
+        prop_assert_eq!(got.remove_rows_masked(&mask), touched);
         prop_assert_eq!(got.raw_csr(), (&rows[..], &offsets[..]));
         prop_assert_eq!(got.n_rows(), n);
-        let got_touched: Vec<(Vec<u32>, Vec<u32>)> =
-            delta.touched.iter().map(|t| (t.old.clone(), t.new.clone())).collect();
-        prop_assert_eq!(got_touched, touched);
-        prop_assert_eq!(delta.truncated, truncated);
     }
 
     #[test]
@@ -332,7 +317,7 @@ proptest! {
         let other = key_partition(&cols[1..], n, &deleted);
         let fresh = other.product_simple(&parent);
         let mut scratch = fastod_partition::ProductScratch::new();
-        let delta = absorbed.absorb_append(&parent, a, dense(a), &mut scratch);
+        let dirty = absorbed.absorb_append(&parent, a, dense(a), &mut scratch);
 
         prop_assert_eq!(&absorbed, &fresh);
         for class in absorbed.classes() {
@@ -341,24 +326,18 @@ proptest! {
         // Any parent serves: through `X ∖ {col 0}`, re-splitting by column
         // 0, the partition is the same and keeps rows ascending.
         let mut through_other = before.clone();
-        let other_delta = through_other.absorb_append(&other, &cols[0], dense(&cols[0]), &mut scratch);
+        let other_dirty = through_other.absorb_append(&other, &cols[0], dense(&cols[0]), &mut scratch);
         prop_assert_eq!(&through_other, &fresh);
         for class in through_other.classes() {
             prop_assert!(class.is_sorted(), "{:?}", class);
         }
-        let mut other_covered = other_delta.new_covered;
-        other_covered.sort_unstable();
-        let mut covered: Vec<u32> = fresh.classes().iter().flatten().copied()
-            .filter(|&row| row as usize >= old_n).collect();
-        covered.sort_unstable();
-        let mut got = delta.new_covered.clone();
-        got.sort_unstable();
-        prop_assert_eq!(&got, &covered);
-        prop_assert_eq!(&other_covered, &covered);
-        prop_assert_eq!(delta.is_dirty(), !covered.is_empty());
+        // Dirty iff some appended row is covered in the rebuilt partition.
+        let covered = fresh.classes().iter().flatten().any(|&row| row as usize >= old_n);
+        prop_assert_eq!(dirty, covered);
+        prop_assert_eq!(other_dirty, covered);
         let gained = |class: &[u32]| class.last().is_some_and(|&row| row as usize >= old_n);
         if tail == 1 {
-            prop_assert!(!delta.is_dirty());
+            prop_assert!(!dirty);
             prop_assert_eq!(absorbed.raw_csr(), before.raw_csr());
         }
         if tail == 2 {

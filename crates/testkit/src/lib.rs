@@ -7,8 +7,8 @@
 //! implementations. See [`oracle`] for the ground-truth enumerator
 //! ([`oracle_minimal_cover`]), its per-OD building blocks
 //! ([`oracle_valid_ods`]), and the definitional violation counter
-//! ([`oracle_violation_count`]) that pins the incremental engine's
-//! delete-time delta counting. [`differential`] adds the scenario harness:
+//! ([`oracle_violation_count`]) that pins the violation counts the check
+//! surface reports. [`differential`] adds the scenario harness:
 //! one adversarial workload pushed through one-shot, parallel, incremental
 //! and serving execution paths, with every cover checked for set equality
 //! and — within the brute-force budget — against the oracle. [`chaos`]

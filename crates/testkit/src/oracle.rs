@@ -260,8 +260,8 @@ impl SubsetIndex {
 ///
 /// Quadratic in rows and independent of the partition machinery; it pins
 /// the sub-quadratic counter in `fastod-partition` (`count_violations`)
-/// that the incremental engine's delete-time delta-validation relies on.
-/// Zero iff the OD holds.
+/// behind the violation counts of `CheckReport` and
+/// `residual_violations`. Zero iff the OD holds.
 pub fn oracle_violation_count(enc: &EncodedRelation, od: &CanonicalOd) -> u64 {
     let n = enc.n_rows();
     let mut count = 0u64;
