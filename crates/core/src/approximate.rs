@@ -4,7 +4,8 @@
 //!
 //! An OD is **ε-approximately valid** when deleting at most `⌊ε·|r|⌋` tuples
 //! makes it hold exactly (the `g₃`-style removal error, computed per
-//! context class; see `fastod-partition::errors`). Both error measures are
+//! context class by [`fastod_partition::removal_size`] in the partition
+//! crate's one kernel module, `kernels.rs`). Both error measures are
 //! monotone under context refinement, so the lattice machinery carries over
 //! with one change: the Lemma-5 candidate removal (Algorithm 3 line 14) is
 //! disabled because the Strengthen axiom composes error budgets additively

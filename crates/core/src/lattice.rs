@@ -492,11 +492,7 @@ fn level1_of(enc: &EncodedRelation, partitions: Vec<StrippedPartition>) -> Level
 /// Builds level 0: the single `{}` node with the unit partition and
 /// `C⁺c({}) = R` (Algorithm 1, lines 1–3).
 pub fn build_level0(n_rows: usize, n_attrs: usize) -> Level {
-    let mut level = Level::with_capacity(1);
-    let mut node = Node::new(StrippedPartition::unit(n_rows), n_attrs);
-    node.cc = AttrSet::full(n_attrs);
-    level.insert(AttrSet::EMPTY.bits(), node);
-    level
+    level0_of(StrippedPartition::unit(n_rows), n_attrs)
 }
 
 /// [`build_level0`] for a relation with tombstones: the unit partition
@@ -504,8 +500,13 @@ pub fn build_level0(n_rows: usize, n_attrs: usize) -> Level {
 /// [`StrippedPartition::unit_masked`]). With an all-`true` mask this equals
 /// `build_level0(live.len(), n_attrs)`.
 pub fn build_level0_masked(live: &[bool], n_attrs: usize) -> Level {
+    level0_of(StrippedPartition::unit_masked(live), n_attrs)
+}
+
+/// The level-0 node over `unit`, with `C⁺c({}) = R`.
+fn level0_of(unit: StrippedPartition, n_attrs: usize) -> Level {
     let mut level = Level::with_capacity(1);
-    let mut node = Node::new(StrippedPartition::unit_masked(live), n_attrs);
+    let mut node = Node::new(unit, n_attrs);
     node.cc = AttrSet::full(n_attrs);
     level.insert(AttrSet::EMPTY.bits(), node);
     level

@@ -136,15 +136,7 @@ impl StrippedPartition {
     /// The partition `Π*_{{}}` of the empty attribute set: one class holding
     /// every row (or no class at all for relations with < 2 rows).
     pub fn unit(n_rows: usize) -> StrippedPartition {
-        if n_rows >= 2 {
-            StrippedPartition::from_csr(
-                n_rows,
-                (0..n_rows as u32).collect(),
-                vec![0, n_rows as u32],
-            )
-        } else {
-            StrippedPartition::from_csr(n_rows, Vec::new(), vec![0])
-        }
+        StrippedPartition::unit_of(n_rows, (0..n_rows as u32).collect())
     }
 
     /// The unit partition over the **live** rows of a relation with
@@ -154,24 +146,50 @@ impl StrippedPartition {
     ///
     /// With an all-`true` mask this equals [`StrippedPartition::unit`].
     pub fn unit_masked(live: &[bool]) -> StrippedPartition {
-        let rows: Vec<u32> = (0..live.len() as u32).filter(|&r| live[r as usize]).collect();
+        let rows = (0..live.len() as u32).filter(|&r| live[r as usize]).collect();
+        StrippedPartition::unit_of(live.len(), rows)
+    }
+
+    /// The one class `rows` over `n_rows` slots, if it has two rows or more.
+    fn unit_of(n_rows: usize, rows: Vec<u32>) -> StrippedPartition {
         if rows.len() >= 2 {
             let end = rows.len() as u32;
-            StrippedPartition::from_csr(live.len(), rows, vec![0, end])
+            StrippedPartition::from_csr(n_rows, rows, vec![0, end])
         } else {
-            StrippedPartition::from_csr(live.len(), Vec::new(), vec![0])
+            StrippedPartition::from_csr(n_rows, Vec::new(), vec![0])
         }
     }
 
     /// Builds `Π*_{{A}}` from a dense-rank code column via counting sort,
     /// O(n + cardinality), writing straight into the flat CSR buffers.
     pub fn from_codes(codes: &[u32], cardinality: u32) -> StrippedPartition {
-        let n = codes.len();
+        StrippedPartition::from_live_codes(codes, cardinality, |_| true)
+    }
+
+    /// [`StrippedPartition::from_codes`] over the **live** rows only: dead
+    /// (tombstoned) rows are treated as absent — they join no class and a
+    /// code left with a single live occurrence is a singleton. Codes of dead
+    /// rows are never read. With an all-`true` mask this equals
+    /// `from_codes`.
+    pub fn from_codes_masked(codes: &[u32], cardinality: u32, live: &[bool]) -> StrippedPartition {
+        debug_assert_eq!(codes.len(), live.len());
+        StrippedPartition::from_live_codes(codes, cardinality, |row| live[row])
+    }
+
+    /// The counting sort behind both builders. `live` is a closure the
+    /// compiler inlines, so `from_codes` pays no per-row branch.
+    fn from_live_codes(
+        codes: &[u32],
+        cardinality: u32,
+        live: impl Fn(usize) -> bool,
+    ) -> StrippedPartition {
         let card = cardinality as usize;
-        debug_assert!(codes.iter().all(|&c| (c as usize) < card.max(1)));
         let mut counts = vec![0u32; card];
-        for &c in codes {
-            counts[c as usize] += 1;
+        for (row, &c) in codes.iter().enumerate() {
+            if live(row) {
+                debug_assert!((c as usize) < card.max(1));
+                counts[c as usize] += 1;
+            }
         }
         // One class per code occurring at least twice, in ascending code
         // order; `cursor[code]` doubles as the class's write position.
@@ -187,44 +205,7 @@ impl StrippedPartition {
         }
         let mut rows = vec![0u32; total as usize];
         for (row, &c) in codes.iter().enumerate() {
-            let cur = cursor[c as usize];
-            if cur != u32::MAX {
-                rows[cur as usize] = row as u32;
-                cursor[c as usize] = cur + 1;
-            }
-        }
-        StrippedPartition::from_csr(n, rows, class_offsets)
-    }
-
-    /// [`StrippedPartition::from_codes`] over the **live** rows only: dead
-    /// (tombstoned) rows are treated as absent — they join no class and a
-    /// code left with a single live occurrence is a singleton. Codes of dead
-    /// rows are never read. With an all-`true` mask this equals
-    /// `from_codes`.
-    pub fn from_codes_masked(codes: &[u32], cardinality: u32, live: &[bool]) -> StrippedPartition {
-        debug_assert_eq!(codes.len(), live.len());
-        let n = codes.len();
-        let card = cardinality as usize;
-        let mut counts = vec![0u32; card];
-        for (row, &c) in codes.iter().enumerate() {
-            if live[row] {
-                debug_assert!((c as usize) < card.max(1));
-                counts[c as usize] += 1;
-            }
-        }
-        let mut class_offsets = vec![0u32];
-        let mut cursor: Vec<u32> = vec![u32::MAX; card];
-        let mut total = 0u32;
-        for (code, &count) in counts.iter().enumerate() {
-            if count >= 2 {
-                cursor[code] = total;
-                total += count;
-                class_offsets.push(total);
-            }
-        }
-        let mut rows = vec![0u32; total as usize];
-        for (row, &c) in codes.iter().enumerate() {
-            if !live[row] {
+            if !live(row) {
                 continue;
             }
             let cur = cursor[c as usize];
@@ -233,7 +214,7 @@ impl StrippedPartition {
                 cursor[c as usize] = cur + 1;
             }
         }
-        StrippedPartition::from_csr(n, rows, class_offsets)
+        StrippedPartition::from_csr(codes.len(), rows, class_offsets)
     }
 
     /// Builds a partition directly from materialized classes. Singleton

@@ -95,24 +95,35 @@ impl ColumnData {
     /// it assigning ranks.
     pub fn rank_encode(&self) -> (Vec<u32>, u32) {
         match self {
-            ColumnData::Int(v) => rank_encode_by(v, |a, b| a.cmp(b)),
-            ColumnData::Float(v) => rank_encode_by(v, |a, b| a.total_cmp(b)),
-            ColumnData::Str(v) => rank_encode_by(v, |a, b| a.cmp(b)),
-            ColumnData::Date(v) => rank_encode_by(v, |a, b| a.cmp(b)),
+            ColumnData::Int(v) => rank_encode_by(v, None, |a, b| a.cmp(b)),
+            ColumnData::Float(v) => rank_encode_by(v, None, |a, b| a.total_cmp(b)),
+            ColumnData::Str(v) => rank_encode_by(v, None, |a, b| a.cmp(b)),
+            ColumnData::Date(v) => rank_encode_by(v, None, |a, b| a.cmp(b)),
         }
     }
 }
 
+/// Dense-ranks `values` under `cmp`: sorts a permutation of the row ids by
+/// value, then walks it assigning ranks. With `nulls`, the rows its mask
+/// marks are left out of the sort and share one dedicated rank, placed by
+/// the policy: 0 under [`NullPolicy::First`] (the value ranks shift up by
+/// one), the largest rank under [`NullPolicy::Last`]. The cardinality
+/// counts the null rank.
 fn rank_encode_by<T>(
     values: &[T],
+    nulls: Option<(&[bool], NullPolicy)>,
     cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
 ) -> (Vec<u32>, u32) {
     let n = values.len();
-    let mut order: Vec<u32> = (0..n as u32).collect();
+    let mut order: Vec<u32> = match nulls {
+        None => (0..n as u32).collect(),
+        Some((mask, _)) => (0..n as u32).filter(|&i| !mask[i as usize]).collect(),
+    };
     order.sort_unstable_by(|&a, &b| cmp(&values[a as usize], &values[b as usize]));
+    let offset = u32::from(matches!(nulls, Some((_, NullPolicy::First))));
     let mut codes = vec![0u32; n];
     let mut rank = 0u32;
-    for i in 0..n {
+    for i in 0..order.len() {
         if i > 0 {
             let prev = order[i - 1] as usize;
             let cur = order[i] as usize;
@@ -120,10 +131,22 @@ fn rank_encode_by<T>(
                 rank += 1;
             }
         }
-        codes[order[i] as usize] = rank;
+        codes[order[i] as usize] = rank + offset;
     }
-    let cardinality = if n == 0 { 0 } else { rank + 1 };
-    (codes, cardinality)
+    let value_card = if order.is_empty() { 0 } else { rank + 1 };
+    let Some((mask, policy)) = nulls else {
+        return (codes, value_card);
+    };
+    let null_rank = match policy {
+        NullPolicy::First => 0,
+        NullPolicy::Last => value_card,
+    };
+    for (row, &is_null) in mask.iter().enumerate() {
+        if is_null {
+            codes[row] = null_rank;
+        }
+    }
+    (codes, value_card + 1)
 }
 
 /// A named column: schema position is tracked by [`crate::Relation`].
@@ -267,55 +290,14 @@ impl Column {
             "column contains nulls but no NullPolicy is configured; \
              Relation construction should have rejected this",
         );
+        let nulls = Some((mask.as_slice(), policy));
         match &self.data {
-            ColumnData::Int(v) => rank_encode_nullable(v, mask, policy, |a, b| a.cmp(b)),
-            ColumnData::Float(v) => {
-                rank_encode_nullable(v, mask, policy, |a, b| a.total_cmp(b))
-            }
-            ColumnData::Str(v) => rank_encode_nullable(v, mask, policy, |a, b| a.cmp(b)),
-            ColumnData::Date(v) => rank_encode_nullable(v, mask, policy, |a, b| a.cmp(b)),
+            ColumnData::Int(v) => rank_encode_by(v, nulls, |a, b| a.cmp(b)),
+            ColumnData::Float(v) => rank_encode_by(v, nulls, |a, b| a.total_cmp(b)),
+            ColumnData::Str(v) => rank_encode_by(v, nulls, |a, b| a.cmp(b)),
+            ColumnData::Date(v) => rank_encode_by(v, nulls, |a, b| a.cmp(b)),
         }
     }
-}
-
-/// Dense-ranks the non-null cells, then splices the dedicated null rank in
-/// at the end chosen by `policy`.
-fn rank_encode_nullable<T>(
-    values: &[T],
-    mask: &[bool],
-    policy: NullPolicy,
-    cmp: impl Fn(&T, &T) -> std::cmp::Ordering,
-) -> (Vec<u32>, u32) {
-    let n = values.len();
-    let mut order: Vec<u32> = (0..n as u32).filter(|&i| !mask[i as usize]).collect();
-    order.sort_unstable_by(|&a, &b| cmp(&values[a as usize], &values[b as usize]));
-    let offset = match policy {
-        NullPolicy::First => 1u32,
-        NullPolicy::Last => 0u32,
-    };
-    let mut codes = vec![0u32; n];
-    let mut rank = 0u32;
-    for i in 0..order.len() {
-        if i > 0 {
-            let prev = order[i - 1] as usize;
-            let cur = order[i] as usize;
-            if cmp(&values[prev], &values[cur]) != std::cmp::Ordering::Equal {
-                rank += 1;
-            }
-        }
-        codes[order[i] as usize] = rank + offset;
-    }
-    let value_card = if order.is_empty() { 0 } else { rank + 1 };
-    let null_rank = match policy {
-        NullPolicy::First => 0,
-        NullPolicy::Last => value_card,
-    };
-    for (row, &is_null) in mask.iter().enumerate() {
-        if is_null {
-            codes[row] = null_rank;
-        }
-    }
-    (codes, value_card + 1)
 }
 
 impl From<Vec<i64>> for Column {

@@ -3,7 +3,7 @@
 //! We control both producer and consumer inside the suite, so the dialect is
 //! deliberately simple. The record tokenizer (`Records`) owns its syntax
 //! and `infer` owns its typing; [`read_csv_opts`] and the streaming
-//! readers in [`crate::stream`] all go through both, so they cannot drift
+//! reader in [`crate::stream`] both go through them, so they cannot drift
 //! apart.
 //!
 //! * **Records.** One per line. A line ends at `\n`, and a `\r\n` ending
@@ -31,9 +31,7 @@
 //! [`write_csv`] emits this dialect (nulls as empty fields, empty strings as
 //! `""`) and rejects any string cell that would not read back unchanged.
 
-use crate::{
-    Column, ColumnData, DataType, NullPolicy, Relation, RelationBuilder, RelationError, Value,
-};
+use crate::{Column, ColumnData, NullPolicy, Relation, RelationBuilder, RelationError, Value};
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 use std::str::FromStr;
@@ -158,7 +156,7 @@ impl<R: BufRead> Records<R> {
 
     /// Appends the current record's fields to per-column text arenas,
     /// creating the columns on the first record.
-    pub(crate) fn push_to(&self, cols: &mut Vec<TextColumn>) {
+    fn push_to(&self, cols: &mut Vec<TextColumn>) {
         for (a, field) in self.fields().enumerate() {
             if a == cols.len() {
                 cols.push(TextColumn::default());
@@ -205,33 +203,19 @@ pub(crate) enum Typed {
     Str,
 }
 
-impl Typed {
-    pub(crate) fn data_type(&self) -> DataType {
-        match self {
-            Typed::Int(_) => DataType::Int,
-            Typed::Float(_) => DataType::Float,
-            Typed::Str => DataType::Str,
-        }
-    }
-}
-
-/// The dialect's type inference: the first of `Int`, `Float`, `Str`, no
-/// lower than `floor`, that every non-null cell (`None` is null) parses as
-/// with `str::parse`, with the cells parsed at it (nulls as zero). Each
-/// candidate type walks `cells` once and stops at its first failure.
-pub(crate) fn infer<'a, I>(floor: DataType, cells: I) -> Typed
+/// The dialect's type inference: the first of `Int`, `Float`, `Str` that
+/// every non-null cell (`None` is null) parses as with `str::parse`, with
+/// the cells parsed at it (nulls as zero). Each candidate type walks `cells`
+/// once and stops at its first failure.
+pub(crate) fn infer<'a, I>(cells: I) -> Typed
 where
     I: Iterator<Item = Option<&'a str>> + Clone,
 {
-    if floor == DataType::Int {
-        if let Some(v) = parse_all(cells.clone()) {
-            return Typed::Int(v);
-        }
+    if let Some(v) = parse_all(cells.clone()) {
+        return Typed::Int(v);
     }
-    if floor != DataType::Str {
-        if let Some(v) = parse_all(cells) {
-            return Typed::Float(v);
-        }
+    if let Some(v) = parse_all(cells) {
+        return Typed::Float(v);
     }
     Typed::Str
 }
@@ -252,7 +236,7 @@ fn parse_all<'a, T: FromStr + Default>(
 /// One column's trimmed fields back to back in one `String`: field `i` is
 /// `text[ends[i - 1]..ends[i]]`.
 #[derive(Default)]
-pub(crate) struct TextColumn {
+struct TextColumn {
     text: String,
     ends: Vec<usize>,
 }
@@ -263,23 +247,18 @@ impl TextColumn {
         self.ends.push(self.text.len());
     }
 
-    pub(crate) fn clear(&mut self) {
-        self.text.clear();
-        self.ends.clear();
-    }
-
     /// The column's cells in the dialect's reading (see [`cell`]).
-    pub(crate) fn cells(&self) -> impl Iterator<Item = Option<&str>> + Clone {
+    fn cells(&self) -> impl Iterator<Item = Option<&str>> + Clone {
         let starts = std::iter::once(0).chain(self.ends.iter().copied());
         starts
             .zip(&self.ends)
             .map(|(start, &end)| cell(&self.text[start..end]))
     }
 
-    /// The typed column, inferred no lower than `floor`, with its null mask.
-    /// Only a `Str` column builds a `String` per cell.
-    pub(crate) fn to_column(&self, floor: DataType) -> Column {
-        let data = match infer(floor, self.cells()) {
+    /// The typed column with its null mask. Only a `Str` column builds a
+    /// `String` per cell.
+    fn to_column(&self) -> Column {
+        let data = match infer(self.cells()) {
             Typed::Int(v) => ColumnData::Int(v),
             Typed::Float(v) => ColumnData::Float(v),
             Typed::Str => ColumnData::Str(
@@ -323,7 +302,7 @@ pub fn read_csv_opts<R: Read>(reader: R, opts: CsvOptions) -> Result<Relation, R
         builder = builder.null_policy(policy);
     }
     for (name, col) in names.iter().zip(text) {
-        builder = builder.column_raw(name, col.to_column(DataType::Int));
+        builder = builder.column_raw(name, col.to_column());
     }
     builder.build()
 }

@@ -5,9 +5,9 @@
 //! dense ranks are *canonical*: the codes are fully determined by the value
 //! multiset, independent of how the relation was assembled. A
 //! [`GrowableRelation`] maintains that invariant under appends without
-//! re-sorting history: per column it keeps the **code dictionary** — the
-//! distinct raw values in ascending order, so `dict[code] == value` — and on
-//! each batch
+//! re-sorting history: per column it keeps the **code dictionary**
+//! (`crate::dict`) — the distinct raw values in ascending order, so
+//! `dict[code] == value` — and on each batch
 //!
 //! 1. merges the batch's unseen values into the dictionary (O(Δ log card) to
 //!    find them, O(card + Δ) to merge);
@@ -20,187 +20,8 @@
 //! encoding the concatenated relation — the property the incremental
 //! discovery engine's equivalence tests pin down.
 
-use crate::{
-    Column, ColumnData, Date, EncodedRelation, NullPolicy, Relation, RelationError, Schema,
-};
-use std::cmp::Ordering;
-
-/// One column's code dictionary: distinct raw values, ascending under the
-/// relation's null-aware order. `None` is the dictionary entry for the
-/// dedicated null rank — its position (front or back) follows the
-/// [`NullPolicy`], so the generic merge/remap machinery below needs no
-/// null-specific cases, just the [`opt_cmp`] comparator.
-#[derive(Clone, Debug)]
-enum Dict {
-    Int(Vec<Option<i64>>),
-    Float(Vec<Option<f64>>),
-    Str(Vec<Option<String>>),
-    Date(Vec<Option<Date>>),
-}
-
-/// Lifts a value comparator to `Option<T>`, placing `None` per `policy`.
-fn opt_cmp<T>(
-    policy: NullPolicy,
-    cmp: impl Fn(&T, &T) -> Ordering,
-) -> impl Fn(&Option<T>, &Option<T>) -> Ordering {
-    move |a, b| match (a, b) {
-        (None, None) => Ordering::Equal,
-        (None, Some(_)) => match policy {
-            NullPolicy::First => Ordering::Less,
-            NullPolicy::Last => Ordering::Greater,
-        },
-        (Some(_), None) => match policy {
-            NullPolicy::First => Ordering::Greater,
-            NullPolicy::Last => Ordering::Less,
-        },
-        (Some(x), Some(y)) => cmp(x, y),
-    }
-}
-
-/// Materializes a column as `Option<T>` cells (`None` where the mask says
-/// null) for dictionary growth.
-fn to_opt<T: Clone>(values: &[T], mask: Option<&[bool]>) -> Vec<Option<T>> {
-    match mask {
-        None => values.iter().cloned().map(Some).collect(),
-        Some(m) => values
-            .iter()
-            .zip(m)
-            .map(|(v, &is_null)| if is_null { None } else { Some(v.clone()) })
-            .collect(),
-    }
-}
-
-impl Dict {
-    /// Reconstructs the dictionary from a raw column and its codes
-    /// (`dict[code] = value`, `None` at the null rank), in O(n).
-    fn build(column: &Column, codes: &[u32], cardinality: u32) -> Dict {
-        let card = cardinality as usize;
-        let mask = column.null_mask();
-        match column.data() {
-            ColumnData::Int(v) => Dict::Int(scatter(v, mask, codes, card)),
-            ColumnData::Float(v) => Dict::Float(scatter(v, mask, codes, card)),
-            ColumnData::Str(v) => Dict::Str(scatter(v, mask, codes, card)),
-            ColumnData::Date(v) => Dict::Date(scatter(v, mask, codes, card)),
-        }
-    }
-
-    /// Grows the dictionary with the batch's values, remapping `codes` when
-    /// new values land between existing ones, and appends the batch's codes.
-    /// Returns whether existing codes were remapped.
-    fn grow(&mut self, batch: &Column, codes: &mut Vec<u32>, policy: NullPolicy) -> bool {
-        let mask = batch.null_mask();
-        match (self, batch.data()) {
-            (Dict::Int(d), ColumnData::Int(v)) => grow_column(
-                d,
-                codes,
-                &to_opt(v, mask),
-                opt_cmp(policy, |a: &i64, b| a.cmp(b)),
-            ),
-            (Dict::Float(d), ColumnData::Float(v)) => grow_column(
-                d,
-                codes,
-                &to_opt(v, mask),
-                opt_cmp(policy, |a: &f64, b| a.total_cmp(b)),
-            ),
-            (Dict::Str(d), ColumnData::Str(v)) => grow_column(
-                d,
-                codes,
-                &to_opt(v, mask),
-                opt_cmp(policy, |a: &String, b| a.cmp(b)),
-            ),
-            (Dict::Date(d), ColumnData::Date(v)) => grow_column(
-                d,
-                codes,
-                &to_opt(v, mask),
-                opt_cmp(policy, |a: &Date, b| a.cmp(b)),
-            ),
-            _ => unreachable!("schema equality guarantees matching column types"),
-        }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            Dict::Int(d) => d.len(),
-            Dict::Float(d) => d.len(),
-            Dict::Str(d) => d.len(),
-            Dict::Date(d) => d.len(),
-        }
-    }
-}
-
-/// `out[codes[row]] = cell(row)` — inverts the encoding into a dictionary
-/// (`None` lands at the null rank; every rank is written because codes form
-/// a dense `0..card` range).
-fn scatter<T: Clone>(
-    values: &[T],
-    mask: Option<&[bool]>,
-    codes: &[u32],
-    card: usize,
-) -> Vec<Option<T>> {
-    let mut out = vec![None; card];
-    for (row, value) in values.iter().enumerate() {
-        let is_null = mask.is_some_and(|m| m[row]);
-        out[codes[row] as usize] = if is_null { None } else { Some(value.clone()) };
-    }
-    out
-}
-
-/// The generic merge-and-remap step shared by all column types.
-fn grow_column<T: Clone>(
-    dict: &mut Vec<T>,
-    codes: &mut Vec<u32>,
-    batch: &[T],
-    cmp: impl Fn(&T, &T) -> Ordering,
-) -> bool {
-    // Unseen values, sorted and deduplicated.
-    let mut missing: Vec<T> = batch
-        .iter()
-        .filter(|v| dict.binary_search_by(|d| cmp(d, v)).is_err())
-        .cloned()
-        .collect();
-    missing.sort_by(&cmp);
-    missing.dedup_by(|a, b| cmp(a, b) == Ordering::Equal);
-    let tail_only = match (dict.last(), missing.first()) {
-        (Some(top), Some(low)) => cmp(top, low) == Ordering::Less,
-        _ => true,
-    };
-    let remapped = !missing.is_empty() && !tail_only;
-    if tail_only {
-        // Append-only streams (sequential keys, timestamps): every unseen
-        // value sorts above the current maximum, so existing codes stand and
-        // the dictionary just grows at the tail — O(Δ), no remap.
-        dict.extend(missing);
-    } else if remapped {
-        // Merge (old and missing are disjoint) and shift the live codes.
-        let old = std::mem::take(dict);
-        let mut remap = vec![0u32; old.len()];
-        let mut merged = Vec::with_capacity(old.len() + missing.len());
-        let (mut i, mut j) = (0, 0);
-        while i < old.len() || j < missing.len() {
-            let take_old = j >= missing.len()
-                || (i < old.len() && cmp(&old[i], &missing[j]) == Ordering::Less);
-            if take_old {
-                remap[i] = merged.len() as u32;
-                merged.push(old[i].clone());
-                i += 1;
-            } else {
-                merged.push(missing[j].clone());
-                j += 1;
-            }
-        }
-        for c in codes.iter_mut() {
-            *c = remap[*c as usize];
-        }
-        *dict = merged;
-    }
-    for v in batch {
-        let code = dict
-            .binary_search_by(|d| cmp(d, v))
-            .expect("batch value present after dictionary merge");
-        codes.push(code as u32);
-    }
-    remapped
-}
+use crate::dict::Dict;
+use crate::{EncodedRelation, NullPolicy, Relation, RelationError, Schema};
 
 /// Outcome of one [`GrowableRelation::extend`] call.
 #[derive(Clone, Debug)]
@@ -262,7 +83,7 @@ impl GrowableRelation {
     pub fn new(rel: &Relation) -> GrowableRelation {
         let enc = rel.encode();
         let dicts = (0..rel.n_attrs())
-            .map(|a| Dict::build(rel.column(a), enc.codes(a), enc.cardinality(a)))
+            .map(|a| Dict::from_column(rel.column(a), enc.codes(a), enc.cardinality(a)))
             .collect();
         let n = rel.n_rows();
         GrowableRelation {
@@ -421,7 +242,7 @@ impl GrowableRelation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RelationBuilder;
+    use crate::{Date, RelationBuilder};
 
     fn rel(xs: Vec<i64>, ys: Vec<&str>) -> Relation {
         RelationBuilder::new()

@@ -38,6 +38,7 @@
 mod attr;
 mod column;
 pub mod csv;
+mod dict;
 mod encode;
 mod error;
 mod grow;
@@ -58,7 +59,5 @@ pub use grow::{AppendReport, GrowableRelation};
 pub use relation::{Relation, RelationBuilder};
 pub use schema::Schema;
 pub use csv::CsvOptions;
-pub use stream::{
-    read_csv_file_chunks, read_csv_file_stream, read_csv_stream, CsvChunks, StreamedCsv,
-};
+pub use stream::{read_csv_file_stream, read_csv_stream, StreamedCsv};
 pub use value::{DataType, Date, NullPolicy, Value};

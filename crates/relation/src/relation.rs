@@ -275,14 +275,7 @@ impl RelationBuilder {
 
     /// Adds a date column with nulls (`None` cells).
     pub fn column_date_opt(self, name: &str, values: Vec<Option<Date>>) -> Self {
-        let mut mask = Vec::with_capacity(values.len());
-        let payload = values
-            .into_iter()
-            .map(|v| {
-                mask.push(v.is_none());
-                v.unwrap_or(Date(0))
-            })
-            .collect();
+        let (payload, mask) = Self::split_opt(values);
         self.column_raw(name, Column::with_nulls(ColumnData::Date(payload), mask))
     }
 

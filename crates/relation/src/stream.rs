@@ -9,56 +9,91 @@
 //!
 //! 1. **Pass 1** streams the file, collecting per column the set of
 //!    distinct non-null cells (O(distinct) memory, not O(rows)) and null
-//!    presence. Between the passes each set is typed, parsed, deduplicated
-//!    *as typed values* (`"01"` and `"1"` are one Int) and sorted — the
-//!    sorted position is exactly the dense rank
-//!    [`Column::rank_encode`](crate::Column::rank_encode) would assign, with
-//!    the dedicated null rank spliced in per [`NullPolicy`].
+//!    presence. Between the passes each set becomes the column's
+//!    dictionary (`crate::dict`): typed, parsed, deduplicated *as typed
+//!    values* (`"01"` and `"1"` are one Int) and sorted, with the null
+//!    entry placed per [`NullPolicy`]. A value's position is exactly the
+//!    dense rank [`Column::rank_encode`](crate::Column::rank_encode) would
+//!    assign it.
 //! 2. **Pass 2** rewinds and re-reads the file, encoding every cell by
 //!    binary search straight into its `Vec<u32>` code column, allocated at
 //!    exactly pass 1's row count.
 //!
-//! The output is differentially identical — codes, cardinalities, null
-//! masks — to `read_csv_file_opts(..).encode()` (pinned by
+//! The output is differentially identical — codes, cardinalities and, via
+//! [`StreamedCsv::rows`], the decoded rows — to
+//! `read_csv_file_opts(..).encode()` (pinned by
 //! `tests/streaming_equivalence.rs`); peak memory is O(distinct values +
-//! 4 bytes per code) instead of O(rows · columns) values.
-//!
-//! [`CsvChunks`] is the sibling reader for consumers that need *raw typed
-//! rows* rather than codes (the serving layer's batch replay): pass 1
-//! infers global column types one chunk at a time, then the file is re-read
-//! as a sequence of [`Relation`] chunks sharing one schema.
+//! 4 bytes per code) instead of O(rows · columns) values. The result keeps
+//! the dictionaries, so any row range decodes back to the typed rows the
+//! one-shot reader returns: `fastod serve --stream` replays a file from
+//! them, and witnesses print cell values through [`StreamedCsv::value`].
 
-use crate::csv::{cell, infer, Records, TextColumn, Typed};
+use crate::csv::{cell, Records};
+use crate::dict::Dict;
 use crate::{
-    CsvOptions, DataType, EncodedRelation, NullPolicy, Relation, RelationBuilder, RelationError,
-    Schema,
+    AttrId, CsvOptions, EncodedRelation, NullPolicy, Relation, RelationError, Schema, Value,
 };
 use std::collections::HashSet;
 use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::ops::Range;
 use std::path::Path;
 
 /// The chunk size callers pass as [`read_csv_file_stream`]'s third
 /// argument, which the reader ignores.
 pub const DEFAULT_CHUNK_ROWS: usize = 1 << 16;
 
-/// Result of [`read_csv_stream`]: an encoded relation plus the per-column
-/// null masks (needed by consumers that must distinguish the null rank from
-/// value ranks; `None` for null-free columns).
+/// Result of [`read_csv_stream`]: the encoded relation plus the per-column
+/// dictionaries its codes index, which decode any row range back to the
+/// one-shot reader's typed rows.
 #[derive(Debug)]
 pub struct StreamedCsv {
     /// The encoded relation; each code column holds exactly one `u32` per
     /// row.
     pub encoded: EncodedRelation,
-    /// Per column: `Some(mask)` iff the column contains nulls
-    /// (`mask[row]` true ⇒ null), mirroring
-    /// [`Column::null_mask`](crate::Column::null_mask).
-    pub null_masks: Vec<Option<Vec<bool>>>,
     /// Estimated peak resident bytes of the ingest itself: the larger of
     /// the pass-1 distinct sets (their hash tables and string blocks, plus
     /// the table the last growth rehashes from) and the final dictionaries
     /// plus code columns (`4 · rows · columns` bytes). Feeds the
     /// `relation.peak_bytes` gauge.
     pub peak_bytes: usize,
+    /// Per column: `dicts[a][code]` is the value `code` stands for.
+    dicts: Vec<Dict>,
+    null_policy: Option<NullPolicy>,
+}
+
+impl StreamedCsv {
+    /// The rows in `range`, decoded through the dictionaries: equal to the
+    /// one-shot reader's relation restricted to those rows — same schema,
+    /// types, values and null policy, with `T::default()` in null slots. A
+    /// reversed range decodes no rows.
+    ///
+    /// # Errors
+    /// [`RelationError::RowOutOfRange`] when `range` ends past the last row.
+    pub fn rows(&self, range: Range<usize>) -> Result<Relation, RelationError> {
+        let n_rows = self.encoded.n_rows();
+        if range.end > n_rows {
+            return Err(RelationError::RowOutOfRange {
+                row: range.end - 1,
+                n_rows,
+            });
+        }
+        let range = range.start.min(range.end)..range.end;
+        let columns = self
+            .dicts
+            .iter()
+            .enumerate()
+            .map(|(a, dict)| dict.decode(&self.encoded.codes(a)[range.clone()]))
+            .collect();
+        Relation::with_policy(self.encoded.schema().clone(), columns, self.null_policy)
+    }
+
+    /// The cell at `row` of attribute `a` ([`Value::Null`] for a null cell).
+    ///
+    /// # Panics
+    /// When `row` or `a` is out of range.
+    pub fn value(&self, row: usize, a: AttrId) -> Value {
+        self.dicts[a].value(self.encoded.code(row, a))
+    }
 }
 
 /// Per-column pass-1 state: the distinct non-null cells and null presence.
@@ -113,88 +148,19 @@ fn heap_block(len: usize) -> usize {
     }
 }
 
-/// One column's sorted dictionary of distinct **typed** values; the index
-/// of a value is its dense rank among non-null cells.
-enum TypedDict {
-    Int(Vec<i64>),
-    Float(Vec<f64>),
-    Str(Vec<String>),
-}
-
-impl TypedDict {
-    /// Types a column's distinct cells as the one-shot reader would type
-    /// the whole column, then sorts and deduplicates the typed values.
-    fn build(distinct: HashSet<String>) -> TypedDict {
-        let typed = infer(DataType::Int, distinct.iter().map(|s| Some(s.as_str())));
-        match typed {
-            Typed::Int(mut d) => {
-                d.sort_unstable();
-                d.dedup();
-                TypedDict::Int(d)
-            }
-            Typed::Float(mut d) => {
-                d.sort_unstable_by(|a, b| a.total_cmp(b));
-                d.dedup_by(|a, b| a.total_cmp(b) == std::cmp::Ordering::Equal);
-                TypedDict::Float(d)
-            }
-            Typed::Str => {
-                let mut d: Vec<String> = distinct.into_iter().collect();
-                d.sort_unstable();
-                TypedDict::Str(d)
-            }
-        }
+/// Resident bytes of a dictionary: its entries, and each string's heap
+/// block.
+fn dict_bytes(dict: &Dict) -> usize {
+    fn entries<T>(d: &Vec<T>) -> usize {
+        d.capacity() * std::mem::size_of::<T>()
     }
-
-    fn data_type(&self) -> DataType {
-        match self {
-            TypedDict::Int(_) => DataType::Int,
-            TypedDict::Float(_) => DataType::Float,
-            TypedDict::Str(_) => DataType::Str,
+    match dict {
+        Dict::Int(d) => entries(d),
+        Dict::Float(d) => entries(d),
+        Dict::Date(d) => entries(d),
+        Dict::Str(d) => {
+            entries(d) + d.iter().flatten().map(|s| heap_block(s.capacity())).sum::<usize>()
         }
-    }
-
-    fn len(&self) -> usize {
-        match self {
-            TypedDict::Int(d) => d.len(),
-            TypedDict::Float(d) => d.len(),
-            TypedDict::Str(d) => d.len(),
-        }
-    }
-
-    /// The dense rank of a non-null cell, or `None` when the cell does not
-    /// parse / is absent — i.e. the file changed between the passes.
-    fn rank_of(&self, cell: &str) -> Option<usize> {
-        match self {
-            TypedDict::Int(d) => d.binary_search(&cell.parse::<i64>().ok()?).ok(),
-            TypedDict::Float(d) => {
-                let v = cell.parse::<f64>().ok()?;
-                d.binary_search_by(|x| x.total_cmp(&v)).ok()
-            }
-            TypedDict::Str(d) => d.binary_search_by(|x| x.as_str().cmp(cell)).ok(),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            TypedDict::Int(d) => d.capacity() * 8,
-            TypedDict::Float(d) => d.capacity() * 8,
-            TypedDict::Str(d) => d.iter().map(|s| s.capacity() + 24).sum(),
-        }
-    }
-}
-
-/// Fails with [`RelationError::NullPolicyRequired`] naming the first
-/// null-bearing column when no policy is set.
-fn require_policy(
-    opts: CsvOptions,
-    names: &[String],
-    has_nulls: &[bool],
-) -> Result<(), RelationError> {
-    match has_nulls.iter().position(|&nulls| nulls) {
-        Some(a) if opts.null_policy.is_none() => Err(RelationError::NullPolicyRequired {
-            column: names[a].clone(),
-        }),
-        _ => Ok(()),
     }
 }
 
@@ -225,13 +191,17 @@ pub fn read_csv_stream<R: Read + Seek>(
     let names = records.into_names()?;
     let n_cols = names.len();
     cols.resize_with(n_cols, Pass1Col::default);
-    let has_nulls: Vec<bool> = cols.iter().map(|c| c.has_nulls).collect();
-    require_policy(opts, &names, &has_nulls)?;
+    // Without a policy, the first null-bearing column is an error.
+    if let (None, Some(a)) = (opts.null_policy, cols.iter().position(|c| c.has_nulls)) {
+        return Err(RelationError::NullPolicyRequired {
+            column: names[a].clone(),
+        });
+    }
 
     let pass1_bytes = pass1_bytes(&cols);
-    let dicts: Vec<TypedDict> = cols
+    let dicts: Vec<Dict> = cols
         .into_iter()
-        .map(|c| TypedDict::build(c.distinct))
+        .map(|c| Dict::from_distinct(c.distinct, opts.null_policy.filter(|_| c.has_nulls)))
         .collect();
     let schema = Schema::new(
         names
@@ -240,47 +210,21 @@ pub fn read_csv_stream<R: Read + Seek>(
             .map(|(n, d)| (n, d.data_type()))
             .collect(),
     )?;
-
-    // Rank layout per column (matching `rank_encode_nullable`): nulls share
-    // one rank at the front (`First`) or back (`Last`) of the value ranks.
-    let policy = opts.null_policy.unwrap_or(NullPolicy::First);
-    let offsets: Vec<u32> = has_nulls
-        .iter()
-        .map(|&nulls| u32::from(nulls && policy == NullPolicy::First))
-        .collect();
-    let null_codes: Vec<u32> = dicts
-        .iter()
-        .map(|d| match policy {
-            NullPolicy::First => 0,
-            NullPolicy::Last => d.len() as u32,
-        })
-        .collect();
+    let null_codes: Vec<Option<u32>> = dicts.iter().map(Dict::null_code).collect();
 
     // ---- Pass 2: rewind and encode every cell into its column. ----
     input.seek(SeekFrom::Start(0))?;
     let mut columns: Vec<Vec<u32>> = (0..n_cols).map(|_| Vec::with_capacity(pass1_rows)).collect();
-    let mut masks: Vec<Option<Vec<bool>>> = has_nulls
-        .iter()
-        .map(|&nulls| nulls.then(|| Vec::with_capacity(pass1_rows)))
-        .collect();
     let mut pass2_rows = 0usize;
     let mut records = Records::new(BufReader::new(&mut input), opts.has_header, Some(n_cols))?;
     while records.advance()? {
         let line_no = records.line_no();
         for (a, field) in records.fields().enumerate() {
             let code = match cell(field) {
-                None => {
-                    let Some(mask) = &mut masks[a] else {
-                        return Err(changed(line_no, "a null appeared"));
-                    };
-                    mask.resize(pass2_rows, false);
-                    mask.push(true);
-                    null_codes[a]
-                }
-                Some(s) => match dicts[a].rank_of(s) {
-                    Some(rank) => rank as u32 + offsets[a],
-                    None => return Err(changed(line_no, "an unseen value appeared")),
-                },
+                None => null_codes[a].ok_or_else(|| changed(line_no, "a null appeared"))?,
+                Some(s) => dicts[a]
+                    .code_of(s)
+                    .ok_or_else(|| changed(line_no, "an unseen value appeared"))?,
             };
             columns[a].push(code);
         }
@@ -289,19 +233,14 @@ pub fn read_csv_stream<R: Read + Seek>(
     if pass2_rows != pass1_rows {
         return Err(changed(pass2_rows.max(pass1_rows), "the row count changed"));
     }
-    // Null masks are row-complete per column; pad the tail of rows whose
-    // column saw no further nulls.
-    for mask in masks.iter_mut().flatten() {
-        mask.resize(pass1_rows, false);
-    }
 
     let encoded = EncodedRelation::from_codes(schema, columns);
-    let final_bytes =
-        encoded.memory_bytes() + dicts.iter().map(TypedDict::approx_bytes).sum::<usize>();
+    let final_bytes = encoded.memory_bytes() + dicts.iter().map(dict_bytes).sum::<usize>();
     Ok(StreamedCsv {
         encoded,
-        null_masks: masks,
         peak_bytes: pass1_bytes.max(final_bytes),
+        dicts,
+        null_policy: opts.null_policy,
     })
 }
 
@@ -326,172 +265,6 @@ pub fn read_csv_file_stream<P: AsRef<Path>>(
     read_csv_stream(file, opts)
 }
 
-/// An iterator of raw typed [`Relation`] chunks over a CSV input, sharing
-/// one globally inferred schema.
-///
-/// Pass 1 scans the whole input once for column types and null presence,
-/// holding the text of at most one chunk (a chunk can only widen a column's
-/// type, so the global type is the widest of the chunks'); the iterator
-/// then re-reads the input yielding up to `chunk_rows` rows per
-/// [`Relation`]. Because the types are global, every chunk has the same
-/// schema and can be fed to [`crate::GrowableRelation::extend`] — which is
-/// exactly how `fastod serve --stream` replays a file as an append
-/// workload.
-pub struct CsvChunks<R: Read> {
-    records: Records<BufReader<R>>,
-    /// The current chunk's text, reused from chunk to chunk.
-    text: Vec<TextColumn>,
-    names: Vec<String>,
-    types: Vec<DataType>,
-    policy: Option<NullPolicy>,
-    n_rows: usize,
-    chunk_rows: usize,
-    emitted: usize,
-    failed: bool,
-}
-
-impl<R: Read + Seek> CsvChunks<R> {
-    /// Builds the chunk reader: pass 1 infers the global schema, then the
-    /// input is rewound for iteration. `chunk_rows == 0` means whole-file.
-    pub fn new(
-        mut input: R,
-        opts: CsvOptions,
-        chunk_rows: usize,
-    ) -> Result<CsvChunks<R>, RelationError> {
-        let chunk_rows = if chunk_rows == 0 {
-            usize::MAX
-        } else {
-            chunk_rows
-        };
-        let mut records = Records::new(BufReader::new(&mut input), opts.has_header, None)?;
-        let mut text: Vec<TextColumn> = Vec::new();
-        let mut types: Vec<DataType> = Vec::new();
-        let mut has_nulls: Vec<bool> = Vec::new();
-        let mut widen = |text: &mut Vec<TextColumn>| {
-            types.resize(text.len(), DataType::Int);
-            has_nulls.resize(text.len(), false);
-            for (a, col) in text.iter_mut().enumerate() {
-                types[a] = infer(types[a], col.cells()).data_type();
-                has_nulls[a] |= col.cells().any(|c| c.is_none());
-                col.clear();
-            }
-        };
-        let mut n_rows = 0usize;
-        while records.advance()? {
-            records.push_to(&mut text);
-            n_rows += 1;
-            if n_rows.is_multiple_of(chunk_rows) {
-                widen(&mut text);
-            }
-        }
-        let names = records.into_names()?;
-        text.resize_with(names.len(), TextColumn::default);
-        widen(&mut text);
-        require_policy(opts, &names, &has_nulls)?;
-
-        input.seek(SeekFrom::Start(0))?;
-        let records = Records::new(BufReader::new(input), opts.has_header, Some(names.len()))?;
-        Ok(CsvChunks {
-            records,
-            text,
-            names,
-            types,
-            policy: opts.null_policy,
-            n_rows,
-            chunk_rows,
-            emitted: 0,
-            failed: false,
-        })
-    }
-}
-
-impl<R: Read> CsvChunks<R> {
-    /// Total data rows counted by pass 1.
-    pub fn n_rows(&self) -> usize {
-        self.n_rows
-    }
-
-    /// Column names (header or `c0, c1, ...`).
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Globally inferred column types.
-    pub fn types(&self) -> &[DataType] {
-        &self.types
-    }
-
-    fn next_chunk(&mut self) -> Result<Option<Relation>, RelationError> {
-        let first_line = self.records.line_no() + 1;
-        let mut rows = 0usize;
-        let mut eof = false;
-        while rows < self.chunk_rows {
-            if !self.records.advance()? {
-                eof = true;
-                break;
-            }
-            self.records.push_to(&mut self.text);
-            rows += 1;
-        }
-        // Truncation is reported the moment the end of input is seen, so a
-        // short final chunk never escapes as `Ok` ahead of the error.
-        if eof && self.emitted + rows != self.n_rows {
-            return Err(changed(self.records.line_no(), "the row count changed"));
-        }
-        if rows == 0 {
-            return Ok(None);
-        }
-        self.emitted += rows;
-        if self.emitted > self.n_rows {
-            return Err(changed(self.records.line_no(), "the row count changed"));
-        }
-        let mut builder = RelationBuilder::new();
-        if let Some(policy) = self.policy {
-            builder = builder.null_policy(policy);
-        }
-        for ((name, &ty), col) in self.names.iter().zip(&self.types).zip(&mut self.text) {
-            let column = col.to_column(ty);
-            col.clear();
-            if column.data_type() != ty {
-                let what = match ty {
-                    DataType::Int => "an Int column stopped parsing",
-                    _ => "a Float column stopped parsing",
-                };
-                return Err(changed(first_line, what));
-            }
-            builder = builder.column_raw(name, column);
-        }
-        builder.build().map(Some)
-    }
-}
-
-impl<R: Read> Iterator for CsvChunks<R> {
-    type Item = Result<Relation, RelationError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.failed {
-            return None;
-        }
-        match self.next_chunk() {
-            Ok(rel) => rel.map(Ok),
-            Err(e) => {
-                self.failed = true;
-                Some(Err(e))
-            }
-        }
-    }
-}
-
-/// [`CsvChunks`] over a file on disk.
-pub fn read_csv_file_chunks<P: AsRef<Path>>(
-    path: P,
-    opts: CsvOptions,
-    chunk_rows: usize,
-) -> Result<CsvChunks<std::fs::File>, RelationError> {
-    let file = std::fs::File::open(path)?;
-    CsvChunks::new(file, opts, chunk_rows)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,12 +285,8 @@ mod tests {
             );
             assert_eq!(streamed.encoded.codes(a), enc.codes(a), "attr {a}");
             assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
-            assert_eq!(
-                streamed.null_masks[a].as_deref(),
-                rel.column(a).null_mask(),
-                "attr {a} mask"
-            );
         }
+        assert_eq!(streamed.rows(0..rel.n_rows()).unwrap(), rel);
     }
 
     #[test]
@@ -567,21 +336,21 @@ mod tests {
     }
 
     #[test]
-    fn chunk_iterator_replays_the_file() {
+    fn row_ranges_and_cells_decode_the_file() {
         let text = "x,y\n10,a\n20,b\n30,a\n40,c\n50,b\n";
-        let mut chunks = CsvChunks::new(Cursor::new(text), CsvOptions::with_header(), 2).unwrap();
-        assert_eq!(chunks.n_rows(), 5);
+        let streamed = read_csv_stream(Cursor::new(text), CsvOptions::with_header()).unwrap();
         let full = read_csv_opts(text.as_bytes(), CsvOptions::with_header()).unwrap();
-        let mut concat: Option<Relation> = None;
-        for chunk in &mut chunks {
-            let chunk = chunk.unwrap();
-            match &mut concat {
-                None => concat = Some(chunk),
-                Some(base) => {
-                    base.extend(&chunk).unwrap();
-                }
-            }
+        let mut concat = streamed.rows(0..2).unwrap();
+        for range in [2..4, 4..5, 5..5] {
+            concat.extend(&streamed.rows(range).unwrap()).unwrap();
         }
-        assert_eq!(concat.unwrap(), full);
+        assert_eq!(concat, full);
+        assert_eq!(streamed.value(3, 1), Value::Str("c".into()));
+        assert_eq!(streamed.value(4, 0), Value::Int(50));
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = streamed.rows(4..2).unwrap();
+        assert_eq!(reversed.n_rows(), 0);
+        let err = streamed.rows(3..6).unwrap_err();
+        assert!(matches!(err, RelationError::RowOutOfRange { row: 5, n_rows: 5 }), "{err}");
     }
 }

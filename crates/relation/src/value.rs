@@ -64,8 +64,8 @@ impl fmt::Display for DataType {
 /// A calendar date stored as days since 1970-01-01 (proleptic Gregorian).
 ///
 /// Chronological order is integer order on the day count, so dates encode
-/// directly into order-preserving ranks.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+/// directly into order-preserving ranks. The default is the epoch day.
+#[derive(Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Date(pub i32);
 
 impl Date {

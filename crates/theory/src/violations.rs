@@ -10,7 +10,7 @@
 use crate::canonical::CanonicalOd;
 use crate::validate::build_partition;
 use fastod_partition::{witnesses, SwapScratch};
-use fastod_relation::{AttrId, AttrSet, EncodedRelation, Relation};
+use fastod_relation::{AttrId, AttrSet, EncodedRelation, Value};
 
 /// A single witnessed violation of a canonical OD.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -65,27 +65,28 @@ impl Violation {
         }
     }
 
-    /// Human-readable description with the raw cell values.
-    pub fn describe(&self, rel: &Relation) -> String {
-        let names = rel.schema().names();
+    /// Human-readable description with the raw cell values: `names` are the
+    /// attribute names and `cell(row, attr)` looks a value up, e.g.
+    /// `|r, a| rel.value(r, a)` on a [`fastod_relation::Relation`].
+    pub fn describe(&self, names: &[String], cell: impl Fn(usize, AttrId) -> Value) -> String {
         match *self {
             Violation::Split { rows: (s, t), context, attr } => format!(
                 "split: tuples {s} and {t} agree on {} but have {}={} vs {}={}",
                 context.display(names),
                 names[attr],
-                rel.value(s as usize, attr),
+                cell(s as usize, attr),
                 names[attr],
-                rel.value(t as usize, attr),
+                cell(t as usize, attr),
             ),
             Violation::Swap { rows: (s, t), context, a, b } => format!(
                 "swap: within {} tuple {s} precedes {t} on {} ({} < {}) but follows on {} ({} > {})",
                 context.display(names),
                 names[a],
-                rel.value(s as usize, a),
-                rel.value(t as usize, a),
+                cell(s as usize, a),
+                cell(t as usize, a),
                 names[b],
-                rel.value(s as usize, b),
-                rel.value(t as usize, b),
+                cell(s as usize, b),
+                cell(t as usize, b),
             ),
         }
     }
@@ -124,7 +125,7 @@ pub fn find_violations(
 mod tests {
     use super::*;
     use crate::validate::canonical_od_holds;
-    use fastod_relation::RelationBuilder;
+    use fastod_relation::{Relation, RelationBuilder};
 
     fn employee() -> Relation {
         RelationBuilder::new()
@@ -154,7 +155,9 @@ mod tests {
             // Same position, different salary.
             assert_eq!(enc.code(s as usize, POSIT), enc.code(t as usize, POSIT));
             assert_ne!(enc.code(s as usize, SAL), enc.code(t as usize, SAL));
-            assert!(violation.describe(&rel).contains("split"));
+            let text = violation.describe(rel.schema().names(), |r, a| rel.value(r, a));
+            let want = format!("sal={} vs sal={}", rel.value(s as usize, SAL), rel.value(t as usize, SAL));
+            assert!(text.starts_with("split") && text.ends_with(&want), "{text}");
         }
     }
 
@@ -173,7 +176,8 @@ mod tests {
             let sa = enc.code(s, SAL).cmp(&enc.code(t, SAL));
             let sb = enc.code(s, SUBG).cmp(&enc.code(t, SUBG));
             assert!(sa != sb && sa != std::cmp::Ordering::Equal && sb != std::cmp::Ordering::Equal);
-            assert!(violation.describe(&rel).contains("swap"));
+            let text = violation.describe(rel.schema().names(), |r, a| rel.value(r, a));
+            assert!(text.contains("swap"), "{text}");
         }
     }
 

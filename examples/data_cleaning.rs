@@ -34,11 +34,11 @@ fn main() {
 
     println!("rule 1: {}", salary_orders_tax.display(names));
     for v in find_violations(&enc, &salary_orders_tax, 5) {
-        println!("  VIOLATION {}", v.describe(&table));
+        println!("  VIOLATION {}", v.describe(names, |r, a| table.value(r, a)));
     }
     println!("rule 2: {}", id_determines_bin.display(names));
     for v in find_violations(&enc, &id_determines_bin, 5) {
-        println!("  VIOLATION {}", v.describe(&table));
+        println!("  VIOLATION {}", v.describe(names, |r, a| table.value(r, a)));
     }
 
     // Exact discovery cannot see the dirty rules...

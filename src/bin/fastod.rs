@@ -27,8 +27,9 @@
 //!                          file's values are never held, so peak memory is
 //!                          O(distinct values) plus 4 bytes per code,
 //!                          reported via the `relation.peak_bytes` gauge;
-//!                          codes/cardinalities/covers are identical to the
-//!                          one-shot reader
+//!                          every command's output is identical to the
+//!                          one-shot reader's (witnesses and `serve`'s
+//!                          replay decode cells through the dictionaries)
 //!   --trace <FILE.jsonl>   write a structured span trace of the run (one
 //!                          JSON event per closed span; schema documented
 //!                          in fastod-obs) and enable metrics collection
@@ -75,11 +76,54 @@ use fastod_suite::discovery::{ApproxConfig, ApproxFastod, CancelToken};
 use fastod_suite::obs::{LogHistogram, Obs};
 use fastod_suite::prelude::*;
 use fastod_suite::relation::csv::{read_csv_file_opts, CsvOptions};
-use fastod_suite::relation::{read_csv_file_chunks, read_csv_file_stream, NullPolicy};
+use fastod_suite::relation::{read_csv_file_stream, NullPolicy, RelationError, StreamedCsv};
 use fastod_suite::serve::ServeConfig;
 use fastod_suite::theory::{find_violations, CheckReport};
+use std::borrow::Cow;
+use std::ops::Range;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
+
+/// The CSV as the commands read it: the one-shot reader's relation, or the
+/// streamed codes with the dictionaries that decode them. `--stream` picks
+/// the reader and nothing else.
+enum Table {
+    Parsed(Relation),
+    Streamed(StreamedCsv),
+}
+
+impl Table {
+    fn n_rows(&self) -> usize {
+        match self {
+            Table::Parsed(rel) => rel.n_rows(),
+            Table::Streamed(streamed) => streamed.encoded.n_rows(),
+        }
+    }
+
+    /// The encoded relation that discovery and checks run on.
+    fn encoded(&self) -> Cow<'_, EncodedRelation> {
+        match self {
+            Table::Parsed(rel) => Cow::Owned(rel.encode()),
+            Table::Streamed(streamed) => Cow::Borrowed(&streamed.encoded),
+        }
+    }
+
+    /// The typed rows in `range`, as the serving layer takes them.
+    fn rows(&self, range: Range<usize>) -> Result<Relation, RelationError> {
+        match self {
+            Table::Parsed(rel) => Ok(rel.select_rows(&range.collect::<Vec<_>>())),
+            Table::Streamed(streamed) => streamed.rows(range),
+        }
+    }
+
+    /// The cell at `row` of attribute `a`, which witnesses print.
+    fn value(&self, row: usize, a: AttrId) -> Value {
+        match self {
+            Table::Parsed(rel) => rel.value(row, a),
+            Table::Streamed(streamed) => streamed.value(row, a),
+        }
+    }
+}
 
 struct Args {
     file: String,
@@ -284,7 +328,8 @@ fn parse_od(spec: &str, schema: &Schema) -> Result<CanonicalOd, String> {
 /// count, witness pairs, and a minimum-cardinality repair (rows whose
 /// removal makes the rule hold). `--json` emits the `fastod.check.v1`
 /// document instead.
-fn run_check(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &Obs) -> ExitCode {
+fn run_check(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
+    let enc = &*table.encoded();
     let names = enc.schema().names();
     let ods: Vec<CanonicalOd> = if args.near_valid {
         let cfg = ApproxConfig::new(args.max_error)
@@ -334,15 +379,7 @@ fn run_check(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &O
                 rule.removal_rows,
             );
             for w in &rule.witnesses {
-                // Witness values need the raw relation; streamed ingest
-                // never materializes one, so fall back to the row ids.
-                match rel {
-                    Some(rel) => println!("    witness: {}", w.describe(rel)),
-                    None => {
-                        let (i, j) = w.rows();
-                        println!("    witness: rows ({i}, {j})");
-                    }
-                }
+                println!("    witness: {}", w.describe(names, |r, a| table.value(r, a)));
             }
         }
         eprintln!(
@@ -364,25 +401,32 @@ fn run_check(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &O
 /// layer. The first `--base-frac` of the rows seed the initial discovery;
 /// the rest stream in as append batches and are then deleted again in
 /// waves, while `--readers` threads hammer the published snapshot with
-/// lock-free cover queries. Prints maintenance-pass and read-latency
-/// summaries. Read percentiles come from a shared streaming
+/// lock-free cover queries. Every batch is a row range of `table`, so a
+/// streamed table decodes one batch at a time. Prints maintenance-pass and
+/// read-latency summaries. Read percentiles come from a shared streaming
 /// [`LogHistogram`] (no per-read allocation, no end-of-run sort).
-fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
+fn run_serve(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
     use std::sync::atomic::{AtomicBool, Ordering};
 
-    let n = rel.n_rows();
+    let n = table.n_rows();
     if n == 0 {
         eprintln!("serve: the relation has no rows to replay");
         return ExitCode::FAILURE;
     }
     let base_rows = ((n as f64 * args.base_frac).round() as usize).clamp(1, n);
     let batch = args.batch.max(1);
-    let base = rel.select_rows(&(0..base_rows).collect::<Vec<_>>());
+    let base = match table.rows(0..base_rows) {
+        Ok(base) => base,
+        Err(e) => {
+            eprintln!("serve: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
     let mut discovery = DiscoveryConfig::default()
         .with_threads(args.threads)
         .with_obs(obs.clone());
     if let Some(ms) = args.pass_deadline_ms {
-        discovery = discovery.with_pass_deadline(std::time::Duration::from_millis(ms));
+        discovery = discovery.with_pass_deadline(Duration::from_millis(ms));
     }
     let server = fastod_suite::serve::Server::new(ServeConfig {
         discovery,
@@ -425,7 +469,9 @@ fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
                 let (read_ns, stop, session) = (&read_ns, &stop, &session);
                 scope.spawn(move || {
                     let mut last_epoch = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
+                    // Read before the first look at `stop`: a replay can
+                    // end before a reader thread first runs.
+                    loop {
                         let t = Instant::now();
                         let (epoch, snap) = session.read();
                         let answer = if snap.schema().n_attrs() >= 2 {
@@ -437,6 +483,9 @@ fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
                         std::hint::black_box(answer);
                         assert!(epoch >= last_epoch, "published epochs must be monotone");
                         last_epoch = epoch;
+                        if stop.load(Ordering::Relaxed) {
+                            break;
+                        }
                     }
                 })
             })
@@ -448,7 +497,13 @@ fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
         let mut i = base_rows;
         while i < n {
             let hi = (i + batch).min(n);
-            let chunk = rel.select_rows(&(i..hi).collect::<Vec<_>>());
+            let chunk = match table.rows(i..hi) {
+                Ok(chunk) => chunk,
+                Err(e) => {
+                    eprintln!("serve: {e}");
+                    break;
+                }
+            };
             let t = Instant::now();
             match session.push_batch(&chunk) {
                 Ok(report) => {
@@ -540,131 +595,6 @@ fn run_serve(rel: &Relation, args: &Args, obs: &Obs) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// `fastod serve --stream`: replay the file as live traffic without ever
-/// materializing it whole. [`read_csv_file_chunks`] infers one global
-/// schema in a first pass, then re-reads the file as `--batch`-row typed
-/// chunks: whole chunks accumulate into the seed relation until
-/// `--base-frac` of the rows are covered, and every later chunk is pushed
-/// through the serving layer as an append batch.
-fn run_serve_stream(args: &Args, opts: CsvOptions, obs: &Obs) -> ExitCode {
-    let batch = args.batch.max(1);
-    let mut chunks = match read_csv_file_chunks(&args.file, opts, batch) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", args.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    let n = chunks.n_rows();
-    if n == 0 {
-        eprintln!("serve: the relation has no rows to replay");
-        return ExitCode::FAILURE;
-    }
-    let base_rows = ((n as f64 * args.base_frac).round() as usize).clamp(1, n);
-    // Seed with whole chunks until the base fraction is covered (the seed
-    // rounds up to a chunk boundary).
-    let mut base: Option<Relation> = None;
-    while base.as_ref().map_or(0, Relation::n_rows) < base_rows {
-        match chunks.next() {
-            Some(Ok(chunk)) => match &mut base {
-                None => base = Some(chunk),
-                Some(b) => {
-                    if let Err(e) = b.extend(&chunk) {
-                        eprintln!("serve: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            },
-            Some(Err(e)) => {
-                eprintln!("error reading {}: {e}", args.file);
-                return ExitCode::FAILURE;
-            }
-            None => break,
-        }
-    }
-    let base = base.expect("n > 0 implies at least one chunk");
-    let seeded = base.n_rows();
-    let mut discovery = DiscoveryConfig::default()
-        .with_threads(args.threads)
-        .with_obs(obs.clone());
-    if let Some(ms) = args.pass_deadline_ms {
-        discovery = discovery.with_pass_deadline(Duration::from_millis(ms));
-    }
-    let server = fastod_suite::serve::Server::new(ServeConfig {
-        discovery,
-        total_partition_budget: None,
-        recovery: if args.pass_deadline_ms.is_some() {
-            fastod_suite::serve::RecoveryPolicy::auto()
-        } else {
-            fastod_suite::serve::RecoveryPolicy::disabled()
-        },
-    });
-    let started = Instant::now();
-    let session = match server.open("cli", &base) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "seeded {} of {} rows in {:?} (streamed); cover = {} ODs; replaying {} rows as append batches",
-        seeded,
-        n,
-        started.elapsed(),
-        session.read().1.minimal_cover().len(),
-        n - seeded,
-    );
-    let mut append_ms: Vec<f64> = Vec::new();
-    let mut replayed = 0usize;
-    for chunk in chunks {
-        let chunk = match chunk {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("error reading {}: {e}", args.file);
-                return ExitCode::FAILURE;
-            }
-        };
-        let rows = chunk.n_rows();
-        let t = Instant::now();
-        match session.push_batch(&chunk) {
-            Ok(report) => {
-                append_ms.push(t.elapsed().as_secs_f64() * 1e3);
-                if args.verbose {
-                    eprintln!(
-                        "append pass {} ({:.2} ms): {}",
-                        append_ms.len(),
-                        append_ms.last().unwrap(),
-                        report.counters
-                    );
-                }
-            }
-            Err(e) => {
-                eprintln!("append pass failed ({e}); healing");
-                if server.heal().is_empty() {
-                    eprintln!("serve: session unrecoverable, stopping replay");
-                    break;
-                }
-            }
-        }
-        replayed += rows;
-    }
-    let (epoch, snap) = session.read();
-    eprintln!(
-        "replayed {} rows in {} append passes (mean {:.2} ms); final epoch {}, cover = {} ODs over {} live rows",
-        replayed,
-        append_ms.len(),
-        mean(&append_ms),
-        epoch,
-        snap.minimal_cover().len(),
-        snap.n_live(),
-    );
-    if obs.is_enabled() {
-        eprintln!("\n{}", session.metrics().render());
-    }
-    ExitCode::SUCCESS
-}
-
 /// The mean of a replay's pass latencies; `0.0` when no pass ran (an
 /// empty `f64` sum is `-0.0`, which would print as `-0.00`).
 fn mean(ms: &[f64]) -> f64 {
@@ -675,10 +605,10 @@ fn mean(ms: &[f64]) -> f64 {
     }
 }
 
-/// The discovery tail shared by the one-shot and streamed ingest paths:
-/// `--violations` single-rule checking, then exact/approximate discovery.
-/// `rel` is absent under `--stream` (witness values fall back to row ids).
-fn run_discover(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs: &Obs) -> ExitCode {
+/// Discovery: `--violations` single-rule checking, then exact/approximate
+/// discovery.
+fn run_discover(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
+    let enc = &*table.encoded();
     let names = enc.schema().names();
     if let Some(spec) = &args.violations {
         let od = match parse_od(spec, enc.schema()) {
@@ -694,13 +624,7 @@ fn run_discover(enc: &EncodedRelation, rel: Option<&Relation>, args: &Args, obs:
         } else {
             println!("{} VIOLATED ({} witnesses shown):", od.display(names), violations.len());
             for v in violations {
-                match rel {
-                    Some(rel) => println!("  {}", v.describe(rel)),
-                    None => {
-                        let (i, j) = v.rows();
-                        println!("  rows ({i}, {j})");
-                    }
-                }
+                println!("  {}", v.describe(names, |r, a| table.value(r, a)));
             }
         }
         return ExitCode::SUCCESS;
@@ -804,11 +728,7 @@ fn main() -> ExitCode {
         code
     };
 
-    if args.stream {
-        if args.serve {
-            let code = run_serve_stream(&args, opts, &obs);
-            return finish(code, &obs);
-        }
+    let table = if args.stream {
         // The third argument, a chunk size, is unused.
         let streamed = match read_csv_file_stream(&args.file, opts, 0) {
             Ok(s) => s,
@@ -818,7 +738,7 @@ fn main() -> ExitCode {
             }
         };
         obs.set_gauge("relation.peak_bytes", streamed.peak_bytes as f64);
-        let enc = streamed.encoded;
+        let enc = &streamed.encoded;
         eprintln!(
             "loaded {} (streamed): {} rows x {} attributes; {} encoded bytes, {} peak during ingest",
             args.file,
@@ -827,33 +747,29 @@ fn main() -> ExitCode {
             enc.memory_bytes(),
             streamed.peak_bytes,
         );
-        let code = if args.check {
-            run_check(&enc, None, &args, &obs)
-        } else {
-            run_discover(&enc, None, &args, &obs)
-        };
-        return finish(code, &obs);
-    }
-
-    let rel = match read_csv_file_opts(&args.file, opts) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error reading {}: {e}", args.file);
-            return ExitCode::FAILURE;
-        }
-    };
-    eprintln!(
-        "loaded {}: {} rows x {} attributes",
-        args.file,
-        rel.n_rows(),
-        rel.n_attrs()
-    );
-    let code = if args.serve {
-        run_serve(&rel, &args, &obs)
-    } else if args.check {
-        run_check(&rel.encode(), Some(&rel), &args, &obs)
+        Table::Streamed(streamed)
     } else {
-        run_discover(&rel.encode(), Some(&rel), &args, &obs)
+        let rel = match read_csv_file_opts(&args.file, opts) {
+            Ok(r) => r,
+            Err(e) => {
+                eprintln!("error reading {}: {e}", args.file);
+                return ExitCode::FAILURE;
+            }
+        };
+        eprintln!(
+            "loaded {}: {} rows x {} attributes",
+            args.file,
+            rel.n_rows(),
+            rel.n_attrs()
+        );
+        Table::Parsed(rel)
+    };
+    let code = if args.serve {
+        run_serve(&table, &args, &obs)
+    } else if args.check {
+        run_check(&table, &args, &obs)
+    } else {
+        run_discover(&table, &args, &obs)
     };
     finish(code, &obs)
 }

@@ -3,29 +3,30 @@
 //! `read_csv_stream` makes two passes over the file (dictionaries, then
 //! encode) and never holds the file's decoded values — but its *result*
 //! must be indistinguishable from `read_csv_opts` reading the whole file at
-//! once: same schema, same dense-rank codes, same cardinalities, same null
-//! masks, same discovered cover. These tests run it, and the `CsvChunks`
-//! row reader at chunk sizes {1, 7, 4096, whole-file}, across the dialect
-//! corner cases the one-shot reader pins (quoted-empty vs null, whitespace
-//! trimming, blank lines, headerless files, both null policies) and pin the
-//! error behaviour: ragged rows and missing null policies fail identically,
-//! and a file that shrinks between the two streaming passes is reported as
-//! such rather than producing a silently short relation.
+//! once: same schema, same dense-rank codes, same cardinalities, same
+//! discovered cover, and the same typed rows and nulls when its kept
+//! dictionaries decode row ranges of {1, 7, 4096, whole-file} rows. These
+//! tests run it across the dialect corner cases the one-shot reader pins
+//! (quoted-empty vs null, whitespace trimming, blank lines, headerless
+//! files, both null policies) and pin the error behaviour: ragged rows and
+//! missing null policies fail identically, and a file that shrinks between
+//! the two streaming passes is reported as such rather than producing a
+//! silently short relation.
 
 use fastod_suite::prelude::*;
 use fastod_suite::relation::csv::{read_csv_opts, write_csv};
 use fastod_suite::relation::stream::DEFAULT_CHUNK_ROWS;
-use fastod_suite::relation::{
-    read_csv_stream, CsvChunks, CsvOptions, NullPolicy, RelationError,
-};
+use fastod_suite::relation::{read_csv_stream, CsvOptions, NullPolicy, RelationError};
 use proptest::prelude::*;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 
-/// Chunk sizes swept for `CsvChunks`.
-const CHUNK_SIZES: [usize; 4] = [1, 7, 4096, 0]; // 0 = whole file
+/// Row-range lengths swept for `StreamedCsv::rows`.
+const RANGE_ROWS: [usize; 3] = [1, 7, 4096];
 
-/// Asserts the streamed encoding equals the one-shot read of `text`, and
-/// that (for non-trivial inputs) the discovered covers agree.
+/// Asserts the streamed encoding equals the one-shot read of `text`, that
+/// its dictionaries decode every row range and cell back to the one-shot
+/// relation's, and that (for non-trivial inputs) the discovered covers
+/// agree.
 fn assert_equivalent(text: &str, opts: CsvOptions) {
     let rel = fastod_suite::relation::csv::read_csv_opts(text.as_bytes(), opts)
         .expect("one-shot read should succeed");
@@ -42,11 +43,18 @@ fn assert_equivalent(text: &str, opts: CsvOptions) {
         );
         assert_eq!(streamed.encoded.codes(a), enc.codes(a), "attr {a} codes");
         assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
-        assert_eq!(
-            streamed.null_masks[a].as_deref(),
-            rel.column(a).null_mask(),
-            "attr {a} null mask"
-        );
+        for row in 0..rel.n_rows() {
+            assert_eq!(streamed.value(row, a), rel.value(row, a), "row {row} attr {a}");
+        }
+    }
+    let n = rel.n_rows();
+    assert_eq!(streamed.rows(0..n).unwrap(), rel, "the whole file");
+    for len in RANGE_ROWS {
+        for start in (0..n).step_by(len) {
+            let range = start..(start + len).min(n);
+            let rows: Vec<usize> = range.clone().collect();
+            assert_eq!(streamed.rows(range.clone()).unwrap(), rel.select_rows(&rows), "{range:?}");
+        }
     }
     if enc.n_rows() > 0 {
         let cover =
@@ -66,8 +74,9 @@ fn plain_typed_file_matches() {
 #[test]
 fn null_dialects_match_under_both_policies() {
     // Empty fields, whitespace-only fields (trimmed to empty = null) and the
-    // quoted `""` (empty *string*, not null) in one file.
-    let text = "s,n,f\nx,1,0.5\n, 2 ,\n\"\" ,3,1.5\n   ,,2.5\n";
+    // quoted `""` (empty *string*, not null) in one file, and an all-null
+    // column, which types as Int with the null entry as its one value.
+    let text = "s,n,f,z\nx,1,0.5,\n, 2 ,, \n\"\" ,3,1.5,\n   ,,2.5,\n";
     for policy in [NullPolicy::First, NullPolicy::Last] {
         assert_equivalent(text, CsvOptions::with_header().null_policy(policy));
     }
@@ -191,27 +200,19 @@ fn rows_appearing_between_passes_are_an_error_not_a_panic() {
 }
 
 #[test]
-fn chunk_iterator_surfaces_truncation_and_stops() {
+fn truncated_tail_fails_the_read_before_any_row_decodes() {
+    // Pass 2 ends one row short. The read fails as a whole, so no prefix of
+    // the file escapes as a table whose rows decode.
     let full = "a,b\n1,x\n2,y\n3,z\n4,x\n";
-    let mut chunks = CsvChunks::new(
+    let err = read_csv_stream(
         ShrinkingSource::new(full, "a,b\n1,x\n2,y\n3,z\n"),
         CsvOptions::with_header(),
-        2,
     )
-    .unwrap();
-    assert_eq!(chunks.n_rows(), 4);
-    let first = chunks.next().expect("first chunk exists").expect("first chunk reads");
-    assert_eq!(first.n_rows(), 2);
-    // The second chunk hits end-of-input one row early: the short chunk must
-    // NOT escape as `Ok` — truncation is the error, immediately.
-    let second = chunks.next().expect("second item exists");
-    let err = second.expect_err("truncated tail must error");
+    .unwrap_err();
     assert!(
-        err.to_string().contains("file changed between streaming passes"),
+        err.to_string().contains("file changed between streaming passes: the row count changed"),
         "unexpected error: {err}"
     );
-    // After the first error the iterator fuses.
-    assert!(chunks.next().is_none());
 }
 
 #[test]
@@ -250,9 +251,11 @@ impl Drop for RemoveOnDrop {
 /// categoricals of 200 and 50k values, a monotone plateau, a
 /// low-cardinality float and a low-cardinality string), about 40 MB of CSV,
 /// streamed and read one-shot from the same file. The streamed codes,
-/// cardinalities and level-2 cover equal the one-shot reader's, and the
-/// streamed ingest's modelled peak stays under a fixed 256 MiB, which a
-/// reader that held O(rows) values would exceed. Ignored in the default
+/// cardinalities and level-2 cover equal the one-shot reader's, the
+/// dictionaries decode every `DEFAULT_CHUNK_ROWS`-row range to the same
+/// rows of the one-shot relation (range by range, so no second full copy
+/// is held), and the streamed ingest's modelled peak stays under a fixed
+/// 256 MiB, which a reader that held O(rows) values would exceed. Ignored in the default
 /// run (it takes seconds in release, tens of seconds in debug); CI's
 /// `scale-smoke` job runs it in release with `--include-ignored`.
 #[test]
@@ -281,9 +284,9 @@ fn million_row_stream_matches_one_shot_under_256_mib() {
 
     let streamed =
         read_csv_stream(std::fs::File::open(&path).unwrap(), CsvOptions::with_header()).unwrap();
-    let one = fastod_suite::relation::csv::read_csv_file_opts(&path, CsvOptions::with_header())
-        .unwrap()
-        .encode();
+    let rel =
+        fastod_suite::relation::csv::read_csv_file_opts(&path, CsvOptions::with_header()).unwrap();
+    let one = rel.encode();
     let enc = &streamed.encoded;
     assert_eq!((enc.n_rows(), enc.n_attrs()), (ROWS as usize, 6));
     assert_eq!(one.n_rows(), enc.n_rows());
@@ -296,6 +299,11 @@ fn million_row_stream_matches_one_shot_under_256_mib() {
         Fastod::new(cfg).discover(e).ods.sorted()
     };
     assert_eq!(cover(enc), cover(&one), "streamed vs one-shot level-2 covers");
+    for start in (0..rel.n_rows()).step_by(DEFAULT_CHUNK_ROWS) {
+        let rows: Vec<usize> = (start..(start + DEFAULT_CHUNK_ROWS).min(rel.n_rows())).collect();
+        let decoded = streamed.rows(start..start + rows.len()).unwrap();
+        assert!(decoded == rel.select_rows(&rows), "rows from {start} decode differently");
+    }
     assert!(
         streamed.peak_bytes < 256 << 20,
         "streamed ingest peak {} bytes is over 256 MiB",
@@ -359,30 +367,6 @@ proptest! {
     }
 }
 
-/// Asserts the chunk iterator replays `text` as the one-shot relation at
-/// every swept chunk size.
-fn assert_chunks_equivalent(text: &str, opts: CsvOptions) {
-    let rel = read_csv_opts(text.as_bytes(), opts).expect("one-shot read should succeed");
-    for chunk_rows in CHUNK_SIZES {
-        let chunks = CsvChunks::new(Cursor::new(text), opts, chunk_rows)
-            .unwrap_or_else(|e| panic!("chunk_rows={chunk_rows}: {e}"));
-        let mut concat: Option<Relation> = None;
-        for chunk in chunks {
-            let chunk = chunk.unwrap_or_else(|e| panic!("chunk_rows={chunk_rows}: {e}"));
-            match &mut concat {
-                None => concat = Some(chunk),
-                Some(base) => {
-                    base.extend(&chunk).unwrap();
-                }
-            }
-        }
-        match concat {
-            Some(concat) => assert_eq!(concat, rel, "chunk {chunk_rows}"),
-            None => assert_eq!(rel.n_rows(), 0, "chunk {chunk_rows}"),
-        }
-    }
-}
-
 #[test]
 fn line_ending_edges_match() {
     let opts = CsvOptions::with_header();
@@ -396,7 +380,6 @@ fn line_ending_edges_match() {
     ];
     for text in cases {
         assert_equivalent(text, opts);
-        assert_chunks_equivalent(text, opts);
     }
     let rel = read_csv_opts(cases[2].as_bytes(), opts).unwrap();
     assert_eq!(rel.value(0, 0), Value::Str("x\ry".into()));
@@ -408,9 +391,7 @@ fn whitespace_only_line_is_a_record_not_a_blank_line() {
     // One column: the whitespace-only line is a null cell.
     let text = "a\n1\n   \n2\n";
     for policy in [NullPolicy::First, NullPolicy::Last] {
-        let opts = CsvOptions::with_header().null_policy(policy);
-        assert_equivalent(text, opts);
-        assert_chunks_equivalent(text, opts);
+        assert_equivalent(text, CsvOptions::with_header().null_policy(policy));
     }
     let opts = CsvOptions::with_header().null_policy(NullPolicy::First);
     let rel = read_csv_opts(text.as_bytes(), opts).unwrap();
@@ -425,26 +406,16 @@ fn whitespace_only_line_is_a_record_not_a_blank_line() {
     assert!(matches!(one, RelationError::Csv { line: 3, .. }), "{one}");
     let streamed = read_csv_stream(Cursor::new(ragged), opts).unwrap_err();
     assert_eq!(streamed.to_string(), one.to_string());
-    for chunk_rows in CHUNK_SIZES {
-        let chunks = CsvChunks::new(Cursor::new(ragged), opts, chunk_rows)
-            .err()
-            .expect("ragged row must fail pass 1");
-        assert_eq!(chunks.to_string(), one.to_string(), "chunk {chunk_rows}");
-    }
 }
 
 #[test]
 fn header_only_file_matches() {
     for text in ["a,b\n", "a,b"] {
         assert_equivalent(text, CsvOptions::with_header());
-        assert_chunks_equivalent(text, CsvOptions::with_header());
-        // The header names two empty columns in every reader.
+        // The header names two empty columns in both readers.
         let rel = read_csv_opts(text.as_bytes(), CsvOptions::with_header()).unwrap();
         assert_eq!((rel.n_rows(), rel.n_attrs()), (0, 2));
         assert_eq!(rel.schema().names(), ["a", "b"]);
-        let chunks = CsvChunks::new(Cursor::new(text), CsvOptions::with_header(), 0).unwrap();
-        assert_eq!(chunks.names(), ["a", "b"]);
-        assert_eq!(chunks.types().len(), 2);
     }
 }
 
@@ -460,11 +431,5 @@ fn invalid_utf8_is_an_io_error_in_every_reader() {
         assert!(is_invalid_data(&one), "{one}");
         let streamed = read_csv_stream(Cursor::new(bytes), opts).unwrap_err();
         assert!(is_invalid_data(&streamed), "{streamed}");
-        for chunk_rows in CHUNK_SIZES {
-            let chunks = CsvChunks::new(Cursor::new(bytes), opts, chunk_rows)
-                .err()
-                .expect("invalid UTF-8 must fail pass 1");
-            assert!(is_invalid_data(&chunks), "{chunks}");
-        }
     }
 }
