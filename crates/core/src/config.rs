@@ -42,15 +42,6 @@ pub struct DiscoveryConfig {
     /// is **identical at every thread count** — verdicts are merged in
     /// deterministic input order (see [`crate::parallel::Executor`]).
     pub threads: usize,
-    /// Byte budget for partitions retained across passes in a
-    /// [`crate::snapshot::DiscoverySnapshot`] (the incremental engine's
-    /// warehouse). `None` (the default) retains every post-prune partition;
-    /// `Some(bytes)` evicts the least-recently-reused nodes (see
-    /// [`crate::snapshot::DiscoverySnapshot::enforce_budget`]) until the
-    /// CSR buffers fit, and evicted partitions are transparently recomputed
-    /// on demand. The discovered cover is identical under any budget — only
-    /// the reuse/recompute split changes.
-    pub partition_memory_budget: Option<usize>,
     /// Observability recorder. The default ([`Obs::disabled`]) records
     /// nothing and costs one branch per instrumentation point; an enabled
     /// recorder collects per-phase spans, counters and latency histograms
@@ -74,7 +65,6 @@ impl Default for DiscoveryConfig {
             cancel: CancelToken::never(),
             fd_check: FdCheckMode::default(),
             threads: 1,
-            partition_memory_budget: None,
             obs: Obs::disabled(),
             pass_deadline: None,
         }
@@ -109,14 +99,6 @@ impl DiscoveryConfig {
     /// Sets the worker-thread count (`0` = all available cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Caps the bytes of partition data retained across incremental passes;
-    /// colder lattice regions beyond the budget are evicted and recomputed
-    /// on demand.
-    pub fn with_partition_memory_budget(mut self, bytes: usize) -> Self {
-        self.partition_memory_budget = Some(bytes);
         self
     }
 

@@ -40,7 +40,7 @@ use crate::{CancelToken, PassError};
 use fastod_partition::StrippedPartition;
 use fastod_relation::{AttrId, AttrSet};
 use fastod_theory::{CanonicalOd, OdSet};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
 /// The pure per-node half of `computeODs(L_l)` lines 1–8: `C⁺c(X)` and
@@ -261,7 +261,9 @@ fn retained(mut levels: Vec<Level>) -> Vec<Level> {
 ///
 /// A snapshot is a *warehouse*, not a live algorithm state: consumers take
 /// nodes out ([`DiscoverySnapshot::take_node`]) as they rebuild each level,
-/// and store the rebuilt levels back.
+/// and store the rebuilt levels back. It retains every post-prune
+/// partition; a node it lacks (level 0, pruned in an earlier pass, or
+/// never generated) is recomputed by the pass that needs it.
 ///
 /// # Shared partitions
 ///
@@ -272,44 +274,10 @@ fn retained(mut levels: Vec<Level>) -> Vec<Level> {
 /// partition is then held by one node, its *holder*, and is mutated in
 /// place without a copy. The pass re-learns the facts from its own
 /// partitions and shares again where they still hold.
-///
-/// # Memory budgeting
-///
-/// Retained partitions are byte-accounted (the CSR layout makes a
-/// partition's cost exactly `4 · (rows.capacity() + offsets.capacity())`,
-/// see [`fastod_partition::StrippedPartition::memory_bytes`]), once per
-/// distinct partition, however many nodes hold it. When a budget is set
-/// ([`DiscoverySnapshot::set_budget`], wired from
-/// [`crate::DiscoveryConfig::partition_memory_budget`]),
-/// [`enforce_budget`](DiscoverySnapshot::enforce_budget) evicts whole
-/// partitions — least-recently-*reused* first, each with every node that
-/// holds it — until the resident bytes fit. Eviction is always safe: a
-/// later pass that misses a node simply recomputes its partition (one
-/// refinement of a parent, or one counting sort at level 1), so the budget
-/// trades reuse for memory without ever changing results.
-///
-/// Recency is tracked per `(level, bits)` key across passes: taking a node
-/// via `take_node` (to reuse it, or to absorb appended rows into it) or
-/// sharing a parent's partition ([`DiscoverySnapshot::note_shared`]) stamps
-/// it with the current pass, while a node that had to be *recomputed* (its
-/// retained copy was evicted) inherits its old stamp — regions whose
-/// retained partitions keep getting evicted stay cold and go first. A
-/// partition is as recent as its most recently stamped holder.
 #[derive(Default)]
 pub struct DiscoverySnapshot {
     levels: Vec<Level>,
     n_rows: usize,
-    /// Monotone pass counter (bumped by [`DiscoverySnapshot::advanced_from`]).
-    pass: u64,
-    /// `(level, bits)` → pass in which the node's partition was last reused.
-    last_reuse: HashMap<(u32, u64), u64>,
-    /// Keys handed out by `take_node`, or noted as shared, since this
-    /// snapshot was built.
-    taken: Vec<(u32, u64)>,
-    /// Partition byte cap; `None` retains everything.
-    budget: Option<usize>,
-    /// Nodes evicted by budget enforcement over this snapshot's lifetime.
-    evicted: usize,
 }
 
 impl DiscoverySnapshot {
@@ -322,50 +290,10 @@ impl DiscoverySnapshot {
     /// The levels drop the relation they carry, so the snapshot holds no
     /// code column.
     pub fn from_levels(levels: Vec<Level>, n_rows: usize) -> DiscoverySnapshot {
-        let mut snap = DiscoverySnapshot {
+        DiscoverySnapshot {
             levels: retained(levels),
             n_rows,
-            pass: 1,
-            ..DiscoverySnapshot::default()
-        };
-        for key in snap.keys() {
-            snap.last_reuse.insert(key, snap.pass);
         }
-        snap
-    }
-
-    /// Builds the successor snapshot of `old` from a freshly rebuilt
-    /// lattice: the pass counter advances, nodes whose partitions were
-    /// reused out of `old` (via [`take_node`](DiscoverySnapshot::take_node))
-    /// are stamped with the new pass, recomputed nodes inherit their old
-    /// stamp (or the new pass when the key is new), and `old`'s budget is
-    /// carried over and enforced. The levels drop the relation they carry,
-    /// as in [`from_levels`](DiscoverySnapshot::from_levels).
-    pub fn advanced_from(
-        old: &DiscoverySnapshot,
-        levels: Vec<Level>,
-        n_rows: usize,
-    ) -> DiscoverySnapshot {
-        let pass = old.pass + 1;
-        let reused: std::collections::HashSet<(u32, u64)> = old.taken.iter().copied().collect();
-        let mut snap = DiscoverySnapshot {
-            levels: retained(levels),
-            n_rows,
-            pass,
-            budget: old.budget,
-            evicted: old.evicted,
-            ..DiscoverySnapshot::default()
-        };
-        for key in snap.keys() {
-            let stamp = if reused.contains(&key) {
-                pass
-            } else {
-                old.last_reuse.get(&key).copied().unwrap_or(pass)
-            };
-            snap.last_reuse.insert(key, stamp);
-        }
-        snap.enforce_budget();
-        snap
     }
 
     /// Every `(level, bits)` key currently present, in ascending order.
@@ -420,22 +348,9 @@ impl DiscoverySnapshot {
     }
 
     /// Removes and returns a node, transferring ownership of its partition
-    /// to the caller (the reuse path of the incremental engine). The key is
-    /// recorded as *reused* for LRU accounting in the successor snapshot.
+    /// to the caller (the reuse path of the incremental engine).
     pub fn take_node(&mut self, level: usize, bits: u64) -> Option<Node> {
-        let node = self.levels.get_mut(level)?.remove(&bits)?;
-        self.taken.push((level as u32, bits));
-        Some(node)
-    }
-
-    /// Records that the pass gave the node of `bits` a parent's partition:
-    /// the key counts as *reused* for LRU accounting in the successor
-    /// snapshot, and the node's retained partition, if any, is dropped.
-    pub fn note_shared(&mut self, level: usize, bits: u64) {
-        if let Some(nodes) = self.levels.get_mut(level) {
-            nodes.remove(&bits);
-        }
-        self.taken.push((level as u32, bits));
+        self.levels.get_mut(level)?.remove(&bits)
     }
 
     /// Removes every node whose partition a node earlier in `(level, bits)`
@@ -448,8 +363,6 @@ impl DiscoverySnapshot {
     /// each distinct partition is compacted once. A sharer's partition
     /// equaled its holder's, so the holder's touched bit from
     /// [`remove_rows`](DiscoverySnapshot::remove_rows) is the sharer's too.
-    /// A released node keeps its recency stamp: if the pass
-    /// must recompute it, because its FD broke, it inherits that stamp.
     pub fn release_shared(&mut self) -> Vec<(u64, u64)> {
         let mut released = Vec::new();
         for group in self.holder_groups() {
@@ -475,8 +388,8 @@ impl DiscoverySnapshot {
     /// attribute-set bits (globally unique: the bits determine the level
     /// via their popcount); a node mapped to `false` was provably untouched
     /// (every deleted row was a singleton under it), and a node *absent*
-    /// from the map was not retained — evicted under the memory budget or
-    /// never generated — so a consumer must treat its context as touched.
+    /// from the map was not retained — level 0, pruned earlier or never
+    /// generated — so a consumer must treat its context as touched.
     ///
     /// The nodes are independent, so the compaction is a map on `exec`
     /// over the retained nodes in ascending bits order, with one deletion
@@ -519,77 +432,6 @@ impl DiscoverySnapshot {
                 .remove_rows_masked(&mask)
         })?;
         Ok(nodes.iter().map(|&(bits, _)| bits).zip(touched).collect())
-    }
-
-    /// Sets (or clears) the partition byte budget. The cap is enforced on
-    /// the next [`enforce_budget`](DiscoverySnapshot::enforce_budget) /
-    /// [`advanced_from`](DiscoverySnapshot::advanced_from) call.
-    pub fn set_budget(&mut self, budget: Option<usize>) {
-        self.budget = budget;
-    }
-
-    /// The configured partition byte budget, if any.
-    pub fn budget(&self) -> Option<usize> {
-        self.budget
-    }
-
-    /// Resident partition bytes across all retained nodes, each distinct
-    /// partition counted once however many nodes hold it (CSR buffers only;
-    /// the accounting unit of the budget).
-    pub fn partition_bytes(&self) -> usize {
-        let mut seen = HashSet::new();
-        self.levels
-            .iter()
-            .flat_map(Level::values)
-            .filter(|node| seen.insert(Arc::as_ptr(&node.partition)))
-            .map(|node| node.partition.memory_bytes())
-            .sum()
-    }
-
-    /// Nodes evicted by budget enforcement so far (cumulative across
-    /// [`advanced_from`](DiscoverySnapshot::advanced_from) generations).
-    pub fn evicted_nodes(&self) -> usize {
-        self.evicted
-    }
-
-    /// Evicts partitions, each with every node that holds it, until
-    /// [`partition_bytes`](DiscoverySnapshot::partition_bytes) fits the
-    /// budget, returning how many nodes were dropped. Order: stalest
-    /// partition first, a partition being as recent as the most recent
-    /// `last_reuse` stamp among its holders; ties broken by the first
-    /// holder, deepest level first (a deep node is one cheap refinement of
-    /// a parent away), then ascending bits — fully deterministic.
-    pub fn enforce_budget(&mut self) -> usize {
-        let Some(budget) = self.budget else {
-            return 0;
-        };
-        let mut resident = self.partition_bytes();
-        if resident <= budget {
-            return 0;
-        }
-        let mut groups = self.holder_groups();
-        groups.sort_unstable_by_key(|group| {
-            let stamp = |key| self.last_reuse.get(key).copied().unwrap_or(0);
-            let recent = group.iter().map(stamp).max().expect("a group has a holder");
-            let (l, bits) = group[0];
-            (recent, std::cmp::Reverse(l), bits)
-        });
-        let mut dropped = 0;
-        for group in groups {
-            if resident <= budget {
-                break;
-            }
-            for &(l, bits) in &group {
-                let node = self.levels[l as usize].remove(&bits).expect("eviction key present");
-                if (l, bits) == group[0] {
-                    resident -= node.partition.memory_bytes();
-                }
-                self.last_reuse.remove(&(l, bits));
-            }
-            dropped += group.len();
-        }
-        self.evicted += dropped;
-        dropped
     }
 }
 
@@ -660,66 +502,6 @@ mod tests {
         assert!(snap.node(0, AttrSet::EMPTY.bits()).is_some());
     }
 
-    #[test]
-    fn budget_enforcement_is_byte_accounted_and_deterministic() {
-        let enc = enc();
-        let make = || vec![build_level0(enc.n_rows(), 3), build_level1(&enc)];
-        let mut snap = DiscoverySnapshot::from_levels(make(), enc.n_rows());
-        let full = snap.partition_bytes();
-        assert!(full > 0);
-        assert_eq!(snap.enforce_budget(), 0, "no budget, no eviction");
-
-        // A budget of half the footprint must evict something, land at or
-        // under the cap, and count the drops.
-        snap.set_budget(Some(full / 2));
-        let dropped = snap.enforce_budget();
-        assert!(dropped > 0);
-        assert!(snap.partition_bytes() <= full / 2);
-        assert_eq!(snap.evicted_nodes(), dropped);
-        // Idempotent once under budget.
-        assert_eq!(snap.enforce_budget(), 0);
-
-        // Same inputs, same budget → same surviving node set (determinism).
-        let mut snap2 = DiscoverySnapshot::from_levels(make(), enc.n_rows());
-        snap2.set_budget(Some(full / 2));
-        snap2.enforce_budget();
-        let keys = |s: &DiscoverySnapshot| {
-            let mut k: Vec<(usize, u64)> = s
-                .levels()
-                .iter()
-                .enumerate()
-                .flat_map(|(l, lv)| lv.keys().map(move |&b| (l, b)))
-                .collect();
-            k.sort_unstable();
-            k
-        };
-        assert_eq!(keys(&snap), keys(&snap2));
-    }
-
-    #[test]
-    fn advanced_from_stamps_reused_nodes_hot() {
-        let enc = enc();
-        let mut old =
-            DiscoverySnapshot::from_levels(vec![build_level0(enc.n_rows(), 3), build_level1(&enc)], enc.n_rows());
-        // Reuse exactly one level-1 node; rebuild the same lattice shape.
-        let hot_bits = AttrSet::singleton(1).bits();
-        let node = old.take_node(1, hot_bits).expect("node exists");
-        let mut level1 = build_level1(&enc);
-        level1.insert(hot_bits, node);
-        let mut snap = DiscoverySnapshot::advanced_from(
-            &old,
-            vec![build_level0(enc.n_rows(), 3), level1],
-            enc.n_rows(),
-        );
-        // Budget that only fits roughly one level-1 partition: the reused
-        // (hot) node must be the survivor among level-1 nodes of equal size.
-        let hot_bytes = snap.node(1, hot_bits).unwrap().partition.memory_bytes();
-        let level0_bytes = snap.node(0, AttrSet::EMPTY.bits()).unwrap().partition.memory_bytes();
-        snap.set_budget(Some(hot_bytes + level0_bytes));
-        snap.enforce_budget();
-        assert!(snap.node(1, hot_bits).is_some(), "hot node evicted");
-    }
-
     /// Levels 0–2 of `enc()` in which `{yr, bin}` and `{bin, sal}` hold
     /// `{bin}`'s partition, as generation shares a parent's partition along
     /// an FD, and `{yr, sal}` holds its own.
@@ -736,56 +518,22 @@ mod tests {
         vec![build_level0(enc.n_rows(), 3), l1, l2]
     }
 
-    /// A partition that several nodes hold is charged once, compacted once
-    /// after its sharers are released, and evicted with all its holders; it
-    /// is as recent as its most recently reused holder.
+    /// A partition that several nodes hold is compacted once, in place,
+    /// after its sharers are released.
     #[test]
     fn shared_partitions_count_once() {
         let enc = enc();
-        let n = enc.n_rows();
         let (bin, yr_bin, bin_sal) = (0b010u64, 0b011u64, 0b110u64);
-        let mut snap = DiscoverySnapshot::from_levels(shared_levels(&enc), n);
-        let per_node: usize =
-            snap.levels().iter().flat_map(Level::values).map(|n| n.partition.memory_bytes()).sum();
-        let bin_bytes = snap.node(1, bin).unwrap().partition.memory_bytes();
-        assert_eq!(snap.partition_bytes(), per_node - 2 * bin_bytes);
+        let mut snap = DiscoverySnapshot::from_levels(shared_levels(&enc), enc.n_rows());
 
         // The release leaves `{bin}` as the only holder of its partition.
         assert_eq!(snap.release_shared(), vec![(yr_bin, bin), (bin_sal, bin)]);
         assert_eq!(snap.n_nodes(), 5);
-        assert_eq!(snap.partition_bytes(), per_node - 2 * bin_bytes);
         assert!(snap.release_shared().is_empty(), "one holder per partition");
         let rows = |snap: &DiscoverySnapshot| snap.node(1, bin).unwrap().partition.raw_csr().0.as_ptr();
         let before = rows(&snap);
         snap.remove_rows(&[0], &Executor::new(1), &CancelToken::never()).unwrap();
         assert_eq!(rows(&snap), before, "the holder is compacted in place");
-
-        // `{yr, bin}` shared `{bin}`'s partition in the pass that built the
-        // next snapshot, so the partition is the most recent: a budget that
-        // fits one partition keeps it, with both nodes that share it.
-        let mut old = DiscoverySnapshot::from_levels(shared_levels(&enc), n);
-        old.note_shared(2, yr_bin);
-        assert!(old.node(2, yr_bin).is_none(), "the retained copy is dropped");
-        let mut hot = DiscoverySnapshot::advanced_from(&old, shared_levels(&enc), n);
-        hot.set_budget(Some(bin_bytes));
-        assert_eq!(hot.enforce_budget(), 4);
-        assert_eq!(hot.partition_bytes(), bin_bytes);
-        for (l, bits) in [(1, bin), (2, yr_bin), (2, bin_sal)] {
-            assert!(hot.node(l, bits).is_some(), "{bits:#b} evicted");
-        }
-        // With every stamp equal the same budget evicts the partition, and
-        // every node that holds it goes with it.
-        let old = DiscoverySnapshot::from_levels(shared_levels(&enc), n);
-        let mut cold = DiscoverySnapshot::advanced_from(&old, shared_levels(&enc), n);
-        cold.set_budget(Some(bin_bytes));
-        cold.enforce_budget();
-        for (l, bits) in [(1, bin), (2, yr_bin), (2, bin_sal)] {
-            assert!(cold.node(l, bits).is_none(), "{bits:#b} kept");
-        }
-        cold.set_budget(Some(0));
-        cold.enforce_budget();
-        assert_eq!(cold.n_nodes(), 0);
-        assert_eq!(cold.evicted_nodes(), 7, "every node counts, sharers too");
     }
 
     #[test]
@@ -793,7 +541,10 @@ mod tests {
         let enc = enc();
         let levels = vec![build_level0(enc.n_rows(), 3), build_level1(&enc)];
         let mut snap = DiscoverySnapshot::from_levels(levels, enc.n_rows());
-        let bytes_before = snap.partition_bytes();
+        let bytes = |snap: &DiscoverySnapshot| -> usize {
+            snap.levels().iter().flat_map(Level::values).map(|n| n.partition.memory_bytes()).sum()
+        };
+        let bytes_before = bytes(&snap);
         let remove = |snap: &mut DiscoverySnapshot, deleted: &[u32], threads: usize| {
             snap.remove_rows(deleted, &Executor::new(threads), &CancelToken::never())
                 .unwrap()
@@ -811,10 +562,10 @@ mod tests {
             touched,
             HashMap::from([(unit, true), (yr, true), (bin, true), (sal, false)])
         );
-        // Removal compacts in place without freeing the allocation, and the
-        // budget charges the allocation — so resident bytes are unchanged
-        // even though the covered rows shrank.
-        assert_eq!(snap.partition_bytes(), bytes_before);
+        // Removal compacts in place without freeing the allocation, which
+        // is what `memory_bytes` reports — so the bytes are unchanged even
+        // though the covered rows shrank.
+        assert_eq!(bytes(&snap), bytes_before);
         let partition = |snap: &DiscoverySnapshot, l: usize, bits: u64| {
             snap.node(l, bits).unwrap().partition.normalized()
         };
@@ -870,10 +621,7 @@ mod tests {
             vec![build_level0(enc.n_rows(), 3), l1, l2]
         };
         assert!(make().iter().skip(1).all(|level| level.relation.is_some()));
-        let old = DiscoverySnapshot::from_levels(make(), enc.n_rows());
-        assert!(old.levels().iter().all(|level| level.relation.is_none()));
-        let snap = DiscoverySnapshot::advanced_from(&old, make(), enc.n_rows());
-        assert_eq!(snap.n_nodes(), old.n_nodes());
+        let snap = DiscoverySnapshot::from_levels(make(), enc.n_rows());
         assert!(snap.levels().iter().all(|level| level.relation.is_none()));
     }
 

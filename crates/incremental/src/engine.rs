@@ -250,16 +250,6 @@ impl IncrementalDiscovery {
         entries
     }
 
-    /// Re-targets the retained-partition byte budget (see
-    /// [`DiscoveryConfig::partition_memory_budget`]) and evicts immediately
-    /// if the retained set now exceeds it. The serving layer uses this to
-    /// rebalance one global budget across sessions as relations come and go.
-    pub fn set_partition_budget(&mut self, budget: Option<usize>) {
-        self.config.partition_memory_budget = budget;
-        self.snapshot.set_budget(budget);
-        self.snapshot.enforce_budget();
-    }
-
     /// Appends a batch and restores the cover invariant.
     ///
     /// ```
@@ -613,17 +603,18 @@ impl IncrementalDiscovery {
     /// retained node, a released sharer its holder's:
     /// cached-valid verdicts are binding under deletes, cached-invalid ones
     /// on untouched contexts too, and the rest settle by a witness-pair
-    /// liveness probe or, when the pair died or the partition was evicted,
-    /// an early-exit witness search. Appended rows are then absorbed level
-    /// by level — the two directions threaten disjoint verdict sets.
+    /// liveness probe or, when the pair died or the context has no retained
+    /// partition, an early-exit witness search. Appended rows are then
+    /// absorbed level by level — the two directions threaten disjoint
+    /// verdict sets.
     ///
     /// Each level is generated by [`generate_level`], as one-shot
     /// discovery generates it. A child whose parent this pass's partitions
     /// show to determine the attribute it adds shares that parent's
     /// partition. The plan takes one action per other child, in join
     /// order, from its generating parents' dirt: a node without a retained
-    /// partition (new, pruned earlier, evicted, or a released sharer) is a
-    /// product; a retained node with two dirty parents absorbs the appended
+    /// partition (new, pruned earlier, or a released sharer) is a product;
+    /// a retained node with two dirty parents absorbs the appended
     /// rows; any other retained node is reused as is. The products and
     /// absorbs run on the executor with the engine's per-worker scratch
     /// pool, and the apply step sets dirt and counters in join order, so
@@ -806,7 +797,9 @@ impl IncrementalDiscovery {
                         let dirty = match generated {
                             Generated::Shared(p) => {
                                 judge.counters.nodes_shared += 1;
-                                old.note_shared(l + 1, x.bits());
+                                // The child's retained copy, if any, is
+                                // freed now rather than at the pass's end.
+                                old.take_node(l + 1, x.bits());
                                 judge.is_dirty(p.bits())
                             }
                             Generated::Product => {
@@ -842,23 +835,14 @@ impl IncrementalDiscovery {
         // changed without re-anchoring; see the judge's finish_pass docs
         // for the exact rules.
         judge.finish_pass();
-        let mut counters = judge.counters.clone();
+        let counters = judge.counters.clone();
         drop(judge);
         // Level 0 is not retained: every pass rebuilds it from the liveness
         // mask, and any delete would touch its one all-rows class, which is
         // what the judge assumes of a context with no touched bit.
         // Index 0 stays, empty, so level indices do not shift.
         levels[0] = Level::new();
-        // Successor snapshot: nodes taken from the old one (reused or
-        // absorbing) stamped hot, products keep their old recency, then the
-        // byte budget (if any) evicts the coldest partitions — they will be
-        // recomputed on demand next pass.
-        let evicted_before = old.evicted_nodes();
-        let mut snapshot = DiscoverySnapshot::advanced_from(&old, levels, n_rows);
-        snapshot.set_budget(self.config.partition_memory_budget);
-        snapshot.enforce_budget();
-        counters.nodes_evicted = snapshot.evicted_nodes() - evicted_before;
-        self.snapshot = snapshot;
+        self.snapshot = DiscoverySnapshot::from_levels(levels, n_rows);
         let retired: Vec<CanonicalOd> = self
             .cover
             .iter()

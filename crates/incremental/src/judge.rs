@@ -86,8 +86,8 @@ pub(crate) struct CachedJudge<'a> {
     /// Per node, keyed by attribute-set bits, whether the pass's delete
     /// touched a class (`DiscoverySnapshot::remove_rows`), when the pass
     /// deleted rows. Nodes that held one partition share one bit. A context
-    /// absent from the map was not retained (level 0, evicted or never
-    /// generated) and counts as touched.
+    /// absent from the map was not retained (level 0, pruned earlier or
+    /// never generated) and counts as touched.
     touched: Option<HashMap<u64, bool>>,
     /// Whether the pass appended rows (drives `Valid`-entry hygiene).
     has_appends: bool,

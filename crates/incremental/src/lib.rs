@@ -76,8 +76,8 @@
 //!   (`StrippedPartition::remove_rows_masked`): `Π*_X(r ∖ D)` needs no
 //!   product.
 //!   So **every** retained node absorbs every mutation in place, and only
-//!   nodes without a retained partition (new, pruned earlier, or
-//!   budget-evicted) are computed as products. A node whose parent the
+//!   nodes without a retained partition (new or pruned earlier) are
+//!   computed as products. A node whose parent the
 //!   pass's own partitions show to determine the attribute it adds holds
 //!   that parent's partition, as in one-shot generation; every pass first
 //!   releases those sharers, so each shared partition absorbs a mutation
@@ -87,12 +87,12 @@
 //!   re-validate. Deletes: cached-valid candidates are skipped outright,
 //!   cached-invalid ones on untouched contexts too, and the rest settle by
 //!   a witness liveness probe (O(1)) or, when no live witness is cached,
-//!   an early-exit witness search; contexts whose partition was evicted
-//!   under the memory budget count as touched and take the same route.
+//!   an early-exit witness search; contexts without a retained partition
+//!   (level 0, or pruned earlier) count as touched and take the same route.
 //!
 //! The retained lattice ([`fastod::snapshot::DiscoverySnapshot`]) trades
-//! memory — every post-prune node's partition stays resident, under an
-//! optional byte budget — for exactly this locality. perfbench's
+//! memory — every post-prune node's partition stays resident — for
+//! exactly this locality. perfbench's
 //! `maintain` workload (`BENCHMARK.json`) times maintenance passes, and its
 //! traced `incremental.vs_scratch` compares them with from-scratch
 //! re-discovery.

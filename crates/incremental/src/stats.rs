@@ -41,15 +41,15 @@ pub struct BatchCounters {
     /// subset of [`BatchCounters::revalidated`].
     pub escalated_searches: usize,
     /// Cache entries dropped because the pass could have changed them but
-    /// no retained state could prove otherwise (context evicted or not in
-    /// the current lattice); they are revalidated when next gathered.
+    /// no retained state could prove otherwise (context not retained or not
+    /// in the current lattice); they are revalidated when next gathered.
     pub entries_dropped: usize,
     /// Lattice nodes whose retained partition was reused with a row-count
     /// bump (clean nodes).
     pub nodes_reused: usize,
     /// Lattice nodes with no retained partition (new, pruned in an earlier
-    /// pass, evicted, or a released sharer whose FD broke), computed as a
-    /// parent product.
+    /// pass, or a released sharer whose FD broke), computed as a parent
+    /// product.
     pub nodes_recomputed: usize,
     /// Lattice nodes given the partition of a parent that this pass's
     /// partitions show to determine the attribute they add: no rows read.
@@ -61,9 +61,6 @@ pub struct BatchCounters {
     pub partitions_appended: usize,
     /// Nodes marked dirty — contexts the batch can actually have broken.
     pub dirty_nodes: usize,
-    /// Retained nodes evicted by the snapshot's partition memory budget
-    /// after this pass (see `DiscoveryConfig::partition_memory_budget`).
-    pub nodes_evicted: usize,
 }
 
 impl BatchCounters {
@@ -71,7 +68,7 @@ impl BatchCounters {
     /// `(name, value)` pair, in declaration order — the single source for
     /// [`BatchCounters::export_counters`] and the
     /// [`Display`](fmt::Display) render.
-    pub fn fields(&self) -> [(&'static str, usize); 14] {
+    pub fn fields(&self) -> [(&'static str, usize); 13] {
         [
             ("skipped_false", self.skipped_false),
             ("skipped_clean", self.skipped_clean),
@@ -86,7 +83,6 @@ impl BatchCounters {
             ("nodes_shared", self.nodes_shared),
             ("partitions_appended", self.partitions_appended),
             ("dirty_nodes", self.dirty_nodes),
-            ("nodes_evicted", self.nodes_evicted),
         ]
     }
 
@@ -116,7 +112,6 @@ impl BatchCounters {
         self.nodes_shared += other.nodes_shared;
         self.partitions_appended += other.partitions_appended;
         self.dirty_nodes += other.dirty_nodes;
-        self.nodes_evicted += other.nodes_evicted;
     }
 }
 

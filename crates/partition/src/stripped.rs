@@ -647,8 +647,8 @@ impl StrippedPartition {
         // `refine` splits every class, behind the kept classes.
         let split = &mut scratch.split;
         split.split_by_codes(parent.classes().iter().filter(gained), codes, write as u32);
-        // Grow the retained buffers to the exact size: their capacity is
-        // what the snapshot's memory budget charges.
+        // Grow the retained buffers to the exact size, so a retained
+        // partition keeps no slack between passes.
         self.rows.reserve_exact(split.rows.len());
         self.rows.extend_from_slice(&split.rows);
         self.class_offsets.reserve_exact(split.offsets.len());
@@ -700,11 +700,10 @@ impl StrippedPartition {
         self.rows.is_empty()
     }
 
-    /// Resident heap bytes of the CSR buffers (`rows` + `class_offsets`),
-    /// the quantity the snapshot memory budget accounts for. Uses the
-    /// buffers' **capacity**, not their logical length — after deletions
-    /// truncate a partition in place, the allocation (what eviction
-    /// pressure actually competes with) can exceed the live row count.
+    /// Resident heap bytes of the CSR buffers (`rows` + `class_offsets`).
+    /// Uses the buffers' **capacity**, not their logical length — after
+    /// deletions truncate a partition in place, the allocation can exceed
+    /// the live row count.
     pub fn memory_bytes(&self) -> usize {
         self.rows.capacity() * std::mem::size_of::<u32>()
             + self.class_offsets.capacity() * std::mem::size_of::<u32>()
@@ -1232,12 +1231,12 @@ mod tests {
         let before = p.memory_bytes();
         assert!(before >= (10 + 3) * 4);
         // Removal compacts in place: logical size shrinks, the allocation
-        // does not — the budget must keep charging the allocation.
+        // does not, and `memory_bytes` reports the allocation.
         assert!(p.remove_rows_masked(&mask(10, &[8, 9])));
         assert_eq!(p.covered_rows(), 8);
         assert_eq!(p.memory_bytes(), before);
-        // A reallocated copy keeps the bytes the budget charges; a clone
-        // shrinks them to the lengths.
+        // A reallocated copy keeps the allocation's size; a clone shrinks
+        // it to the lengths.
         let copy = p.reallocated();
         assert_eq!(copy.raw_csr(), p.raw_csr());
         assert_eq!(copy.n_rows(), p.n_rows());

@@ -21,8 +21,7 @@
 //!        │  IncrementalDiscovery   │  (appends / deletes / updates)
 //!        └─────────────────────────┘
 //!                      ▲
-//!              Server registry — many sessions, one shared
-//!              retained-partition byte budget
+//!              Server registry — many sessions
 //! ```
 //!
 //! Each [`Session`] double-buffers its published [`CoverSnapshot`] behind
@@ -161,7 +160,6 @@ mod tests {
         let config = ServeConfig {
             discovery: fastod::DiscoveryConfig::default().with_obs(obs),
             recovery: RecoveryPolicy::auto(),
-            ..ServeConfig::default()
         };
         let server = Server::new(config);
         let session = server.open("r", &random_relation(20, 3, 3, 21)).unwrap();
@@ -203,18 +201,14 @@ mod tests {
     }
 
     #[test]
-    fn budget_is_split_across_sessions() {
-        let config = ServeConfig {
-            total_partition_budget: Some(1 << 20),
-            ..ServeConfig::default()
-        };
-        let server = Server::new(config);
+    fn two_sessions_open_mutate_and_close() {
+        let server = Server::new(ServeConfig::default());
         let a = server.open("a", &random_relation(20, 4, 3, 3)).unwrap();
         let b = server.open("b", &random_relation(20, 4, 3, 4)).unwrap();
-        // Both keep serving and absorbing after the rebalance.
         a.push_batch(&random_relation(5, 4, 3, 5)).unwrap();
         b.push_batch(&random_relation(5, 4, 3, 6)).unwrap();
         assert_eq!(server.len(), 2);
+        // Closing one session leaves the other serving and absorbing.
         server.close("a").unwrap();
         b.push_batch(&random_relation(5, 4, 3, 7)).unwrap();
         assert_eq!(b.read().1.n_live(), 30);

@@ -339,14 +339,6 @@ impl Session {
         self.lock_cancel().cancel();
     }
 
-    /// Re-targets the engine's retained-partition byte budget (used by the
-    /// server to split one global budget across sessions). Waits for any
-    /// in-flight pass.
-    pub fn set_partition_budget(&self, budget: Option<usize>) -> Result<(), ServeError> {
-        self.lock_engine()?.set_partition_budget(budget);
-        Ok(())
-    }
-
     fn lock_engine(&self) -> Result<MutexGuard<'_, IncrementalDiscovery>, ServeError> {
         self.engine.lock().map_err(|_| ServeError::MaintenancePanicked)
     }
@@ -416,16 +408,8 @@ pub struct Server {
 #[derive(Clone, Default)]
 pub struct ServeConfig {
     /// Per-session discovery/maintenance configuration. The `cancel` token
-    /// is ignored (each session owns a manual token); the
-    /// `partition_memory_budget` is ignored in favour of
-    /// [`ServeConfig::total_partition_budget`].
+    /// is ignored (each session owns a manual token).
     pub discovery: DiscoveryConfig,
-    /// One retained-partition byte budget shared by **all** sessions: each
-    /// open session is allotted an equal share, re-split on every open and
-    /// close. `None` retains everything. Note the double-buffered snapshots
-    /// are *cover* snapshots — partition memory is not double-buffered, so
-    /// the budget bounds one copy per session, not two.
-    pub total_partition_budget: Option<usize>,
     /// Automatic healing of poisoned sessions (see [`RecoveryPolicy`]).
     /// Disabled by default.
     pub recovery: RecoveryPolicy,
@@ -441,8 +425,7 @@ impl Server {
     }
 
     /// Opens a session over `rel` (running its initial discovery on the
-    /// calling thread) and registers it under `name`. Re-splits the global
-    /// partition budget across all open sessions.
+    /// calling thread) and registers it under `name`.
     ///
     /// # Errors
     /// [`ServeError::DuplicateSession`] when the name is taken;
@@ -462,7 +445,6 @@ impl Server {
             }
             sessions.insert(name.to_string(), Arc::clone(&session));
         }
-        self.rebalance_budget();
         Ok(session)
     }
 
@@ -475,10 +457,9 @@ impl Server {
             .cloned()
     }
 
-    /// Closes a session: cancels any in-flight maintenance pass, removes it
-    /// from the registry, and re-splits the global budget over the
-    /// survivors. Readers still holding the session's `Arc` keep their
-    /// snapshots — `Arc`s make teardown safe, not instant.
+    /// Closes a session: cancels any in-flight maintenance pass and removes
+    /// it from the registry. Readers still holding the session's `Arc` keep
+    /// their snapshots — `Arc`s make teardown safe, not instant.
     ///
     /// # Errors
     /// [`ServeError::UnknownSession`] when the name is not registered.
@@ -490,7 +471,6 @@ impl Server {
             .remove(name)
             .ok_or_else(|| ServeError::UnknownSession(name.to_string()))?;
         removed.cancel_maintenance();
-        self.rebalance_budget();
         Ok(())
     }
 
@@ -585,30 +565,5 @@ impl Server {
             }
         }
         Err(last.expect("at least one recovery attempt ran"))
-    }
-
-    /// Splits the global partition budget equally across the open sessions.
-    /// Sessions whose retained set exceeds their new share evict down to it
-    /// immediately (waiting for their in-flight pass, if any); sessions
-    /// whose share grew refill lazily as later passes retain more.
-    fn rebalance_budget(&self) {
-        let Some(total) = self.config.total_partition_budget else {
-            return;
-        };
-        let sessions: Vec<Arc<Session>> = self
-            .sessions
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .values()
-            .cloned()
-            .collect();
-        if sessions.is_empty() {
-            return;
-        }
-        let share = total / sessions.len();
-        for session in sessions {
-            // A panicked session cannot rebalance; it is unusable anyway.
-            let _ = session.set_partition_budget(Some(share));
-        }
     }
 }

@@ -129,7 +129,6 @@ pub fn run_chaos(scenario: &Scenario, seed: u64, threads: usize) -> ChaosReport 
 
     let server = Server::new(ServeConfig {
         discovery: DiscoveryConfig::default().with_threads(threads),
-        total_partition_budget: None,
         recovery: RecoveryPolicy::auto(),
     });
     let session = server
@@ -378,7 +377,6 @@ mod tests {
         // Direct (non-seeded) schedule so the fault is guaranteed to land.
         let server = Server::new(ServeConfig {
             discovery: DiscoveryConfig::default(),
-            total_partition_budget: None,
             recovery: RecoveryPolicy::auto(),
         });
         let session = server.open("panic", &scenario.base).unwrap();

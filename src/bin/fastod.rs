@@ -430,7 +430,6 @@ fn run_serve(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
     }
     let server = fastod_suite::serve::Server::new(ServeConfig {
         discovery,
-        total_partition_budget: None,
         // A deadline makes pass failure a normal event, so pair it with
         // automatic healing; without one, failures stay loud and manual.
         recovery: if args.pass_deadline_ms.is_some() {
@@ -447,6 +446,9 @@ fn run_serve(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
+    // The session encoded the seed rows into its own relation; nothing
+    // reads them again, so free them before the replay.
+    drop(base);
     eprintln!(
         "seeded {} of {} rows in {:?}; cover = {} ODs; replaying {} rows as mutations",
         base_rows,

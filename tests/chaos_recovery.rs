@@ -117,7 +117,6 @@ fn check_fault_then_recover(rows: usize, max_card: u32, seed: u64, threads: usiz
     let base = random_relation(rows, 3, max_card, seed);
     let server = Server::new(ServeConfig {
         discovery: DiscoveryConfig::default().with_threads(threads),
-        total_partition_budget: None,
         recovery: RecoveryPolicy::auto(),
     });
     let session = server.open("prop", &base).unwrap();
@@ -210,7 +209,6 @@ fn zero_deadline_pass_fails_and_recovers() {
     let server = Server::new(ServeConfig {
         discovery: DiscoveryConfig::default()
             .with_pass_deadline(std::time::Duration::ZERO),
-        total_partition_budget: None,
         recovery: RecoveryPolicy::auto(),
     });
     // Initial discovery is not a maintenance pass: it must succeed even

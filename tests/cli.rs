@@ -10,14 +10,14 @@ use std::process::{Command, Output};
 struct Csv(PathBuf);
 
 impl Csv {
-    /// 400 rows of `k,grp,val,tag,opt`: a key, a 7-value group, a value
+    /// `rows` rows of `k,grp,val,tag,opt`: a key, a 7-value group, a value
     /// that swaps against `tag` inside groups, and a column whose every
     /// ninth cell is null.
-    fn generate(name: &str) -> Csv {
+    fn generate(name: &str, rows: usize) -> Csv {
         let path =
             std::env::temp_dir().join(format!("fastod_cli_{}_{name}.csv", std::process::id()));
         let mut text = String::from("k,grp,val,tag,opt\n");
-        for i in 0..400 {
+        for i in 0..rows {
             let opt = if i % 9 == 0 {
                 String::new()
             } else {
@@ -88,7 +88,7 @@ fn serve_summary(out: &Output) -> ([u64; 3], u64, u64) {
 
 #[test]
 fn serve_replays_the_same_mutations_from_either_reader() {
-    let csv = Csv::generate("serve");
+    let csv = Csv::generate("serve", 400);
     let args = [
         "serve",
         csv.path(),
@@ -112,9 +112,34 @@ fn serve_replays_the_same_mutations_from_either_reader() {
     );
 }
 
+/// `serve` at scale: 980k seed rows, then two 10k-row append passes and
+/// two delete waves, replayed from either reader. The `scale-smoke` job
+/// runs it in release with `--include-ignored`.
+#[test]
+#[ignore = "1M-row CSV; run in release with --include-ignored"]
+fn serve_replays_a_million_rows_from_either_reader() {
+    let csv = Csv::generate("serve_1m", 1_000_000);
+    let args = [
+        "serve",
+        csv.path(),
+        "--nulls",
+        "last",
+        "--base-frac",
+        "0.98",
+        "--batch",
+        "10000",
+        "--readers",
+        "1",
+    ];
+    let (one_shot, _, _) = serve_summary(&fastod(&args));
+    assert_eq!((one_shot[0], one_shot[2]), (4, 980_000));
+    let (streamed, _, _) = serve_summary(&fastod(&[&args[..], &["--stream"]].concat()));
+    assert_eq!(streamed, one_shot);
+}
+
 #[test]
 fn stream_changes_no_discovery_or_check_output() {
-    let csv = Csv::generate("discover");
+    let csv = Csv::generate("discover", 400);
     let path = csv.path();
     let runs: [&[&str]; 3] = [
         &[path, "--nulls", "first"],

@@ -37,6 +37,29 @@ fn assert_cover_matches(engine: &IncrementalDiscovery, concat: &Relation, batch_
             report.diff(engine.cover())
         );
     }
+    // The snapshot retains exactly from-scratch discovery's post-prune
+    // lattice: as many nodes per level, from level 1 up to the last
+    // non-empty level.
+    let mut post_prune: Vec<usize> = fresh
+        .stats
+        .levels
+        .iter()
+        .map(|level| level.nodes - level.pruned_nodes)
+        .collect();
+    while post_prune.last() == Some(&0) {
+        post_prune.pop();
+    }
+    let retained: Vec<usize> = engine
+        .snapshot()
+        .levels()
+        .iter()
+        .skip(1)
+        .map(|level| level.len())
+        .collect();
+    assert_eq!(
+        retained, post_prune,
+        "retained lattice != from-scratch lattice after batch {batch_no}"
+    );
 }
 
 proptest! {
@@ -203,57 +226,57 @@ fn structured_stream_stays_equivalent() {
     assert!(totals.nodes_reused + totals.skipped_clean > 0, "{totals:?}");
 }
 
-/// The same structured stream under a starved partition memory budget (and
-/// at several thread counts): eviction forces recomputation but must never
-/// change a single verdict — cover identical to from-scratch after every
-/// batch, and the snapshot's resident bytes actually honour the cap.
+/// The structured stream's first six batches at 1, 2 and 4 threads: the
+/// cover and the retained lattice equal from-scratch discovery after every
+/// batch, every pass's counters and the verdict cache after every batch
+/// are identical across thread counts, and an append pass shared a
+/// partition beyond what the initial discovery shared.
 #[test]
-fn budgeted_stream_stays_equivalent() {
-    for threads in [1usize, 2, 4] {
-        let budget = 2_048; // bytes — far below the unbudgeted footprint
-        let base = fastod_suite::datagen::flight_like(60, 8, 0xF00D);
-        let cfg = DiscoveryConfig::default()
-            .with_threads(threads)
-            .with_partition_memory_budget(budget);
+fn threaded_stream_stays_equivalent() {
+    let base = fastod_suite::datagen::flight_like(60, 8, 0xF00D);
+    let run = |threads: usize| {
+        let cfg = DiscoveryConfig::default().with_threads(threads);
         let mut engine = IncrementalDiscovery::with_config(&base, cfg).unwrap();
         let initial_shares = engine.stats().totals.nodes_shared;
         let mut concat = base.clone();
+        let mut counters: Vec<BatchCounters> = Vec::new();
+        let mut caches = Vec::new();
         for b in 0..6u64 {
             let batch = fastod_suite::datagen::flight_like(10, 8, 0x1000 + b);
-            engine.push_batch(&batch).unwrap();
+            counters.push(engine.push_batch(&batch).unwrap().counters);
             concat.extend(&batch).unwrap();
             assert_cover_matches(&engine, &concat, b as usize + 1);
-            assert!(
-                engine.snapshot().partition_bytes() <= budget,
-                "budget exceeded after batch {b}: {} bytes (threads={threads})",
-                engine.snapshot().partition_bytes()
-            );
+            caches.push(engine.cached_verdicts());
         }
         let totals = &engine.stats().totals;
-        assert!(totals.nodes_evicted > 0, "budget never evicted: {totals:?}");
-        assert!(totals.nodes_shared > initial_shares, "no pass shared a partition: {totals:?}");
+        assert!(
+            totals.nodes_shared > initial_shares,
+            "no pass shared a partition (threads={threads}): {totals:?}"
+        );
+        (counters, caches)
+    };
+    let (counters, caches) = run(1);
+    for threads in [2usize, 4] {
+        let (c, v) = run(threads);
+        for (pass, (want, got)) in counters.iter().zip(&c).enumerate() {
+            assert_eq!(want, got, "pass {pass} counters differ at threads={threads}");
+        }
+        assert!(caches == v, "verdict caches differ at threads={threads}");
     }
 }
 
-/// Mixed append/delete/update traffic under a starved partition memory
-/// budget, at several thread counts: eviction forces the delete sweep's
-/// full-validation fallback (touched contexts whose partitions are gone)
-/// and recomputation during the traversal — but must never change a single
-/// verdict. Cover identical to from-scratch on the survivors after every
-/// mutation, and the snapshot's resident bytes honour the cap.
+/// Mixed append/delete/update rounds at 1, 2 and 4 threads: the cover
+/// equals from-scratch discovery on the survivors after every round.
 ///
-/// Eviction also makes one level mix products (for evicted nodes),
-/// absorbs and reuses, the mix generation applies in join order. So every
-/// pass's counters and the verdict cache after every round must be
-/// identical at 1, 2 and 4 threads.
+/// Rows arriving and leaving make one level mix products (for nodes pruned
+/// in an earlier pass), absorbs and reuses, the mix generation applies in
+/// join order. So every pass's counters and the verdict cache after every
+/// round must be identical at 1, 2 and 4 threads.
 #[test]
-fn budgeted_mutations_stay_equivalent() {
+fn mixed_rounds_stay_equivalent() {
     let base = fastod_suite::datagen::flight_like(60, 8, 0xF00D);
-    let footprint = IncrementalDiscovery::new(&base).snapshot().partition_bytes();
-    let run = |threads: usize, budget: usize| {
-        let cfg = DiscoveryConfig::default()
-            .with_threads(threads)
-            .with_partition_memory_budget(budget);
+    let run = |threads: usize| {
+        let cfg = DiscoveryConfig::default().with_threads(threads);
         let mut engine = IncrementalDiscovery::with_config(&base, cfg).unwrap();
         let mut history = base.clone();
         let mut live: Vec<usize> = (0..60).collect();
@@ -279,48 +302,39 @@ fn budgeted_mutations_stay_equivalent() {
 
             let survivors = history.select_rows(&live);
             assert_cover_matches(&engine, &survivors, b as usize + 1);
-            assert!(
-                engine.snapshot().partition_bytes() <= budget,
-                "budget exceeded after round {b}: {} bytes (threads={threads})",
-                engine.snapshot().partition_bytes()
-            );
             caches.push(engine.cached_verdicts());
         }
-        let totals = &engine.stats().totals;
-        assert!(totals.nodes_evicted > 0, "budget never evicted: {totals:?}");
-        let shares: usize = counters.iter().map(|c| c.nodes_shared).sum();
-        assert!(shares > 0, "no pass shared a partition: {totals:?}");
-        // Starvation forces the recompute fallback (evicted contexts count
-        // as touched and search for a witness) *and* the cheap certificate
-        // (a live witness pair) still fires.
-        assert!(totals.nodes_recomputed > 0, "{totals:?}");
-        assert!(totals.witness_skips > 0, "no cached witness ever engaged: {totals:?}");
-        (counters, caches, totals.clone())
+        (counters, caches)
     };
-    // Starved, 2 KiB: every node above level 1 is evicted after each pass.
-    // At the initial footprint the lattice outgrows the budget as rows
-    // arrive, so a level mixes products for evicted nodes, absorbs and
-    // reuses; level 1 absorbs at most 8 attributes × 8 appending passes.
-    for budget in [2_048, footprint] {
-        let (counters, caches, totals) = run(1, budget);
-        if budget == footprint {
-            assert!(
-                totals.nodes_recomputed > 0
-                    && totals.partitions_appended > 8 * 8
-                    && totals.nodes_reused > 0,
-                "no product/absorb/reuse mix: {totals:?}"
+    let (counters, caches) = run(1);
+    let mut passes = BatchCounters::default();
+    for c in &counters {
+        passes.absorb(c);
+    }
+    assert!(
+        passes.nodes_shared > 0,
+        "no pass shared a partition: {passes:?}"
+    );
+    assert!(
+        passes.witness_skips > 0,
+        "no cached witness ever engaged: {passes:?}"
+    );
+    // Level 1 absorbs at most 8 attributes × 8 appending passes.
+    assert!(
+        passes.nodes_recomputed > 0
+            && passes.partitions_appended > 8 * 8
+            && passes.nodes_reused > 0,
+        "no product/absorb/reuse mix: {passes:?}"
+    );
+    for threads in [2usize, 4] {
+        let (c, v) = run(threads);
+        for (pass, (want, got)) in counters.iter().zip(&c).enumerate() {
+            assert_eq!(
+                want, got,
+                "pass {pass} counters differ at threads={threads}"
             );
         }
-        for threads in [2usize, 4] {
-            let (c, v, _) = run(threads, budget);
-            for (pass, (want, got)) in counters.iter().zip(&c).enumerate() {
-                assert_eq!(
-                    want, got,
-                    "budget={budget}: pass {pass} counters differ at threads={threads}"
-                );
-            }
-            assert!(caches == v, "budget={budget}: verdict caches differ at threads={threads}");
-        }
+        assert!(caches == v, "verdict caches differ at threads={threads}");
     }
 }
 
@@ -549,8 +563,7 @@ proptest! {
     /// which breaks `a → b`, `a → c` or `ad → e`; every third pass deletes
     /// the perturbed rows. After every mutation, at 1, 2 and 4 threads, the
     /// cover equals from-scratch discovery on the survivors and the verdict
-    /// caches are identical; the whole run repeats under a budget of half
-    /// the initial footprint. Nodes must have shared partitions, a verdict
+    /// caches are identical. Nodes must have shared partitions, a verdict
     /// must have flipped and one must have revived.
     #[test]
     fn fd_breaking_mutations_stay_equivalent(
@@ -567,18 +580,13 @@ proptest! {
         };
         let mut rows: Vec<Vec<i64>> = (0..base_rows).map(|_| derived_row(&mut next, width)).collect();
         let base = relation_of(&rows, width);
-        let footprint = IncrementalDiscovery::new(&base).snapshot().partition_bytes();
-        let engines = |budget: Option<usize>| -> Vec<IncrementalDiscovery> {
-            [1usize, 2, 4]
-                .into_iter()
-                .map(|threads| {
-                    let mut cfg = DiscoveryConfig::default().with_threads(threads);
-                    cfg.partition_memory_budget = budget;
-                    IncrementalDiscovery::with_config(&base, cfg).unwrap()
-                })
-                .collect()
-        };
-        let mut runs = [engines(None), engines(Some(footprint / 2))];
+        let mut engines: Vec<IncrementalDiscovery> = [1usize, 2, 4]
+            .into_iter()
+            .map(|threads| {
+                let cfg = DiscoveryConfig::default().with_threads(threads);
+                IncrementalDiscovery::with_config(&base, cfg).unwrap()
+            })
+            .collect();
         let mut perturbed = vec![false; base_rows];
         let mut live: Vec<usize> = (0..base_rows).collect();
         for step in 0..9usize {
@@ -590,7 +598,7 @@ proptest! {
                         batch.push(derived_row(&mut next, width));
                     }
                     let batch_rel = relation_of(&batch, width);
-                    for engine in runs.iter_mut().flatten() {
+                    for engine in &mut engines {
                         engine.push_batch(&batch_rel).unwrap();
                     }
                     perturbed.push(true);
@@ -607,7 +615,7 @@ proptest! {
                         derived_row(&mut next, width)
                     };
                     let replacement = relation_of(std::slice::from_ref(&row), width);
-                    for engine in runs.iter_mut().flatten() {
+                    for engine in &mut engines {
                         engine.update_rows(&[victim], &replacement).unwrap();
                     }
                     live.retain(|&r| r != victim);
@@ -617,30 +625,26 @@ proptest! {
                 }
                 _ => {
                     let victims: Vec<usize> = live.iter().copied().filter(|&r| perturbed[r]).collect();
-                    for engine in runs.iter_mut().flatten() {
+                    for engine in &mut engines {
                         engine.delete_rows(&victims).unwrap();
                     }
                     live.retain(|r| !victims.contains(r));
                 }
             }
             let survivors: Vec<Vec<i64>> = live.iter().map(|&r| rows[r].clone()).collect();
-            for engines in &runs {
-                assert_cover_matches(&engines[0], &relation_of(&survivors, width), step + 1);
-                for engine in &engines[1..] {
-                    prop_assert_eq!(engines[0].cover().sorted(), engine.cover().sorted());
-                    prop_assert!(
-                        engines[0].cached_verdicts() == engine.cached_verdicts(),
-                        "verdict caches differ across thread counts after step {}", step
-                    );
-                }
+            assert_cover_matches(&engines[0], &relation_of(&survivors, width), step + 1);
+            for engine in &engines[1..] {
+                prop_assert_eq!(engines[0].cover().sorted(), engine.cover().sorted());
+                prop_assert!(
+                    engines[0].cached_verdicts() == engine.cached_verdicts(),
+                    "verdict caches differ across thread counts after step {}", step
+                );
             }
         }
-        let totals = &runs[0][0].stats().totals;
+        let totals = &engines[0].stats().totals;
         prop_assert!(totals.nodes_shared > 0, "no node shared: {:?}", totals);
         prop_assert!(totals.verdicts_flipped > 0, "no verdict flipped: {:?}", totals);
         prop_assert!(totals.verdicts_revived > 0, "no verdict revived: {:?}", totals);
-        let budgeted = &runs[1][0].stats().totals;
-        prop_assert!(budgeted.nodes_evicted > 0, "the budget never evicted: {:?}", budgeted);
     }
 }
 
