@@ -12,7 +12,7 @@
 //! between its passes and keeps it to decode rows; [`crate::GrowableRelation`]
 //! grows one per column under appends.
 
-use crate::csv::{infer, Typed};
+use crate::csv::{infer, parse_float, parse_int, Typed};
 use crate::{Column, ColumnData, DataType, Date, NullPolicy, Value};
 use std::cmp::Ordering;
 use std::collections::HashSet;
@@ -80,7 +80,7 @@ impl Dict {
     /// null entry when the column holds a null.
     pub(crate) fn from_distinct(distinct: HashSet<String>, null: Option<NullPolicy>) -> Dict {
         // A numeric column's cells are parsed; free them before sorting.
-        match infer(distinct.iter().map(|s| Some(s.as_str()))) {
+        match infer(distinct.iter().map(String::as_str)) {
             Typed::Int(v) => {
                 drop(distinct);
                 Dict::Int(sorted(v, |a, b| a.cmp(b), null))
@@ -173,11 +173,11 @@ impl Dict {
     pub(crate) fn code_of(&self, cell: &str) -> Option<u32> {
         let code = match self {
             Dict::Int(d) => {
-                let v: i64 = cell.parse().ok()?;
+                let v = parse_int(cell)?;
                 find(d, |x| x.cmp(&v))
             }
             Dict::Float(d) => {
-                let v: f64 = cell.parse().ok()?;
+                let v = parse_float(cell)?;
                 find(d, |x| x.total_cmp(&v))
             }
             Dict::Str(d) => find(d, |x| x.as_str().cmp(cell)),

@@ -1,10 +1,10 @@
 //! Streaming CSV ingest for the 100M-row scale path.
 //!
-//! [`crate::csv::read_csv_opts`] holds the whole file's text before
-//! encoding, so a 100M-row file costs O(file) text *plus* O(file) typed
+//! [`crate::csv::read_csv_opts`] holds the whole file's bytes while it
+//! parses them, so a 100M-row file costs O(file) bytes *plus* O(file) typed
 //! values before the first code is produced. [`read_csv_stream`] replaces
 //! that with a **two-pass dictionary build**. Both readers drive the same
-//! record tokenizer and type inference, which own the dialect (see
+//! record tokenizer and per-type parsers, which own the dialect (see
 //! [`crate::csv`]):
 //!
 //! 1. **Pass 1** streams the file, collecting per column the set of
@@ -34,7 +34,7 @@ use crate::{
     AttrId, CsvOptions, EncodedRelation, NullPolicy, Relation, RelationError, Schema, Value,
 };
 use std::collections::HashSet;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{Read, Seek, SeekFrom};
 use std::ops::Range;
 use std::path::Path;
 
@@ -176,17 +176,23 @@ pub fn read_csv_stream<R: Read + Seek>(
     opts: CsvOptions,
 ) -> Result<StreamedCsv, RelationError> {
     // ---- Pass 1: distinct values and null presence. ----
-    let mut records = Records::new(BufReader::new(&mut input), opts.has_header, None)?;
+    let mut records = Records::new(&mut input, opts.has_header, None)?;
     let mut cols: Vec<Pass1Col> = Vec::new();
     let mut pass1_rows = 0usize;
-    while records.advance()? {
+    loop {
+        let n = records.next_block()?;
+        if n == 0 {
+            break;
+        }
         if cols.is_empty() {
-            cols = records.fields().map(|_| Pass1Col::default()).collect();
+            cols.resize_with(records.width().unwrap_or_default(), Pass1Col::default);
         }
-        for (col, field) in cols.iter_mut().zip(records.fields()) {
-            col.see(field);
+        for (a, col) in cols.iter_mut().enumerate() {
+            for field in records.column(a) {
+                col.see(field);
+            }
         }
-        pass1_rows += 1;
+        pass1_rows += n;
     }
     let names = records.into_names()?;
     let n_cols = names.len();
@@ -216,19 +222,25 @@ pub fn read_csv_stream<R: Read + Seek>(
     input.seek(SeekFrom::Start(0))?;
     let mut columns: Vec<Vec<u32>> = (0..n_cols).map(|_| Vec::with_capacity(pass1_rows)).collect();
     let mut pass2_rows = 0usize;
-    let mut records = Records::new(BufReader::new(&mut input), opts.has_header, Some(n_cols))?;
-    while records.advance()? {
-        let line_no = records.line_no();
-        for (a, field) in records.fields().enumerate() {
-            let code = match cell(field) {
-                None => null_codes[a].ok_or_else(|| changed(line_no, "a null appeared"))?,
-                Some(s) => dicts[a]
-                    .code_of(s)
-                    .ok_or_else(|| changed(line_no, "an unseen value appeared"))?,
-            };
-            columns[a].push(code);
+    let mut records = Records::new(&mut input, opts.has_header, Some(n_cols))?;
+    loop {
+        let n = records.next_block()?;
+        if n == 0 {
+            break;
         }
-        pass2_rows += 1;
+        for r in 0..n {
+            let line_no = records.line_of(r);
+            for (a, field) in records.record(r).enumerate() {
+                let code = match cell(field) {
+                    None => null_codes[a].ok_or_else(|| changed(line_no, "a null appeared"))?,
+                    Some(s) => dicts[a]
+                        .code_of(s)
+                        .ok_or_else(|| changed(line_no, "an unseen value appeared"))?,
+                };
+                columns[a].push(code);
+            }
+        }
+        pass2_rows += n;
     }
     if pass2_rows != pass1_rows {
         return Err(changed(pass2_rows.max(pass1_rows), "the row count changed"));

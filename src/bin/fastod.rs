@@ -100,10 +100,14 @@ impl Table {
         }
     }
 
-    /// The encoded relation that discovery and checks run on.
-    fn encoded(&self) -> Cow<'_, EncodedRelation> {
+    /// The encoded relation that discovery and checks run on. The one-shot
+    /// encode is the `relation.encode` span.
+    fn encoded(&self, obs: &Obs) -> Cow<'_, EncodedRelation> {
         match self {
-            Table::Parsed(rel) => Cow::Owned(rel.encode()),
+            Table::Parsed(rel) => {
+                let _span = obs.span("relation.encode");
+                Cow::Owned(rel.encode())
+            }
             Table::Streamed(streamed) => Cow::Borrowed(&streamed.encoded),
         }
     }
@@ -329,7 +333,7 @@ fn parse_od(spec: &str, schema: &Schema) -> Result<CanonicalOd, String> {
 /// removal makes the rule hold). `--json` emits the `fastod.check.v1`
 /// document instead.
 fn run_check(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
-    let enc = &*table.encoded();
+    let enc = &*table.encoded(obs);
     let names = enc.schema().names();
     let ods: Vec<CanonicalOd> = if args.near_valid {
         let cfg = ApproxConfig::new(args.max_error)
@@ -610,7 +614,7 @@ fn mean(ms: &[f64]) -> f64 {
 /// Discovery: `--violations` single-rule checking, then exact/approximate
 /// discovery.
 fn run_discover(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
-    let enc = &*table.encoded();
+    let enc = &*table.encoded(obs);
     let names = enc.schema().names();
     if let Some(spec) = &args.violations {
         let od = match parse_od(spec, enc.schema()) {
@@ -730,6 +734,8 @@ fn main() -> ExitCode {
         code
     };
 
+    // Whichever reader runs is the `relation.parse` span.
+    let parse = obs.span("relation.parse");
     let table = if args.stream {
         // The third argument, a chunk size, is unused.
         let streamed = match read_csv_file_stream(&args.file, opts, 0) {
@@ -766,6 +772,7 @@ fn main() -> ExitCode {
         );
         Table::Parsed(rel)
     };
+    drop(parse);
     let code = if args.serve {
         run_serve(&table, &args, &obs)
     } else if args.check {

@@ -174,3 +174,51 @@ fn stream_changes_no_discovery_or_check_output() {
         "{stdout}"
     );
 }
+
+/// `--trace` covers ingest: the `relation.parse` span around the reader and
+/// the `relation.encode` span around the one-shot encode both end before
+/// `discover` starts. With `--stream` the reader's output is the encoding,
+/// so only `relation.parse` is there.
+#[test]
+fn trace_covers_parse_and_encode_before_discovery() {
+    let csv = Csv::generate("trace", 400);
+    for stream in [false, true] {
+        let trace = std::env::temp_dir().join(format!(
+            "fastod_cli_{}_trace_{stream}.jsonl",
+            std::process::id()
+        ));
+        let trace_path = trace.to_str().unwrap();
+        let mut args = vec![csv.path(), "--nulls", "first", "--trace", trace_path];
+        if stream {
+            args.push("--stream");
+        }
+        let out = fastod(&args);
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let _ = std::fs::remove_file(&trace);
+        let events = fastod_suite::obs::parse_trace(&text);
+        let span = |name: &str| {
+            let found: Vec<_> = events.iter().filter(|e| e.name == name).collect();
+            assert!(found.len() <= 1, "{} {name} spans", found.len());
+            found.first().copied()
+        };
+        let discover = span("discover").expect("a discover span");
+        let ends_before_discovery = |name: &str| {
+            let event = span(name).unwrap_or_else(|| panic!("no {name} span (stream: {stream})"));
+            assert!(
+                event.start_ns + event.dur_ns <= discover.start_ns,
+                "{name} ends after discover starts (stream: {stream})"
+            );
+        };
+        ends_before_discovery("relation.parse");
+        if stream {
+            assert!(span("relation.encode").is_none());
+        } else {
+            ends_before_discovery("relation.encode");
+        }
+    }
+}

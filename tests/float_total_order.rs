@@ -122,3 +122,41 @@ fn discovery_on_edge_floats_matches_oracle() {
         "edge floats in listed order must be order compatible with the key"
     );
 }
+
+/// `write_csv` writes every edge value, and integral floats, in a form that
+/// reads back to the same bits and so the same ranks: `2.0` stays a float,
+/// `-0.0` and `-NaN` keep their signs. A NaN whose payload neither `NaN` nor
+/// `-NaN` spells is an error, not a silently different NaN.
+#[test]
+fn edge_floats_round_trip_through_csv() {
+    use fastod_suite::relation::csv::{read_csv, write_csv};
+    use fastod_suite::relation::{ColumnData, RelationError};
+
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let mut values = edge_values();
+    values.extend([2.0, -3.0, 1e300, 0.1]);
+    for column in [values, vec![-0.0, 0.0, 1.0, 2.0]] {
+        let rel = RelationBuilder::new()
+            .column_f64("x", column.clone())
+            .column_i64("rank", (0..column.len() as i64).collect())
+            .build()
+            .unwrap();
+        let mut text = Vec::new();
+        write_csv(&rel, &mut text).unwrap();
+        let back = read_csv(&text[..], true).unwrap();
+        assert_eq!(back.schema().data_type(0), DataType::Float);
+        let ColumnData::Float(read) = back.column(0).data() else {
+            unreachable!("a Float column holds f64s");
+        };
+        assert_eq!(bits(read), bits(&column));
+        assert_eq!(back.encode().codes(0), rel.encode().codes(0));
+    }
+
+    let payload_nan = f64::from_bits(f64::NAN.to_bits() | 1);
+    let rel = RelationBuilder::new()
+        .column_f64("x", vec![1.0, payload_nan])
+        .build()
+        .unwrap();
+    let err = write_csv(&rel, &mut Vec::new()).unwrap_err();
+    assert!(matches!(err, RelationError::Csv { line: 3, .. }), "{err}");
+}

@@ -113,6 +113,32 @@ fn integer_vs_float_vs_string_inference_matches() {
     assert_equivalent("n\n1\n01\n2\n002\n", CsvOptions::with_header());
 }
 
+/// The one-shot reader types a column as its cells arrive and re-reads the
+/// cells before a column's last type change at its final type. Those
+/// changes, late, repeated, at different rows in different columns and
+/// after nulls, land on the streamed reader's types and values.
+#[test]
+fn late_type_changes_match() {
+    let opts = CsvOptions::with_header();
+    let ints: String = (0..50).map(|i| format!("{i},{}\n", 50 - i)).collect();
+    // The only non-integer of each column is its last cell.
+    for last in ["2.5,-1.5", "x,y"] {
+        assert_equivalent(&format!("a,b\n{ints}{last}\n"), opts);
+    }
+    // `a` turns Float, then Str; `b` turns Float at another row.
+    assert_equivalent("a,b\n1,1\n2,2.5\n3.5,3\n4,4\nz,5\n", opts);
+    // Nulls before the change keep their slots.
+    for policy in [NullPolicy::First, NullPolicy::Last] {
+        assert_equivalent("a,b\n1,\n,2\n3,\n4.5,x\n", opts.null_policy(policy));
+    }
+    // `-0` read before the column turns Float is `-0.0`, below `0.0`.
+    let text = "a\n-0\n0\n1.5\n";
+    assert_equivalent(text, opts);
+    let rel = read_csv_opts(text.as_bytes(), opts).unwrap();
+    assert!(matches!(rel.value(0, 0), Value::Float(x) if x.is_sign_negative()));
+    assert_eq!(rel.encode().codes(0), &[0, 1, 2]);
+}
+
 #[test]
 fn error_pins_match_one_shot() {
     // Ragged row: same variant, same line number, same message shape.
