@@ -126,7 +126,6 @@ pub struct IncrementalDiscovery {
     cache: HashMap<CanonicalOd, CachedVerdict>,
     cover: OdSet,
     stats: IncrementalStats,
-    queue: Vec<Relation>,
     poisoned: bool,
     /// One product arena per executor worker, for every product and
     /// absorbed append of generation. Kept across passes so the workers'
@@ -158,7 +157,6 @@ impl IncrementalDiscovery {
             cache: HashMap::new(),
             cover: OdSet::new(),
             stats: IncrementalStats::default(),
-            queue: Vec::new(),
             poisoned: false,
             pool: Vec::new(),
         };
@@ -408,63 +406,6 @@ impl IncrementalDiscovery {
         self.run_pass(Pass { old_n, deleted: &deleted })
     }
 
-    /// [`update_rows`](IncrementalDiscovery::update_rows) for a single row:
-    /// replaces physical row `row` with the one row of `values`.
-    ///
-    /// # Errors
-    /// As for [`update_rows`](IncrementalDiscovery::update_rows).
-    pub fn update_row(
-        &mut self,
-        row: usize,
-        values: &Relation,
-    ) -> Result<BatchReport, IncrementalError> {
-        self.update_rows(&[row], values)
-    }
-
-    /// Queues a batch without processing it. Queued batches are merged and
-    /// absorbed in a single maintenance pass by
-    /// [`flush`](IncrementalDiscovery::flush) — cheaper than one pass per
-    /// batch when appends arrive faster than covers are consumed.
-    ///
-    /// # Errors
-    /// [`IncrementalError::Poisoned`] when the engine can no longer absorb
-    /// anything (accepting the batch would silently lose it);
-    /// [`IncrementalError::Relation`] on schema mismatch (checked eagerly so
-    /// a bad batch fails at enqueue time, not at flush time).
-    pub fn enqueue(&mut self, batch: Relation) -> Result<(), IncrementalError> {
-        if self.poisoned {
-            return Err(IncrementalError::Poisoned);
-        }
-        self.grow.schema().ensure_matches(batch.schema())?;
-        self.queue.push(batch);
-        Ok(())
-    }
-
-    /// Number of batches waiting in the queue.
-    pub fn queued_batches(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Merges all queued batches and absorbs them in one pass. Returns
-    /// `None` when the queue was empty.
-    ///
-    /// # Errors
-    /// As for [`push_batch`](IncrementalDiscovery::push_batch).
-    pub fn flush(&mut self) -> Result<Option<BatchReport>, IncrementalError> {
-        if self.poisoned {
-            // Leave the queue intact: nothing has been consumed.
-            return Err(IncrementalError::Poisoned);
-        }
-        let mut queued = std::mem::take(&mut self.queue).into_iter();
-        let Some(mut merged) = queued.next() else {
-            return Ok(None);
-        };
-        for batch in queued {
-            merged.extend(&batch)?;
-        }
-        self.push_batch(&merged).map(Some)
-    }
-
     /// A report for a mutation that provably changed nothing.
     fn noop_report(&self) -> BatchReport {
         BatchReport {
@@ -515,9 +456,8 @@ impl IncrementalDiscovery {
         Err(err)
     }
 
-    /// Rebuilds a poisoned engine in place: queued batches are folded into
-    /// the accumulated relation, the verdict cache and retained snapshot
-    /// are discarded, and one from-scratch discovery pass over the
+    /// Rebuilds a poisoned engine in place: the verdict cache and retained
+    /// snapshot are discarded, and one from-scratch discovery pass over the
     /// surviving rows restores the cover invariant. Works on healthy
     /// engines too (it is then just an expensive no-op for the cover).
     ///
@@ -530,17 +470,8 @@ impl IncrementalDiscovery {
     /// # Errors
     /// [`IncrementalError::Cancelled`] / [`IncrementalError::Panicked`]
     /// when the rebuild pass itself fails (the engine stays poisoned and
-    /// can be rebuilt again); [`IncrementalError::Relation`] if a queued
-    /// batch no longer extends the relation (impossible unless the schema
-    /// changed out from under the queue).
+    /// can be rebuilt again).
     pub fn rebuild(&mut self) -> Result<(), IncrementalError> {
-        // Fold the pending queue into the relation first so a single
-        // deadline-free pass absorbs everything (schemas were validated at
-        // enqueue time).
-        let queued = std::mem::take(&mut self.queue);
-        for batch in &queued {
-            self.grow.extend(batch)?;
-        }
         self.cache.clear();
         self.snapshot = DiscoverySnapshot::empty();
         self.cover = OdSet::new();
@@ -1063,7 +994,7 @@ mod tests {
             .column_i64("c", vec![7])
             .build()
             .unwrap();
-        let report = engine.update_row(3, &fixed).unwrap();
+        let report = engine.update_rows(&[3], &fixed).unwrap();
         assert_eq!((report.deleted_rows, report.appended_rows), (1, 1));
         assert!(report.promoted.contains(&root));
         assert!(engine.cover().contains(&root));
@@ -1300,29 +1231,6 @@ mod tests {
     }
 
     #[test]
-    fn queue_flushes_in_one_pass() {
-        let base = random_relation(10, 4, 3, 5);
-        let mut direct = IncrementalDiscovery::new(&base);
-        let mut queued = IncrementalDiscovery::new(&base);
-        let mut concat = base.clone();
-        for b in 0..3u64 {
-            let batch = random_relation(4, 4, 3, 600 + b);
-            direct.push_batch(&batch).unwrap();
-            queued.enqueue(batch.clone()).unwrap();
-            concat.extend(&batch).unwrap();
-        }
-        assert_eq!(queued.queued_batches(), 3);
-        let passes_before = queued.stats().passes;
-        let report = queued.flush().unwrap().expect("queue was non-empty");
-        assert_eq!(report.appended_rows, 12);
-        assert_eq!(queued.stats().passes, passes_before + 1);
-        assert_eq!(queued.queued_batches(), 0);
-        assert_eq!(queued.cover().sorted(), direct.cover().sorted());
-        cover_matches_from_scratch(&queued, &concat);
-        assert!(queued.flush().unwrap().is_none(), "empty queue is a no-op");
-    }
-
-    #[test]
     fn schema_mismatch_rejected() {
         let base = random_relation(5, 3, 3, 3);
         let mut engine = IncrementalDiscovery::new(&base);
@@ -1333,10 +1241,6 @@ mod tests {
         ));
         assert!(matches!(
             engine.update_rows(&[0, 1, 2, 3, 4], &wrong),
-            Err(IncrementalError::Relation(_))
-        ));
-        assert!(matches!(
-            engine.enqueue(wrong),
             Err(IncrementalError::Relation(_))
         ));
         // The engine stays usable after a rejected mutation.
@@ -1361,8 +1265,7 @@ mod tests {
             engine.push_batch(&batch),
             Err(IncrementalError::Poisoned)
         ));
-        // Poisoned engines reject every mutation, and refuse to take
-        // custody of batches they would lose.
+        // Poisoned engines reject every mutation.
         assert!(matches!(
             engine.delete_rows(&[0]),
             Err(IncrementalError::Poisoned)
@@ -1371,11 +1274,6 @@ mod tests {
             engine.update_rows(&[0], &batch),
             Err(IncrementalError::Poisoned)
         ));
-        assert!(matches!(
-            engine.enqueue(batch.clone()),
-            Err(IncrementalError::Poisoned)
-        ));
-        assert!(matches!(engine.flush(), Err(IncrementalError::Poisoned)));
     }
 
     #[test]

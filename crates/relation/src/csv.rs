@@ -898,9 +898,17 @@ mod tests {
             .column_i64("n", vec![1, 2, 3])
             .build()
             .unwrap();
-        let dir = std::env::temp_dir().join("fastod_csv_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("t.csv");
+        /// Deletes the file when dropped, so a failed assertion leaves
+        /// nothing behind.
+        struct RemoveOnDrop(std::path::PathBuf);
+        impl Drop for RemoveOnDrop {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_file(&self.0);
+            }
+        }
+        let path =
+            std::env::temp_dir().join(format!("fastod_csv_test_{}.csv", std::process::id()));
+        let _cleanup = RemoveOnDrop(path.clone());
         write_csv_file(&rel, &path).unwrap();
         let back = read_csv_file(&path, true).unwrap();
         assert_eq!(back, rel);

@@ -9,8 +9,9 @@
 //! the [`opt_cmp`] comparator.
 //!
 //! The streamed reader ([`crate::stream`]) builds one dictionary per column
-//! between its passes and keeps it to decode rows; [`crate::GrowableRelation`]
-//! grows one per column under appends.
+//! between its passes. [`crate::GrowableRelation`] keeps one per column,
+//! derived from a relation or moved from the streamed reader, grows it
+//! under appends and decodes rows and cells through it.
 
 use crate::csv::{infer, parse_float, parse_int, Typed};
 use crate::{Column, ColumnData, DataType, Date, NullPolicy, Value};
@@ -99,13 +100,7 @@ impl Dict {
 
     /// Grows the dictionary with the batch's values, remapping `codes` when
     /// new values land between existing ones, and appends the batch's codes.
-    /// Returns whether existing codes were remapped.
-    pub(crate) fn grow(
-        &mut self,
-        batch: &Column,
-        codes: &mut Vec<u32>,
-        policy: NullPolicy,
-    ) -> bool {
+    pub(crate) fn grow(&mut self, batch: &Column, codes: &mut Vec<u32>, policy: NullPolicy) {
         let mask = batch.null_mask();
         match (self, batch.data()) {
             (Dict::Int(d), ColumnData::Int(v)) => grow_column(
@@ -263,9 +258,10 @@ fn find<T>(dict: &[Option<T>], cmp: impl Fn(&T) -> Ordering) -> Option<usize> {
         .map(|i| start + i)
 }
 
-/// `out[codes[row]] = cell(row)` — inverts the encoding into a dictionary
-/// (`None` lands at the null rank; every rank is written because codes form
-/// a dense `0..card` range).
+/// `out[codes[row]] = cell(row)` — inverts the encoding into a dictionary.
+/// Each value rank is filled from the first row that carries it, so a value
+/// is cloned once, not once per row; the null rank stays `None`. Every rank
+/// is written because codes form a dense `0..card` range.
 fn scatter<T: Clone>(
     values: &[T],
     mask: Option<&[bool]>,
@@ -274,8 +270,10 @@ fn scatter<T: Clone>(
 ) -> Vec<Option<T>> {
     let mut out = vec![None; card];
     for (row, value) in values.iter().enumerate() {
-        let is_null = mask.is_some_and(|m| m[row]);
-        out[codes[row] as usize] = if is_null { None } else { Some(value.clone()) };
+        let slot = &mut out[codes[row] as usize];
+        if slot.is_none() && !mask.is_some_and(|m| m[row]) {
+            *slot = Some(value.clone());
+        }
     }
     out
 }
@@ -286,7 +284,7 @@ fn grow_column<T: Clone>(
     codes: &mut Vec<u32>,
     batch: &[T],
     cmp: impl Fn(&T, &T) -> Ordering,
-) -> bool {
+) {
     // Unseen values, sorted and deduplicated.
     let mut missing: Vec<T> = batch
         .iter()
@@ -299,13 +297,12 @@ fn grow_column<T: Clone>(
         (Some(top), Some(low)) => cmp(top, low) == Ordering::Less,
         _ => true,
     };
-    let remapped = !missing.is_empty() && !tail_only;
     if tail_only {
         // Append-only streams (sequential keys, timestamps): every unseen
         // value sorts above the current maximum, so existing codes stand and
         // the dictionary just grows at the tail — O(Δ), no remap.
         dict.extend(missing);
-    } else if remapped {
+    } else {
         // Merge (old and missing are disjoint) and shift the live codes.
         let old = std::mem::take(dict);
         let mut remap = vec![0u32; old.len()];
@@ -334,5 +331,4 @@ fn grow_column<T: Clone>(
             .expect("batch value present after dictionary merge");
         codes.push(code as u32);
     }
-    remapped
 }

@@ -21,27 +21,19 @@
 //! discovery engine's equivalence tests pin down.
 
 use crate::dict::Dict;
-use crate::{EncodedRelation, NullPolicy, Relation, RelationError, Schema};
-
-/// Outcome of one [`GrowableRelation::extend`] call.
-#[derive(Clone, Debug)]
-pub struct AppendReport {
-    /// Row count before the batch.
-    pub old_n_rows: usize,
-    /// Rows appended by the batch.
-    pub appended: usize,
-    /// Per attribute: whether existing codes were shifted because the batch
-    /// introduced values between (or below) already-seen ones. Class
-    /// structure and relative order are preserved either way; sorted
-    /// partitions `τ_A` must be rebuilt regardless (new rows joined).
-    pub remapped: Vec<bool>,
-}
+use crate::{
+    AttrId, EncodedRelation, NullPolicy, Relation, RelationError, Schema, StreamedCsv, Value,
+};
+use std::ops::Range;
 
 /// An [`EncodedRelation`] that accepts appended tuple batches while keeping
 /// the canonical dense-rank encoding — see the module docs for the scheme.
 ///
 /// Raw history is *not* retained (only the dictionaries are), so memory is
-/// O(n) codes + O(Σ cardinality) dictionary entries.
+/// O(n) codes + O(Σ cardinality) dictionary entries. The dictionaries still
+/// decode every physical slot: [`rows`](GrowableRelation::rows) returns a
+/// row range as a typed [`Relation`], [`value`](GrowableRelation::value)
+/// one cell.
 ///
 /// # Deletions are tombstones
 ///
@@ -182,14 +174,52 @@ impl GrowableRelation {
         &self.enc
     }
 
-    /// Appends a batch, growing dictionaries and codes in place.
+    /// The physical slots in `range`, decoded through the dictionaries:
+    /// equal to the appended rows restricted to those slots — same schema,
+    /// types, values and null policy, with `T::default()` in null slots.
+    /// Tombstoned rows decode like live ones. A reversed range decodes no
+    /// rows.
+    ///
+    /// # Errors
+    /// [`RelationError::RowOutOfRange`] when `range` ends past the last slot.
+    pub fn rows(&self, range: Range<usize>) -> Result<Relation, RelationError> {
+        let n_rows = self.enc.n_rows();
+        if range.end > n_rows {
+            return Err(RelationError::RowOutOfRange {
+                row: range.end - 1,
+                n_rows,
+            });
+        }
+        let range = range.start.min(range.end)..range.end;
+        let columns = self
+            .dicts
+            .iter()
+            .enumerate()
+            .map(|(a, dict)| dict.decode(&self.enc.codes(a)[range.clone()]))
+            .collect();
+        Relation::with_policy(self.schema.clone(), columns, self.null_policy)
+    }
+
+    /// The cell at physical slot `row` of attribute `a` ([`Value::Null`]
+    /// for a null cell), tombstoned or not.
+    ///
+    /// # Panics
+    /// When `row` or `a` is out of range.
+    pub fn value(&self, row: usize, a: AttrId) -> Value {
+        self.dicts[a].value(self.enc.code(row, a))
+    }
+
+    /// Appends a batch, growing dictionaries and codes in place. Where the
+    /// batch brings values between (or below) already-seen ones, the
+    /// column's existing codes shift through a monotone remap; class
+    /// structure and relative order are preserved either way.
     ///
     /// # Errors
     /// [`RelationError::SchemaMismatch`] when the batch schema differs or
     /// carries a conflicting [`NullPolicy`];
     /// [`RelationError::NullPolicyRequired`] when the batch brings nulls but
     /// the engine has no policy. `self` is left unchanged in either case.
-    pub fn extend(&mut self, batch: &Relation) -> Result<AppendReport, RelationError> {
+    pub fn extend(&mut self, batch: &Relation) -> Result<(), RelationError> {
         // Failpoint at the very top — before any state is touched — so an
         // injected panic provably leaves `self` unchanged (the chaos
         // harness relies on this to re-apply the batch after recovery). An
@@ -223,19 +253,30 @@ impl GrowableRelation {
         // With no policy configured no `None` cell can exist (construction
         // and the check above reject them), so the placeholder is inert.
         let policy = self.null_policy.unwrap_or(NullPolicy::First);
-        let mut remapped = Vec::with_capacity(self.dicts.len());
         for (a, dict) in self.dicts.iter_mut().enumerate() {
-            remapped.push(dict.grow(batch.column(a), self.enc.codes_mut(a), policy));
+            dict.grow(batch.column(a), self.enc.codes_mut(a), policy);
             self.enc.set_cardinality(a, dict.len() as u32);
         }
         self.enc.set_n_rows(old_n_rows + batch.n_rows());
         self.live.resize(old_n_rows + batch.n_rows(), true);
         self.n_live += batch.n_rows();
-        Ok(AppendReport {
-            old_n_rows,
-            appended: batch.n_rows(),
-            remapped,
-        })
+        Ok(())
+    }
+}
+
+/// The streamed reader's codes, dictionaries and null policy, moved, not
+/// copied; every row is live.
+impl From<StreamedCsv> for GrowableRelation {
+    fn from(streamed: StreamedCsv) -> GrowableRelation {
+        let n = streamed.encoded.n_rows();
+        GrowableRelation {
+            schema: streamed.encoded.schema().clone(),
+            null_policy: streamed.null_policy,
+            dicts: streamed.dicts,
+            enc: streamed.encoded,
+            live: vec![true; n],
+            n_live: n,
+        }
     }
 }
 
@@ -263,9 +304,8 @@ mod tests {
             rel(vec![30, 30], vec!["b", "d"]), // no new x values
         ];
         for batch in &batches {
-            let report = grow.extend(batch).unwrap();
+            grow.extend(batch).unwrap();
             concat.extend(batch).unwrap();
-            assert_eq!(report.appended, batch.n_rows());
             let fresh = concat.encode();
             for a in 0..concat.n_attrs() {
                 assert_eq!(grow.encoded().codes(a), fresh.codes(a), "attr {a}");
@@ -275,20 +315,53 @@ mod tests {
         }
     }
 
+    /// Decoding follows every mutation: an append that remaps `x`, a
+    /// tail-only append, then a delete, whose tombstoned row still decodes.
     #[test]
-    fn remap_flags_track_dictionary_growth() {
+    fn rows_and_values_decode_after_mutations() {
         let base = rel(vec![10, 20], vec!["a", "b"]);
         let mut grow = GrowableRelation::new(&base);
-        // x gains 15 between 10 and 20 (remap); y repeats known values.
-        let r = grow.extend(&rel(vec![15], vec!["a"])).unwrap();
-        assert_eq!(r.remapped, vec![true, false]);
-        // 99 sorts above everything: the dictionary grows at the tail and no
-        // existing code moves — the append-only fast path, no remap.
-        let r = grow.extend(&rel(vec![99], vec!["b"])).unwrap();
-        assert_eq!(r.remapped, vec![false, false]);
-        assert_eq!(grow.encoded().cardinality(0), 4);
-        let r = grow.extend(&rel(vec![10], vec!["b"])).unwrap();
-        assert_eq!(r.remapped, vec![false, false]);
+        let mut concat = base.clone();
+        // 15 lands between 10 and 20, so x's codes shift; then 99 and "z"
+        // sort above everything, so only the dictionaries' tails grow.
+        for batch in [rel(vec![15], vec!["a"]), rel(vec![99, 10], vec!["z", "b"])] {
+            grow.extend(&batch).unwrap();
+            concat.extend(&batch).unwrap();
+            assert_eq!(grow.rows(0..concat.n_rows()).unwrap(), concat);
+        }
+        assert_eq!(grow.encoded().codes(0), &[0, 2, 1, 3, 0]);
+        grow.delete_rows(&[2]).unwrap();
+        assert_eq!(grow.rows(0..5).unwrap(), concat);
+        assert_eq!(grow.rows(2..4).unwrap(), concat.select_rows(&[2, 3]));
+        assert_eq!(grow.value(2, 0), Value::Int(15));
+        assert_eq!(grow.value(3, 1), Value::Str("z".into()));
+    }
+
+    #[test]
+    fn row_ranges_and_cells_decode_the_file() {
+        use crate::csv::read_csv_opts;
+        use crate::{read_csv_stream, CsvOptions};
+        let text = "x,y\n10,a\n20,b\n30,a\n40,c\n50,b\n";
+        let streamed =
+            read_csv_stream(std::io::Cursor::new(text), CsvOptions::with_header()).unwrap();
+        let grow = GrowableRelation::from(streamed);
+        let full = read_csv_opts(text.as_bytes(), CsvOptions::with_header()).unwrap();
+        assert_eq!((grow.n_rows(), grow.n_live()), (5, 5));
+        let mut concat = grow.rows(0..2).unwrap();
+        for range in [2..4, 4..5, 5..5] {
+            concat.extend(&grow.rows(range).unwrap()).unwrap();
+        }
+        assert_eq!(concat, full);
+        assert_eq!(grow.value(3, 1), Value::Str("c".into()));
+        assert_eq!(grow.value(4, 0), Value::Int(50));
+        #[allow(clippy::reversed_empty_ranges)]
+        let reversed = grow.rows(4..2).unwrap();
+        assert_eq!(reversed.n_rows(), 0);
+        let err = grow.rows(3..6).unwrap_err();
+        assert!(
+            matches!(err, RelationError::RowOutOfRange { row: 5, n_rows: 5 }),
+            "{err}"
+        );
     }
 
     #[test]

@@ -55,7 +55,7 @@ pub use stats::{profile, ColumnProfile, RelationProfile};
 pub use column::{Column, ColumnData};
 pub use encode::EncodedRelation;
 pub use error::RelationError;
-pub use grow::{AppendReport, GrowableRelation};
+pub use grow::GrowableRelation;
 pub use relation::{Relation, RelationBuilder};
 pub use schema::Schema;
 pub use csv::CsvOptions;

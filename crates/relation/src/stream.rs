@@ -19,23 +19,19 @@
 //!    binary search straight into its `Vec<u32>` code column, allocated at
 //!    exactly pass 1's row count.
 //!
-//! The output is differentially identical — codes, cardinalities and, via
-//! [`StreamedCsv::rows`], the decoded rows — to
-//! `read_csv_file_opts(..).encode()` (pinned by
+//! The output is differentially identical — codes, cardinalities and the
+//! decoded rows — to `read_csv_file_opts(..).encode()` (pinned by
 //! `tests/streaming_equivalence.rs`); peak memory is O(distinct values +
 //! 4 bytes per code) instead of O(rows · columns) values. The result keeps
-//! the dictionaries, so any row range decodes back to the typed rows the
-//! one-shot reader returns: `fastod serve --stream` replays a file from
-//! them, and witnesses print cell values through [`StreamedCsv::value`].
+//! the dictionaries; converted into a [`GrowableRelation`](crate::GrowableRelation),
+//! which moves them with the codes, it decodes any row range or cell back
+//! to the typed values the one-shot reader returns.
 
 use crate::csv::{cell, Records};
 use crate::dict::Dict;
-use crate::{
-    AttrId, CsvOptions, EncodedRelation, NullPolicy, Relation, RelationError, Schema, Value,
-};
+use crate::{CsvOptions, EncodedRelation, NullPolicy, RelationError, Schema};
 use std::collections::HashSet;
 use std::io::{Read, Seek, SeekFrom};
-use std::ops::Range;
 use std::path::Path;
 
 /// The chunk size callers pass as [`read_csv_file_stream`]'s third
@@ -43,8 +39,8 @@ use std::path::Path;
 pub const DEFAULT_CHUNK_ROWS: usize = 1 << 16;
 
 /// Result of [`read_csv_stream`]: the encoded relation plus the per-column
-/// dictionaries its codes index, which decode any row range back to the
-/// one-shot reader's typed rows.
+/// dictionaries its codes index. Convert it into a
+/// [`GrowableRelation`](crate::GrowableRelation) to decode rows and cells.
 #[derive(Debug)]
 pub struct StreamedCsv {
     /// The encoded relation; each code column holds exactly one `u32` per
@@ -57,43 +53,8 @@ pub struct StreamedCsv {
     /// `relation.peak_bytes` gauge.
     pub peak_bytes: usize,
     /// Per column: `dicts[a][code]` is the value `code` stands for.
-    dicts: Vec<Dict>,
-    null_policy: Option<NullPolicy>,
-}
-
-impl StreamedCsv {
-    /// The rows in `range`, decoded through the dictionaries: equal to the
-    /// one-shot reader's relation restricted to those rows — same schema,
-    /// types, values and null policy, with `T::default()` in null slots. A
-    /// reversed range decodes no rows.
-    ///
-    /// # Errors
-    /// [`RelationError::RowOutOfRange`] when `range` ends past the last row.
-    pub fn rows(&self, range: Range<usize>) -> Result<Relation, RelationError> {
-        let n_rows = self.encoded.n_rows();
-        if range.end > n_rows {
-            return Err(RelationError::RowOutOfRange {
-                row: range.end - 1,
-                n_rows,
-            });
-        }
-        let range = range.start.min(range.end)..range.end;
-        let columns = self
-            .dicts
-            .iter()
-            .enumerate()
-            .map(|(a, dict)| dict.decode(&self.encoded.codes(a)[range.clone()]))
-            .collect();
-        Relation::with_policy(self.encoded.schema().clone(), columns, self.null_policy)
-    }
-
-    /// The cell at `row` of attribute `a` ([`Value::Null`] for a null cell).
-    ///
-    /// # Panics
-    /// When `row` or `a` is out of range.
-    pub fn value(&self, row: usize, a: AttrId) -> Value {
-        self.dicts[a].value(self.encoded.code(row, a))
-    }
+    pub(crate) dicts: Vec<Dict>,
+    pub(crate) null_policy: Option<NullPolicy>,
 }
 
 /// Per-column pass-1 state: the distinct non-null cells and null presence.
@@ -298,7 +259,8 @@ mod tests {
             assert_eq!(streamed.encoded.codes(a), enc.codes(a), "attr {a}");
             assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
         }
-        assert_eq!(streamed.rows(0..rel.n_rows()).unwrap(), rel);
+        let decoded = crate::GrowableRelation::from(streamed).rows(0..rel.n_rows());
+        assert_eq!(decoded.unwrap(), rel);
     }
 
     #[test]
@@ -345,24 +307,5 @@ mod tests {
         let short_bytes = table_bytes(short.distinct.capacity()) + 2 * 32;
         assert_eq!(short.approx_bytes(), short_bytes);
         assert_eq!(pass1_bytes(&[short, long]), short_bytes + long_bytes + 1024 * 25);
-    }
-
-    #[test]
-    fn row_ranges_and_cells_decode_the_file() {
-        let text = "x,y\n10,a\n20,b\n30,a\n40,c\n50,b\n";
-        let streamed = read_csv_stream(Cursor::new(text), CsvOptions::with_header()).unwrap();
-        let full = read_csv_opts(text.as_bytes(), CsvOptions::with_header()).unwrap();
-        let mut concat = streamed.rows(0..2).unwrap();
-        for range in [2..4, 4..5, 5..5] {
-            concat.extend(&streamed.rows(range).unwrap()).unwrap();
-        }
-        assert_eq!(concat, full);
-        assert_eq!(streamed.value(3, 1), Value::Str("c".into()));
-        assert_eq!(streamed.value(4, 0), Value::Int(50));
-        #[allow(clippy::reversed_empty_ranges)]
-        let reversed = streamed.rows(4..2).unwrap();
-        assert_eq!(reversed.n_rows(), 0);
-        let err = streamed.rows(3..6).unwrap_err();
-        assert!(matches!(err, RelationError::RowOutOfRange { row: 5, n_rows: 5 }), "{err}");
     }
 }

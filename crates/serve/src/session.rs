@@ -270,12 +270,11 @@ impl Session {
 
     /// Rebuilds a poisoned session in place and republishes at a fresh
     /// epoch: swaps a fresh cancel token into the engine (the fired one may
-    /// be what killed the pass), folds the engine's pending queue into the
-    /// accumulated relation, and runs one from-scratch discovery pass over
-    /// the surviving rows — deliberately without the per-pass deadline, so
-    /// recovery can always complete. Readers are never blocked and never
-    /// observe a gap: the last published snapshot keeps serving until the
-    /// rebuilt cover is swapped in atomically.
+    /// be what killed the pass) and runs one from-scratch discovery pass
+    /// over the surviving rows — deliberately without the per-pass
+    /// deadline, so recovery can always complete. Readers are never blocked
+    /// and never observe a gap: the last published snapshot keeps serving
+    /// until the rebuilt cover is swapped in atomically.
     ///
     /// The recovered cover is byte-identical to what a from-scratch
     /// discovery over the surviving rows would publish (same config), so
@@ -303,8 +302,7 @@ impl Session {
             }
             Ok(Err(e)) => Err(ServeError::Engine(e)),
             Err(payload) => {
-                // A panic the rebuild could not contain (e.g. an armed
-                // `relation.extend` failpoint while folding the queue).
+                // A panic outside the rebuild pass's own containment.
                 engine.mark_poisoned();
                 let PassError::Panicked { site, message } =
                     PassError::panicked("serve.recover", payload.as_ref())

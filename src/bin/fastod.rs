@@ -24,12 +24,14 @@
 //!   --stats                print per-level statistics (Figure 7 style)
 //!   --stream               ingest the CSV via the two-pass streaming
 //!                          dictionary build (the 100M-row scale path): the
-//!                          file's values are never held, so peak memory is
-//!                          O(distinct values) plus 4 bytes per code,
-//!                          reported via the `relation.peak_bytes` gauge;
-//!                          every command's output is identical to the
-//!                          one-shot reader's (witnesses and `serve`'s
-//!                          replay decode cells through the dictionaries)
+//!                          file's values are never held, so the ingest
+//!                          peaks at O(distinct values) plus 4 bytes per
+//!                          code, reported via the `relation.peak_bytes`
+//!                          gauge. After ingest both readers leave the same
+//!                          codes and dictionaries, so `--stream` lowers
+//!                          only the ingest peak: every command's output is
+//!                          identical (witnesses and `serve`'s replay decode
+//!                          cells through the dictionaries)
 //!   --trace <FILE.jsonl>   write a structured span trace of the run (one
 //!                          JSON event per closed span; schema documented
 //!                          in fastod-obs) and enable metrics collection
@@ -76,58 +78,11 @@ use fastod_suite::discovery::{ApproxConfig, ApproxFastod, CancelToken};
 use fastod_suite::obs::{LogHistogram, Obs};
 use fastod_suite::prelude::*;
 use fastod_suite::relation::csv::{read_csv_file_opts, CsvOptions};
-use fastod_suite::relation::{read_csv_file_stream, NullPolicy, RelationError, StreamedCsv};
+use fastod_suite::relation::{read_csv_file_stream, NullPolicy};
 use fastod_suite::serve::ServeConfig;
 use fastod_suite::theory::{find_violations, CheckReport};
-use std::borrow::Cow;
-use std::ops::Range;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-
-/// The CSV as the commands read it: the one-shot reader's relation, or the
-/// streamed codes with the dictionaries that decode them. `--stream` picks
-/// the reader and nothing else.
-enum Table {
-    Parsed(Relation),
-    Streamed(StreamedCsv),
-}
-
-impl Table {
-    fn n_rows(&self) -> usize {
-        match self {
-            Table::Parsed(rel) => rel.n_rows(),
-            Table::Streamed(streamed) => streamed.encoded.n_rows(),
-        }
-    }
-
-    /// The encoded relation that discovery and checks run on. The one-shot
-    /// encode is the `relation.encode` span.
-    fn encoded(&self, obs: &Obs) -> Cow<'_, EncodedRelation> {
-        match self {
-            Table::Parsed(rel) => {
-                let _span = obs.span("relation.encode");
-                Cow::Owned(rel.encode())
-            }
-            Table::Streamed(streamed) => Cow::Borrowed(&streamed.encoded),
-        }
-    }
-
-    /// The typed rows in `range`, as the serving layer takes them.
-    fn rows(&self, range: Range<usize>) -> Result<Relation, RelationError> {
-        match self {
-            Table::Parsed(rel) => Ok(rel.select_rows(&range.collect::<Vec<_>>())),
-            Table::Streamed(streamed) => streamed.rows(range),
-        }
-    }
-
-    /// The cell at `row` of attribute `a`, which witnesses print.
-    fn value(&self, row: usize, a: AttrId) -> Value {
-        match self {
-            Table::Parsed(rel) => rel.value(row, a),
-            Table::Streamed(streamed) => streamed.value(row, a),
-        }
-    }
-}
 
 struct Args {
     file: String,
@@ -332,8 +287,8 @@ fn parse_od(spec: &str, schema: &Schema) -> Result<CanonicalOd, String> {
 /// count, witness pairs, and a minimum-cardinality repair (rows whose
 /// removal makes the rule hold). `--json` emits the `fastod.check.v1`
 /// document instead.
-fn run_check(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
-    let enc = &*table.encoded(obs);
+fn run_check(table: &GrowableRelation, args: &Args, obs: &Obs) -> ExitCode {
+    let enc = table.encoded();
     let names = enc.schema().names();
     let ods: Vec<CanonicalOd> = if args.near_valid {
         let cfg = ApproxConfig::new(args.max_error)
@@ -405,11 +360,11 @@ fn run_check(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
 /// layer. The first `--base-frac` of the rows seed the initial discovery;
 /// the rest stream in as append batches and are then deleted again in
 /// waves, while `--readers` threads hammer the published snapshot with
-/// lock-free cover queries. Every batch is a row range of `table`, so a
-/// streamed table decodes one batch at a time. Prints maintenance-pass and
+/// lock-free cover queries. Every batch is a row range of `table`, decoded
+/// through its dictionaries one batch at a time. Prints maintenance-pass and
 /// read-latency summaries. Read percentiles come from a shared streaming
 /// [`LogHistogram`] (no per-read allocation, no end-of-run sort).
-fn run_serve(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
+fn run_serve(table: &GrowableRelation, args: &Args, obs: &Obs) -> ExitCode {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     let n = table.n_rows();
@@ -596,9 +551,24 @@ fn run_serve(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
         lat.p99 as f64 / 1e3,
     );
     if obs.is_enabled() {
+        record_peak_rss(obs);
         eprintln!("\n{}", session.metrics().render());
     }
     ExitCode::SUCCESS
+}
+
+/// Sets the `process.peak_rss_mb` gauge to the run's peak resident set
+/// (`VmHWM` in `/proc/self/status`, in MiB); leaves it unset when that file
+/// cannot be read.
+fn record_peak_rss(obs: &Obs) {
+    let status = std::fs::read_to_string("/proc/self/status").unwrap_or_default();
+    let kb = status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmHWM:"))
+        .and_then(|rest| rest.trim_end_matches("kB").trim().parse::<u64>().ok());
+    if let Some(kb) = kb {
+        obs.set_gauge("process.peak_rss_mb", kb as f64 / 1024.0);
+    }
 }
 
 /// The mean of a replay's pass latencies; `0.0` when no pass ran (an
@@ -613,8 +583,8 @@ fn mean(ms: &[f64]) -> f64 {
 
 /// Discovery: `--violations` single-rule checking, then exact/approximate
 /// discovery.
-fn run_discover(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
-    let enc = &*table.encoded(obs);
+fn run_discover(table: &GrowableRelation, args: &Args, obs: &Obs) -> ExitCode {
+    let enc = table.encoded();
     let names = enc.schema().names();
     if let Some(spec) = &args.violations {
         let od = match parse_od(spec, enc.schema()) {
@@ -682,6 +652,7 @@ fn run_discover(table: &Table, args: &Args, obs: &Obs) -> ExitCode {
         eprintln!("\n{}", result.stats.level_table());
     }
     if args.stats_cmd {
+        record_peak_rss(obs);
         println!("{}", obs.snapshot().render());
     }
     ExitCode::SUCCESS
@@ -734,7 +705,8 @@ fn main() -> ExitCode {
         code
     };
 
-    // Whichever reader runs is the `relation.parse` span.
+    // Whichever reader runs is the `relation.parse` span. Both leave one
+    // table: the codes and the dictionaries that decode them.
     let parse = obs.span("relation.parse");
     let table = if args.stream {
         // The third argument, a chunk size, is unused.
@@ -755,7 +727,8 @@ fn main() -> ExitCode {
             enc.memory_bytes(),
             streamed.peak_bytes,
         );
-        Table::Streamed(streamed)
+        drop(parse);
+        GrowableRelation::from(streamed)
     } else {
         let rel = match read_csv_file_opts(&args.file, opts) {
             Ok(r) => r,
@@ -770,9 +743,12 @@ fn main() -> ExitCode {
             rel.n_rows(),
             rel.n_attrs()
         );
-        Table::Parsed(rel)
+        drop(parse);
+        // Nothing reads the parsed relation once its codes and dictionaries
+        // exist, so it is dropped here, before any command runs.
+        let _encode = obs.span("relation.encode");
+        GrowableRelation::new(&rel)
     };
-    drop(parse);
     let code = if args.serve {
         run_serve(&table, &args, &obs)
     } else if args.check {

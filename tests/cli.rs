@@ -1,7 +1,8 @@
 //! The `fastod` binary end to end. `--stream` picks the reader and nothing
 //! else: on one generated CSV, `serve` replays the same mutations from
 //! either reader, and discovery, `--violations` and `check` print the same
-//! stdout, witnesses' cell values included.
+//! stdout, witnesses' cell values included. `fastod stats` reports the
+//! run's peak resident set.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -221,4 +222,26 @@ fn trace_covers_parse_and_encode_before_discovery() {
             ends_before_discovery("relation.encode");
         }
     }
+}
+
+/// `fastod stats` reports the run's peak resident set, read from `VmHWM`,
+/// as the `process.peak_rss_mb` gauge.
+#[cfg(target_os = "linux")]
+#[test]
+fn stats_reports_the_peak_rss_gauge() {
+    let csv = Csv::generate("stats", 400);
+    let out = fastod(&["stats", csv.path(), "--nulls", "first"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let gauge = after(&stdout, "process.peak_rss_mb")
+        .split_whitespace()
+        .next();
+    let mib: f64 = gauge
+        .and_then(|v| v.parse().ok())
+        .unwrap_or_else(|| panic!("no gauge value in:\n{stdout}"));
+    assert!(mib > 0.0, "peak RSS {mib} MiB");
 }

@@ -4,8 +4,10 @@
 //! encode) and never holds the file's decoded values — but its *result*
 //! must be indistinguishable from `read_csv_opts` reading the whole file at
 //! once: same schema, same dense-rank codes, same cardinalities, same
-//! discovered cover, and the same typed rows and nulls when its kept
-//! dictionaries decode row ranges of {1, 7, 4096, whole-file} rows. These
+//! discovered cover. The table `fastod` reads on either path, a
+//! `GrowableRelation` converted from the streamed read or built from the
+//! one-shot relation, decodes the same typed rows and nulls over row ranges
+//! of {1, 7, 4096, whole-file} rows. These
 //! tests run it across the dialect corner cases the one-shot reader pins
 //! (quoted-empty vs null, whitespace trimming, blank lines, headerless
 //! files, both null policies) and pin the error behaviour: ragged rows and
@@ -20,16 +22,16 @@ use fastod_suite::relation::{read_csv_stream, CsvOptions, NullPolicy, RelationEr
 use proptest::prelude::*;
 use std::io::{Cursor, Read, Seek, SeekFrom};
 
-/// Row-range lengths swept for `StreamedCsv::rows`.
+/// Row-range lengths swept for `GrowableRelation::rows`.
 const RANGE_ROWS: [usize; 3] = [1, 7, 4096];
 
 /// Asserts the streamed encoding equals the one-shot read of `text`, that
-/// its dictionaries decode every row range and cell back to the one-shot
-/// relation's, and that (for non-trivial inputs) the discovered covers
-/// agree.
+/// (for non-trivial inputs) the discovered covers agree, and that the table
+/// `fastod` builds on either path — `GrowableRelation::new` over the
+/// one-shot relation, `GrowableRelation::from` the streamed read — decodes
+/// every row range and cell back to the one-shot relation's.
 fn assert_equivalent(text: &str, opts: CsvOptions) {
-    let rel = fastod_suite::relation::csv::read_csv_opts(text.as_bytes(), opts)
-        .expect("one-shot read should succeed");
+    let rel = read_csv_opts(text.as_bytes(), opts).expect("one-shot read should succeed");
     let enc = rel.encode();
     let streamed = read_csv_stream(Cursor::new(text), opts).expect("streamed read should succeed");
     assert_eq!(streamed.encoded.n_rows(), enc.n_rows());
@@ -43,23 +45,37 @@ fn assert_equivalent(text: &str, opts: CsvOptions) {
         );
         assert_eq!(streamed.encoded.codes(a), enc.codes(a), "attr {a} codes");
         assert_eq!(streamed.encoded.cardinality(a), enc.cardinality(a));
-        for row in 0..rel.n_rows() {
-            assert_eq!(streamed.value(row, a), rel.value(row, a), "row {row} attr {a}");
-        }
-    }
-    let n = rel.n_rows();
-    assert_eq!(streamed.rows(0..n).unwrap(), rel, "the whole file");
-    for len in RANGE_ROWS {
-        for start in (0..n).step_by(len) {
-            let range = start..(start + len).min(n);
-            let rows: Vec<usize> = range.clone().collect();
-            assert_eq!(streamed.rows(range.clone()).unwrap(), rel.select_rows(&rows), "{range:?}");
-        }
     }
     if enc.n_rows() > 0 {
         let cover =
             |e: &EncodedRelation| Fastod::new(DiscoveryConfig::default()).discover(e).ods.sorted();
         assert_eq!(cover(&streamed.encoded), cover(&enc));
+    }
+    assert_decodes(&GrowableRelation::new(&rel), &rel, "one-shot");
+    assert_decodes(&GrowableRelation::from(streamed), &rel, "streamed");
+}
+
+/// Asserts `table` decodes every cell, the whole table and every range of
+/// `RANGE_ROWS` rows to `rel`'s.
+fn assert_decodes(table: &GrowableRelation, rel: &Relation, path: &str) {
+    let n = rel.n_rows();
+    for a in 0..rel.n_attrs() {
+        for row in 0..n {
+            assert_eq!(
+                table.value(row, a),
+                rel.value(row, a),
+                "{path}: row {row} attr {a}"
+            );
+        }
+    }
+    assert_eq!(&table.rows(0..n).unwrap(), rel, "{path}: the whole file");
+    for len in RANGE_ROWS {
+        for start in (0..n).step_by(len) {
+            let range = start..(start + len).min(n);
+            let rows: Vec<usize> = range.clone().collect();
+            let decoded = table.rows(range.clone()).unwrap();
+            assert_eq!(decoded, rel.select_rows(&rows), "{path}: {range:?}");
+        }
     }
 }
 
@@ -244,7 +260,8 @@ fn truncated_tail_fails_the_read_before_any_row_decodes() {
 #[test]
 fn file_streaming_matches_file_one_shot() {
     let text = "seq,grp,val\n0,a,1\n1,b,2\n2,a,1\n3,c,3\n4,b,2\n5,a,1\n";
-    let path = std::env::temp_dir().join("fastod_stream_equiv_test.csv");
+    let path = std::env::temp_dir().join(format!("fastod_stream_equiv_{}.csv", std::process::id()));
+    let _cleanup = RemoveOnDrop(path.clone());
     std::fs::write(&path, text).unwrap();
     let one = fastod_suite::relation::csv::read_csv_file_opts(&path, CsvOptions::with_header())
         .unwrap()
@@ -260,7 +277,6 @@ fn file_streaming_matches_file_one_shot() {
         assert_eq!(streamed.encoded.codes(a), one.codes(a), "attr {a}");
     }
     assert!(streamed.peak_bytes > 0);
-    let _ = std::fs::remove_file(&path);
 }
 
 /// Deletes the file at its path when dropped, so a failed assertion leaves
@@ -278,9 +294,10 @@ impl Drop for RemoveOnDrop {
 /// low-cardinality float and a low-cardinality string), about 40 MB of CSV,
 /// streamed and read one-shot from the same file. The streamed codes,
 /// cardinalities and level-2 cover equal the one-shot reader's, the
-/// dictionaries decode every `DEFAULT_CHUNK_ROWS`-row range to the same
-/// rows of the one-shot relation (range by range, so no second full copy
-/// is held), and the streamed ingest's modelled peak stays under a fixed
+/// `GrowableRelation` built from the streamed read decodes every
+/// `DEFAULT_CHUNK_ROWS`-row range to the same rows of the one-shot relation
+/// (range by range, so no second full copy is held), and the streamed
+/// ingest's modelled peak stays under a fixed
 /// 256 MiB, which a reader that held O(rows) values would exceed. Ignored in the default
 /// run (it takes seconds in release, tens of seconds in debug); CI's
 /// `scale-smoke` job runs it in release with `--include-ignored`.
@@ -325,16 +342,17 @@ fn million_row_stream_matches_one_shot_under_256_mib() {
         Fastod::new(cfg).discover(e).ods.sorted()
     };
     assert_eq!(cover(enc), cover(&one), "streamed vs one-shot level-2 covers");
-    for start in (0..rel.n_rows()).step_by(DEFAULT_CHUNK_ROWS) {
-        let rows: Vec<usize> = (start..(start + DEFAULT_CHUNK_ROWS).min(rel.n_rows())).collect();
-        let decoded = streamed.rows(start..start + rows.len()).unwrap();
-        assert!(decoded == rel.select_rows(&rows), "rows from {start} decode differently");
-    }
     assert!(
         streamed.peak_bytes < 256 << 20,
         "streamed ingest peak {} bytes is over 256 MiB",
         streamed.peak_bytes
     );
+    let table = GrowableRelation::from(streamed);
+    for start in (0..rel.n_rows()).step_by(DEFAULT_CHUNK_ROWS) {
+        let rows: Vec<usize> = (start..(start + DEFAULT_CHUNK_ROWS).min(rel.n_rows())).collect();
+        let decoded = table.rows(start..start + rows.len()).unwrap();
+        assert!(decoded == rel.select_rows(&rows), "rows from {start} decode differently");
+    }
 }
 
 /// The streamed code columns are exactly one `u32` per row, so the
